@@ -289,10 +289,6 @@ pub struct SimControl {
     /// Hard wall on simulated time (guards against thrashing configurations
     /// that commit extremely slowly).
     pub max_sim_time: SimDuration,
-    /// Record the committed history for serializability checking (testing
-    /// aid; adds memory proportional to committed operations).
-    #[serde(default)]
-    pub record_history: bool,
 }
 
 impl Default for SimControl {
@@ -302,7 +298,6 @@ impl Default for SimControl {
             warmup_commits: 400,
             measure_commits: 4_000,
             max_sim_time: SimDuration::from_secs_f64(40_000.0),
-            record_history: false,
         }
     }
 }

@@ -28,7 +28,6 @@
 //! centralized two-phase commit. Aborted transactions restart after one
 //! average response time with the same access set.
 
-pub mod history;
 pub mod metrics;
 pub mod protocol;
 pub mod simulator;
@@ -38,15 +37,13 @@ pub mod txn;
 pub mod witness;
 pub mod workload;
 
-pub use history::HistoryRecorder;
 pub use metrics::{
     AbortBreakdown, CauseLatency, FaultStats, MetricsCollector, PhaseBreakdown, PhaseCollector,
     PhaseStats, RunReport,
 };
 pub use protocol::AbortCause;
 pub use simulator::{
-    run_chaos, run_config, run_oracle, run_traced, run_with_history, OracleRecording, Simulator,
-    TestHooks,
+    run_chaos, run_config, run_oracle, run_traced, OracleRecording, Simulator, TestHooks,
 };
 pub use trace::{PhaseSpan, TraceEvent, TraceLog, Tracer, TxnTrace};
 pub use txn::{PhaseBucket, TxnPhase};

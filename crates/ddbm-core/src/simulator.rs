@@ -9,7 +9,6 @@
 //! any ordered pair of nodes arrive in send order, which the commit and
 //! abort protocols rely on.
 
-use crate::history::HistoryRecorder;
 use crate::metrics::{MetricsCollector, PhaseCollector, RunReport};
 use crate::protocol::{AbortCause, CohortIdx, CpuJob, DiskJob, Event, Message, MsgKind, RunId};
 use crate::store::TxnStore;
@@ -200,7 +199,6 @@ pub struct Simulator {
     /// transaction can run to commit (the liveness check).
     draining: bool,
     metrics: MetricsCollector,
-    history: Option<HistoryRecorder>,
     warmup_done: bool,
     snoop: Option<SnoopState>,
     finished: bool,
@@ -300,7 +298,6 @@ impl Simulator {
             script: None,
             template_log: None,
             draining: false,
-            history: config.control.record_history.then(HistoryRecorder::new),
             metrics,
             warmup_done: false,
             snoop: None.or(snoop),
@@ -313,15 +310,7 @@ impl Simulator {
     /// Run to completion and report.
     pub fn run(mut self) -> RunReport {
         self.seed();
-        self.drive(false);
-        self.report(self.calendar.now())
-    }
-
-    /// Like [`Simulator::run`], but prints a progress line to stderr every
-    /// 100k events — a diagnostic aid for stalled configurations.
-    pub fn run_debug(mut self) -> RunReport {
-        self.seed();
-        self.drive(true);
+        self.drive();
         self.report(self.calendar.now())
     }
 
@@ -371,22 +360,8 @@ impl Simulator {
 
     /// The event loop: pop and dispatch until the commit target or the
     /// simulated-time wall is reached.
-    fn drive(&mut self, debug: bool) {
-        let mut count: u64 = 0;
+    fn drive(&mut self) {
         while let Some((now, ev)) = self.calendar.pop() {
-            count += 1;
-            if debug && count.is_multiple_of(100_000) {
-                let mut phases = std::collections::HashMap::new();
-                for t in self.txns.values() {
-                    *phases.entry(format!("{:?}", t.phase)).or_insert(0usize) += 1;
-                }
-                eprintln!(
-                    "[{count}] t={now} commits={} active={} cal={} phases={phases:?} ev={ev:?}",
-                    self.metrics.total_commits,
-                    self.txns.len(),
-                    self.calendar.len(),
-                );
-            }
             if now > SimTime::ZERO + self.config.control.max_sim_time {
                 self.truncated = true;
                 break;
@@ -402,10 +377,9 @@ impl Simulator {
     }
 
     /// Chaos-mode epilogue: keep the event loop running, with new admissions
-    /// shut off, until every live transaction commits. Returns true when the
-    /// system drained (the liveness property); false means the simulated-time
-    /// wall was hit with transactions still in flight.
-    fn drain(&mut self) -> bool {
+    /// shut off, until every live transaction commits or the simulated-time
+    /// wall is hit (`RunReport::drained` tells which).
+    fn drain(&mut self) {
         self.draining = true;
         while let Some((now, ev)) = self.calendar.pop() {
             if now > SimTime::ZERO + self.config.control.max_sim_time {
@@ -418,7 +392,6 @@ impl Simulator {
                 break;
             }
         }
-        self.txns.is_empty()
     }
 
     fn report(&self, end: SimTime) -> RunReport {
@@ -1370,11 +1343,6 @@ impl Simulator {
             .template
             .cohorts[cohort]
             .accesses[access];
-        if !acc.write {
-            if let Some(h) = &mut self.history {
-                h.record(id, run, acc.page, false, now);
-            }
-        }
         if acc.write {
             self.start_page_processing(now, node, id, run, cohort, access);
         } else if self.nodes[node.0].buffer.probe(&acc.page) {
@@ -1932,14 +1900,9 @@ impl Simulator {
                     .filter(|a| a.write)
                     .map(|a| a.page),
             );
-            // Record installs *before* releasing locks: a release can grant
+            // Witness installs *before* releasing locks: a release can grant
             // a waiter at this same instant, and its read must sequence
             // after these writes.
-            if let Some(h) = &mut self.history {
-                for p in &pages {
-                    h.record(id, run, *p, true, now);
-                }
-            }
             if self.witness.is_some() {
                 let meta = txn.meta();
                 let commit_ts = txn.commit_ts.unwrap_or(Ts::ZERO);
@@ -2044,9 +2007,6 @@ impl Simulator {
     /// put the terminal back to thinking.
     fn complete_commit(&mut self, now: SimTime, id: TxnId) {
         let mut txn = self.txns.remove(id).expect("committing txn exists");
-        if let Some(h) = &mut self.history {
-            h.commit(id, txn.run);
-        }
         let response = now.since(txn.origin);
         self.metrics.record_commit(response);
         if self.trace_phases {
@@ -2094,9 +2054,6 @@ impl Simulator {
         let run = txn.run;
         let run_lifetime = now.since(txn.run_start);
         let cause = txn.abort_cause.take().unwrap_or(AbortCause::Validation);
-        if let Some(h) = &mut self.history {
-            h.abort(id, run);
-        }
         self.metrics.record_abort(cause);
         if let Some(p) = &mut self.metrics.phases {
             p.record_abort(cause, run_lifetime);
@@ -2671,18 +2628,6 @@ pub fn run_config(config: Config) -> Result<RunReport, ConfigError> {
     Ok(Simulator::new(config)?.run())
 }
 
-/// Run with history recording forced on and return the report together with
-/// the committed-history recorder, ready for serializability checking.
-pub fn run_with_history(mut config: Config) -> Result<(RunReport, HistoryRecorder), ConfigError> {
-    config.control.record_history = true;
-    let mut sim = Simulator::new(config)?;
-    sim.seed();
-    sim.drive(false);
-    let report = sim.report(sim.calendar.now());
-    let history = sim.history.take().expect("recording was enabled");
-    Ok((report, history))
-}
-
 /// Run with event tracing and phase statistics forced on; returns the
 /// report together with the sealed [`TraceLog`], ready for export as
 /// Chrome-trace JSON or JSONL.
@@ -2691,27 +2636,11 @@ pub fn run_traced(mut config: Config) -> Result<(RunReport, TraceLog), ConfigErr
     config.trace.phase_stats = true;
     let mut sim = Simulator::new(config)?;
     sim.seed();
-    sim.drive(false);
+    sim.drive();
     let end = sim.calendar.now();
     let report = sim.report(end);
     let trace = sim.tracer.take().expect("tracing was enabled").finish(end);
     Ok((report, trace))
-}
-
-/// Chaos-suite entry point: run with history recording on, then keep the
-/// event loop going (with admissions shut off) until every in-flight
-/// transaction commits. `report.drained` records whether the system actually
-/// emptied — the liveness property the chaos tests assert — and the history
-/// covers everything that committed, including during the drain.
-pub fn run_chaos(mut config: Config) -> Result<(RunReport, HistoryRecorder), ConfigError> {
-    config.control.record_history = true;
-    let mut sim = Simulator::new(config)?;
-    sim.seed();
-    sim.drive(false);
-    sim.drain();
-    let report = sim.report(sim.calendar.now());
-    let history = sim.history.take().expect("recording was enabled");
-    Ok((report, history))
 }
 
 /// Everything the `ddbm-oracle` invariant checkers need from one
@@ -2741,9 +2670,28 @@ pub struct OracleRecording {
 /// in order and stop admitting when it runs dry) and optionally injecting
 /// a deliberate [`TestHooks`] protocol defect.
 pub fn run_oracle(
+    config: Config,
+    script: Option<Vec<TxnTemplate>>,
+    hooks: TestHooks,
+) -> Result<OracleRecording, ConfigError> {
+    run_witnessed(config, script, hooks, false)
+}
+
+/// Chaos-suite entry point: [`run_oracle`] without a script or hooks, then
+/// keep the event loop going (with admissions shut off) until every
+/// in-flight transaction commits. `report.drained` records whether the
+/// system actually emptied — the liveness property the chaos tests assert —
+/// and the witness stream covers everything that committed, including
+/// during the drain.
+pub fn run_chaos(config: Config) -> Result<OracleRecording, ConfigError> {
+    run_witnessed(config, None, TestHooks::default(), true)
+}
+
+fn run_witnessed(
     mut config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
+    drain: bool,
 ) -> Result<OracleRecording, ConfigError> {
     config.trace.witness = true;
     let mut sim = Simulator::new(config)?;
@@ -2753,7 +2701,10 @@ pub fn run_oracle(
         sim.script = Some(ScriptedWorkload { templates, next: 0 });
     }
     sim.seed();
-    sim.drive(false);
+    sim.drive();
+    if drain {
+        sim.drain();
+    }
     let report = sim.report(sim.calendar.now());
     let truncated = sim.truncated;
     let (witness, witness_overflow) = sim

@@ -18,10 +18,15 @@
 //! * **Timestamp ordering** ([`BtoChecker`]) — an exact differential mirror
 //!   of the BTO manager: every reply, wake-up, and install checked against
 //!   timestamp order with the Thomas write rule.
+//! * **Conflict serializability** ([`ConflictChecker`]) — the committed
+//!   history's conflict graph must be acyclic (strict locking family).
 //! * **View serializability** ([`VsrCollector`]) — a polygraph check over
-//!   the committed history, closing the conflict-serializability gap for
-//!   OPT and the Thomas rule (informational for the NO_DC baseline, which
-//!   is serializable only without data contention).
+//!   the committed history, covering OPT and the Thomas rule, whose
+//!   histories can be view- but not conflict-serializable (informational
+//!   for the NO_DC baseline, which is serializable only without data
+//!   contention).
+//! * **Replication** ([`ReplicaChecker`]) — every committed write reaches
+//!   the replicas the replica control requires.
 //!
 //! When a check fails, [`shrink_workload`] delta-debugs the recorded
 //! workload to a smallest still-failing script and [`ReproFile`] freezes
@@ -29,6 +34,7 @@
 //! that deterministically replays the violation.
 
 pub mod btocheck;
+pub mod csr;
 pub mod locking;
 pub mod phase;
 pub mod replica;
@@ -38,6 +44,7 @@ pub mod violation;
 pub mod vsr;
 
 pub use btocheck::BtoChecker;
+pub use csr::ConflictChecker;
 pub use ddbm_core::{WitnessEvent, WitnessReply, WitnessStream};
 pub use locking::{LockChecker, LockVariant};
 pub use phase::PhaseTracker;
@@ -230,6 +237,7 @@ pub fn check_stream(opts: &CheckOptions, stream: &WitnessStream) -> OracleReport
         }
         None => AlgoChecker::Structural,
     };
+    let mut csr = rules.strict_two_phase.then(ConflictChecker::new);
     let mut vsr = VsrCollector::new(VersionOrder::for_algorithm(opts.algorithm));
     // The write-quorum check only makes sense on fault-free streams: under
     // faults ROWA legitimately writes fewer than `factor` replicas.
@@ -268,7 +276,22 @@ pub fn check_stream(opts: &CheckOptions, stream: &WitnessStream) -> OracleReport
         if let Some(rc) = &mut replica {
             rc.observe(at, ev, &mut violations);
         }
+        if let Some(c) = &mut csr {
+            c.observe(ev);
+        }
         vsr.observe(ev);
+    }
+
+    if let Some(cycle) = csr.and_then(ConflictChecker::finalize) {
+        let ids: Vec<u64> = cycle.iter().map(|t| t.0).collect();
+        violations.push(Violation {
+            kind: ViolationKind::NotConflictSerializable,
+            at: SimTime(0),
+            txn: None,
+            node: None,
+            page: None,
+            detail: format!("the committed history's conflict graph has the cycle {ids:?}"),
+        });
     }
 
     let vsr_outcome = vsr.finalize(opts.vsr_budget);
@@ -414,6 +437,43 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::ConflictingGrant));
+    }
+
+    #[test]
+    fn lost_update_is_not_conflict_serializable() {
+        // r1(p) r2(p) w1(p) w2(p) under 2PL, both committed.
+        let install = |txn: u64| WitnessEvent::Install {
+            txn: TxnId(txn),
+            run: 1,
+            node: NodeId(1),
+            page: page(0),
+            run_ts: ts(txn, txn),
+            commit_ts: ts(txn, txn),
+        };
+        let committed = |txn: u64| WitnessEvent::Committed {
+            txn: TxnId(txn),
+            run: 1,
+            run_ts: ts(txn, txn),
+            commit_ts: ts(txn, txn),
+        };
+        let stream = stamped(vec![
+            phase(1, TxnPhase::Executing),
+            phase(2, TxnPhase::Executing),
+            access(1, 1, 0, false, WitnessReply::Granted, 1),
+            access(2, 1, 0, false, WitnessReply::Granted, 2),
+            install(1),
+            install(2),
+            committed(1),
+            committed(2),
+        ]);
+        let r = check_stream(&CheckOptions::new(Algorithm::TwoPhaseLocking), &stream);
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.kind == ViolationKind::NotConflictSerializable),
+            "{}",
+            r.render()
+        );
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub enum ViolationKind {
     UnsanctionedContention,
     /// The committed history is not view-serializable (polygraph check).
     NotViewSerializable,
+    /// The committed history's conflict graph has a cycle (strict locking
+    /// family only).
+    NotConflictSerializable,
     /// Replication: a committed write was installed at fewer replicas than
     /// the replica control requires (ROWA: every replica; quorum: `w`),
     /// leaving a stale copy that later reads may observe.
@@ -72,6 +75,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::TimestampOrder => "timestamp-order",
             ViolationKind::UnsanctionedContention => "unsanctioned-contention",
             ViolationKind::NotViewSerializable => "not-view-serializable",
+            ViolationKind::NotConflictSerializable => "not-conflict-serializable",
             ViolationKind::UnderReplicatedWrite => "under-replicated-write",
         };
         f.write_str(s)

@@ -8,9 +8,9 @@
 //! certificate; if that fails it falls back to the classical polygraph
 //! construction — fixed writes-before-reads edges plus (w′ before w) ∨
 //! (r before w′) choices — and searches for an acyclic extension under a
-//! bounded budget. This closes the `history.rs` conflict-serializability
-//! gap for OPT and NO_DC: Thomas-rule skips and certification-time
-//! validation produce histories that are view- but not conflict-serializable.
+//! bounded budget. This covers what the [`crate::csr`] conflict check
+//! cannot: Thomas-rule skips and certification-time validation produce
+//! histories that are view- but not conflict-serializable.
 
 use ddbm_cc::Ts;
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
