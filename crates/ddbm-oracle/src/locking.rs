@@ -8,6 +8,11 @@
 //! detector's cycle claim (2PL), and every rejection against the wait-die
 //! "older waits, younger dies" rule. Phase-level rules (strictness, the
 //! two-phase rule) are the [`crate::phase::PhaseTracker`]'s job.
+//!
+//! Each node model also indexes, per transaction, the pages at which it
+//! holds or awaits a lock, so a release visits only those pages. Every event
+//! therefore costs O(pages the transaction touched), however long the run;
+//! only deadlock-victim and re-wound checks walk the node's live lock state.
 
 use crate::violation::{Violation, ViolationKind};
 use ddbm_cc::Ts;
@@ -64,6 +69,9 @@ struct LastAccess {
 #[derive(Debug, Default)]
 struct NodeModel {
     pages: FxHashMap<PageId, PageModel>,
+    /// Pages at which each transaction holds or awaits a lock (a page may
+    /// repeat), so a release visits only those.
+    touched: FxHashMap<TxnId, Vec<PageId>>,
     /// The most recent access request at this node, for wound context: the
     /// simulator emits wounds directly after the access that caused them.
     last_access: Option<LastAccess>,
@@ -155,12 +163,16 @@ impl LockChecker {
         false
     }
 
-    fn remove_everywhere(nm: &mut NodeModel, txn: TxnId) {
-        nm.pages.retain(|_, pm| {
-            pm.holders.retain(|&(t, _)| t != txn);
-            pm.queue.retain(|&(t, _)| t != txn);
-            !pm.holders.is_empty() || !pm.queue.is_empty()
-        });
+    fn release(nm: &mut NodeModel, txn: TxnId) {
+        for page in nm.touched.remove(&txn).unwrap_or_default() {
+            if let Some(pm) = nm.pages.get_mut(&page) {
+                pm.holders.retain(|&(t, _)| t != txn);
+                pm.queue.retain(|&(t, _)| t != txn);
+                if pm.holders.is_empty() && pm.queue.is_empty() {
+                    nm.pages.remove(&page);
+                }
+            }
+        }
     }
 
     fn violation(
@@ -195,7 +207,7 @@ impl LockChecker {
     ) {
         let variant = self.variant;
         let fifo_strict = self.fifo_strict;
-        let ts = self.ts.clone();
+        let ts = &self.ts;
         let nm = self.nodes.entry(node).or_default();
         match reply {
             WitnessReply::Granted => {
@@ -259,6 +271,7 @@ impl LockChecker {
                             ));
                         }
                         pm.holders.push((txn, write));
+                        nm.touched.entry(txn).or_default().push(page);
                     }
                 }
             }
@@ -290,6 +303,7 @@ impl LockChecker {
                     }
                 }
                 nm.pages.entry(page).or_default().queue.push((txn, write));
+                nm.touched.entry(txn).or_default().push(page);
             }
             WitnessReply::Rejected => {
                 match variant {
@@ -332,12 +346,13 @@ impl LockChecker {
                         // Younger dies: there must be a conflicting older
                         // transaction already at the page.
                         let my_ts = ts.get(&txn).copied();
-                        let pm = nm.pages.entry(page).or_default();
                         let sanctioned = my_ts.is_some_and(|mine| {
-                            pm.holders.iter().chain(pm.queue.iter()).any(|&(t, m)| {
-                                t != txn
-                                    && conflicts(write, m)
-                                    && ts.get(&t).is_some_and(|o| o.older_than(mine))
+                            nm.pages.get(&page).is_some_and(|pm| {
+                                pm.holders.iter().chain(pm.queue.iter()).any(|&(t, m)| {
+                                    t != txn
+                                        && conflicts(write, m)
+                                        && ts.get(&t).is_some_and(|o| o.older_than(mine))
+                                })
                             })
                         });
                         if !sanctioned {
@@ -376,7 +391,7 @@ impl LockChecker {
         out: &mut Vec<Violation>,
     ) {
         let variant = self.variant;
-        let ts = self.ts.clone();
+        let ts = &self.ts;
         let nm = self.nodes.entry(node).or_default();
         match variant {
             LockVariant::TwoPl => {
@@ -437,12 +452,12 @@ impl LockChecker {
                             ));
                         }
                         if let Some(la) = nm.last_access.filter(|la| la.txn == req) {
-                            let pm = nm.pages.entry(la.page).or_default();
-                            let conflicting = pm
-                                .holders
-                                .iter()
-                                .chain(pm.queue.iter())
-                                .any(|&(t, m)| t == victim && conflicts(la.write, m));
+                            let conflicting = nm.pages.get(&la.page).is_some_and(|pm| {
+                                pm.holders
+                                    .iter()
+                                    .chain(pm.queue.iter())
+                                    .any(|&(t, m)| t == victim && conflicts(la.write, m))
+                            });
                             if !conflicting {
                                 out.push(Self::violation(
                                     ViolationKind::WoundPriority,
@@ -565,13 +580,14 @@ impl LockChecker {
                 }
                 if !pm.holders.iter().any(|&(t, _)| t == txn) {
                     pm.holders.push((txn, write));
+                    nm.touched.entry(txn).or_default().push(page);
                 }
             }
             WitnessEvent::Reject {
                 txn, node, page, ..
             } => {
                 let variant = self.variant;
-                let ts = self.ts.clone();
+                let ts = &self.ts;
                 let nm = self.nodes.entry(node).or_default();
                 let pm = nm.pages.entry(page).or_default();
                 let my_pos = pm.queue.iter().position(|&(t, _)| t == txn);
@@ -639,7 +655,7 @@ impl LockChecker {
             }
             WitnessEvent::Release { txn, node, .. } => {
                 if let Some(nm) = self.nodes.get_mut(&node) {
-                    Self::remove_everywhere(nm, txn);
+                    Self::release(nm, txn);
                 }
             }
             WitnessEvent::NodeCrash { node } => {
@@ -647,5 +663,156 @@ impl LockChecker {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ddbm_config::FileId;
+
+    const N: NodeId = NodeId(1);
+
+    fn page(p: u64) -> PageId {
+        PageId {
+            file: FileId(0),
+            page: p,
+        }
+    }
+
+    fn access(txn: u64, p: u64, write: bool, reply: WitnessReply) -> WitnessEvent {
+        WitnessEvent::Access {
+            txn: TxnId(txn),
+            run: 0,
+            node: N,
+            page: page(p),
+            write,
+            reply,
+            initial_ts: Ts::new(txn, TxnId(txn)),
+            run_ts: Ts::new(txn, TxnId(txn)),
+        }
+    }
+
+    fn grant(txn: u64, p: u64, write: bool) -> WitnessEvent {
+        WitnessEvent::Grant {
+            txn: TxnId(txn),
+            run: 0,
+            node: N,
+            page: page(p),
+            write,
+            initial_ts: Ts::new(txn, TxnId(txn)),
+            run_ts: Ts::new(txn, TxnId(txn)),
+        }
+    }
+
+    fn release(txn: u64, node: NodeId) -> WitnessEvent {
+        WitnessEvent::Release {
+            txn: TxnId(txn),
+            run: 0,
+            node,
+            commit: false,
+        }
+    }
+
+    fn feed(c: &mut LockChecker, evs: &[WitnessEvent]) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for ev in evs {
+            c.observe(SimTime(0), ev, &mut out);
+        }
+        out
+    }
+
+    /// A page as `(page, holders, queue)`, transactions by id.
+    type Row = (u64, Vec<(u64, bool)>, Vec<(u64, bool)>);
+
+    /// The node model's pages, sorted.
+    fn state(c: &LockChecker) -> Vec<Row> {
+        let ids = |v: &[(TxnId, bool)]| v.iter().map(|&(t, w)| (t.0, w)).collect();
+        let mut rows: Vec<_> = c.nodes[&N]
+            .pages
+            .iter()
+            .map(|(p, pm)| (p.page, ids(&pm.holders), ids(&pm.queue)))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn release_clears_every_page_and_keeps_other_holds() {
+        let mut c = LockChecker::new(LockVariant::TwoPl, false);
+        let out = feed(
+            &mut c,
+            &[
+                access(1, 0, true, WitnessReply::Granted),
+                access(1, 1, true, WitnessReply::Granted),
+                access(2, 2, false, WitnessReply::Granted),
+                access(1, 2, true, WitnessReply::Blocked),
+                access(2, 0, false, WitnessReply::Blocked),
+                release(1, N),
+            ],
+        );
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(
+            state(&c),
+            vec![(0, vec![], vec![(2, false)]), (2, vec![(2, false)], vec![])]
+        );
+        assert!(!c.nodes[&N].touched.contains_key(&TxnId(1)));
+        feed(&mut c, &[release(2, N)]);
+        assert!(state(&c).is_empty());
+        assert!(c.nodes[&N].touched.is_empty());
+    }
+
+    #[test]
+    fn holder_added_by_an_unqueued_grant_is_released() {
+        let mut c = LockChecker::new(LockVariant::TwoPl, false);
+        let out = feed(&mut c, &[grant(1, 3, true)]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].kind, ViolationKind::NonFifoGrant);
+        assert_eq!(state(&c), vec![(3, vec![(1, true)], vec![])]);
+        feed(&mut c, &[release(1, N)]);
+        assert!(state(&c).is_empty());
+        assert!(c.nodes[&N].touched.is_empty());
+    }
+
+    #[test]
+    fn rejected_waiter_then_release() {
+        let mut c = LockChecker::new(LockVariant::TwoPl, false);
+        feed(
+            &mut c,
+            &[
+                access(1, 0, true, WitnessReply::Granted),
+                access(2, 0, true, WitnessReply::Blocked),
+                WitnessEvent::Reject {
+                    txn: TxnId(2),
+                    run: 0,
+                    node: N,
+                    page: page(0),
+                },
+            ],
+        );
+        assert_eq!(state(&c), vec![(0, vec![(1, true)], vec![])]);
+        feed(&mut c, &[release(2, N)]);
+        assert_eq!(state(&c), vec![(0, vec![(1, true)], vec![])]);
+        feed(&mut c, &[release(1, N)]);
+        assert!(state(&c).is_empty());
+        assert!(c.nodes[&N].touched.is_empty());
+    }
+
+    #[test]
+    fn release_after_node_crash_leaves_nothing() {
+        let mut c = LockChecker::new(LockVariant::TwoPl, false);
+        let out = feed(
+            &mut c,
+            &[
+                access(1, 0, true, WitnessReply::Granted),
+                access(2, 0, true, WitnessReply::Blocked),
+                WitnessEvent::NodeCrash { node: N },
+                release(1, N),
+                release(2, N),
+                release(1, NodeId(2)),
+            ],
+        );
+        assert!(out.is_empty(), "{out:?}");
+        assert!(c.nodes.is_empty());
     }
 }

@@ -65,7 +65,9 @@ impl ReplicaChecker {
                     .insert(node);
             }
             WitnessEvent::Committed { txn, run, .. } => {
-                let Some(pages) = self.installs.get(&(txn, run)) else {
+                // Installs are only counted up to the run's commit, so its
+                // entry can go: the map holds only runs still in flight.
+                let Some(pages) = self.installs.remove(&(txn, run)) else {
                     return; // read-only transaction
                 };
                 let mut short: Vec<(PageId, usize)> = pages
