@@ -281,9 +281,6 @@ fn verify_main(argv: Vec<String>) -> i32 {
         );
         if !cell.pass() {
             failed = true;
-            if cell.overflow > 0 {
-                eprintln!("  witness overflow: {} events dropped", cell.overflow);
-            }
             for line in cell.detail.lines() {
                 eprintln!("  {line}");
             }

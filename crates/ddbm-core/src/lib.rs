@@ -43,9 +43,9 @@ pub use metrics::{
 };
 pub use protocol::AbortCause;
 pub use simulator::{
-    run_chaos, run_config, run_oracle, run_traced, OracleRecording, Simulator, TestHooks,
+    run_config, run_oracle, run_traced, run_witnessed, OracleRecording, Simulator, TestHooks,
 };
 pub use trace::{PhaseSpan, TraceEvent, TraceLog, Tracer, TxnTrace};
 pub use txn::{PhaseBucket, TxnPhase};
-pub use witness::{WitnessEvent, WitnessReply, WitnessStream};
+pub use witness::{WitnessEvent, WitnessReply, WitnessSink, WitnessStream};
 pub use workload::{generate_template, Access, CohortSpec, TxnTemplate};

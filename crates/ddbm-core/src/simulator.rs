@@ -14,7 +14,7 @@ use crate::protocol::{AbortCause, CohortIdx, CpuJob, DiskJob, Event, Message, Ms
 use crate::store::TxnStore;
 use crate::trace::{TraceEvent, TraceLog, Tracer};
 use crate::txn::{CohortRun, TxnPhase, TxnRuntime};
-use crate::witness::{WitnessEvent, WitnessReply, WitnessStream};
+use crate::witness::{WitnessEvent, WitnessReply, WitnessSink, WitnessStream};
 use crate::workload::{
     generate_template_into, materialize_replicated, route_identity_factor_one, TxnTemplate,
 };
@@ -22,6 +22,7 @@ use ddbm_cc::{make_manager_with, resolve_deadlocks, AccessReply, CcManager, Rele
 use ddbm_config::{Algorithm, Config, ConfigError, FaultPlan, NodeId, Placement, TxnId};
 use ddbm_resource::{Cpu, DiskArray, LruPool};
 use denet::{EventCalendar, SimDuration, SimRng, SimTime, SlotId, WitnessLog};
+use std::any::Any;
 use std::rc::Rc;
 
 struct NodeState {
@@ -181,10 +182,11 @@ pub struct Simulator {
     read_rr: u64,
     /// The event recorder, present only when `config.trace.events` is on.
     tracer: Option<Box<Tracer>>,
-    /// The protocol witness log, present only when `config.trace.witness`
-    /// is on (the `ddbm-oracle` checkers replay it). Emission is branch-only
-    /// when absent, exactly like `tracer`.
-    witness: Option<Box<WitnessLog<WitnessEvent>>>,
+    /// The protocol witness sink, present only when `config.trace.witness`
+    /// is on: a [`WitnessLog`] by default, or the sink a witnessed run
+    /// installs (the `ddbm-oracle` checkers, fed online). Emission is
+    /// branch-only when absent, exactly like `tracer`.
+    witness: Option<Box<dyn WitnessSink>>,
     /// Test-only failure hooks (see [`TestHooks`]); all-off in normal runs.
     hooks: TestHooks,
     /// Oracle replay: when set, terminals submit these templates in order
@@ -243,10 +245,11 @@ impl Simulator {
                 config.system.num_nodes(),
             ))
         });
-        let witness = config
-            .trace
-            .witness
-            .then(|| Box::new(WitnessLog::new(config.trace.effective_witness_capacity())));
+        let witness = config.trace.witness.then(|| {
+            Box::new(WitnessLog::<WitnessEvent>::new(
+                config.trace.effective_witness_capacity(),
+            )) as Box<dyn WitnessSink>
+        });
         let mut metrics = MetricsCollector::new();
         if trace_phases {
             metrics.phases = Some(Box::new(PhaseCollector::new()));
@@ -2650,10 +2653,11 @@ pub fn run_traced(mut config: Config) -> Result<(RunReport, TraceLog), ConfigErr
 pub struct OracleRecording {
     /// The run report.
     pub report: RunReport,
-    /// The witnessed protocol events in emission order.
+    /// The witnessed protocol events in emission order. Empty when the run
+    /// fed its events to a sink of the caller's through [`run_witnessed`].
     pub witness: WitnessStream,
     /// Events dropped after the witness log filled; `0` means the stream is
-    /// a complete record of the run.
+    /// a complete record of the run (always `0` for [`run_witnessed`]).
     pub witness_overflow: u64,
     /// Every template submitted, in submission order. For a scripted run
     /// this is the consumed prefix of the script; otherwise it is the
@@ -2665,36 +2669,40 @@ pub struct OracleRecording {
     pub truncated: bool,
 }
 
-/// Oracle entry point: run with witness recording forced on, optionally
-/// replaying a fixed transaction `script` (terminals consume its templates
-/// in order and stop admitting when it runs dry) and optionally injecting
-/// a deliberate [`TestHooks`] protocol defect.
+/// Oracle entry point: [`run_witnessed`] into a [`WitnessLog`] of
+/// `trace.witness_capacity` events, returned as the recording's stream.
 pub fn run_oracle(
     config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
 ) -> Result<OracleRecording, ConfigError> {
-    run_witnessed(config, script, hooks, false)
+    let log = WitnessLog::new(config.trace.effective_witness_capacity());
+    let (mut recording, log) = run_witnessed(config, script, hooks, false, log)?;
+    (recording.witness, recording.witness_overflow) = log.into_parts();
+    Ok(recording)
 }
 
-/// Chaos-suite entry point: [`run_oracle`] without a script or hooks, then
-/// keep the event loop going (with admissions shut off) until every
-/// in-flight transaction commits. `report.drained` records whether the
-/// system actually emptied — the liveness property the chaos tests assert —
-/// and the witness stream covers everything that committed, including
-/// during the drain.
-pub fn run_chaos(config: Config) -> Result<OracleRecording, ConfigError> {
-    run_witnessed(config, None, TestHooks::default(), true)
-}
-
-fn run_witnessed(
+/// Run with witness emission forced on, feeding every event to `sink` as
+/// it happens, and hand the sink back with the recording (whose `witness`
+/// stays empty). Optionally replays a fixed transaction `script`
+/// (terminals consume its templates in order and stop admitting when it
+/// runs dry) and injects a deliberate [`TestHooks`] protocol defect.
+///
+/// With `drain`, the run does not stop at its commit target: admissions
+/// shut off and the event loop keeps going until every in-flight
+/// transaction commits. `report.drained` records whether the system
+/// actually emptied — the liveness property the chaos suite asserts — and
+/// the sink sees everything that committed, including during the drain.
+pub fn run_witnessed<S: WitnessSink>(
     mut config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
     drain: bool,
-) -> Result<OracleRecording, ConfigError> {
+    sink: S,
+) -> Result<(OracleRecording, S), ConfigError> {
     config.trace.witness = true;
     let mut sim = Simulator::new(config)?;
+    sim.witness = Some(Box::new(sink));
     sim.hooks = hooks;
     sim.template_log = Some(Vec::new());
     if let Some(templates) = script {
@@ -2706,18 +2714,14 @@ fn run_witnessed(
         sim.drain();
     }
     let report = sim.report(sim.calendar.now());
-    let truncated = sim.truncated;
-    let (witness, witness_overflow) = sim
-        .witness
-        .take()
-        .expect("witness recording was enabled")
-        .into_parts();
-    let templates = sim.template_log.take().unwrap_or_default();
-    Ok(OracleRecording {
+    let sink: Box<dyn Any> = sim.witness.take().expect("the sink was installed");
+    let sink = *sink.downcast::<S>().expect("the sink keeps its type");
+    let recording = OracleRecording {
         report,
-        witness,
-        witness_overflow,
-        templates,
-        truncated,
-    })
+        witness: WitnessStream::new(),
+        witness_overflow: 0,
+        templates: sim.template_log.take().unwrap_or_default(),
+        truncated: sim.truncated,
+    };
+    Ok((recording, sink))
 }

@@ -4,9 +4,10 @@
 //! When `TraceConfig::witness` is on, the simulator records every externally
 //! observable concurrency-control decision — grants, blocks, rejections,
 //! wounds, certifications, lock releases, write installs, coordinator phase
-//! transitions, and node crashes — into a lossless [`denet::WitnessLog`].
-//! A checker replays the stream through an independent model of the
-//! algorithm's rules (strictness and the two-phase rule for the locking
+//! transitions, and node crashes — into a [`WitnessSink`]: a lossless
+//! [`denet::WitnessLog`], or an online checker that consumes each event as
+//! it is emitted. A checker runs the stream through an independent model of
+//! the algorithm's rules (strictness and the two-phase rule for the locking
 //! family, wound/wait priority for WW/WD, timestamp order for BTO, backward
 //! validation for OPT) and reports any event the protocol should not have
 //! produced.
@@ -20,7 +21,8 @@ use crate::protocol::RunId;
 use crate::txn::TxnPhase;
 use ddbm_cc::Ts;
 use ddbm_config::{NodeId, PageId, TxnId};
-use denet::SimTime;
+use denet::{SimTime, WitnessLog};
+use std::any::Any;
 
 /// The CC manager's reply to an access request, as witnessed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,3 +175,20 @@ pub enum WitnessEvent {
 
 /// A recorded witness stream: events in emission order with their instants.
 pub type WitnessStream = Vec<(SimTime, WitnessEvent)>;
+
+/// A consumer of the witness stream, fed each event as the simulator emits
+/// it. A [`WitnessLog`] records the stream for later replay; an online
+/// checker (the `ddbm-oracle` `Oracle`) consumes it without storing it.
+///
+/// `Any` lets a run driver hand the concrete sink back after the run.
+pub trait WitnessSink: Any {
+    /// Consume one event emitted at simulation time `at`.
+    fn push(&mut self, at: SimTime, event: WitnessEvent);
+}
+
+impl WitnessSink for WitnessLog<WitnessEvent> {
+    #[inline]
+    fn push(&mut self, at: SimTime, event: WitnessEvent) {
+        WitnessLog::push(self, at, event);
+    }
+}

@@ -1,11 +1,15 @@
 #![warn(missing_docs)]
 //! `ddbm-oracle` — the differential verification oracle for the simulator.
 //!
-//! The simulator, run with `trace.witness` on (or through
-//! [`ddbm_core::run_oracle`]), emits a totally ordered stream of every
-//! externally observable concurrency-control decision. This crate replays
-//! that stream through independent reference models of the protocol rules
-//! and reports every event the algorithm should not have produced:
+//! The simulator, run with `trace.witness` on, emits a totally ordered
+//! stream of every externally observable concurrency-control decision into
+//! a [`WitnessSink`]. This crate's [`Oracle`] is such a sink: it runs each
+//! event through independent reference models of the protocol rules as the
+//! simulator emits it, and reports every event the algorithm should not
+//! have produced. [`run_and_check`] checks a run this way without storing
+//! its stream, so no event is ever dropped; [`check_stream`] and
+//! [`check_recording`] feed the same `Oracle` a stream recorded by
+//! [`ddbm_core::run_oracle`]. The models:
 //!
 //! * **Phase / strictness** ([`PhaseTracker`]) — the coordinator lifecycle
 //!   machine, the two-phase rule (no commit-release before the commit
@@ -56,7 +60,7 @@ pub use vsr::{VersionOrder, VsrCollector, VsrOutcome};
 
 use ddbm_cc::rules_of;
 use ddbm_config::{Algorithm, Config, ConfigError, ReplicationParams};
-use ddbm_core::{OracleRecording, TestHooks, TxnTemplate};
+use ddbm_core::{run_witnessed, OracleRecording, TestHooks, TxnTemplate, WitnessSink};
 use denet::SimTime;
 
 /// How to check a witness stream.
@@ -226,27 +230,57 @@ fn structural_observe(at: SimTime, ev: &WitnessEvent, out: &mut Vec<Violation>) 
     }
 }
 
-/// Replay `stream` through the invariant checkers for `opts.algorithm`.
-pub fn check_stream(opts: &CheckOptions, stream: &WitnessStream) -> OracleReport {
-    let rules = rules_of(opts.algorithm);
-    let mut tracker = PhaseTracker::new();
-    let mut checker = match LockVariant::of(opts.algorithm) {
-        Some(variant) => AlgoChecker::Lock(LockChecker::new(variant, opts.lock_barging)),
-        None if opts.algorithm == Algorithm::BasicTimestampOrdering => {
-            AlgoChecker::Bto(BtoChecker::new())
-        }
-        None => AlgoChecker::Structural,
-    };
-    let mut csr = rules.strict_two_phase.then(ConflictChecker::new);
-    let mut vsr = VsrCollector::new(VersionOrder::for_algorithm(opts.algorithm));
-    // The write-quorum check only makes sense on fault-free streams: under
-    // faults ROWA legitimately writes fewer than `factor` replicas.
-    let mut replica = (opts.replication.enabled() && !opts.faults)
-        .then(|| ReplicaChecker::new(&opts.replication));
-    let mut violations: Vec<Violation> = Vec::new();
+/// The invariant checkers for one run, fed one witness event at a time.
+///
+/// An `Oracle` is a [`WitnessSink`]: installed in the simulator through
+/// [`ddbm_core::run_witnessed`], it checks each event as it is emitted, so
+/// a run is checked without its stream ever being stored (and without the
+/// witness log's cap). [`check_stream`] feeds it a recorded stream instead.
+pub struct Oracle {
+    opts: CheckOptions,
+    certification_can_fail: bool,
+    tracker: PhaseTracker,
+    checker: AlgoChecker,
+    csr: Option<ConflictChecker>,
+    vsr: VsrCollector,
+    replica: Option<ReplicaChecker>,
+    violations: Vec<Violation>,
+    events: usize,
+}
 
-    for &(at, ref ev) in stream {
-        tracker.observe(at, ev, opts.faults, &mut violations);
+impl Oracle {
+    /// An oracle enforcing the rules of `opts.algorithm`, before any event.
+    pub fn new(opts: &CheckOptions) -> Oracle {
+        let rules = rules_of(opts.algorithm);
+        let checker = match LockVariant::of(opts.algorithm) {
+            Some(variant) => AlgoChecker::Lock(LockChecker::new(variant, opts.lock_barging)),
+            None if opts.algorithm == Algorithm::BasicTimestampOrdering => {
+                AlgoChecker::Bto(BtoChecker::new())
+            }
+            None => AlgoChecker::Structural,
+        };
+        Oracle {
+            opts: *opts,
+            certification_can_fail: rules.certification_can_fail,
+            tracker: PhaseTracker::new(),
+            checker,
+            csr: rules.strict_two_phase.then(ConflictChecker::new),
+            vsr: VsrCollector::new(VersionOrder::for_algorithm(opts.algorithm)),
+            // The write-quorum check only makes sense on fault-free streams:
+            // under faults ROWA legitimately writes fewer than `factor`
+            // replicas.
+            replica: (opts.replication.enabled() && !opts.faults)
+                .then(|| ReplicaChecker::new(&opts.replication)),
+            violations: Vec::new(),
+            events: 0,
+        }
+    }
+
+    /// Check one event, emitted at `at`, against every model.
+    pub fn observe(&mut self, at: SimTime, ev: &WitnessEvent) {
+        let violations = &mut self.violations;
+        self.events += 1;
+        self.tracker.observe(at, ev, self.opts.faults, violations);
         if let WitnessEvent::Certify {
             txn,
             node,
@@ -254,7 +288,7 @@ pub fn check_stream(opts: &CheckOptions, stream: &WitnessStream) -> OracleReport
             ..
         } = *ev
         {
-            if !rules.certification_can_fail {
+            if !self.certification_can_fail {
                 violations.push(Violation {
                     kind: ViolationKind::UnsanctionedReject,
                     at,
@@ -263,63 +297,88 @@ pub fn check_stream(opts: &CheckOptions, stream: &WitnessStream) -> OracleReport
                     page: None,
                     detail: format!(
                         "certification failed under {}, whose certification is trivial",
-                        opts.algorithm
+                        self.opts.algorithm
                     ),
                 });
             }
         }
-        match &mut checker {
-            AlgoChecker::Lock(c) => c.observe(at, ev, &mut violations),
-            AlgoChecker::Bto(c) => c.observe(at, ev, &mut violations),
-            AlgoChecker::Structural => structural_observe(at, ev, &mut violations),
+        match &mut self.checker {
+            AlgoChecker::Lock(c) => c.observe(at, ev, violations),
+            AlgoChecker::Bto(c) => c.observe(at, ev, violations),
+            AlgoChecker::Structural => structural_observe(at, ev, violations),
         }
-        if let Some(rc) = &mut replica {
-            rc.observe(at, ev, &mut violations);
+        if let Some(rc) = &mut self.replica {
+            rc.observe(at, ev, violations);
         }
-        if let Some(c) = &mut csr {
+        if let Some(c) = &mut self.csr {
             c.observe(ev);
         }
-        vsr.observe(ev);
+        self.vsr.observe(ev);
     }
 
-    if let Some(cycle) = csr.and_then(ConflictChecker::finalize) {
-        let ids: Vec<u64> = cycle.iter().map(|t| t.0).collect();
-        violations.push(Violation {
-            kind: ViolationKind::NotConflictSerializable,
-            at: SimTime(0),
-            txn: None,
-            node: None,
-            page: None,
-            detail: format!("the committed history's conflict graph has the cycle {ids:?}"),
-        });
-    }
+    /// Run the end-of-stream serializability checks and report.
+    pub fn finish(self) -> OracleReport {
+        let Oracle {
+            opts,
+            csr,
+            vsr,
+            mut violations,
+            events,
+            ..
+        } = self;
+        if let Some(cycle) = csr.and_then(ConflictChecker::finalize) {
+            let ids: Vec<u64> = cycle.iter().map(|t| t.0).collect();
+            violations.push(Violation {
+                kind: ViolationKind::NotConflictSerializable,
+                at: SimTime(0),
+                txn: None,
+                node: None,
+                page: None,
+                detail: format!("the committed history's conflict graph has the cycle {ids:?}"),
+            });
+        }
 
-    let vsr_outcome = vsr.finalize(opts.vsr_budget);
-    if !vsr_outcome.acceptable() && opts.algorithm != Algorithm::NoDataContention {
-        let detail = match &vsr_outcome {
-            VsrOutcome::NotSerializable { detail } => detail.clone(),
-            _ => unreachable!("acceptable() is false only for NotSerializable"),
-        };
-        violations.push(Violation {
-            kind: ViolationKind::NotViewSerializable,
-            at: SimTime(0),
-            txn: None,
-            node: None,
-            page: None,
-            detail,
-        });
-    }
+        let vsr_outcome = vsr.finalize(opts.vsr_budget);
+        if let VsrOutcome::NotSerializable { detail } = &vsr_outcome {
+            if opts.algorithm != Algorithm::NoDataContention {
+                violations.push(Violation {
+                    kind: ViolationKind::NotViewSerializable,
+                    at: SimTime(0),
+                    txn: None,
+                    node: None,
+                    page: None,
+                    detail: detail.clone(),
+                });
+            }
+        }
 
-    let total_violations = violations.len();
-    violations.truncate(opts.max_violations);
-    OracleReport {
-        algorithm: opts.algorithm,
-        events: stream.len(),
-        violations,
-        total_violations,
-        vsr: vsr_outcome,
-        witness_overflow: 0,
+        let total_violations = violations.len();
+        violations.truncate(opts.max_violations);
+        OracleReport {
+            algorithm: opts.algorithm,
+            events,
+            violations,
+            total_violations,
+            vsr: vsr_outcome,
+            witness_overflow: 0,
+        }
     }
+}
+
+impl WitnessSink for Oracle {
+    fn push(&mut self, at: SimTime, event: WitnessEvent) {
+        self.observe(at, &event);
+    }
+}
+
+/// Replay a recorded `stream` through the invariant checkers for
+/// `opts.algorithm`.
+pub fn check_stream(opts: &CheckOptions, stream: &WitnessStream) -> OracleReport {
+    let mut oracle = Oracle::new(opts);
+    for (at, ev) in stream {
+        oracle.observe(*at, ev);
+    }
+    oracle.finish()
 }
 
 /// Check a full [`OracleRecording`] against the config that produced it.
@@ -329,16 +388,18 @@ pub fn check_recording(config: &Config, recording: &OracleRecording) -> OracleRe
     report
 }
 
-/// Run the simulator with witness recording and check the result in one
-/// step: the primary entry point for the fuzz driver and the CLI gate.
+/// Run the simulator with an [`Oracle`] fed online and report in one step:
+/// the primary entry point for the fuzz driver, the shrinker and the CLI
+/// gate. The recording carries the report and templates; its `witness` is
+/// empty and `witness_overflow` is `0`, because no stream is stored.
 pub fn run_and_check(
     config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
 ) -> Result<(OracleRecording, OracleReport), ConfigError> {
-    let recording = ddbm_core::run_oracle(config.clone(), script, hooks)?;
-    let report = check_recording(&config, &recording);
-    Ok((recording, report))
+    let oracle = Oracle::new(&check_options_for(&config));
+    let (recording, oracle) = run_witnessed(config, script, hooks, false, oracle)?;
+    Ok((recording, oracle.finish()))
 }
 
 #[cfg(test)]

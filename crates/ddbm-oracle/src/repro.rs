@@ -7,9 +7,9 @@
 //! simulator is deterministic, `replay` reproduces the identical witness
 //! stream and therefore the identical violations, on any machine.
 
-use crate::{check_options_for, check_stream, OracleReport};
+use crate::{run_and_check, OracleReport};
 use ddbm_config::{Config, ConfigError};
-use ddbm_core::{run_oracle, OracleRecording, TestHooks, TxnTemplate};
+use ddbm_core::{OracleRecording, TestHooks, TxnTemplate};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -84,13 +84,11 @@ impl ReproFile {
     /// Re-run the frozen scenario and re-check it. The report's violations
     /// must match `self.violations` render-for-render on a faithful replay.
     pub fn replay(&self) -> Result<(OracleRecording, OracleReport), ConfigError> {
-        let rec = run_oracle(
+        run_and_check(
             self.config.clone(),
             Some(self.templates.clone()),
             self.hooks,
-        )?;
-        let report = check_stream(&check_options_for(&self.config), &rec.witness);
-        Ok((rec, report))
+        )
     }
 
     /// Does a replay reproduce exactly the recorded violations?

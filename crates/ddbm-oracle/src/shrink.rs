@@ -9,9 +9,9 @@
 //! reproduces the failure exactly — ready to be written as a `.repro.json`
 //! via [`crate::repro::ReproFile`].
 
-use crate::{check_options_for, check_stream, OracleReport};
+use crate::{run_and_check, OracleReport};
 use ddbm_config::Config;
-use ddbm_core::{run_oracle, TestHooks, TxnTemplate};
+use ddbm_core::{TestHooks, TxnTemplate};
 
 /// The result of a shrink: the minimized workload and how it was reached.
 #[derive(Debug)]
@@ -42,11 +42,7 @@ fn fails(config: &Config, hooks: TestHooks, templates: &[TxnTemplate]) -> bool {
     if ts.is_empty() {
         return false;
     }
-    let Ok(rec) = run_oracle(config.clone(), Some(ts), hooks) else {
-        return false;
-    };
-    let opts = check_options_for(config);
-    !check_stream(&opts, &rec.witness).clean()
+    run_and_check(config.clone(), Some(ts), hooks).is_ok_and(|(_, report)| !report.clean())
 }
 
 /// Greedy chunked minimization of `items` under `keep_failing`, in place.
@@ -128,8 +124,8 @@ pub fn shrink_workload(
     normalize(&mut templates);
 
     // Final authoritative run on the shrunk workload.
-    let report = match run_oracle(config.clone(), Some(templates.clone()), hooks) {
-        Ok(rec) => check_stream(&check_options_for(config), &rec.witness),
+    let report = match run_and_check(config.clone(), Some(templates.clone()), hooks) {
+        Ok((_, report)) => report,
         Err(_) => OracleReport::empty(config.algorithm),
     };
     let operations = templates.iter().map(TxnTemplate::total_accesses).sum();

@@ -293,41 +293,43 @@ impl VsrCollector {
         }
         let finals: Vec<(PageId, Run)> = best.into_iter().map(|(p, v)| (p, v.writer)).collect();
 
-        // Reads by committed runs only; drop reads-from of uncommitted
-        // writers (impossible: installs imply commitment) defensively.
-        let mut read_edges: Vec<(Run, PageId, Option<Run>)> = Vec::new();
-        for (&r, list) in &self.reads {
-            if !self.committed_set.contains(&r) {
-                continue;
-            }
-            for &(page, obs) in list {
-                let from = obs.map(|v| v.writer);
-                if from.is_none_or(|w| self.committed_set.contains(&w)) {
-                    read_edges.push((r, page, from));
-                }
-            }
-        }
-
         // Fast path: verify the candidate order directly.
-        if Self::order_explains(&pos, &writers, &finals, &read_edges) {
+        if self.order_explains(&pos, &writers, &finals) {
             return VsrOutcome::Serializable {
                 txns: runs.len(),
                 certificate: "candidate-order",
             };
         }
 
-        self.polygraph_search(&runs, &pos, &writers, &finals, &read_edges, budget)
+        self.polygraph_search(&runs, &pos, &writers, &finals, budget)
+    }
+
+    /// The reads-from edges of committed runs, walked in place: (reader,
+    /// page, writer of the version read; `None` = initial). Reads-from of
+    /// uncommitted writers (impossible: installs imply commitment) are
+    /// dropped defensively.
+    fn read_edges(&self) -> impl Iterator<Item = (Run, PageId, Option<Run>)> + '_ {
+        self.reads
+            .iter()
+            .filter(|(r, _)| self.committed_set.contains(*r))
+            .flat_map(move |(&r, list)| {
+                list.iter().filter_map(move |&(page, obs)| {
+                    let from = obs.map(|v| v.writer);
+                    from.is_none_or(|w| self.committed_set.contains(&w))
+                        .then_some((r, page, from))
+                })
+            })
     }
 
     /// Does the candidate order satisfy every view constraint?
     fn order_explains(
+        &self,
         pos: &FxHashMap<Run, usize>,
         writers: &FxHashMap<PageId, Vec<Run>>,
         finals: &[(PageId, Run)],
-        read_edges: &[(Run, PageId, Option<Run>)],
     ) -> bool {
         let empty: Vec<Run> = Vec::new();
-        for &(r, page, from) in read_edges {
+        for (r, page, from) in self.read_edges() {
             let ws = writers.get(&page).unwrap_or(&empty);
             let rp = pos[&r];
             match from {
@@ -368,7 +370,6 @@ impl VsrCollector {
         pos: &FxHashMap<Run, usize>,
         writers: &FxHashMap<PageId, Vec<Run>>,
         finals: &[(PageId, Run)],
-        read_edges: &[(Run, PageId, Option<Run>)],
         budget: u64,
     ) -> VsrOutcome {
         let n = runs.len();
@@ -380,7 +381,7 @@ impl VsrCollector {
         let empty: Vec<Run> = Vec::new();
         let mut fixed: FxHashSet<(usize, usize)> = FxHashSet::default();
         let mut choices: FxHashSet<(usize, usize, usize, usize)> = FxHashSet::default();
-        for &(r, page, from) in read_edges {
+        for (r, page, from) in self.read_edges() {
             let rp = pos[&r];
             let ws = writers.get(&page).unwrap_or(&empty);
             match from {

@@ -68,9 +68,8 @@ proptest! {
     ) {
         let algorithm = Algorithm::EXTENDED[alg_idx];
         let config = fuzz_config(algorithm, seed, 60);
-        let (rec, report) =
+        let (_, report) =
             run_and_check(config, None, TestHooks::default()).expect("valid config");
-        prop_assert_eq!(rec.witness_overflow, 0);
         prop_assert!(
             report.clean(),
             "{} seed {}: {}", algorithm, seed, report.render()
@@ -90,12 +89,8 @@ fn oracle_fault_sweep() {
             for plan in 0..3 {
                 let mut config = fuzz_config(algorithm, seed, 120);
                 apply_fault_plan(&mut config, plan);
-                let (rec, report) =
+                let (_, report) =
                     run_and_check(config, None, TestHooks::default()).expect("valid config");
-                assert_eq!(
-                    rec.witness_overflow, 0,
-                    "{algorithm} seed {seed} plan {plan}: witness overflow"
-                );
                 assert!(
                     report.clean(),
                     "{algorithm} seed {seed} plan {plan}: {}",

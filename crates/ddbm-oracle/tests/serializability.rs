@@ -6,8 +6,8 @@
 //! in the simulator shows up here.
 
 use ddbm_config::{Algorithm, Config};
-use ddbm_core::{TestHooks, WitnessEvent, WitnessReply, WitnessStream};
-use ddbm_oracle::{run_and_check, ConflictChecker};
+use ddbm_core::{run_oracle, TestHooks, WitnessEvent, WitnessReply, WitnessStream};
+use ddbm_oracle::{check_recording, ConflictChecker};
 
 /// Every algorithm with a correctness guarantee (NO_DC has none).
 const CHECKED: [Algorithm; 6] = [
@@ -50,10 +50,12 @@ fn operations(stream: &WitnessStream) -> usize {
 }
 
 /// Run `config`, assert the oracle finds nothing, and return how many
-/// operations it checked.
+/// operations it checked. The stream is recorded, not checked online, so
+/// the operations can be counted from it.
 fn assert_clean(config: Config) -> usize {
     let algorithm = config.algorithm;
-    let (recording, report) = run_and_check(config, None, TestHooks::default()).expect("valid");
+    let recording = run_oracle(config.clone(), None, TestHooks::default()).expect("valid");
+    let report = check_recording(&config, &recording);
     assert_eq!(recording.report.commits, 400, "{algorithm}");
     assert_eq!(report.witness_overflow, 0, "{algorithm}");
     assert!(
@@ -96,7 +98,7 @@ fn sequential_execution_passes_the_oracle() {
 fn nodc_baseline_is_knowingly_unserializable_under_conflict() {
     // Sanity check that the conflict checker has teeth: NO_DC ignores all
     // conflicts, so a contended run must produce a cycle.
-    let (recording, _) = run_and_check(
+    let recording = run_oracle(
         contended(Algorithm::NoDataContention),
         None,
         TestHooks::default(),
