@@ -216,9 +216,6 @@ impl Config {
         if let Err(m) = self.replication.validate(self.system.num_proc_nodes) {
             return err(m);
         }
-        if let Err(m) = self.trace.validate() {
-            return err(m);
-        }
         Ok(())
     }
 

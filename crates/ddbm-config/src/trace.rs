@@ -1,13 +1,15 @@
-//! Observability knobs: phase statistics and the event trace.
+//! Observability knobs: phase statistics, the event trace, and the witness
+//! stream.
 //!
 //! Tracing is strictly an extension over the paper's model. With the default
-//! [`TraceConfig`] (everything off) the simulator takes no trace branch, so
-//! the event sequence — and therefore the determinism golden — stays
-//! bit-identical to a build without the subsystem. Enabling tracing draws
-//! nothing from any RNG stream: the recorded events are a pure function of
-//! the simulation's own deterministic schedule, so a traced run still
-//! commits and aborts the exact same transactions at the exact same times
-//! as an untraced run of the same configuration.
+//! [`TraceConfig`] (everything off) the simulator builds no observer and
+//! takes no trace branch, so the event sequence — and therefore the
+//! determinism golden — stays bit-identical to a build without the
+//! subsystem. Enabling tracing draws nothing from any RNG stream: the
+//! recorded events are a pure function of the simulation's own
+//! deterministic schedule, so a traced run still commits and aborts the
+//! exact same transactions at the exact same times as an untraced run of
+//! the same configuration.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,76 +21,28 @@ pub struct TraceConfig {
     #[serde(default)]
     pub phase_stats: bool,
     /// Record the event trace (phase transitions, lock waits, messages,
-    /// resource busy/idle) into a preallocated ring buffer, for export as
-    /// Chrome-trace JSON / JSONL via `run_traced`.
+    /// resource busy/idle) into a preallocated ring of 2^20 events, for
+    /// export as Chrome-trace JSON / JSONL via `run_traced`. When the ring
+    /// fills, the oldest events are overwritten (the trace records how many
+    /// were lost).
     #[serde(default)]
     pub events: bool,
-    /// Ring-buffer capacity in events; `0` selects the default (2^20).
-    /// When the ring fills, the oldest events are overwritten (the report
-    /// records how many were lost).
-    #[serde(default)]
-    pub event_capacity: usize,
     /// Record the protocol witness stream (CC grants/blocks/rejections,
     /// wounds, certifications, releases, installs, phase transitions) for
     /// the `ddbm-oracle` invariant checkers. Unlike `events`, the witness
-    /// log is lossless up to its cap: overflowing events are dropped from
-    /// the *end* and counted, never overwritten, so checkers always see a
-    /// contiguous prefix of the execution.
+    /// log is lossless up to its cap of 2^22 events: overflowing events are
+    /// dropped from the *end* and counted, never overwritten, so checkers
+    /// always see a contiguous prefix of the execution.
     #[serde(default)]
     pub witness: bool,
-    /// Witness-log capacity in events; `0` selects the default (2^22).
-    #[serde(default)]
-    pub witness_capacity: usize,
 }
 
 impl TraceConfig {
-    /// Default ring capacity when [`TraceConfig::event_capacity`] is zero.
-    pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
-
-    /// Default witness-log capacity when [`TraceConfig::witness_capacity`]
-    /// is zero.
-    pub const DEFAULT_WITNESS_CAPACITY: usize = 1 << 22;
-
-    /// True when any collection is enabled. The simulator hoists this into
-    /// a single bool and gates every instrumentation hook on it, keeping
-    /// the disabled path branch-only.
+    /// True when any collection is enabled: the simulator builds its
+    /// observer exactly when this holds (or when a run driver installs a
+    /// witness sink), so the disabled path is one `None` check per probe.
     pub fn any(&self) -> bool {
         self.phase_stats || self.events || self.witness
-    }
-
-    /// The effective ring capacity.
-    pub fn capacity(&self) -> usize {
-        if self.event_capacity == 0 {
-            Self::DEFAULT_EVENT_CAPACITY
-        } else {
-            self.event_capacity
-        }
-    }
-
-    /// The effective witness-log capacity.
-    pub fn effective_witness_capacity(&self) -> usize {
-        if self.witness_capacity == 0 {
-            Self::DEFAULT_WITNESS_CAPACITY
-        } else {
-            self.witness_capacity
-        }
-    }
-
-    /// Check parameter sanity.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.event_capacity > (1 << 28) {
-            return Err(format!(
-                "trace.event_capacity {} is unreasonably large (max 2^28)",
-                self.event_capacity
-            ));
-        }
-        if self.witness_capacity > (1 << 28) {
-            return Err(format!(
-                "trace.witness_capacity {} is unreasonably large (max 2^28)",
-                self.witness_capacity
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -98,9 +52,7 @@ impl Default for TraceConfig {
         TraceConfig {
             phase_stats: false,
             events: false,
-            event_capacity: 0,
             witness: false,
-            witness_capacity: 0,
         }
     }
 }
@@ -111,10 +63,7 @@ mod tests {
 
     #[test]
     fn default_is_fully_disabled() {
-        let t = TraceConfig::default();
-        assert!(!t.any());
-        assert_eq!(t.capacity(), TraceConfig::DEFAULT_EVENT_CAPACITY);
-        assert!(t.validate().is_ok());
+        assert!(!TraceConfig::default().any());
     }
 
     #[test]
@@ -130,33 +79,5 @@ mod tests {
         t.events = false;
         t.witness = true;
         assert!(t.any());
-    }
-
-    #[test]
-    fn witness_capacity_override_and_bounds() {
-        let mut t = TraceConfig {
-            witness: true,
-            witness_capacity: 1024,
-            ..TraceConfig::default()
-        };
-        assert_eq!(t.effective_witness_capacity(), 1024);
-        t.witness_capacity = 0;
-        assert_eq!(
-            t.effective_witness_capacity(),
-            TraceConfig::DEFAULT_WITNESS_CAPACITY
-        );
-        t.witness_capacity = 1 << 29;
-        assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn capacity_override_and_bounds() {
-        let mut t = TraceConfig {
-            event_capacity: 4096,
-            ..TraceConfig::default()
-        };
-        assert_eq!(t.capacity(), 4096);
-        t.event_capacity = 1 << 29;
-        assert!(t.validate().is_err());
     }
 }

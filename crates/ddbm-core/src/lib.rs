@@ -29,6 +29,7 @@
 //! average response time with the same access set.
 
 pub mod metrics;
+mod observe;
 pub mod protocol;
 pub mod simulator;
 pub mod store;

@@ -2,8 +2,9 @@
 //! by the experiment harness), abort ratio, blocking time, and utilizations.
 
 use crate::protocol::AbortCause;
-use crate::txn::PhaseBucket;
-use denet::{BatchMeans, LogHistogram, SimDuration, SimTime, Tally};
+use crate::txn::{PhaseBucket, TxnPhase};
+use ddbm_config::TxnId;
+use denet::{BatchMeans, FxHashMap, LogHistogram, SimDuration, SimTime, Tally};
 use serde::{Deserialize, Serialize};
 
 /// Aborted runs in the measurement window, split by cause. The sum of the
@@ -191,9 +192,14 @@ impl PhaseBreakdown {
     }
 }
 
-/// Live phase-distribution collectors, attached to the [`MetricsCollector`]
-/// only when `trace.phase_stats` is enabled (boxed: the histograms are a few
-/// tens of KiB and must not bloat every fault-free simulation).
+/// Live phase-distribution collectors, fed by the simulator's observer only
+/// when `trace.phase_stats` is enabled (the histograms are a few tens of
+/// KiB and must not bloat every simulation).
+///
+/// The collector keeps its own clock per live transaction, driven by the
+/// same phase and lock-wait probes the event trace records: each probe
+/// charges the time since the previous one to the bucket the transaction
+/// was in, so the six bucket totals partition its lifetime exactly.
 #[derive(Debug, Clone)]
 pub struct PhaseCollector {
     /// Per-bucket latency histograms over committed transactions (ns).
@@ -206,6 +212,30 @@ pub struct PhaseCollector {
     response_total: u64,
     /// Aborted-run lifetime (run start → abort completion) per cause, seconds.
     abort_latency: [Tally; 8],
+    /// Per-transaction clocks of the transactions still in the system.
+    live: FxHashMap<TxnId, PhaseClock>,
+}
+
+/// One live transaction's clock: the bucket it is in, and the integer-ns
+/// time charged so far to each bucket over its whole lifetime (all runs).
+#[derive(Debug, Clone)]
+struct PhaseClock {
+    phase: TxnPhase,
+    /// Cohorts of the current run blocked on a CC request (distinguishes
+    /// `LockWait` from `Execute` inside `Executing`).
+    blocked: u32,
+    /// When `ns` was last brought up to date.
+    since: SimTime,
+    ns: [u64; 6],
+}
+
+impl PhaseClock {
+    /// Charge the time since `since` to the current bucket.
+    fn roll(&mut self, now: SimTime) {
+        let bucket = PhaseBucket::of(self.phase, self.blocked);
+        self.ns[bucket.index()] += now.since(self.since).0;
+        self.since = now;
+    }
 }
 
 /// Histogram resolution: 32 sub-buckets per octave (≤ ~1.6% error).
@@ -220,13 +250,46 @@ impl PhaseCollector {
             response: LogHistogram::new(PHASE_HIST_SUB_BITS),
             response_total: 0,
             abort_latency: std::array::from_fn(|_| Tally::new()),
+            live: FxHashMap::default(),
         }
     }
 
-    /// Record a committed transaction's lifetime split (`phase_ns`, indexed
-    /// by [`PhaseBucket::index`]) and end-to-end response time.
-    pub fn record_commit(&mut self, phase_ns: &[u64; 6], response: SimDuration) {
-        for (i, &ns) in phase_ns.iter().enumerate() {
+    /// `txn` entered `phase` at `at`; its first phase starts its clock. A
+    /// fresh run (`Executing`) starts with no cohort blocked.
+    pub(crate) fn phase(&mut self, at: SimTime, txn: TxnId, phase: TxnPhase) {
+        let clock = self.live.entry(txn).or_insert(PhaseClock {
+            phase,
+            blocked: 0,
+            since: at,
+            ns: [0; 6],
+        });
+        clock.roll(at);
+        clock.phase = phase;
+        if phase == TxnPhase::Executing {
+            clock.blocked = 0;
+        }
+    }
+
+    /// A cohort of `txn` began (`begin`) or ended a lock wait at `at`.
+    pub(crate) fn lock_wait(&mut self, at: SimTime, txn: TxnId, begin: bool) {
+        if let Some(clock) = self.live.get_mut(&txn) {
+            clock.roll(at);
+            if begin {
+                clock.blocked += 1;
+            } else {
+                clock.blocked = clock.blocked.saturating_sub(1);
+            }
+        }
+    }
+
+    /// `txn` committed at `at` after `response` end to end: record its
+    /// lifetime split and response time, and drop its clock.
+    pub(crate) fn committed(&mut self, at: SimTime, txn: TxnId, response: SimDuration) {
+        let Some(mut clock) = self.live.remove(&txn) else {
+            return;
+        };
+        clock.roll(at);
+        for (i, &ns) in clock.ns.iter().enumerate() {
             self.hists[i].record(ns);
             self.totals[i] += ns;
         }
@@ -239,7 +302,9 @@ impl PhaseCollector {
         self.abort_latency[cause.index()].record_duration(lifetime);
     }
 
-    /// End of warmup: discard everything measured so far.
+    /// End of warmup: discard everything measured so far. The live clocks
+    /// survive: a transaction straddling the warmup boundary is still
+    /// accounted over its whole lifetime when it commits.
     pub fn reset(&mut self) {
         for h in &mut self.hists {
             h.reset();
@@ -326,9 +391,6 @@ pub struct MetricsCollector {
     /// Batch-means estimator over response times (batches of 100 commits),
     /// for the confidence interval reported in `RunReport`.
     pub response_batches: BatchMeans,
-    /// Phase-distribution collectors; present only when `trace.phase_stats`
-    /// is enabled (None keeps the default path allocation-free).
-    pub phases: Option<Box<PhaseCollector>>,
 }
 
 impl MetricsCollector {
@@ -345,7 +407,6 @@ impl MetricsCollector {
             measure_start: SimTime::ZERO,
             total_commits: 0,
             response_batches: BatchMeans::new(100),
-            phases: None,
         }
     }
 
@@ -388,9 +449,6 @@ impl MetricsCollector {
         self.aborts_by_cause = AbortBreakdown::default();
         self.blocking_time.reset();
         self.response_batches.reset();
-        if let Some(p) = &mut self.phases {
-            p.reset();
-        }
         self.measure_start = now;
     }
 }
@@ -533,6 +591,39 @@ mod tests {
         assert_eq!(m.response_time.count(), 0);
         assert_eq!(m.response_time_alltime.count(), 1);
         assert_eq!(m.measure_start, SimTime(1_000));
+    }
+
+    #[test]
+    fn phase_clock_partitions_lifetime_exactly() {
+        let mut p = PhaseCollector::new();
+        let t = TxnId(1);
+        p.phase(SimTime(100), t, TxnPhase::Executing);
+        p.lock_wait(SimTime(150), t, true); // 50 ns Execute
+        p.lock_wait(SimTime(170), t, false); // 20 ns LockWait
+        p.phase(SimTime(180), t, TxnPhase::Preparing); // 10 ns Execute
+        p.phase(SimTime(200), t, TxnPhase::Committing); // 20 ns Prepare
+        p.committed(SimTime(230), t, SimDuration(130)); // 30 ns Commit
+        assert_eq!(p.totals, [60, 20, 20, 30, 0, 0]);
+        assert_eq!(p.totals.iter().sum::<u64>(), p.response_total);
+        assert!(p.live.is_empty(), "a commit drops the clock");
+
+        // A restart preserves the lifetime accounting and starts the fresh
+        // run unblocked, and the warmup reset spares the live clock.
+        let t = TxnId(2);
+        p.reset();
+        p.phase(SimTime(0), t, TxnPhase::Executing);
+        p.lock_wait(SimTime(10), t, true); // 10 ns Execute
+        p.phase(SimTime(30), t, TxnPhase::Aborting); // 20 ns LockWait
+        p.phase(SimTime(40), t, TxnPhase::WaitingRestart); // 10 ns Abort
+        p.reset();
+        p.phase(SimTime(60), t, TxnPhase::Executing); // 20 ns RestartWait
+        p.phase(SimTime(70), t, TxnPhase::Preparing); // 10 ns Execute
+        p.phase(SimTime(75), t, TxnPhase::Committing); // 5 ns Prepare
+        p.committed(SimTime(80), t, SimDuration(80)); // 5 ns Commit
+        assert_eq!(p.totals, [20, 20, 5, 5, 10, 20]);
+        assert_eq!(p.totals[PhaseBucket::RestartWait.index()], 20);
+        assert_eq!(p.totals.iter().sum::<u64>(), 80);
+        assert_eq!(p.breakdown().response.count, 1);
     }
 
     #[test]

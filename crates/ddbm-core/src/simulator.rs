@@ -9,10 +9,11 @@
 //! any ordered pair of nodes arrive in send order, which the commit and
 //! abort protocols rely on.
 
-use crate::metrics::{MetricsCollector, PhaseCollector, RunReport};
+use crate::metrics::{MetricsCollector, RunReport};
+use crate::observe::{Observer, WITNESS_CAPACITY};
 use crate::protocol::{AbortCause, CohortIdx, CpuJob, DiskJob, Event, Message, MsgKind, RunId};
 use crate::store::TxnStore;
-use crate::trace::{TraceEvent, TraceLog, Tracer};
+use crate::trace::TraceLog;
 use crate::txn::{CohortRun, TxnPhase, TxnRuntime};
 use crate::witness::{WitnessEvent, WitnessReply, WitnessSink, WitnessStream};
 use crate::workload::{
@@ -166,11 +167,6 @@ pub struct Simulator {
     /// gated on this so the fault-free simulation is bit-identical to the
     /// pre-fault-injection simulator.
     faults_enabled: bool,
-    /// `config.trace.phase_stats`, hoisted: gates the per-transaction phase
-    /// clock the same way `faults_enabled` gates fault branches, so a run
-    /// without phase stats is bit-identical to the pre-observability
-    /// simulator.
-    trace_phases: bool,
     /// `config.replication.enabled()`, hoisted: gates every replica-routing
     /// branch so a disabled (or `factor = 1` single-copy) run is
     /// bit-identical to the pre-replication simulator.
@@ -180,13 +176,11 @@ pub struct Simulator {
     /// runs leave every named random stream untouched relative to
     /// single-copy runs.
     read_rr: u64,
-    /// The event recorder, present only when `config.trace.events` is on.
-    tracer: Option<Box<Tracer>>,
-    /// The protocol witness sink, present only when `config.trace.witness`
-    /// is on: a [`WitnessLog`] by default, or the sink a witnessed run
-    /// installs (the `ddbm-oracle` checkers, fed online). Emission is
-    /// branch-only when absent, exactly like `tracer`.
-    witness: Option<Box<dyn WitnessSink>>,
+    /// The observer every probe event goes through (see [`Observer`]),
+    /// present only when `config.trace.any()` holds or a run driver has
+    /// installed a witness sink. Every probe site is one branch on it, so
+    /// the unobserved simulation stays bit-identical and branch-only.
+    obs: Option<Box<Observer>>,
     /// Test-only failure hooks (see [`TestHooks`]); all-off in normal runs.
     hooks: TestHooks,
     /// Oracle replay: when set, terminals submit these templates in order
@@ -237,23 +231,11 @@ impl Simulator {
             );
         }
         let faults_enabled = config.faults.any();
-        let trace_phases = config.trace.phase_stats;
         let replication_on = config.replication.enabled();
-        let tracer = config.trace.events.then(|| {
-            Box::new(Tracer::new(
-                config.trace.capacity(),
-                config.system.num_nodes(),
-            ))
-        });
-        let witness = config.trace.witness.then(|| {
-            Box::new(WitnessLog::<WitnessEvent>::new(
-                config.trace.effective_witness_capacity(),
-            )) as Box<dyn WitnessSink>
-        });
-        let mut metrics = MetricsCollector::new();
-        if trace_phases {
-            metrics.phases = Some(Box::new(PhaseCollector::new()));
-        }
+        let obs = config
+            .trace
+            .any()
+            .then(|| Box::new(Observer::new(&config.trace, config.system.num_nodes())));
         let snoop = (config.algorithm == Algorithm::TwoPhaseLocking).then(|| SnoopState {
             current: NodeId(1),
             round: 0,
@@ -292,16 +274,14 @@ impl Simulator {
             rng_disk: SimRng::derive(seed, "disk"),
             rng_fault: SimRng::derive(seed, "fault"),
             faults_enabled,
-            trace_phases,
             replication_on,
             read_rr: 0,
-            tracer,
-            witness,
+            obs,
             hooks: TestHooks::default(),
             script: None,
             template_log: None,
             draining: false,
-            metrics,
+            metrics: MetricsCollector::new(),
             warmup_done: false,
             snoop: None.or(snoop),
             finished: false,
@@ -312,9 +292,31 @@ impl Simulator {
 
     /// Run to completion and report.
     pub fn run(mut self) -> RunReport {
+        self.run_observed(None, false).0
+    }
+
+    /// The driver behind every run entry point: install `sink` as the
+    /// observer's witness consumer (building the observer if the config
+    /// enabled none), seed, drive to the end (then, with `drain`, keep going
+    /// until every live transaction has finished), report, and hand back the
+    /// observer.
+    fn run_observed(
+        &mut self,
+        sink: Option<Box<dyn WitnessSink>>,
+        drain: bool,
+    ) -> (RunReport, Option<Box<Observer>>) {
+        if let Some(sink) = sink {
+            let num_nodes = self.nodes.len();
+            self.obs
+                .get_or_insert_with(|| Box::new(Observer::new(&self.config.trace, num_nodes)))
+                .install_witness(sink);
+        }
         self.seed();
         self.drive();
-        self.report(self.calendar.now())
+        if drain {
+            self.drain();
+        }
+        (self.report(self.calendar.now()), self.obs.take())
     }
 
     /// Schedule the initial events: every terminal starts thinking, and the
@@ -440,7 +442,7 @@ impl Simulator {
             aborts_by_cause: m.aborts_by_cause,
             fault_stats: m.faults,
             drained: self.draining && self.txns.is_empty(),
-            phase_breakdown: m.phases.as_ref().map(|p| p.breakdown()),
+            phase_breakdown: self.obs.as_ref().and_then(|o| o.phase_breakdown()),
             buffer_hit_ratio: {
                 let (hits, misses) = self.nodes[1..].iter().fold((0u64, 0u64), |(h, m), n| {
                     (h + n.buffer.hits(), m + n.buffer.misses())
@@ -577,8 +579,8 @@ impl Simulator {
             self.config.max_txn_accesses(),
         );
         st.buffer = LruPool::new(self.config.system.buffer_pages as usize);
-        if let Some(w) = &mut self.witness {
-            w.push(now, WitnessEvent::NodeCrash { node });
+        if let Some(o) = &mut self.obs {
+            o.witness(now, || WitnessEvent::NodeCrash { node });
         }
         self.metrics.faults.crashes += 1;
         self.resched_cpu(now, node);
@@ -892,25 +894,8 @@ impl Simulator {
         let mut txn = TxnRuntime::with_cohorts(id, terminal, template, cohorts, now);
         txn.logical = logical;
         self.txns.insert(txn);
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Phase {
-                    txn: id,
-                    run: 1,
-                    phase: TxnPhase::Executing,
-                },
-            );
-        }
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::Phase {
-                    txn: id,
-                    run: 1,
-                    phase: TxnPhase::Executing,
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.phase(now, id, 1, TxnPhase::Executing);
         }
         if unavailable {
             if let Some(t) = self.txns.get_mut(id) {
@@ -1034,30 +1019,10 @@ impl Simulator {
             return;
         };
         debug_assert_eq!(txn.phase, TxnPhase::WaitingRestart);
-        if self.trace_phases {
-            txn.phase_clock(now);
-        }
         txn.begin_run(now);
         let run = txn.run;
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::Executing,
-                },
-            );
-        }
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::Executing,
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.phase(now, id, run, TxnPhase::Executing);
         }
         // The coordinator process survives restarts; only the cohorts are
         // re-initiated, so no CoordStartup cost here.
@@ -1190,16 +1155,13 @@ impl Simulator {
                 // through commit. The witness records the release honestly,
                 // so the strictness checker sees a commit-release while the
                 // coordinator is still Executing.
-                if let Some(w) = &mut self.witness {
-                    w.push(
-                        now,
-                        WitnessEvent::Release {
-                            txn: id,
-                            run,
-                            node,
-                            commit: true,
-                        },
-                    );
+                if let Some(o) = &mut self.obs {
+                    o.witness(now, || WitnessEvent::Release {
+                        txn: id,
+                        run,
+                        node,
+                        commit: true,
+                    });
                 }
                 let rel = self.nodes[node.0].cc.commit(id);
                 self.apply_release(now, node, rel, None);
@@ -1253,47 +1215,31 @@ impl Simulator {
             .request_access(&meta, acc.page, acc.write);
         // Move the side effects out instead of cloning the grant/reject lists.
         let side = resp.side_effects;
-        if let Some(w) = &mut self.witness {
-            let reply = match resp.reply {
-                AccessReply::Granted => WitnessReply::Granted,
-                AccessReply::Blocked => WitnessReply::Blocked,
-                AccessReply::Rejected => WitnessReply::Rejected,
-            };
-            w.push(
-                now,
-                WitnessEvent::Access {
-                    txn: id,
-                    run,
-                    node,
-                    page: acc.page,
-                    write: acc.write,
-                    reply,
-                    initial_ts: meta.initial_ts,
-                    run_ts: meta.run_ts,
+        if let Some(o) = &mut self.obs {
+            o.witness(now, || WitnessEvent::Access {
+                txn: id,
+                run,
+                node,
+                page: acc.page,
+                write: acc.write,
+                reply: match resp.reply {
+                    AccessReply::Granted => WitnessReply::Granted,
+                    AccessReply::Blocked => WitnessReply::Blocked,
+                    AccessReply::Rejected => WitnessReply::Rejected,
                 },
-            );
+                initial_ts: meta.initial_ts,
+                run_ts: meta.run_ts,
+            });
         }
         match resp.reply {
             AccessReply::Granted => self.access_granted(now, node, id, run, cohort, access),
             AccessReply::Blocked => {
                 if let Some(t) = self.txns.get_mut(id) {
                     t.cohorts[cohort].blocked_since = Some(now);
-                    if self.trace_phases {
-                        t.phase_clock(now);
-                        t.blocked_cohorts += 1;
-                    }
                 }
-                if let Some(tr) = &mut self.tracer {
-                    let stats = self.nodes[node.0].cc.lock_stats().unwrap_or_default();
-                    tr.push(
-                        now,
-                        TraceEvent::LockWaitBegin {
-                            txn: id,
-                            node,
-                            held: stats.held as u32,
-                            waiting: stats.waiting as u32,
-                        },
-                    );
+                if let Some(o) = &mut self.obs {
+                    let cc = &self.nodes[node.0].cc;
+                    o.lock_wait_begin(now, id, node, || cc.lock_stats().unwrap_or_default());
                 }
                 if self.config.algorithm == Algorithm::TwoPhaseLockingTimeout {
                     self.calendar.schedule_after(
@@ -1435,30 +1381,25 @@ impl Simulator {
                 if txn.phase == TxnPhase::Executing {
                     self.metrics.record_blocking(now.since(since));
                 }
-                if self.trace_phases {
-                    txn.phase_clock(now);
-                    txn.blocked_cohorts = txn.blocked_cohorts.saturating_sub(1);
-                }
-                if let Some(tr) = &mut self.tracer {
-                    tr.push(now, TraceEvent::LockWaitEnd { txn: id, node });
+                if let Some(o) = &mut self.obs {
+                    o.lock_wait_end(now, id, node);
                 }
             }
             let access = txn.cohorts[cohort].next_access;
-            if self.witness.is_some() {
+            if let Some(o) = &mut self.obs {
                 if let Some(acc) = txn.template.cohorts[cohort].accesses.get(access) {
-                    let meta = txn.meta();
-                    let ev = WitnessEvent::Grant {
-                        txn: id,
-                        run,
-                        node,
-                        page: acc.page,
-                        write: acc.write,
-                        initial_ts: meta.initial_ts,
-                        run_ts: meta.run_ts,
-                    };
-                    if let Some(w) = &mut self.witness {
-                        w.push(now, ev);
-                    }
+                    o.witness(now, || {
+                        let meta = txn.meta();
+                        WitnessEvent::Grant {
+                            txn: id,
+                            run,
+                            node,
+                            page: acc.page,
+                            write: acc.write,
+                            initial_ts: meta.initial_ts,
+                            run_ts: meta.run_ts,
+                        }
+                    });
                 }
             }
             self.access_granted(now, node, id, run, cohort, access);
@@ -1475,24 +1416,17 @@ impl Simulator {
                 if txn.phase == TxnPhase::Executing {
                     self.metrics.record_blocking(now.since(since));
                 }
-                if self.trace_phases {
-                    txn.phase_clock(now);
-                    txn.blocked_cohorts = txn.blocked_cohorts.saturating_sub(1);
-                }
-                if let Some(tr) = &mut self.tracer {
-                    tr.push(now, TraceEvent::LockWaitEnd { txn: id, node });
+                if let Some(o) = &mut self.obs {
+                    o.lock_wait_end(now, id, node);
                 }
             }
-            if let Some(w) = &mut self.witness {
-                w.push(
-                    now,
-                    WitnessEvent::Reject {
-                        txn: id,
-                        run,
-                        node,
-                        page,
-                    },
-                );
+            if let Some(o) = &mut self.obs {
+                o.witness(now, || WitnessEvent::Reject {
+                    txn: id,
+                    run,
+                    node,
+                    page,
+                });
             }
             self.send(
                 now,
@@ -1510,18 +1444,14 @@ impl Simulator {
                 continue;
             };
             let run = txn.run;
-            if self.witness.is_some() {
-                let victim_initial_ts = txn.meta().initial_ts;
-                let ev = WitnessEvent::Wound {
+            if let Some(o) = &mut self.obs {
+                o.witness(now, || WitnessEvent::Wound {
                     victim: id,
-                    victim_initial_ts,
+                    victim_initial_ts: txn.meta().initial_ts,
                     requester: wound_ctx.map(|(r, _)| r),
                     requester_initial_ts: wound_ctx.map(|(_, ts)| ts),
                     node,
-                };
-                if let Some(w) = &mut self.witness {
-                    w.push(now, ev);
-                }
+                });
             }
             self.send(
                 now,
@@ -1541,15 +1471,8 @@ impl Simulator {
     // ------------------------------------------------------------------
 
     fn handle_message(&mut self, now: SimTime, msg: Message) {
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::MsgArrive {
-                    from: msg.from,
-                    to: msg.to,
-                    kind: msg.kind.tag(),
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.msg_arrive(now, msg.from, msg.to, msg.kind.tag());
         }
         let node = msg.to;
         match msg.kind {
@@ -1600,18 +1523,15 @@ impl Simulator {
                 } else {
                     let meta = self.txns.get(txn).expect("checked above").meta();
                     let ok = self.nodes[node.0].cc.certify(&meta, commit_ts);
-                    if let Some(w) = &mut self.witness {
-                        w.push(
-                            now,
-                            WitnessEvent::Certify {
-                                txn,
-                                run,
-                                node,
-                                commit_ts,
-                                run_ts: meta.run_ts,
-                                ok,
-                            },
-                        );
+                    if let Some(o) = &mut self.obs {
+                        o.witness(now, || WitnessEvent::Certify {
+                            txn,
+                            run,
+                            node,
+                            commit_ts,
+                            run_ts: meta.run_ts,
+                            ok,
+                        });
                     }
                     ok
                 };
@@ -1657,16 +1577,13 @@ impl Simulator {
                     if let Some(t) = self.txns.get_mut(txn) {
                         t.cohorts[cohort].settled = true;
                     }
-                    if let Some(w) = &mut self.witness {
-                        w.push(
-                            now,
-                            WitnessEvent::Release {
-                                txn,
-                                run,
-                                node,
-                                commit: false,
-                            },
-                        );
+                    if let Some(o) = &mut self.obs {
+                        o.witness(now, || WitnessEvent::Release {
+                            txn,
+                            run,
+                            node,
+                            commit: false,
+                        });
                     }
                     let rel = self.nodes[node.0].cc.abort(txn);
                     self.apply_release(now, node, rel, None);
@@ -1730,34 +1647,14 @@ impl Simulator {
         }
         // All cohorts done: begin phase 1 of commit with a globally unique
         // commit timestamp (used by OPT certification).
-        if self.trace_phases {
-            txn.phase_clock(now);
-        }
         txn.phase = TxnPhase::Preparing;
         txn.votes_received = 0;
         txn.all_yes = true;
         let commit_ts = Ts::new(now.0, id);
         txn.commit_ts = Some(commit_ts);
         let template = Rc::clone(&txn.template);
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::Preparing,
-                },
-            );
-        }
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::Preparing,
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.phase(now, id, run, TxnPhase::Preparing);
         }
         for (cohort, spec) in template.cohorts.iter().enumerate() {
             self.send(
@@ -1801,9 +1698,6 @@ impl Simulator {
             return;
         }
         let commit = txn.all_yes;
-        if self.trace_phases {
-            txn.phase_clock(now);
-        }
         txn.phase = if commit {
             TxnPhase::Committing
         } else {
@@ -1812,25 +1706,8 @@ impl Simulator {
         txn.acks_outstanding = txn.template.cohorts.len();
         let new_phase = txn.phase;
         let template = Rc::clone(&txn.template);
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: new_phase,
-                },
-            );
-        }
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: new_phase,
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.phase(now, id, run, new_phase);
         }
         for (cohort, spec) in template.cohorts.iter().enumerate() {
             self.send(
@@ -1906,33 +1783,25 @@ impl Simulator {
             // Witness installs *before* releasing locks: a release can grant
             // a waiter at this same instant, and its read must sequence
             // after these writes.
-            if self.witness.is_some() {
-                let meta = txn.meta();
+            if let Some(o) = &mut self.obs {
+                let run_ts = txn.meta().run_ts;
                 let commit_ts = txn.commit_ts.unwrap_or(Ts::ZERO);
-                if let Some(w) = &mut self.witness {
-                    for p in &pages {
-                        w.push(
-                            now,
-                            WitnessEvent::Install {
-                                txn: id,
-                                run,
-                                node,
-                                page: *p,
-                                run_ts: meta.run_ts,
-                                commit_ts,
-                            },
-                        );
-                    }
-                    w.push(
-                        now,
-                        WitnessEvent::Release {
-                            txn: id,
-                            run,
-                            node,
-                            commit: true,
-                        },
-                    );
+                for &page in &pages {
+                    o.witness(now, || WitnessEvent::Install {
+                        txn: id,
+                        run,
+                        node,
+                        page,
+                        run_ts,
+                        commit_ts,
+                    });
                 }
+                o.witness(now, || WitnessEvent::Release {
+                    txn: id,
+                    run,
+                    node,
+                    commit: true,
+                });
             }
             let rel = self.nodes[node.0].cc.commit(id);
             self.apply_release(now, node, rel, None);
@@ -1954,16 +1823,13 @@ impl Simulator {
                 self.page_pool.push(pages);
             }
         } else {
-            if let Some(w) = &mut self.witness {
-                w.push(
-                    now,
-                    WitnessEvent::Release {
-                        txn: id,
-                        run,
-                        node,
-                        commit: false,
-                    },
-                );
+            if let Some(o) = &mut self.obs {
+                o.witness(now, || WitnessEvent::Release {
+                    txn: id,
+                    run,
+                    node,
+                    commit: false,
+                });
             }
             let rel = self.nodes[node.0].cc.abort(id);
             self.apply_release(now, node, rel, None);
@@ -2009,28 +1875,13 @@ impl Simulator {
     /// The transaction is durably committed: record metrics, free state, and
     /// put the terminal back to thinking.
     fn complete_commit(&mut self, now: SimTime, id: TxnId) {
-        let mut txn = self.txns.remove(id).expect("committing txn exists");
+        let txn = self.txns.remove(id).expect("committing txn exists");
         let response = now.since(txn.origin);
         self.metrics.record_commit(response);
-        if self.trace_phases {
-            txn.phase_clock(now);
-            if let Some(p) = &mut self.metrics.phases {
-                p.record_commit(&txn.phase_ns, response);
-            }
-        }
-        if let Some(tr) = &mut self.tracer {
-            tr.push(now, TraceEvent::Committed { txn: id });
-        }
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Committed {
-                    txn: id,
-                    run: txn.run,
-                    run_ts: txn.meta().run_ts,
-                    commit_ts: txn.commit_ts.unwrap_or(Ts::ZERO),
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            let run_ts = txn.meta().run_ts;
+            let commit_ts = txn.commit_ts.unwrap_or(Ts::ZERO);
+            o.committed(now, id, txn.run, run_ts, commit_ts, response);
         }
         let delay = self.think_delay();
         self.calendar.schedule_after(
@@ -2049,37 +1900,12 @@ impl Simulator {
         let Some(txn) = self.txns.get_mut(id) else {
             return;
         };
-        if self.trace_phases {
-            txn.phase_clock(now);
-        }
         txn.phase = TxnPhase::WaitingRestart;
         let fallback = now.since(txn.origin);
-        let run = txn.run;
-        let run_lifetime = now.since(txn.run_start);
         let cause = txn.abort_cause.take().unwrap_or(AbortCause::Validation);
         self.metrics.record_abort(cause);
-        if let Some(p) = &mut self.metrics.phases {
-            p.record_abort(cause, run_lifetime);
-        }
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::WaitingRestart,
-                },
-            );
-        }
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::WaitingRestart,
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.aborted(now, id, txn.run, cause, now.since(txn.run_start));
         }
         let delay = self.metrics.restart_delay(fallback);
         self.calendar
@@ -2096,30 +1922,10 @@ impl Simulator {
         // Kill this run: dismantle every cohort loaded so far. Cohorts lost
         // to a crash have nothing left to dismantle — their acknowledgement
         // is implicit, so only the surviving cohorts are counted and told.
-        if self.trace_phases {
-            txn.phase_clock(now);
-        }
         txn.phase = TxnPhase::Aborting;
         txn.abort_cause = Some(cause);
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::Aborting,
-                },
-            );
-        }
-        if let Some(w) = &mut self.witness {
-            w.push(
-                now,
-                WitnessEvent::Phase {
-                    txn: id,
-                    run,
-                    phase: TxnPhase::Aborting,
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.phase(now, id, run, TxnPhase::Aborting);
         }
         let mut live = 0usize;
         for c in &mut txn.cohorts {
@@ -2336,9 +2142,8 @@ impl Simulator {
     /// the cancel-and-replace keyed scheduling this replaced, which is what
     /// keeps run reports bit-identical (see `denet::calendar` module docs).
     fn flush_resched_cpu(&mut self, node: NodeId) {
-        if let Some(tr) = &mut self.tracer {
-            let busy = !self.nodes[node.0].cpu.is_idle();
-            tr.note_cpu(self.calendar.now(), node, busy);
+        if let Some(o) = &mut self.obs {
+            o.cpu(self.calendar.now(), node, !self.nodes[node.0].cpu.is_idle());
         }
         let slot = self.nodes[node.0].cpu_slot;
         match self.nodes[node.0].cpu.next_completion() {
@@ -2390,9 +2195,9 @@ impl Simulator {
     }
 
     fn flush_resched_disks(&mut self, node: NodeId) {
-        if let Some(tr) = &mut self.tracer {
+        if let Some(o) = &mut self.obs {
             let busy = self.nodes[node.0].disks.any_busy();
-            tr.note_disk(self.calendar.now(), node, busy);
+            o.disk(self.calendar.now(), node, busy);
         }
         let slot = self.nodes[node.0].disk_slot;
         match self.nodes[node.0].disks.next_completion() {
@@ -2417,15 +2222,8 @@ impl Simulator {
 
     /// Queue the send-side protocol processing for a message.
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, kind: MsgKind) {
-        if let Some(tr) = &mut self.tracer {
-            tr.push(
-                now,
-                TraceEvent::MsgSend {
-                    from,
-                    to,
-                    kind: kind.tag(),
-                },
-            );
+        if let Some(o) = &mut self.obs {
+            o.msg_send(now, from, to, kind.tag());
         }
         let msg = Message { from, to, kind };
         let instr = self.config.system.inst_per_msg as f64;
@@ -2612,6 +2410,9 @@ impl Simulator {
             if self.metrics.total_commits >= self.config.control.warmup_commits {
                 self.warmup_done = true;
                 self.metrics.reset(now);
+                if let Some(o) = &mut self.obs {
+                    o.end_warmup();
+                }
                 for n in &mut self.nodes {
                     n.cpu.reset_utilization(now);
                     n.disks.reset_utilization(now);
@@ -2638,12 +2439,9 @@ pub fn run_traced(mut config: Config) -> Result<(RunReport, TraceLog), ConfigErr
     config.trace.events = true;
     config.trace.phase_stats = true;
     let mut sim = Simulator::new(config)?;
-    sim.seed();
-    sim.drive();
-    let end = sim.calendar.now();
-    let report = sim.report(end);
-    let trace = sim.tracer.take().expect("tracing was enabled").finish(end);
-    Ok((report, trace))
+    let (report, obs) = sim.run_observed(None, false);
+    let trace = obs.and_then(|o| o.into_trace(sim.calendar.now()));
+    Ok((report, trace.expect("tracing was enabled")))
 }
 
 /// Everything the `ddbm-oracle` invariant checkers need from one
@@ -2669,14 +2467,14 @@ pub struct OracleRecording {
     pub truncated: bool,
 }
 
-/// Oracle entry point: [`run_witnessed`] into a [`WitnessLog`] of
-/// `trace.witness_capacity` events, returned as the recording's stream.
+/// Oracle entry point: [`run_witnessed`] into a [`WitnessLog`] of 2^22
+/// events, returned as the recording's stream.
 pub fn run_oracle(
     config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
 ) -> Result<OracleRecording, ConfigError> {
-    let log = WitnessLog::new(config.trace.effective_witness_capacity());
+    let log = WitnessLog::new(WITNESS_CAPACITY);
     let (mut recording, log) = run_witnessed(config, script, hooks, false, log)?;
     (recording.witness, recording.witness_overflow) = log.into_parts();
     Ok(recording)
@@ -2694,27 +2492,22 @@ pub fn run_oracle(
 /// actually emptied — the liveness property the chaos suite asserts — and
 /// the sink sees everything that committed, including during the drain.
 pub fn run_witnessed<S: WitnessSink>(
-    mut config: Config,
+    config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
     drain: bool,
     sink: S,
 ) -> Result<(OracleRecording, S), ConfigError> {
-    config.trace.witness = true;
     let mut sim = Simulator::new(config)?;
-    sim.witness = Some(Box::new(sink));
     sim.hooks = hooks;
     sim.template_log = Some(Vec::new());
     if let Some(templates) = script {
         sim.script = Some(ScriptedWorkload { templates, next: 0 });
     }
-    sim.seed();
-    sim.drive();
-    if drain {
-        sim.drain();
-    }
-    let report = sim.report(sim.calendar.now());
-    let sink: Box<dyn Any> = sim.witness.take().expect("the sink was installed");
+    let (report, obs) = sim.run_observed(Some(Box::new(sink)), drain);
+    let sink: Box<dyn Any> = obs
+        .and_then(|o| o.into_witness())
+        .expect("the sink was installed");
     let sink = *sink.downcast::<S>().expect("the sink keeps its type");
     let recording = OracleRecording {
         report,

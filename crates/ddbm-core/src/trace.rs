@@ -1,14 +1,16 @@
 //! The simulator's event trace: recording, reconstruction, and export.
 //!
-//! When `trace.events` is enabled the simulator records [`TraceEvent`]s into
-//! a preallocated [`TraceRing`] at every phase boundary, lock-wait edge,
-//! message send/arrival, and resource busy/idle transition. [`TraceLog`]
-//! post-processes the raw stream: [`TraceLog::txn_traces`] replays it into
-//! per-transaction [`PhaseSpan`] timelines (using the same
-//! `(phase, blocked-cohorts) → bucket` partition as the live
-//! `PhaseCollector`, so span durations sum exactly to each transaction's
-//! end-to-end latency), and the two writers export Chrome-trace JSON (open
-//! in `chrome://tracing` or Perfetto) and a line-per-event JSONL stream.
+//! When `trace.events` is enabled the simulator's observer records
+//! [`TraceEvent`]s into a preallocated [`TraceRing`] at every phase
+//! boundary, lock-wait edge, message send/arrival, and resource busy/idle
+//! transition. [`TraceLog`] post-processes the raw stream:
+//! [`TraceLog::txn_traces`] replays it into per-transaction [`PhaseSpan`]
+//! timelines (using the `(phase, blocked-cohorts) → bucket` partition, so
+//! span durations sum exactly to each transaction's end-to-end latency),
+//! and the two writers export Chrome-trace JSON (open in `chrome://tracing`
+//! or Perfetto) and a line-per-event JSONL stream. The replay shares no
+//! code with the live `PhaseCollector`, which is fed the same probes: the
+//! observability tests use it as the collector's independent reference.
 //!
 //! Recording draws nothing from any RNG stream and never touches the
 //! calendar, so a traced run commits and aborts the exact same transactions
@@ -53,8 +55,9 @@ pub enum TraceEvent {
         /// Transactions waiting for locks at the node.
         waiting: u32,
     },
-    /// The blocked cohort of `txn` at `node` was released (granted,
-    /// rejected, or cancelled by an abort).
+    /// The blocked cohort of `txn` at `node` was granted or rejected. A
+    /// wait that an abort cuts short emits no end event: the transaction's
+    /// `Aborting` phase event ends it.
     LockWaitEnd {
         /// The transaction.
         txn: TxnId,
@@ -95,7 +98,8 @@ pub enum TraceEvent {
     },
 }
 
-/// The live recorder owned by the simulator while `trace.events` is on.
+/// The live recorder the simulator's observer owns while `trace.events` is
+/// on.
 #[derive(Debug)]
 pub struct Tracer {
     ring: TraceRing<TraceEvent>,

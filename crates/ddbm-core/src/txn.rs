@@ -74,7 +74,7 @@ impl PhaseBucket {
         }
     }
 
-    /// Position in [`PhaseBucket::ALL`] (and in `phase_ns` arrays).
+    /// Position in [`PhaseBucket::ALL`] (and in per-bucket arrays).
     pub fn index(self) -> usize {
         match self {
             PhaseBucket::Execute => 0,
@@ -168,16 +168,6 @@ pub struct TxnRuntime {
     /// Why the current run is aborting; set when the abort takes effect and
     /// consumed by the metrics collector when the abort completes.
     pub abort_cause: Option<AbortCause>,
-    /// Observability: integer-ns time accumulated per [`PhaseBucket`] over
-    /// the transaction's whole lifetime (all runs). Maintained only when
-    /// phase tracing is enabled; always-zero otherwise.
-    pub phase_ns: [u64; 6],
-    /// Observability: when `phase_ns` was last brought up to date. The time
-    /// since then belongs to the current `(phase, blocked_cohorts)` bucket.
-    pub phase_since: SimTime,
-    /// Observability: cohorts of the current run blocked on a CC request
-    /// (distinguishes `LockWait` from `Execute` inside `Executing`).
-    pub blocked_cohorts: u32,
 }
 
 impl TxnRuntime {
@@ -213,9 +203,6 @@ impl TxnRuntime {
             acks_outstanding: 0,
             commit_ts: None,
             abort_cause: None,
-            phase_ns: [0; 6],
-            phase_since: now,
-            blocked_cohorts: 0,
         }
     }
 
@@ -241,9 +228,6 @@ impl TxnRuntime {
         self.acks_outstanding = 0;
         self.commit_ts = None;
         self.abort_cause = None;
-        // `phase_ns`/`phase_since` deliberately survive: the breakdown
-        // accounts the transaction's whole lifetime across restarts.
-        self.blocked_cohorts = 0;
     }
 
     /// Replication: install a freshly materialized physical plan for the
@@ -256,16 +240,6 @@ impl TxnRuntime {
         self.cohorts.clear();
         self.cohorts.resize_with(n, CohortRun::default);
         old
-    }
-
-    /// Observability: charge the time since `phase_since` to the current
-    /// phase bucket and restart the clock at `now`. Call *before* any state
-    /// change that moves the transaction to a different bucket.
-    #[inline]
-    pub fn phase_clock(&mut self, now: SimTime) {
-        let bucket = PhaseBucket::of(self.phase, self.blocked_cohorts);
-        self.phase_ns[bucket.index()] += now.since(self.phase_since).0;
-        self.phase_since = now;
     }
 
     /// The cohort index running at `node`, if any.
@@ -376,28 +350,6 @@ mod tests {
         assert_eq!(t.cohort_at(NodeId(1)), Some(0));
         assert_eq!(t.cohort_at(NodeId(2)), Some(1));
         assert_eq!(t.cohort_at(NodeId(3)), None);
-    }
-
-    #[test]
-    fn phase_clock_partitions_lifetime_exactly() {
-        let mut t = TxnRuntime::new(TxnId(1), 5, Rc::new(template()), SimTime(100));
-        t.phase_clock(SimTime(150)); // 50 ns Execute
-        t.blocked_cohorts = 1;
-        t.phase_clock(SimTime(170)); // 20 ns LockWait
-        t.blocked_cohorts = 0;
-        t.phase_clock(SimTime(180)); // 10 ns Execute
-        t.phase = TxnPhase::Preparing;
-        t.phase_clock(SimTime(200)); // 20 ns Prepare
-        t.phase = TxnPhase::Committing;
-        t.phase_clock(SimTime(230)); // 30 ns Commit
-        assert_eq!(t.phase_ns, [60, 20, 20, 30, 0, 0]);
-        assert_eq!(t.phase_ns.iter().sum::<u64>(), 230 - 100);
-        // A restart preserves the lifetime accounting.
-        t.phase = TxnPhase::WaitingRestart;
-        t.phase_clock(SimTime(250));
-        t.begin_run(SimTime(250));
-        assert_eq!(t.phase_ns[PhaseBucket::RestartWait.index()], 20);
-        assert_eq!(t.phase_ns.iter().sum::<u64>(), 250 - 100);
     }
 
     #[test]

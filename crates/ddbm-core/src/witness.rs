@@ -1,19 +1,22 @@
 //! The protocol witness stream: the raw material for the `ddbm-oracle`
 //! invariant checkers.
 //!
-//! When `TraceConfig::witness` is on, the simulator records every externally
-//! observable concurrency-control decision — grants, blocks, rejections,
-//! wounds, certifications, lock releases, write installs, coordinator phase
+//! When `TraceConfig::witness` is on, or a run driver installs a sink, the
+//! simulator's observer feeds every externally observable
+//! concurrency-control decision — grants, blocks, rejections, wounds,
+//! certifications, lock releases, write installs, coordinator phase
 //! transitions, and node crashes — into a [`WitnessSink`]: a lossless
-//! [`denet::WitnessLog`], or an online checker that consumes each event as
-//! it is emitted. A checker runs the stream through an independent model of
+//! [`denet::WitnessLog`] of 2^22 events, or an online checker that consumes
+//! each event as it is emitted. Phase transitions and commits reach the
+//! sink through the same observer calls that feed the event trace and the
+//! phase statistics, so each is emitted once. A checker runs the stream through an independent model of
 //! the algorithm's rules (strictness and the two-phase rule for the locking
 //! family, wound/wait priority for WW/WD, timestamp order for BTO, backward
 //! validation for OPT) and reports any event the protocol should not have
 //! produced.
 //!
 //! Like the rest of the observability subsystem, witness recording is
-//! branch-only when off: the disabled simulator takes no witness branch,
+//! branch-only when off: the unobserved simulator takes no witness branch,
 //! draws nothing extra from any RNG stream, and stays bit-identical to the
 //! pre-witness simulator (the determinism golden enforces this).
 

@@ -139,3 +139,22 @@ fn missing_extension_fields_default() {
     assert_eq!(r.buffer_hit_ratio, 0.0);
     assert_eq!(r.response_time_ci95, 0.0);
 }
+
+/// A config document written before the trace capacity knobs were retired
+/// (every older `.repro.json` carries `event_capacity` and
+/// `witness_capacity`) still loads, to the same `Config`: unknown keys are
+/// ignored.
+#[test]
+fn retired_trace_capacity_keys_are_ignored() {
+    let mut c = Config::paper(Algorithm::WoundWait, 4, 4, 1.0);
+    c.trace.witness = true;
+    let json = serde_json::to_string(&c).expect("serializes");
+    let with_retired = json.replacen(
+        "\"trace\":{",
+        "\"trace\":{\"event_capacity\":4096,\"witness_capacity\":0,",
+        1,
+    );
+    assert_ne!(with_retired, json, "the trace object is present");
+    let loaded: Config = serde_json::from_str(&with_retired).expect("old document loads");
+    assert_eq!(loaded, c);
+}

@@ -7,10 +7,10 @@
 //!   exactly (integer nanoseconds, no gaps, no overlaps);
 //! * `PhaseBreakdown` counts/means/percentiles match a reference
 //!   computation over the per-transaction latencies reconstructed from the
-//!   event trace;
+//!   event trace (fault-free, under node crashes, and under replication);
 //! * the Chrome-trace and JSONL exports are structurally valid.
 
-use ddbm::config::{Algorithm, Config};
+use ddbm::config::{Algorithm, Config, ReplicationParams};
 use ddbm::core::{run_config, run_traced, PhaseBucket, RunReport, TraceLog};
 
 /// The determinism suite's small 2PL configuration: locks, blocking, and
@@ -116,10 +116,32 @@ fn assert_close(got_s: f64, exact_ns: u64, what: &str) {
 /// `PhaseBreakdown` must agree with a reference computation over the
 /// per-transaction values reconstructed independently from the event
 /// trace: exact counts and means, percentiles within the histogram's
-/// guaranteed error bound.
+/// guaranteed error bound. Besides the small 2PL run, two inputs stress
+/// the bucket accounting: node crashes (the crash sweep aborts cohorts
+/// that are still blocked on locks, so their waits end in the abort, not
+/// in a grant) and 3-way ROWA (a transaction blocks at several replicas).
 #[test]
 fn phase_breakdown_matches_trace_reference() {
-    let (report, trace) = traced_small();
+    check_breakdown_against_trace("2pl", small_config());
+
+    let mut crashes = small_config();
+    crashes.faults.crash_rate = 0.05;
+    // Long enough that a transaction whose lock wait a crash cut short
+    // commits inside the measured window after its restart.
+    crashes.control.measure_commits = 150;
+    let report = check_breakdown_against_trace("2pl crash", crashes);
+    assert!(report.fault_stats.crashes > 0, "the crash input must crash");
+    assert!(report.aborts_by_cause.node_crash > 0);
+
+    let mut rowa = small_config();
+    rowa.replication = ReplicationParams::rowa(3);
+    check_breakdown_against_trace("2pl rowa3", rowa);
+}
+
+fn check_breakdown_against_trace(what: &str, config: Config) -> RunReport {
+    let warmup = config.control.warmup_commits as usize;
+    let (report, trace) = run_traced(config).expect("valid config");
+    assert_eq!(trace.dropped, 0, "{what}: ring must not wrap");
     let breakdown = report.phase_breakdown.as_ref().expect("tracing enabled");
 
     // Measured transactions are the post-warmup commits, in commit order.
@@ -129,7 +151,6 @@ fn phase_breakdown_matches_trace_reference() {
         .filter(|t| t.committed.is_some())
         .collect();
     committed.sort_by_key(|t| t.committed.expect("filtered"));
-    let warmup = small_config().control.warmup_commits as usize;
     let measured: Vec<_> = committed
         .into_iter()
         .skip(warmup)
@@ -147,22 +168,22 @@ fn phase_breakdown_matches_trace_reference() {
     let mean_s = latencies.iter().sum::<u64>() as f64 * 1e-9 / latencies.len() as f64;
     assert!(
         (breakdown.response.mean_s - mean_s).abs() <= mean_s * 1e-12,
-        "mean is tracked exactly, not through the histogram"
+        "{what}: mean is tracked exactly, not through the histogram"
     );
     assert_close(
         breakdown.response.p50_s,
         exact_quantile(&latencies, 0.50),
-        "response p50",
+        &format!("{what} response p50"),
     );
     assert_close(
         breakdown.response.p95_s,
         exact_quantile(&latencies, 0.95),
-        "response p95",
+        &format!("{what} response p95"),
     );
     assert_close(
         breakdown.response.p99_s,
         exact_quantile(&latencies, 0.99),
-        "response p99",
+        &format!("{what} response p99"),
     );
 
     // Per-phase times, reconstructed per transaction from the spans, must
@@ -181,16 +202,17 @@ fn phase_breakdown_matches_trace_reference() {
         per_txn.sort_unstable();
         assert_eq!(
             stats.count, report.commits,
-            "{label}: one sample per commit"
+            "{what} {label}: one sample per commit"
         );
         let total_s = per_txn.iter().sum::<u64>() as f64 * 1e-9;
         assert!(
             (stats.total_s - total_s).abs() <= total_s * 1e-12 + 1e-15,
-            "{label}: total from spans {total_s} vs breakdown {}",
+            "{what} {label}: total from spans {total_s} vs breakdown {}",
             stats.total_s
         );
-        assert_close(stats.p50_s, exact_quantile(&per_txn, 0.50), label);
-        assert_close(stats.p95_s, exact_quantile(&per_txn, 0.95), label);
+        let label = format!("{what} {label}");
+        assert_close(stats.p50_s, exact_quantile(&per_txn, 0.50), &label);
+        assert_close(stats.p95_s, exact_quantile(&per_txn, 0.95), &label);
     }
 
     // The phase means must sum to the response mean: the six buckets
@@ -198,9 +220,10 @@ fn phase_breakdown_matches_trace_reference() {
     let phase_mean_sum: f64 = breakdown.phases().iter().map(|(_, s)| s.mean_s).sum();
     assert!(
         (phase_mean_sum - breakdown.response.mean_s).abs() <= breakdown.response.mean_s * 1e-9,
-        "phase means {phase_mean_sum} must sum to response mean {}",
+        "{what}: phase means {phase_mean_sum} must sum to response mean {}",
         breakdown.response.mean_s
     );
+    report
 }
 
 /// The exporters must emit structurally valid output: balanced JSON for the
