@@ -196,7 +196,12 @@ fn lock_table(c: &mut Criterion) {
         for t in 0..100u64 {
             lt.request(TxnId(t), page, LockMode::Write);
         }
-        b.iter(|| black_box(lt.waits_for_edges().len()))
+        let mut edges = Vec::new();
+        b.iter(|| {
+            edges.clear();
+            lt.waits_for_edges_into(&mut edges);
+            black_box(edges.len())
+        })
     });
     group.finish();
 }
@@ -259,7 +264,7 @@ fn cpu_model(c: &mut Criterion) {
 
 fn cc_managers(c: &mut Criterion) {
     let mut group = c.benchmark_group("cc_request_path");
-    for algo in Algorithm::ALL {
+    for algo in Algorithm::EXTENDED {
         group.bench_with_input(BenchmarkId::from_parameter(algo), &algo, |b, algo| {
             b.iter(|| {
                 let mut m = make_manager(*algo);

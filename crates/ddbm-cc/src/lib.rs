@@ -1,12 +1,11 @@
 #![warn(missing_docs)]
 //! `ddbm-cc` — the four distributed concurrency control algorithms of the
-//! paper plus the NO_DC baseline, each behind the node-local [`CcManager`]
-//! trait.
+//! paper, the 2PL-T and wait-die extensions and the NO_DC baseline, each
+//! behind the node-local [`CcManager`] trait.
 //!
-//! | Algorithm | Conflict detection | Resolution |
-//! |-----------|--------------------|------------|
-//! | [`twopl::TwoPhaseLocking`] | locks, as conflicts occur | blocking; deadlock victims aborted (local check + global Snoop) |
-//! | [`woundwait::WoundWait`]   | locks, as conflicts occur | blocking; deadlock *prevented* by wounding younger holders |
+//! | Manager | Conflict detection | Resolution |
+//! |---------|--------------------|------------|
+//! | [`locking::Locking`] | locks, as conflicts occur | blocking; deadlock handled by one of four rules — 2PL: victims aborted (local check + global Snoop); 2PL-T: lock-wait timeout; WW: *prevented* by wounding younger transactions waited behind; WD: *prevented* by a waiter dying behind an older one |
 //! | [`bto::BasicTimestampOrdering`] | timestamps, at access time | abort out-of-order requesters; Thomas write rule; reads wait on pending earlier writes |
 //! | [`opt::OptimisticCertification`] | at commit, in the 2PC prepare | abort transactions that fail certification |
 //! | [`nodc::NoDataContention`] | none | none (infinite-database baseline) |
@@ -17,15 +16,13 @@
 
 pub mod bto;
 pub mod common;
+pub mod locking;
 pub mod locktable;
 pub mod manager;
 pub mod nodc;
 pub mod opt;
 pub mod rules;
-pub mod twopl;
-pub mod waitdie;
 pub mod waitsfor;
-pub mod woundwait;
 
 pub use common::{AccessReply, AccessResponse, LockMode, ReleaseResponse, Ts, TxnMeta};
 pub use locktable::{LockOutcome, LockTable};

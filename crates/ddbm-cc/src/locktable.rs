@@ -1,4 +1,5 @@
-//! A per-node lock table shared by the 2PL and wound-wait managers.
+//! A per-node lock table: the state shared by the locking family (2PL,
+//! 2PL-T, wound-wait and wait-die; see [`crate::locking`]).
 //!
 //! Read locks share; write locks exclude. Requests that cannot be granted
 //! join a FIFO queue, except lock *upgrades* (read → write by the holder),
@@ -66,12 +67,12 @@ pub struct LockTable {
     held: FxHashMap<TxnId, Vec<PageId>>,
     /// Pages each transaction is queued on.
     waiting: FxHashMap<TxnId, Vec<PageId>>,
-    /// Pages whose queue is non-empty, kept sorted. [`waits_for_edges`]
+    /// Pages whose queue is non-empty, kept sorted. [`waits_for_edges_into`]
     /// (called on *every* blocked request under 2PL local detection) walks
     /// only these instead of collecting and sorting every held page —
     /// profiling showed that collect+sort dominating the whole request path.
     ///
-    /// [`waits_for_edges`]: LockTable::waits_for_edges
+    /// [`waits_for_edges_into`]: LockTable::waits_for_edges_into
     queued: BTreeSet<PageId>,
     /// Grant policy: `false` (default) is strict FIFO — a request compatible
     /// with the holders still waits behind any queued request; `true` lets
@@ -330,80 +331,51 @@ impl LockTable {
             .unwrap_or_default()
     }
 
-    /// Append `page`'s current holders to `out` (allocation-free variant of
-    /// [`holders`](LockTable::holders) for hot callers).
-    pub fn holders_into(&self, page: PageId, out: &mut Vec<(TxnId, LockMode)>) {
-        if let Some(l) = self.pages.get(&page) {
-            out.extend(l.holders.iter().copied());
-        }
-    }
-
-    /// Append `page`'s queued requests to `out` in queue order
-    /// (allocation-free variant of [`waiters`](LockTable::waiters)).
-    pub fn waiters_into(&self, page: PageId, out: &mut Vec<(TxnId, LockMode)>) {
-        if let Some(l) = self.pages.get(&page) {
-            out.extend(l.queue.iter().map(|w| (w.txn, w.mode)));
-        }
-    }
-
-    /// Holders of `page` whose locks conflict with a `mode` request by `txn`.
-    pub fn conflicting_holders(&self, page: PageId, txn: TxnId, mode: LockMode) -> Vec<TxnId> {
-        let Some(lock) = self.pages.get(&page) else {
-            return Vec::new();
-        };
-        lock.holders
-            .iter()
-            .filter(|(t, held)| *t != txn && !held.compatible(mode))
-            .map(|(t, _)| *t)
-            .collect()
-    }
-
-    /// Waits-for edges implied by the table: each waiter waits for every
-    /// conflicting holder and every conflicting request queued ahead of it
-    /// (FIFO queues make those real waits too).
-    pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
-        let mut edges = Vec::new();
-        self.waits_for_edges_into(&mut edges);
-        edges
-    }
-
-    /// [`waits_for_edges`], appending into a caller-owned buffer so hot
-    /// callers (2PL detects on every block) can recycle the allocation.
+    /// The conflict relation on `page`: a `(waiter, blocker)` pair for every
+    /// queued request and each transaction it waits behind — every
+    /// conflicting holder, then every conflicting request queued ahead of it
+    /// (FIFO queues make those real waits too) — waiters in queue order.
     ///
-    /// [`waits_for_edges`]: LockTable::waits_for_edges
+    /// This is the one place the relation is written down: the waits-for
+    /// graph is these pairs over all queued pages, and the wound-wait and
+    /// wait-die rules judge the pairs by age. An upgrade waits behind every
+    /// other holder because it always queues in write mode, which no held
+    /// mode is compatible with.
+    ///
+    /// Consume the walk with internal iteration (`for_each`, `any`): that
+    /// compiles to plain nested loops, while stepping it with `next` (as a
+    /// `for` loop or `Vec::extend` does) is several times slower.
+    pub fn wait_pairs(&self, page: PageId) -> impl Iterator<Item = (TxnId, TxnId)> + '_ {
+        self.pages.get(&page).into_iter().flat_map(|lock| {
+            lock.queue.iter().enumerate().flat_map(move |(i, w)| {
+                let holders = lock
+                    .holders
+                    .iter()
+                    .filter(move |(t, held)| *t != w.txn && !held.compatible(w.mode))
+                    .map(|(t, _)| *t);
+                let ahead = lock
+                    .queue
+                    .range(..i)
+                    .filter(move |a| !a.mode.compatible(w.mode))
+                    .map(|a| a.txn);
+                holders.chain(ahead).map(move |blocker| (w.txn, blocker))
+            })
+        })
+    }
+
+    /// The waits-for edges implied by the table, appended to `edges`: the
+    /// [`wait_pairs`](LockTable::wait_pairs) of every queued page, pages in
+    /// ascending order. Callers recycle the buffer (2PL detects on every
+    /// block).
     pub fn waits_for_edges_into(&self, edges: &mut Vec<(TxnId, TxnId)>) {
-        // Only pages with waiters produce edges; `queued` iterates them in
-        // sorted order, so the output order matches the previous
-        // all-pages-sorted scan exactly (pages without a queue emitted
-        // nothing there).
-        for page in &self.queued {
-            let Some(lock) = self.pages.get(page) else {
-                continue;
-            };
-            for (i, w) in lock.queue.iter().enumerate() {
-                let blocks_w = |other_txn: TxnId, other_mode: LockMode, upgrade_pair: bool| {
-                    other_txn != w.txn && (!other_mode.compatible(w.mode) || upgrade_pair)
-                };
-                for (t, m) in &lock.holders {
-                    // An upgrade conflicts with every *other* holder even if
-                    // that holder's lock is a compatible read lock.
-                    let upgrade_pair = w.is_upgrade;
-                    if blocks_w(*t, *m, upgrade_pair) {
-                        edges.push((w.txn, *t));
-                    }
-                }
-                for ahead in lock.queue.iter().take(i) {
-                    if blocks_w(ahead.txn, ahead.mode, false) {
-                        edges.push((w.txn, ahead.txn));
-                    }
-                }
-            }
+        for &page in &self.queued {
+            self.wait_pairs(page).for_each(|edge| edges.push(edge));
         }
     }
 
     /// The queued-page index: pages whose wait queue is currently
     /// non-empty, in ascending order. This is the incrementally maintained
-    /// index that [`waits_for_edges`](LockTable::waits_for_edges) walks;
+    /// index that [`waits_for_edges_into`](LockTable::waits_for_edges_into) walks;
     /// [`scan_queued_pages`](LockTable::scan_queued_pages) recomputes the
     /// same set naively so tests can check the index never drifts.
     pub fn queued_pages(&self) -> Vec<PageId> {
@@ -422,14 +394,6 @@ impl LockTable {
             .collect();
         pages.sort_unstable();
         pages
-    }
-
-    /// The queued requests on `page` in queue order.
-    pub fn waiters(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
-        self.pages
-            .get(&page)
-            .map(|l| l.queue.iter().map(|w| (w.txn, w.mode)).collect())
-            .unwrap_or_default()
     }
 
     /// The pages on which `txn` is currently queued.
@@ -468,6 +432,12 @@ mod tests {
             file: FileId(0),
             page: n,
         }
+    }
+
+    fn edges_of(lt: &LockTable) -> Vec<(TxnId, TxnId)> {
+        let mut edges = Vec::new();
+        lt.waits_for_edges_into(&mut edges);
+        edges
     }
 
     #[test]
@@ -588,7 +558,7 @@ mod tests {
         lt.request(TxnId(1), page(1), LockMode::Read);
         lt.request(TxnId(2), page(1), LockMode::Write);
         lt.request(TxnId(3), page(1), LockMode::Write);
-        let mut edges = lt.waits_for_edges();
+        let mut edges = edges_of(&lt);
         edges.sort();
         assert_eq!(
             edges,
@@ -606,7 +576,7 @@ mod tests {
         lt.request(TxnId(1), page(1), LockMode::Read);
         lt.request(TxnId(2), page(1), LockMode::Read);
         lt.request(TxnId(1), page(1), LockMode::Write); // upgrade, waits on T2
-        let edges = lt.waits_for_edges();
+        let edges = edges_of(&lt);
         assert_eq!(edges, vec![(TxnId(1), TxnId(2))]);
     }
 
@@ -617,28 +587,33 @@ mod tests {
         lt.request(TxnId(2), page(1), LockMode::Read);
         lt.request(TxnId(1), page(1), LockMode::Write);
         lt.request(TxnId(2), page(1), LockMode::Write);
-        let mut edges = lt.waits_for_edges();
+        let mut edges = edges_of(&lt);
         edges.sort();
         assert!(edges.contains(&(TxnId(1), TxnId(2))));
         assert!(edges.contains(&(TxnId(2), TxnId(1))));
     }
 
     #[test]
-    fn conflicting_holders_ignores_self_and_compatible() {
+    fn wait_pairs_skip_self_and_compatible_holders() {
         let mut lt = LockTable::new();
         lt.request(TxnId(1), page(1), LockMode::Read);
         lt.request(TxnId(2), page(1), LockMode::Read);
+        lt.request(TxnId(3), page(1), LockMode::Write);
+        lt.request(TxnId(4), page(1), LockMode::Read); // behind the writer
+        lt.request(TxnId(1), page(1), LockMode::Write); // upgrade, queue head
+        let pairs: Vec<(u64, u64)> = lt.wait_pairs(page(1)).map(|(w, b)| (w.0, b.0)).collect();
         assert_eq!(
-            lt.conflicting_holders(page(1), TxnId(3), LockMode::Write),
-            vec![TxnId(1), TxnId(2)]
+            pairs,
+            vec![
+                (1, 2), // the upgrader skips its own read lock
+                (3, 1),
+                (3, 2),
+                (3, 1), // the upgrade queued ahead
+                (4, 1), // a reader waits on no read holder, only on writes ahead
+                (4, 3),
+            ]
         );
-        assert!(lt
-            .conflicting_holders(page(1), TxnId(3), LockMode::Read)
-            .is_empty());
-        assert_eq!(
-            lt.conflicting_holders(page(1), TxnId(1), LockMode::Write),
-            vec![TxnId(2)]
-        );
+        assert!(lt.wait_pairs(page(2)).next().is_none());
     }
 
     #[test]

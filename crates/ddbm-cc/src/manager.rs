@@ -8,11 +8,9 @@
 
 use crate::bto::BasicTimestampOrdering;
 use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnMeta};
+use crate::locking::Locking;
 use crate::nodc::NoDataContention;
 use crate::opt::OptimisticCertification;
-use crate::twopl::TwoPhaseLocking;
-use crate::waitdie::WaitDie;
-use crate::woundwait::WoundWait;
 use ddbm_config::{Algorithm, PageId, TxnId};
 
 /// A snapshot of one node's lock-table occupancy, for the trace's
@@ -57,19 +55,11 @@ pub trait CcManager: Send {
     /// The transaction aborted: discard its state and report consequences.
     fn abort(&mut self, txn: TxnId) -> ReleaseResponse;
 
-    /// This node's waits-for edges, for the Snoop's global deadlock
-    /// detection. Empty for non-locking algorithms.
-    fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
-        Vec::new()
-    }
-
-    /// [`waits_for_edges`](Self::waits_for_edges), appended into a
-    /// caller-owned buffer so periodic detection rounds can reuse one
-    /// allocation. Locking managers override this with a straight
-    /// lock-table walk; the default (non-locking) case appends nothing.
-    fn waits_for_edges_into(&self, out: &mut Vec<(TxnId, TxnId)>) {
-        out.extend(self.waits_for_edges());
-    }
+    /// Append this node's waits-for edges to `out`, for the Snoop's global
+    /// deadlock detection; a caller-owned buffer lets periodic detection
+    /// rounds reuse one allocation. The locking managers walk their lock
+    /// table; the default (non-locking) case appends nothing.
+    fn waits_for_edges_into(&self, _out: &mut Vec<(TxnId, TxnId)>) {}
 
     /// A lock-occupancy snapshot for observability, or `None` for
     /// algorithms with no lock table. Read-only and O(1): called only when
@@ -88,25 +78,17 @@ pub fn make_manager(algorithm: Algorithm) -> Box<dyn CcManager> {
 }
 
 /// Construct the CC manager for `algorithm`; `lock_barging` switches the
-/// 2PL-family lock tables to barging grants (ablation; see
-/// `LockTable::with_barging`). The timestamp algorithms ignore it, and
-/// wound-wait/wait-die keep strict FIFO — their deadlock-prevention rules
-/// are formulated against queue order.
+/// 2PL and 2PL-T lock tables to barging grants (ablation; see
+/// [`Locking::new`]). The other algorithms ignore it.
 pub fn make_manager_with(algorithm: Algorithm, lock_barging: bool) -> Box<dyn CcManager> {
     match algorithm {
-        Algorithm::TwoPhaseLocking if lock_barging => {
-            Box::new(TwoPhaseLocking::new().with_barging())
-        }
-        Algorithm::TwoPhaseLocking => Box::new(TwoPhaseLocking::new()),
-        Algorithm::WoundWait => Box::new(WoundWait::new()),
+        Algorithm::TwoPhaseLocking
+        | Algorithm::TwoPhaseLockingTimeout
+        | Algorithm::WoundWait
+        | Algorithm::WaitDie => Box::new(Locking::new(algorithm, lock_barging)),
         Algorithm::BasicTimestampOrdering => Box::new(BasicTimestampOrdering::new()),
         Algorithm::Optimistic => Box::new(OptimisticCertification::new()),
         Algorithm::NoDataContention => Box::new(NoDataContention::new()),
-        Algorithm::WaitDie => Box::new(WaitDie::new()),
-        Algorithm::TwoPhaseLockingTimeout if lock_barging => {
-            Box::new(TwoPhaseLocking::without_detection().with_barging())
-        }
-        Algorithm::TwoPhaseLockingTimeout => Box::new(TwoPhaseLocking::without_detection()),
     }
 }
 

@@ -70,6 +70,8 @@ mod tests {
         assert!(m.certify(&meta(0), Ts::new(100, TxnId(0))));
         assert!(m.commit(TxnId(0)).is_empty());
         assert!(m.abort(TxnId(1)).is_empty());
-        assert!(m.waits_for_edges().is_empty());
+        let mut edges = Vec::new();
+        m.waits_for_edges_into(&mut edges);
+        assert!(edges.is_empty());
     }
 }

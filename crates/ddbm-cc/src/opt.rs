@@ -77,10 +77,12 @@ impl CcManager for OptimisticCertification {
     }
 
     fn certify(&mut self, txn: &TxnMeta, commit_ts: Ts) -> bool {
-        let reads = self.reads.get(&txn.id).cloned().unwrap_or_default();
-        let writes = self.writes.get(&txn.id).cloned().unwrap_or_default();
+        // `reads`/`writes` and `pages` are disjoint fields, so the lists stay
+        // borrowed while `pages` is updated.
+        let reads = self.reads.get(&txn.id).map_or(&[][..], Vec::as_slice);
+        let writes = self.writes.get(&txn.id).map_or(&[][..], Vec::as_slice);
         let mut ok = true;
-        for (page, version) in &reads {
+        for (page, version) in reads {
             let state = self.pages.entry(*page).or_default();
             if state.wts != *version {
                 ok = false; // the version read is no longer current
@@ -92,7 +94,7 @@ impl CcManager for OptimisticCertification {
             }
         }
         if ok {
-            for page in &writes {
+            for page in writes {
                 let state = self.pages.entry(*page).or_default();
                 if state.rts > commit_ts {
                     ok = false; // a later read already committed
@@ -112,14 +114,14 @@ impl CcManager for OptimisticCertification {
             return false;
         }
         // Register the certified accesses; they hold until phase 2.
-        for (page, _) in reads {
+        for &(page, _) in reads {
             self.pages
                 .entry(page)
                 .or_default()
                 .cert_reads
                 .push((txn.id, commit_ts));
         }
-        for page in writes {
+        for &page in writes {
             self.pages
                 .entry(page)
                 .or_default()

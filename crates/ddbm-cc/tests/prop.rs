@@ -3,10 +3,12 @@
 //! Each test drives a manager with a random operation sequence while a
 //! simple reference model tracks what must be true, then checks invariants:
 //! lock compatibility, progress (no lost wakeups), deadlock-detector
-//! soundness, and BTO/OPT timestamp-order invariants.
+//! soundness, wound-wait/wait-die edge orientation, and BTO/OPT
+//! timestamp-order invariants.
 
 use ddbm_cc::{
-    find_cycle, make_manager, resolve_deadlocks, AccessReply, LockMode, LockTable, Ts, TxnMeta,
+    find_cycle, make_manager, resolve_deadlocks, AccessReply, LockMode, LockTable, ReleaseResponse,
+    Ts, TxnMeta,
 };
 use ddbm_config::{Algorithm, FileId, PageId, TxnId};
 use proptest::prelude::*;
@@ -69,6 +71,38 @@ fn lt_apply(lt: &mut LockTable, op: &LtOp) {
             lt.cancel_wait(TxnId(txn), page(p));
         }
     }
+}
+
+/// One step of a transaction schedule against a lock manager.
+#[derive(Debug, Clone)]
+enum TxnOp {
+    Request { txn: u64, page: u64, write: bool },
+    Commit { txn: u64 },
+    Abort { txn: u64 },
+}
+
+/// Eight transactions on six pages. Holders re-request their pages, so read
+/// locks get upgraded.
+fn txn_op() -> impl Strategy<Value = TxnOp> {
+    prop_oneof![
+        6 => (0u64..8, 0u64..6, any::<bool>()).prop_map(|(txn, page, write)| TxnOp::Request {
+            txn,
+            page,
+            write
+        }),
+        1 => (0u64..8).prop_map(|txn| TxnOp::Commit { txn }),
+        1 => (0u64..8).prop_map(|txn| TxnOp::Abort { txn }),
+    ]
+}
+
+/// Fold a release's consequences into the model: grants unblock their
+/// transactions; rejections and wounds name transactions that must abort.
+fn note_release(rel: &ReleaseResponse, blocked: &mut HashSet<u64>, kills: &mut Vec<u64>) {
+    for (t, _) in &rel.granted {
+        blocked.remove(&t.0);
+    }
+    kills.extend(rel.rejected.iter().map(|(t, _)| t.0));
+    kills.extend(rel.must_abort.iter().map(|t| t.0));
 }
 
 /// Reference cycle detector: a directed graph has a cycle iff some node can
@@ -137,7 +171,9 @@ proptest! {
             lt.release_all(TxnId(txn));
         }
         prop_assert_eq!(lt.active_pages(), 0, "table must be empty after all releases");
-        prop_assert!(lt.waits_for_edges().is_empty());
+        let mut edges = Vec::new();
+        lt.waits_for_edges_into(&mut edges);
+        prop_assert!(edges.is_empty());
     }
 
     /// Queued-page index equivalence: after every acquire/release/cancel,
@@ -300,6 +336,65 @@ proptest! {
             kill_list.extend(rel.must_abort.iter().map(|t| t.0));
             for (t, _) in rel.granted {
                 blocked.remove(&t.0);
+            }
+        }
+    }
+
+    /// Deadlock prevention: under wound-wait and wait-die, once every
+    /// reported wound and rejection has been applied by aborting its target,
+    /// every waits-for edge points younger → older (WW) or older → younger
+    /// (WD), so no cycle can form. As in the simulator, a blocked
+    /// transaction issues no request until it is granted or aborted.
+    #[test]
+    fn prevention_rules_orient_every_wait_edge(ops in prop::collection::vec(txn_op(), 1..120)) {
+        for algo in [Algorithm::WoundWait, Algorithm::WaitDie] {
+            let mut m = make_manager(algo);
+            let mut blocked: HashSet<u64> = HashSet::new();
+            let mut kills: Vec<u64> = Vec::new();
+            let mut edges = Vec::new();
+            for op in &ops {
+                match *op {
+                    TxnOp::Request { txn, page: p, write } => {
+                        if blocked.contains(&txn) {
+                            continue;
+                        }
+                        let resp = m.request_access(&meta(txn), page(p), write);
+                        match resp.reply {
+                            AccessReply::Granted => {}
+                            AccessReply::Blocked => {
+                                blocked.insert(txn);
+                            }
+                            AccessReply::Rejected => kills.push(txn),
+                        }
+                        note_release(&resp.side_effects, &mut blocked, &mut kills);
+                    }
+                    TxnOp::Commit { txn } => {
+                        if blocked.contains(&txn) {
+                            continue;
+                        }
+                        let rel = m.commit(TxnId(txn));
+                        note_release(&rel, &mut blocked, &mut kills);
+                    }
+                    TxnOp::Abort { txn } => {
+                        blocked.remove(&txn);
+                        let rel = m.abort(TxnId(txn));
+                        note_release(&rel, &mut blocked, &mut kills);
+                    }
+                }
+                while let Some(t) = kills.pop() {
+                    blocked.remove(&t);
+                    let rel = m.abort(TxnId(t));
+                    note_release(&rel, &mut blocked, &mut kills);
+                }
+                edges.clear();
+                m.waits_for_edges_into(&mut edges);
+                for &(waiter, blocker) in &edges {
+                    let ok = match algo {
+                        Algorithm::WoundWait => waiter.0 > blocker.0,
+                        _ => waiter.0 < blocker.0,
+                    };
+                    prop_assert!(ok, "{}: edge {}->{} after {:?}", algo, waiter, blocker, op);
+                }
             }
         }
     }

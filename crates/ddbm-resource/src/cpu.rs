@@ -39,9 +39,9 @@
 //!
 //! The model is driven by the owner: every interaction first calls
 //! [`Cpu::advance`] to apply progress up to the current instant, and after
-//! any state change the owner asks [`Cpu::next_completion`] and (re)schedules
-//! a cancellable calendar event for that instant — the completion event is
-//! withdrawn when superseded, so stale completions never fire.
+//! any state change the owner asks [`Cpu::next_completion`] and keeps that
+//! instant in one calendar *prediction slot* per CPU — a moved prediction
+//! overwrites the slot in place, so stale completions never fire.
 
 use denet::{BusyTracker, SimDuration, SimTime, NANOS_PER_SEC};
 use std::collections::VecDeque;

@@ -10,10 +10,10 @@
 //!
 //! Completion instants are exact: the in-service request stores its absolute
 //! `done_at`, so [`DiskArray::next_completion`] never drifts between calls.
-//! The owner schedules one cancellable calendar event per array at that
-//! instant and withdraws it whenever a new submission changes the prediction
-//! (a queued request can only *extend* the schedule; an earlier completion
-//! can only appear when an idle disk accepts work).
+//! The owner keeps that instant in one calendar *prediction slot* per array
+//! and overwrites it whenever a new submission changes the prediction (a
+//! queued request can only *extend* the schedule; an earlier completion can
+//! only appear when an idle disk accepts work).
 
 use denet::{BusyTracker, SimDuration, SimTime};
 use std::collections::VecDeque;

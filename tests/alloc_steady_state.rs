@@ -108,11 +108,16 @@ fn steady_state_allocs(algorithm: Algorithm) -> i64 {
 
 #[test]
 fn steady_state_commits_do_not_allocate() {
-    // Both algorithm families in one #[test]: the counter is global, so the
-    // measurements must not run on concurrent test threads.
+    // Every algorithm family in one #[test]: the counter is global, so the
+    // measurements must not run on concurrent test threads. OPT is absent:
+    // its per-transaction read/write lists are not pooled.
     for algorithm in [
         Algorithm::TwoPhaseLocking,
+        Algorithm::TwoPhaseLockingTimeout,
+        Algorithm::WoundWait,
+        Algorithm::WaitDie,
         Algorithm::BasicTimestampOrdering,
+        Algorithm::NoDataContention,
     ] {
         let allocs = steady_state_allocs(algorithm);
         assert_eq!(
