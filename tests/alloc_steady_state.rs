@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddbm_config::{Algorithm, Config};
 use ddbm_core::run_config;
+use denet::SimDuration;
 
 /// Counts allocation *events* (alloc + realloc); frees are not interesting
 /// here. Relaxed is fine: the simulator is single-threaded and the test
@@ -63,8 +64,10 @@ const BASE_COMMITS: u64 = 100;
 const EXTRA_COMMITS: u64 = 100;
 
 /// A deterministic, contention-free configuration whose per-page state
-/// saturates during warmup.
-fn config(algorithm: Algorithm, measure_commits: u64) -> Config {
+/// saturates during warmup. With `msg_faults`, 5% of messages are dropped
+/// and 5% delayed: only those box their message, so this is the input that
+/// exercises the recycled `Event::MsgArrive` envelopes.
+fn config(algorithm: Algorithm, msg_faults: bool, measure_commits: u64) -> Config {
     let mut c = Config::paper(algorithm, 8, 8, 0.0);
     // One terminal per relation: a terminal has one outstanding transaction
     // and every transaction touches exactly one relation, so no two
@@ -81,28 +84,42 @@ fn config(algorithm: Algorithm, measure_commits: u64) -> Config {
     // hundred commits; the rest is margin).
     c.control.warmup_commits = 1500;
     c.control.measure_commits = measure_commits;
+    if msg_faults {
+        c.faults.msg_drop_prob = 0.05;
+        c.faults.msg_delay_prob = 0.05;
+        c.faults.msg_delay_max = SimDuration::from_millis(20);
+        c.faults.msg_retry = SimDuration::from_millis(50);
+        c.faults.cohort_timeout = SimDuration::from_secs_f64(3.0);
+    }
     c
 }
 
 /// Allocation events for one full run (construction + warmup + measurement
 /// + report).
-fn alloc_events(algorithm: Algorithm, measure_commits: u64) -> u64 {
+fn alloc_events(algorithm: Algorithm, msg_faults: bool, measure_commits: u64) -> u64 {
     let before = ALLOC_EVENTS.load(Ordering::Relaxed);
-    let report = run_config(config(algorithm, measure_commits)).expect("valid config");
+    let report = run_config(config(algorithm, msg_faults, measure_commits)).expect("valid config");
     assert_eq!(report.commits, measure_commits, "run completed its target");
     assert_eq!(report.aborts, 0, "workload must be contention-free");
+    if msg_faults {
+        let f = report.fault_stats;
+        assert!(
+            f.msgs_dropped > 0 && f.msgs_delayed > 0,
+            "message faults fired"
+        );
+    }
     ALLOC_EVENTS.load(Ordering::Relaxed) - before
 }
 
 /// Allocations attributable to `EXTRA_COMMITS` steady-state commits: the
 /// count of the longer run minus the count of its deterministic prefix.
-fn steady_state_allocs(algorithm: Algorithm) -> i64 {
+fn steady_state_allocs(algorithm: Algorithm, msg_faults: bool) -> i64 {
     // A throwaway run first: the process's first simulation also pays
     // one-time lazy initialization (thread-locals, stdio, …) that would
     // inflate the baseline and skew the comparison.
-    let _ = alloc_events(algorithm, BASE_COMMITS);
-    let base = alloc_events(algorithm, BASE_COMMITS);
-    let longer = alloc_events(algorithm, BASE_COMMITS + EXTRA_COMMITS);
+    let _ = alloc_events(algorithm, msg_faults, BASE_COMMITS);
+    let base = alloc_events(algorithm, msg_faults, BASE_COMMITS);
+    let longer = alloc_events(algorithm, msg_faults, BASE_COMMITS + EXTRA_COMMITS);
     longer as i64 - base as i64
 }
 
@@ -111,20 +128,22 @@ fn steady_state_commits_do_not_allocate() {
     // Every algorithm family in one #[test]: the counter is global, so the
     // measurements must not run on concurrent test threads. OPT is absent:
     // its per-transaction read/write lists are not pooled.
-    for algorithm in [
-        Algorithm::TwoPhaseLocking,
-        Algorithm::TwoPhaseLockingTimeout,
-        Algorithm::WoundWait,
-        Algorithm::WaitDie,
-        Algorithm::BasicTimestampOrdering,
-        Algorithm::NoDataContention,
-    ] {
-        let allocs = steady_state_allocs(algorithm);
-        assert_eq!(
-            allocs, 0,
-            "{algorithm:?}: {allocs} allocation(s) across {EXTRA_COMMITS} \
-             steady-state commits; the per-transaction hot path must run \
-             entirely from recycled pools"
-        );
+    for msg_faults in [false, true] {
+        for algorithm in [
+            Algorithm::TwoPhaseLocking,
+            Algorithm::TwoPhaseLockingTimeout,
+            Algorithm::WoundWait,
+            Algorithm::WaitDie,
+            Algorithm::BasicTimestampOrdering,
+            Algorithm::NoDataContention,
+        ] {
+            let allocs = steady_state_allocs(algorithm, msg_faults);
+            assert_eq!(
+                allocs, 0,
+                "{algorithm:?} (message faults: {msg_faults}): {allocs} \
+                 allocation(s) across {EXTRA_COMMITS} steady-state commits; the \
+                 per-transaction hot path must run entirely from recycled pools"
+            );
+        }
     }
 }

@@ -6,9 +6,10 @@
 //! to exact bit patterns so an accidental behavior change fails loudly
 //! instead of shifting results quietly.
 
-use ddbm::config::{Algorithm, Config};
+use ddbm::config::{Algorithm, Config, ExecPattern, ReplicationParams};
 use ddbm::core::{run_config, RunReport};
 use ddbm::experiments::Runner;
+use ddbm::sim::SimDuration;
 
 /// A small, fast configuration exercising 2PL (locks, blocking, the Snoop
 /// deadlock detector) on a 4-node machine.
@@ -169,3 +170,207 @@ const GOLDEN_THROUGHPUT_BITS: u64 = 0x402b_544e_40bb_df5c;
 // throughput and mean response time in the ~10th decimal place; commits and
 // aborts held).
 const GOLDEN_MEAN_RT_BITS: u64 = 0x3fd0_927c_4393_14d5;
+
+/// A contended 4-node machine for the golden table (see [`shrunk`]).
+fn table_config(algorithm: Algorithm, think: f64) -> Config {
+    shrunk(Config::paper(algorithm, 4, 4, think))
+}
+
+/// `c` with the golden table's 16 terminals on a hot 10-page-per-file
+/// database, 10 warmup and 50 measured commits.
+fn shrunk(mut c: Config) -> Config {
+    c.workload.num_terminals = 16;
+    c.workload.mean_pages_per_file = 2;
+    c.workload.min_pages_per_file = 1;
+    c.workload.max_pages_per_file = 3;
+    c.database.pages_per_file = 10;
+    c.control.warmup_commits = 10;
+    c.control.measure_commits = 50;
+    c.control.max_sim_time = SimDuration::from_secs_f64(2_000.0);
+    c
+}
+
+/// Every fault class on: node crashes, message drops and delays, disk
+/// stalls.
+fn with_faults(mut c: Config) -> Config {
+    c.faults.crash_rate = 0.05;
+    c.faults.recovery = SimDuration::from_secs_f64(1.0);
+    c.faults.msg_drop_prob = 0.05;
+    c.faults.msg_delay_prob = 0.05;
+    c.faults.msg_delay_max = SimDuration::from_millis(20);
+    c.faults.msg_retry = SimDuration::from_millis(50);
+    c.faults.disk_stall_rate = 0.05;
+    c.faults.disk_stall = SimDuration::from_millis(200);
+    c.faults.cohort_timeout = SimDuration::from_secs_f64(3.0);
+    c
+}
+
+/// One line holding everything a golden-table row pins: commits, aborts,
+/// every abort cause, every fault counter, and the bit patterns of
+/// throughput and mean response time.
+fn digest(r: &RunReport) -> String {
+    let a = &r.aborts_by_cause;
+    let f = &r.fault_stats;
+    format!(
+        "commits={} aborts={} causes=[{} {} {} {} {} {} {} {}] \
+         faults=[{} {} {} {} {} {} {}] thr={:#018x} rt={:#018x}",
+        r.commits,
+        r.aborts,
+        a.deadlock,
+        a.wound,
+        a.timestamp,
+        a.validation,
+        a.lock_timeout,
+        a.node_crash,
+        a.cohort_timeout,
+        a.replica_unavailable,
+        f.crashes,
+        f.recoveries,
+        f.mid_commit_crashes,
+        f.msgs_dropped,
+        f.msgs_delayed,
+        f.msgs_to_down_node,
+        f.disk_stalls,
+        r.throughput.to_bits(),
+        r.mean_response_time.to_bits(),
+    )
+}
+
+/// One golden-table row: a configuration, the counter of the path the row
+/// exists to cover (which must be non-zero), and the pinned digest.
+struct GoldenRow {
+    name: &'static str,
+    config: fn() -> Config,
+    covers: fn(&RunReport) -> u64,
+    digest: &'static str,
+}
+
+const GOLDEN_TABLE: &[GoldenRow] = &[
+    GoldenRow {
+        name: "2pl_8way_think0",
+        config: || {
+            shrunk(Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 0.0))
+        },
+        covers: |r| r.aborts_by_cause.deadlock,
+        digest: "commits=50 aborts=7 causes=[5 0 2 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x403fb25c24562ead rt=0x3fe0fca2ff54a494",
+    },
+    GoldenRow {
+        name: "2pl_t",
+        config: || {
+            let mut c = table_config(Algorithm::TwoPhaseLockingTimeout, 0.0);
+            c.system.lock_timeout = SimDuration::from_millis(100);
+            c
+        },
+        covers: |r| r.aborts_by_cause.lock_timeout,
+        digest: "commits=50 aborts=29 causes=[0 0 0 0 29 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x4030d578d88081c1 rt=0x3fe5e9d397430778",
+    },
+    GoldenRow {
+        name: "ww",
+        config: || table_config(Algorithm::WoundWait, 0.0),
+        covers: |r| r.aborts_by_cause.wound,
+        digest: "commits=50 aborts=16 causes=[0 16 0 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x403322c3cca163e7 rt=0x3fe8cba85a52b803",
+    },
+    GoldenRow {
+        name: "wd",
+        config: || table_config(Algorithm::WaitDie, 0.0),
+        covers: |r| r.aborts_by_cause.timestamp,
+        digest: "commits=50 aborts=16 causes=[0 0 16 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x403317a23b67444b rt=0x3fe9c289615646e0",
+    },
+    GoldenRow {
+        name: "bto",
+        config: || table_config(Algorithm::BasicTimestampOrdering, 0.0),
+        covers: |r| r.aborts_by_cause.timestamp,
+        digest: "commits=50 aborts=4 causes=[0 0 4 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x40337d8da9ebf654 rt=0x3fe97d1364da1cdd",
+    },
+    GoldenRow {
+        name: "opt",
+        config: || table_config(Algorithm::Optimistic, 0.0),
+        covers: |r| r.aborts_by_cause.validation,
+        digest: "commits=50 aborts=14 causes=[0 0 0 14 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x402fe8bdd185639a rt=0x3feceaa0c6dcb846",
+    },
+    GoldenRow {
+        name: "no_dc",
+        config: || table_config(Algorithm::NoDataContention, 0.0),
+        covers: |r| r.commits,
+        digest: "commits=50 aborts=0 causes=[0 0 0 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x40364249e4686058 rt=0x3fe810c31d681a18",
+    },
+    GoldenRow {
+        name: "rowa3_faults",
+        config: || {
+            let mut c = with_faults(table_config(Algorithm::TwoPhaseLocking, 0.0));
+            c.replication = ReplicationParams::rowa(3);
+            c.control.seed = 15;
+            c
+        },
+        covers: |r| {
+            let f = &r.fault_stats;
+            f.crashes
+                .min(f.mid_commit_crashes)
+                .min(f.msgs_dropped)
+                .min(f.msgs_delayed)
+                .min(f.msgs_to_down_node)
+                .min(f.disk_stalls)
+        },
+        digest: "commits=50 aborts=65 causes=[4 2 0 0 0 59 0 0] faults=[4 4 2 106 122 20 4] thr=0x4012c32b412efae1 rt=0x3ffb6548a6fd4d52",
+    },
+    GoldenRow {
+        name: "quorum3",
+        config: || {
+            let mut c = table_config(Algorithm::WoundWait, 0.0);
+            c.replication = ReplicationParams::quorum(3, 2, 2);
+            c
+        },
+        covers: |r| r.aborts_by_cause.wound,
+        digest: "commits=50 aborts=11 causes=[0 11 0 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x40237160ea02d008 rt=0x3ff991c0dcaa9690",
+    },
+    GoldenRow {
+        name: "factor1_faults",
+        config: || {
+            let mut c = with_faults(table_config(Algorithm::Optimistic, 0.0));
+            c.replication = ReplicationParams::rowa(1);
+            c
+        },
+        covers: |r| r.aborts_by_cause.replica_unavailable,
+        digest: "commits=50 aborts=37 causes=[0 0 0 8 0 13 0 16] faults=[1 1 0 87 79 0 2] thr=0x4026f068c492068c rt=0x3ff4be0a5f30656e",
+    },
+    GoldenRow {
+        name: "sequential",
+        config: || {
+            let mut c = table_config(Algorithm::WoundWait, 0.0);
+            c.workload.exec_pattern = ExecPattern::Sequential;
+            c
+        },
+        covers: |r| r.aborts,
+        digest: "commits=50 aborts=4 causes=[0 4 0 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x40300daa2d4bcff9 rt=0x3ff1050a6e8f9df4",
+    },
+    GoldenRow {
+        name: "buffer_pages",
+        config: || {
+            let mut c = table_config(Algorithm::BasicTimestampOrdering, 1.0);
+            c.system.buffer_pages = 64;
+            c
+        },
+        covers: |r| (r.buffer_hit_ratio > 0.0) as u64,
+        digest: "commits=50 aborts=0 causes=[0 0 0 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x402e5f5ef77f39c5 rt=0x3fc96ef30d815a76",
+    },
+];
+
+/// Golden table: small configurations that each drive one protocol path
+/// the single-config golden above never takes — deadlock victims, lock
+/// timeouts, wounds, timestamp rejections, validation aborts, crashes and
+/// message faults, replica routing, sequential execution, the buffer pool.
+/// Regenerate as for the golden snapshot; the failure message prints the
+/// new digest.
+#[test]
+fn golden_table_pins_every_abort_and_fault_path() {
+    for row in GOLDEN_TABLE {
+        let r = run_config((row.config)()).expect("valid");
+        eprintln!("{}: {}", row.name, digest(&r));
+        assert!(
+            (row.covers)(&r) > 0,
+            "{}: the covered path never ran",
+            row.name
+        );
+        assert_eq!(digest(&r), row.digest, "{} drifted", row.name);
+    }
+}
