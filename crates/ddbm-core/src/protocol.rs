@@ -96,6 +96,17 @@ pub struct Message {
     pub kind: MsgKind,
 }
 
+/// An empty envelope: host to host, carrying a `SnoopPass`.
+impl Default for Message {
+    fn default() -> Message {
+        Message {
+            from: NodeId::HOST,
+            to: NodeId::HOST,
+            kind: MsgKind::SnoopPass,
+        }
+    }
+}
+
 /// The protocol messages of the model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 // Field names in this protocol are uniform (`txn`, `run`, `cohort`, …)

@@ -1,0 +1,62 @@
+//! Freelists: transaction plans, cohort-progress vectors, write-back page
+//! lists, Snoop edge buffers, message envelopes and resource completion
+//! buffers all cycle through one [`Pool`] type, so the steady-state
+//! transaction lifecycle performs no heap allocation (pinned by
+//! `tests/alloc_steady_state.rs`).
+
+use crate::protocol::Message;
+use crate::workload::TxnTemplate;
+use std::rc::Rc;
+
+/// Upper bound on every pool. Pool high-water marks track live-transaction
+/// counts, which the terminal population bounds, or handler recursion
+/// depth; anything beyond the cap is genuinely excess.
+const CAP: usize = 256;
+
+/// A capped LIFO freelist.
+#[derive(Default)]
+pub(super) struct Pool<T> {
+    free: Vec<T>,
+}
+
+impl<T: Recycle + Default> Pool<T> {
+    /// A pool stocked to capacity up front.
+    pub(super) fn stocked(make: impl FnMut() -> T) -> Self {
+        Pool {
+            free: std::iter::repeat_with(make).take(CAP).collect(),
+        }
+    }
+
+    /// A recycled value, or a fresh default one when the pool is empty.
+    #[inline]
+    pub(super) fn take(&mut self) -> T {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Return `value` for reuse, recycled, unless the pool is full.
+    #[inline]
+    pub(super) fn put(&mut self, mut value: T) {
+        if self.free.len() < CAP {
+            value.recycle();
+            self.free.push(value);
+        }
+    }
+}
+
+/// What a value sheds when it returns to a [`Pool`].
+pub(super) trait Recycle {
+    /// Drop contents, keep capacity. Plans and envelopes are overwritten
+    /// whole by their next user, so by default nothing is shed.
+    fn recycle(&mut self) {}
+}
+
+impl<T> Recycle for Vec<T> {
+    #[inline]
+    fn recycle(&mut self) {
+        self.clear();
+    }
+}
+
+impl Recycle for Rc<TxnTemplate> {}
+
+impl Recycle for Box<Message> {}

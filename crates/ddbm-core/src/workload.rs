@@ -37,7 +37,7 @@ pub struct CohortSpec {
 
 /// The full access plan of a transaction: one cohort per node storing any
 /// partition of the accessed relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TxnTemplate {
     /// Relation.
     pub relation: usize,
