@@ -64,35 +64,36 @@ fn calendar(c: &mut Criterion) {
             black_box(sum)
         })
     });
-    // The exact-scheduling pattern: most scheduled completions are
-    // superseded and withdrawn before they fire. Two of every three
-    // keyed events are cancelled and replaced, mimicking the simulator
+    // The exact-scheduling pattern: most completion predictions are
+    // superseded before they fire. Two of every three steps re-predict one
+    // of 256 prediction slots in place, mimicking the simulator
     // re-predicting a node's next CPU completion on every state change.
-    c.bench_function("calendar/cancel_heavy", |b| {
+    c.bench_function("calendar/slot_churn", |b| {
         b.iter(|| {
             let mut cal = EventCalendar::new();
             let mut rng = SimRng::from_seed(3);
-            // One live keyed event per slot, like one pending completion
-            // prediction per simulated node.
-            let mut pending: Vec<_> = (0..256u64)
-                .map(|i| cal.schedule_keyed(SimTime(rng.uniform_u64(1, 1_000)), i))
+            // One pending prediction per slot, like one per simulated node
+            // resource.
+            let slots: Vec<_> = (0..256u64)
+                .map(|i| {
+                    let slot = cal.register_slot();
+                    cal.set_slot(slot, SimTime(rng.uniform_u64(1, 1_000)), i);
+                    slot
+                })
                 .collect();
             let mut sum = 0u64;
             for i in 0..50_000u64 {
                 if i % 3 == 0 {
-                    // A prediction comes true: fire it, schedule the next.
+                    // A prediction comes true: fire it, predict the next.
                     let (t, e) = cal.pop().expect("kept non-empty");
                     sum = sum.wrapping_add(e);
                     let at = t + SimDuration(rng.uniform_u64(1, 1_000));
-                    pending[e as usize] = cal.schedule_keyed(at, e);
+                    cal.set_slot(slots[e as usize], at, e);
                 } else {
-                    // A prediction is superseded: withdraw and replace it.
-                    let k = rng.index(pending.len());
+                    // A prediction is superseded: overwrite it in place.
+                    let k = rng.index(slots.len());
                     let at = cal.now() + SimDuration(rng.uniform_u64(1, 1_000));
-                    let fresh = cal.schedule_keyed(at, k as u64);
-                    let stale = std::mem::replace(&mut pending[k], fresh);
-                    let withdrawn = cal.cancel(stale);
-                    debug_assert!(withdrawn);
+                    cal.set_slot(slots[k], at, k as u64);
                 }
             }
             black_box(sum)
@@ -325,10 +326,11 @@ fn whole_sim(c: &mut Criterion) {
 }
 
 /// Message-path cost end to end: a fully declustered run with zero think
-/// time, so nearly every simulated event is a cross-node message hop. The
-/// envelopes ride the simulator's recycled `Msg` freelist and the
-/// calendar's same-instant lane; this bench is the live number behind
-/// both.
+/// time, so nearly every simulated event is a cross-node message hop.
+/// Fault-free messages are never boxed: each hop rides the CPU message
+/// class and the calendar's same-instant lane, and this bench is the live
+/// number behind that path. (Only dropped, delayed or down-node messages
+/// take a recycled `Event::MsgArrive` envelope.)
 fn messages(c: &mut Criterion) {
     let mut group = c.benchmark_group("messages");
     group.sample_size(10);

@@ -8,7 +8,7 @@
 //! exclude; an access that will update a page takes a write lock directly
 //! (the read and its conversion happen at the same access instant in this
 //! workload model). They differ only in how they deal with deadlock — the
-//! private [`Rule`] — and every rule reads the same conflict relation,
+//! private `Rule` — and every rule reads the same conflict relation,
 //! [`LockTable::wait_pairs`]: a queued request waits behind each
 //! conflicting holder and each conflicting request queued ahead of it.
 //!

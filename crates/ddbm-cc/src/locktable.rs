@@ -122,7 +122,7 @@ impl LockTable {
     /// [`CcManager::preallocate`](crate::manager::CcManager::preallocate)).
     ///
     /// Besides reserving the map itself, this stocks the shell pool with one
-    /// [`PageLock`] per page, each with room for a few holders. At most
+    /// `PageLock` per page, each with room for a few holders. At most
     /// `num_pages` entries can be live at once, so the pool can never run
     /// dry afterwards and the first grant on a fresh page entry stays off
     /// the allocator.

@@ -2,7 +2,7 @@
 //!
 //! The paper's resource manager deliberately does not model buffering
 //! (footnote 6: "modeling buffering in detail would certainly lead to
-//! different absolute results, [but] we do not expect that doing so would
+//! different absolute results, \[but\] we do not expect that doing so would
 //! significantly affect the general conclusions … we plan to verify this
 //! conjecture in the future"). This type lets the simulator run that
 //! verification: with a capacity of zero it is inert and the model is the

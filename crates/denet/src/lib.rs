@@ -24,7 +24,7 @@ pub mod time;
 pub mod trace;
 pub mod witness;
 
-pub use calendar::{EventCalendar, EventToken, SlotId};
+pub use calendar::{EventCalendar, SlotId};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SimRng;
 pub use stats::{BatchMeans, BusyTracker, LogHistogram, RateCounter, Tally, TimeWeighted};

@@ -1,8 +1,6 @@
 //! Property-based tests for the simulation engine.
 
-use denet::{
-    EventCalendar, EventToken, LogHistogram, SimDuration, SimRng, SimTime, Tally, TimeWeighted,
-};
+use denet::{EventCalendar, LogHistogram, SimDuration, SimRng, SimTime, Tally, TimeWeighted};
 use proptest::prelude::*;
 
 /// One step of a calendar/reference interleaving. Delays are relative to the
@@ -13,11 +11,14 @@ use proptest::prelude::*;
 enum CalOp {
     /// Plain `schedule` at `now + delay` µs.
     Schedule(u64),
-    /// `schedule_keyed` at `now + delay` µs, retaining the token.
-    ScheduleKeyed(u64),
-    /// Cancel the pending token at `index % pending.len()` (no-op when no
-    /// tokens are pending).
-    Cancel(usize),
+    /// `schedule_after(delay)`; a zero delay takes the same-instant lane.
+    After(u64),
+    /// `schedule_now`.
+    Now,
+    /// Re-predict slot `k` at `now + delay` µs with `set_slot`.
+    SetSlot(usize, u64),
+    /// Withdraw slot `k` with `clear_slot`.
+    ClearSlot(usize),
     /// Pop once from both structures and compare.
     Pop,
 }
@@ -25,9 +26,11 @@ enum CalOp {
 fn cal_op_strategy() -> impl Strategy<Value = CalOp> {
     prop_oneof![
         3 => (0u64..50).prop_map(CalOp::Schedule),
-        3 => (0u64..50).prop_map(CalOp::ScheduleKeyed),
-        2 => (0usize..1024).prop_map(CalOp::Cancel),
-        3 => Just(CalOp::Pop),
+        3 => (0u64..30).prop_map(CalOp::After),
+        2 => Just(CalOp::Now),
+        3 => ((0usize..4), (0u64..30)).prop_map(|(k, d)| CalOp::SetSlot(k, d)),
+        1 => (0usize..4).prop_map(CalOp::ClearSlot),
+        4 => Just(CalOp::Pop),
     ]
 }
 
@@ -151,194 +154,92 @@ proptest! {
             prop_assert!(x.is_finite() && x >= 0.0);
         }
     }
+}
 
+proptest! {
     /// Model test: under arbitrary interleavings of `schedule`,
-    /// `schedule_keyed`, `cancel`, and `pop`, the calendar must behave
-    /// exactly like the naive scan-the-vector reference — time order, FIFO
-    /// within an instant, cancelled events suppressed, and `len()` counting
-    /// live events exactly.
+    /// `schedule_after`, `schedule_now`, `set_slot`, `clear_slot` and `pop`,
+    /// the calendar must behave exactly like the naive scan-the-vector
+    /// reference — time order, FIFO within an instant, superseded and
+    /// withdrawn slot predictions suppressed, and `len()` and `peek_time()`
+    /// exact. Every event takes the next arrival number, as the calendar
+    /// takes the next sequence number: a slot's new prediction replaces its
+    /// old reference entry with a fresh arrival, and a cleared slot removes
+    /// its entry and takes none.
     #[test]
     fn calendar_matches_sorted_vec_reference(
-        ops in prop::collection::vec(cal_op_strategy(), 1..200),
+        ops in prop::collection::vec(cal_op_strategy(), 1..300),
     ) {
         let mut cal: EventCalendar<u64> = EventCalendar::new();
+        let slots: Vec<_> = (0..4).map(|_| cal.register_slot()).collect();
         let mut reference: Vec<RefEntry> = Vec::new();
-        // Tokens whose events have neither fired nor been cancelled, with
-        // the arrival id they were scheduled under.
-        let mut pending: Vec<(EventToken, u64)> = Vec::new();
+        // The arrival number of each slot's pending prediction.
+        let mut slot_arrival: [Option<u64>; 4] = [None; 4];
         let mut arrivals: u64 = 0;
 
         for op in ops {
+            let now = cal.now();
             match op {
                 CalOp::Schedule(delay_us) => {
-                    let at = cal.now() + SimDuration::from_micros(delay_us);
+                    let at = now + SimDuration::from_micros(delay_us);
                     cal.schedule(at, arrivals);
                     reference.push(RefEntry { time: at, arrival: arrivals });
                     arrivals += 1;
                 }
-                CalOp::ScheduleKeyed(delay_us) => {
-                    let at = cal.now() + SimDuration::from_micros(delay_us);
-                    let tok = cal.schedule_keyed(at, arrivals);
-                    pending.push((tok, arrivals));
-                    reference.push(RefEntry { time: at, arrival: arrivals });
+                CalOp::After(delay_us) => {
+                    let d = SimDuration::from_micros(delay_us);
+                    cal.schedule_after(d, arrivals);
+                    reference.push(RefEntry { time: now + d, arrival: arrivals });
                     arrivals += 1;
                 }
-                CalOp::Cancel(index) => {
-                    if pending.is_empty() {
-                        continue;
+                CalOp::Now => {
+                    cal.schedule_now(arrivals);
+                    reference.push(RefEntry { time: now, arrival: arrivals });
+                    arrivals += 1;
+                }
+                CalOp::SetSlot(k, delay_us) => {
+                    let at = now + SimDuration::from_micros(delay_us);
+                    if let Some(old) = slot_arrival[k] {
+                        reference.retain(|e| e.arrival != old);
                     }
-                    let (tok, id) = pending.swap_remove(index % pending.len());
-                    prop_assert!(cal.cancel(tok), "live token must cancel");
-                    let pos = reference
-                        .iter()
-                        .position(|e| e.arrival == id)
-                        .expect("pending token implies a reference entry");
-                    reference.swap_remove(pos);
+                    cal.set_slot(slots[k], at, arrivals);
+                    reference.push(RefEntry { time: at, arrival: arrivals });
+                    slot_arrival[k] = Some(arrivals);
+                    arrivals += 1;
+                }
+                CalOp::ClearSlot(k) => {
+                    if let Some(old) = slot_arrival[k].take() {
+                        reference.retain(|e| e.arrival != old);
+                    }
+                    cal.clear_slot(slots[k]);
                 }
                 CalOp::Pop => {
                     let expected = ref_pop(&mut reference);
                     let got = cal.pop();
                     prop_assert_eq!(got, expected, "pop disagrees with the reference");
                     if let Some((_, id)) = got {
-                        // The token (if any) is spent now; forget it so a
-                        // later Cancel cannot target a delivered event.
-                        pending.retain(|(_, p)| *p != id);
+                        // A delivered prediction vacates its slot.
+                        for a in &mut slot_arrival {
+                            if *a == Some(id) {
+                                *a = None;
+                            }
+                        }
                     }
                 }
             }
             prop_assert_eq!(cal.len(), reference.len(), "live-event counts diverged");
             prop_assert_eq!(cal.is_empty(), reference.is_empty());
+            prop_assert_eq!(
+                cal.peek_time(),
+                reference.iter().map(|e| e.time).min(),
+                "peek disagrees with the reference"
+            );
         }
 
-        // Drain both to the end: full order equality, including ties and
-        // surviving cancellations.
+        // Drain both to the end: full order equality, including ties.
         loop {
             let expected = ref_pop(&mut reference);
             let got = cal.pop();
-            prop_assert_eq!(got, expected);
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-}
-
-/// One step of the fast-lane/slot vs heap-only equivalence interleaving.
-#[derive(Debug, Clone)]
-enum LaneOp {
-    /// `schedule_after(delay)` — zero delays take the microqueue on the
-    /// subject and the heap on the reference.
-    After(u64),
-    /// `schedule_now` on the subject; `schedule(now)` on the reference.
-    Now,
-    /// `schedule_keyed` on both, retaining the token.
-    Keyed(u64),
-    /// Cancel the pending token at `index % pending.len()` on both.
-    Cancel(usize),
-    /// Re-predict slot `k`: `set_slot` on the subject, cancel+`schedule_keyed`
-    /// on the reference.
-    SetSlot(usize, u64),
-    /// Withdraw slot `k`: `clear_slot` on the subject, cancel on the
-    /// reference.
-    ClearSlot(usize),
-    /// Pop once from both and compare.
-    Pop,
-}
-
-fn lane_op_strategy() -> impl Strategy<Value = LaneOp> {
-    prop_oneof![
-        3 => (0u64..30).prop_map(LaneOp::After),
-        2 => Just(LaneOp::Now),
-        2 => (0u64..30).prop_map(LaneOp::Keyed),
-        1 => (0usize..1024).prop_map(LaneOp::Cancel),
-        3 => ((0usize..4), (0u64..30)).prop_map(|(k, d)| LaneOp::SetSlot(k, d)),
-        1 => (0usize..4).prop_map(LaneOp::ClearSlot),
-        4 => Just(LaneOp::Pop),
-    ]
-}
-
-const SLOT_BASE: u64 = 1 << 40;
-
-proptest! {
-    /// Tentpole equivalence: for arbitrary mixes of zero-delay events,
-    /// delayed events, cancellation tokens, and slot predictions, a
-    /// calendar using the same-instant fast lane and prediction slots pops
-    /// the exact sequence a heap-only calendar (plain `schedule` /
-    /// `schedule_keyed` + `cancel`) produces.
-    #[test]
-    fn fast_lane_and_slots_match_heap_only_reference(
-        ops in prop::collection::vec(lane_op_strategy(), 1..300),
-    ) {
-        let mut subject: EventCalendar<u64> = EventCalendar::new();
-        let mut reference: EventCalendar<u64> = EventCalendar::new();
-        let slots: Vec<_> = (0..4).map(|_| subject.register_slot()).collect();
-        let mut slot_tokens: Vec<Option<EventToken>> = vec![None; 4];
-        let mut pending: Vec<(EventToken, u64)> = Vec::new();
-        let mut arrivals: u64 = 0;
-
-        for op in ops {
-            match op {
-                LaneOp::After(delay_us) => {
-                    let d = SimDuration::from_micros(delay_us);
-                    reference.schedule(reference.now() + d, arrivals);
-                    subject.schedule_after(d, arrivals);
-                    arrivals += 1;
-                }
-                LaneOp::Now => {
-                    reference.schedule(reference.now(), arrivals);
-                    subject.schedule_now(arrivals);
-                    arrivals += 1;
-                }
-                LaneOp::Keyed(delay_us) => {
-                    let at = reference.now() + SimDuration::from_micros(delay_us);
-                    let rt = reference.schedule_keyed(at, arrivals);
-                    let st = subject.schedule_keyed(at, arrivals);
-                    prop_assert_eq!(rt, st, "token keys diverged");
-                    pending.push((rt, arrivals));
-                    arrivals += 1;
-                }
-                LaneOp::Cancel(index) => {
-                    if pending.is_empty() {
-                        continue;
-                    }
-                    let (tok, _) = pending.swap_remove(index % pending.len());
-                    prop_assert!(reference.cancel(tok));
-                    prop_assert!(subject.cancel(tok));
-                }
-                LaneOp::SetSlot(k, delay_us) => {
-                    let at = reference.now() + SimDuration::from_micros(delay_us);
-                    if let Some(tok) = slot_tokens[k].take() {
-                        reference.cancel(tok);
-                    }
-                    slot_tokens[k] = Some(reference.schedule_keyed(at, SLOT_BASE + k as u64));
-                    subject.set_slot(slots[k], at, SLOT_BASE + k as u64);
-                }
-                LaneOp::ClearSlot(k) => {
-                    if let Some(tok) = slot_tokens[k].take() {
-                        reference.cancel(tok);
-                    }
-                    subject.clear_slot(slots[k]);
-                }
-                LaneOp::Pop => {
-                    let expected = reference.pop();
-                    let got = subject.pop();
-                    prop_assert_eq!(got, expected, "pop diverged from heap-only reference");
-                    if let Some((_, id)) = got {
-                        if id >= SLOT_BASE {
-                            slot_tokens[(id - SLOT_BASE) as usize] = None;
-                        } else {
-                            pending.retain(|(_, p)| *p != id);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(subject.len(), reference.len(), "live-event counts diverged");
-            prop_assert_eq!(subject.peek_time(), reference.peek_time());
-        }
-
-        loop {
-            let expected = reference.pop();
-            let got = subject.pop();
             prop_assert_eq!(got, expected);
             if got.is_none() {
                 break;
