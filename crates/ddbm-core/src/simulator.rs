@@ -168,7 +168,7 @@ pub struct Simulator {
     edge_pool: Pool<Vec<(TxnId, TxnId)>>,
     /// Page-sampling scratch reused across template generations.
     sample_scratch: Vec<usize>,
-    /// Node-liveness scratch reused across `materialize` calls.
+    /// Node-liveness scratch reused across `route` calls.
     route_up: Vec<bool>,
     rng_think: SimRng,
     rng_work: SimRng,

@@ -46,6 +46,7 @@ impl Simulator {
 
     /// True if (txn, run, cohort) identifies a cohort that is still
     /// executing — the guard that drops stale completions.
+    #[inline]
     pub(super) fn live_cohort(&self, id: TxnId, run: RunId, cohort: CohortIdx) -> bool {
         self.txns.get(id).is_some_and(|t| {
             t.run == run

@@ -5,7 +5,7 @@
 use super::Simulator;
 use crate::protocol::{AbortCause, CohortIdx, CpuJob, Event, MsgKind, RunId};
 use crate::txn::{CohortRun, TxnPhase, TxnRuntime};
-use crate::workload::{generate_template_into, TxnTemplate};
+use crate::workload::generate_template_into;
 use ddbm_cc::Ts;
 use ddbm_config::{ExecPattern, NodeId, TxnId};
 use denet::SimTime;
@@ -16,9 +16,10 @@ impl Simulator {
         if self.draining {
             return; // chaos epilogue: no new admissions, just finish the rest
         }
-        let mut logical: Option<Rc<TxnTemplate>> = None;
-        let mut unavailable = false;
-        let template: Rc<TxnTemplate> = if let Some(script) = &mut self.script {
+        // Under replication the logical plan stays with the transaction, for
+        // re-routing at restart; `unavailable` marks a plan with no live
+        // read/write replica set for some file.
+        let (template, logical, unavailable) = if let Some(script) = &mut self.script {
             // Oracle replay: fixed templates in submission order; once the
             // script runs dry the terminal simply stops submitting. Scripted
             // templates are already physical (replica routing baked in at
@@ -28,7 +29,7 @@ impl Simulator {
             };
             script.next += 1;
             let t = t.clone();
-            self.pooled_template(t)
+            (self.pooled_template(t), None, false)
         } else {
             let relation = self.config.relation_of_terminal(terminal);
             let mut tpl = self.tpl_pool.take();
@@ -45,22 +46,13 @@ impl Simulator {
                 );
                 self.sample_scratch = scratch;
             }
-            if !self.replication_on {
-                tpl
-            } else {
-                // The logical plan stays with the transaction, for
-                // re-routing at restart.
+            if self.replication_on {
                 match self.route(&tpl) {
-                    Ok(t) => {
-                        logical = Some(tpl);
-                        t
-                    }
-                    Err(_file) => {
-                        logical = Some(Rc::clone(&tpl));
-                        unavailable = true;
-                        tpl
-                    }
+                    Ok(t) => (t, Some(tpl), false),
+                    Err(_file) => (Rc::clone(&tpl), Some(tpl), true),
                 }
+            } else {
+                (tpl, None, false)
             }
         };
         if !unavailable {

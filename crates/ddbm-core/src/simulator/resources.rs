@@ -11,6 +11,7 @@ use denet::{SimDuration, SimTime, SlotId};
 impl Simulator {
     /// Advance a node's CPU and handle every completed job. Completions land
     /// in a pooled scratch buffer, so steady-state advances do not allocate.
+    #[inline]
     pub(super) fn touch_cpu(&mut self, now: SimTime, node: NodeId) {
         if self.nodes[node.0].cpu.is_current(now) {
             return; // clock already at `now`: nothing can have completed
@@ -104,6 +105,7 @@ impl Simulator {
 
     /// Submit ordinary (processor-shared) CPU work; zero-cost work completes
     /// inline.
+    #[inline]
     pub(super) fn cpu_shared(&mut self, now: SimTime, node: NodeId, job: CpuJob, instr: f64) {
         self.touch_cpu(now, node);
         if let Some(done) = self.nodes[node.0].cpu.submit_shared(now, job, instr) {
@@ -126,6 +128,7 @@ impl Simulator {
     }
 
     /// Queue the send-side protocol processing for a message.
+    #[inline]
     pub(super) fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, kind: MsgKind) {
         if let Some(o) = &mut self.obs {
             o.msg_send(now, from, to, kind.tag());

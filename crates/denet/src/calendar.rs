@@ -70,10 +70,11 @@
 //! its replacement is pushed — historically ~25–30% of all scheduled events
 //! were superseded this way. A
 //! [`register_slot`](EventCalendar::register_slot) slot holds at most one
-//! pending event in a flat array instead: [`set_slot`](EventCalendar::set_slot) overwrites in
-//! place (an O(1) store) and `pop` finds the earliest slot with a linear
-//! scan over a dense key array — a handful of cache lines for the
-//! simulator's ~2 slots/node, cheaper than the sift traffic it replaces.
+//! pending event in a flat array instead:
+//! [`set_slot`](EventCalendar::set_slot) overwrites in place (an O(1)
+//! store) and `pop` finds the earliest slot with a linear scan over a dense
+//! key array — a handful of cache lines for the simulator's ~2 slots/node,
+//! cheaper than the sift traffic it replaces.
 //!
 //! **Determinism:** `set_slot` assigns `seq = next_seq++` exactly as a heap
 //! push does, and `clear_slot` consumes no seq. A slot therefore behaves
