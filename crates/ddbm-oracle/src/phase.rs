@@ -8,25 +8,47 @@
 //! events be checked against the coordinator phase *as of their emission*:
 //! a commit-release witnessed while the coordinator is still Executing is
 //! exactly the broken early lock release the strictness check must catch.
+//!
+//! # State
+//!
+//! One record per live run holds its phase, the nodes that released it and
+//! its failed certifications; the only other state is a crash count per
+//! node. A record is dropped as soon as no later event can read it:
+//! * a committed run's at its `Committed` event, which the coordinator
+//!   emits after the last cohort ack, once the transaction has left the
+//!   simulator, so no later witness event names the run;
+//! * an aborted run's when the transaction's next run enters `Executing`,
+//!   whose transition check is the record's last reader.
+//!
+//! Dropped records' buffers are kept for reuse, so the tracker's size
+//! follows the number of runs in flight, not the length of the stream.
 
 use crate::violation::{Violation, ViolationKind};
 use ddbm_config::{NodeId, TxnId};
 use ddbm_core::protocol::RunId;
-use ddbm_core::{TxnPhase, WitnessEvent, WitnessReply};
-use denet::{FxHashMap, FxHashSet, SimTime};
+use ddbm_core::{TxnPhase, WitnessEvent};
+use denet::{FxHashMap, SimTime};
+
+/// What the tracker knows about one live run.
+#[derive(Debug, Default)]
+struct RunState {
+    /// `None` until the run's first `Phase` event.
+    phase: Option<TxnPhase>,
+    /// Nodes whose CC state for the run was already released.
+    released: Vec<NodeId>,
+    /// Failed certifications still awaiting the commit check:
+    /// `(node, node crash count at certify time)`.
+    failed_certify: Vec<(NodeId, u64)>,
+}
 
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct PhaseTracker {
-    phases: FxHashMap<(TxnId, RunId), TxnPhase>,
-    committed: FxHashSet<(TxnId, RunId)>,
-    /// Failed certifications still awaiting the commit check:
-    /// `(txn, run) → [(node, node crash count at certify time)]`.
-    failed_certify: FxHashMap<(TxnId, RunId), Vec<(NodeId, u64)>>,
+    runs: FxHashMap<(TxnId, RunId), RunState>,
+    /// Dropped records, kept for their buffers.
+    spare: Vec<RunState>,
     /// Crashes seen per node, to excuse certify state lost in a rebuild.
     crash_counts: FxHashMap<NodeId, u64>,
-    /// Node-local CC state already released: `(txn, run, node)`.
-    released: FxHashSet<(TxnId, RunId, NodeId)>,
 }
 
 impl PhaseTracker {
@@ -35,19 +57,34 @@ impl PhaseTracker {
         PhaseTracker::default()
     }
 
-    /// Current coordinator phase of `(txn, run)`, if the run has started.
+    /// Current coordinator phase of `(txn, run)`, if the run has started
+    /// and its record is still held.
     pub fn phase(&self, txn: TxnId, run: RunId) -> Option<TxnPhase> {
-        self.phases.get(&(txn, run)).copied()
-    }
-
-    /// True when the run's durable commit has been witnessed.
-    pub fn is_committed(&self, txn: TxnId, run: RunId) -> bool {
-        self.committed.contains(&(txn, run))
+        self.runs.get(&(txn, run)).and_then(|s| s.phase)
     }
 
     /// True when this node's CC state for the run was already released.
     pub fn is_released(&self, txn: TxnId, run: RunId, node: NodeId) -> bool {
-        self.released.contains(&(txn, run, node))
+        self.runs
+            .get(&(txn, run))
+            .is_some_and(|s| s.released.contains(&node))
+    }
+
+    fn state(&mut self, txn: TxnId, run: RunId) -> &mut RunState {
+        let spare = &mut self.spare;
+        self.runs
+            .entry((txn, run))
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Drop a run's record, keeping its buffers.
+    fn drop_run(&mut self, txn: TxnId, run: RunId) {
+        if let Some(mut s) = self.runs.remove(&(txn, run)) {
+            s.phase = None;
+            s.released.clear();
+            s.failed_certify.clear();
+            self.spare.push(s);
+        }
     }
 
     fn check_transition(
@@ -86,7 +123,10 @@ impl PhaseTracker {
                 detail: format!("run {run} entered {phase:?} from {prev:?}"),
             });
         }
-        self.phases.insert((txn, run), phase);
+        self.state(txn, run).phase = Some(phase);
+        if phase == TxnPhase::Executing && run > 1 {
+            self.drop_run(txn, run - 1);
+        }
     }
 
     /// Feed one witnessed event through the tracker, reporting phase-level
@@ -136,7 +176,6 @@ impl PhaseTracker {
                         detail: "access request after this node released the run".into(),
                     });
                 }
-                let _ = reply == WitnessReply::Granted;
             }
             WitnessEvent::Grant {
                 txn,
@@ -176,10 +215,7 @@ impl PhaseTracker {
             } => {
                 if !ok {
                     let crashes = self.crash_counts.get(&node).copied().unwrap_or(0);
-                    self.failed_certify
-                        .entry((txn, run))
-                        .or_default()
-                        .push((node, crashes));
+                    self.state(txn, run).failed_certify.push((node, crashes));
                 }
             }
             WitnessEvent::Release {
@@ -188,7 +224,7 @@ impl PhaseTracker {
                 node,
                 commit,
             } => {
-                if self.released.contains(&(txn, run, node)) {
+                if self.is_released(txn, run, node) {
                     return; // duplicate release: first one was checked
                 }
                 let phase = self.phase(txn, run);
@@ -215,7 +251,7 @@ impl PhaseTracker {
                         ),
                     });
                 }
-                self.released.insert((txn, run, node));
+                self.state(txn, run).released.push(node);
             }
             WitnessEvent::Committed { txn, run, .. } => {
                 let phase = self.phase(txn, run);
@@ -229,8 +265,8 @@ impl PhaseTracker {
                         detail: format!("committed from {phase:?} (never reached Committing)"),
                     });
                 }
-                if let Some(failures) = self.failed_certify.remove(&(txn, run)) {
-                    for (node, crashes_then) in failures {
+                if let Some(s) = self.runs.get(&(txn, run)) {
+                    for &(node, crashes_then) in &s.failed_certify {
                         let crashes_now = self.crash_counts.get(&node).copied().unwrap_or(0);
                         // A crash rebuilds the manager and the cohort is
                         // re-voted; only an unexcused failure is a bug.
@@ -246,7 +282,7 @@ impl PhaseTracker {
                         }
                     }
                 }
-                self.committed.insert((txn, run));
+                self.drop_run(txn, run);
             }
             WitnessEvent::NodeCrash { node } => {
                 *self.crash_counts.entry(node).or_insert(0) += 1;
@@ -255,5 +291,60 @@ impl PhaseTracker {
             | WitnessEvent::Wound { .. }
             | WitnessEvent::Install { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use TxnPhase::{Aborting, Committing, Executing, Preparing, WaitingRestart};
+
+    #[test]
+    fn records_are_dropped_when_runs_end() {
+        let txn = TxnId(1);
+        let node = NodeId(1);
+        let mut t = PhaseTracker::new();
+        let mut out = Vec::new();
+        let mut feed = |t: &mut PhaseTracker, ev: WitnessEvent| {
+            t.observe(SimTime(0), &ev, false, &mut out);
+        };
+        for phase in [Executing, Aborting, WaitingRestart] {
+            feed(&mut t, WitnessEvent::Phase { txn, run: 1, phase });
+        }
+        // The aborted run is held until its successor's transition check.
+        assert_eq!(t.phase(txn, 1), Some(WaitingRestart));
+        feed(
+            &mut t,
+            WitnessEvent::Phase {
+                txn,
+                run: 2,
+                phase: Executing,
+            },
+        );
+        assert_eq!(t.phase(txn, 1), None);
+        for phase in [Preparing, Committing] {
+            feed(&mut t, WitnessEvent::Phase { txn, run: 2, phase });
+        }
+        let release = WitnessEvent::Release {
+            txn,
+            run: 2,
+            node,
+            commit: true,
+        };
+        feed(&mut t, release);
+        assert!(t.is_released(txn, 2, node));
+        feed(
+            &mut t,
+            WitnessEvent::Committed {
+                txn,
+                run: 2,
+                run_ts: Default::default(),
+                commit_ts: Default::default(),
+            },
+        );
+        assert_eq!(t.phase(txn, 2), None);
+        assert!(!t.is_released(txn, 2, node));
+        assert!(t.runs.is_empty());
+        assert!(out.is_empty(), "{out:?}");
     }
 }

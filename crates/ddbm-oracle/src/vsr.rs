@@ -11,15 +11,50 @@
 //! bounded budget. This covers what the [`crate::csr`] conflict check
 //! cannot: Thomas-rule skips and certification-time validation produce
 //! histories that are view- but not conflict-serializable.
+//!
+//! # Layout
+//!
+//! Each `(txn, run)` gets a dense `u32` id the first time the stream names
+//! it, and each logical page a dense `u32` too. Per run the collector keeps
+//! one byte (live, committed or aborted); per committed run, its id and
+//! timestamps in commit order. The visible version of each page replica
+//! names its writer by id and keeps the order key and stream position that
+//! the replace and collapse comparisons read.
+//!
+//! A run's reads and installs live in two places over its life:
+//! * **while the run is live**, its reads (with the full version read, for
+//!   the quorum-read collapse) and its deduplicated installed pages sit in
+//!   a pending entry;
+//! * **at its `Committed` event** they move into two flat logs, reads as
+//!   `(reader, page, writer)` and installs as `(page, writer)`, 12 and 8
+//!   bytes an entry, and the pending entry's buffers are reused.
+//!
+//! When the coordinator aborts a run (`Aborting` or `AbortingVote`), its
+//! pending entry is dropped and later reads by it are ignored: an aborted
+//! run never commits, and installs happen only on the commit path, so the
+//! end-of-stream check would discard them anyway. Runs still live at the
+//! end of the stream that installed something were cut off mid-commit by
+//! truncation; `finalize` counts them as committed and flushes their
+//! pending data then.
+//!
+//! `finalize` works on the logs in place: one dense `Vec` maps run ids to
+//! positions in the candidate order, and sorting the install log by (page,
+//! position) groups each page's writers.
 
 use ddbm_cc::Ts;
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
-use ddbm_core::WitnessEvent;
-use denet::{FxHashMap, FxHashSet};
+use ddbm_core::{TxnPhase, WitnessEvent};
+use denet::FxHashMap;
 
-/// One committed execution of a transaction.
-type Run = (TxnId, RunId);
+/// A dense run id, or a position in the candidate serial order.
+type RunIx = u32;
+
+/// A dense logical page id.
+type PageIx = u32;
+
+/// No run: the initial version of a page, or a run outside the order.
+const NONE: RunIx = RunIx::MAX;
 
 /// Which key decides the currently visible version of a page among
 /// concurrent installs — the algorithm's version order.
@@ -79,7 +114,7 @@ impl VsrOutcome {
 
 #[derive(Debug, Clone, Copy)]
 struct Version {
-    writer: Run,
+    writer: RunIx,
     key: Ts,
     /// Stream position of the install, the total-order tiebreak: under
     /// `StreamOrder` the key is constant, so the newest version of a page
@@ -95,30 +130,67 @@ impl Version {
     }
 }
 
+/// How a run has ended so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Live,
+    Committed,
+    Aborted,
+}
+
+/// What a live run has done so far.
+#[derive(Debug, Default)]
+struct Pending {
+    /// (page, version read; `None` = initial). A replicated (quorum) read
+    /// observes several replicas and returns the newest version among
+    /// them, so repeat observations of one page keep only the newest.
+    reads: Vec<(PageIx, Option<Version>)>,
+    /// Installed pages, deduplicated: replicated installs repeat the page
+    /// once per written replica.
+    installs: Vec<PageIx>,
+    /// Stream position of the first install (`0` = none), and the
+    /// timestamps of the latest: the order of a run truncated mid-commit.
+    first_install: u64,
+    run_ts: Ts,
+    commit_ts: Ts,
+}
+
 /// See module docs.
 #[derive(Debug)]
 pub struct VsrCollector {
     order: VersionOrder,
-    /// Currently visible version per *replica* of a page (None = initial
-    /// database state). Single-copy runs have exactly one entry per page;
-    /// replicated runs collapse to one-copy semantics at read-record and
-    /// finalize time.
-    current: FxHashMap<(NodeId, PageId), Version>,
-    /// Reads-from per run: (page, installed version read; None = initial).
-    /// A replicated (quorum) read observes several replicas and returns the
-    /// newest version among them, so multiple observations of one page by
-    /// one run keep only the newest candidate.
-    reads: FxHashMap<Run, Vec<(PageId, Option<Version>)>>,
-    /// Pages installed per run, with the order key used.
-    installs: FxHashMap<Run, Vec<PageId>>,
-    /// First-install stream position per run (tiebreak for truncated runs).
-    install_seq: FxHashMap<Run, u64>,
-    /// Committed runs in stream order with (run_ts, commit_ts).
-    committed: Vec<(Run, Ts, Ts)>,
-    committed_set: FxHashSet<Run>,
-    /// Run/commit timestamps learned from installs (for truncated runs).
-    install_ts: FxHashMap<Run, (Ts, Ts)>,
+    ids: FxHashMap<(TxnId, RunId), RunIx>,
+    /// Indexed by run id.
+    fates: Vec<Fate>,
+    /// Dense logical page ids, `pages[file][page]` (`NONE` = not seen
+    /// yet). Pages are numbered from 0 in each file, so this holds one
+    /// `u32` per page up to the highest page seen in each file.
+    pages: Vec<Vec<PageIx>>,
+    next_page: PageIx,
+    /// Committed runs in `Committed` event order, with (run_ts, commit_ts).
+    committed: Vec<(RunIx, Ts, Ts)>,
+    /// Currently visible version per *replica* of a page, keyed by
+    /// [`replica`] (absent = initial database state). Single-copy runs have
+    /// exactly one entry per page; replicated runs collapse to one-copy
+    /// semantics at read-record and finalize time.
+    current: FxHashMap<u64, Version>,
+    /// Reads and installs of runs not yet committed.
+    live: FxHashMap<RunIx, Pending>,
+    /// Emptied pending entries, kept for their buffers.
+    spare: Vec<Pending>,
+    /// Reads-from of committed runs: (reader, page, writer or `NONE`).
+    read_log: Vec<(RunIx, PageIx, RunIx)>,
+    /// Pages installed by committed runs: (page, writer).
+    install_log: Vec<(PageIx, RunIx)>,
     seq: u64,
+}
+
+/// The `current` key of one replica of a page. The page goes in the low
+/// half: the Fx hash of a word is one multiply, whose low bits (the bucket
+/// index) depend only on the key's low bits, and pages are what vary.
+fn replica(node: NodeId, page: PageIx) -> u64 {
+    let node = u32::try_from(node.0).expect("node ids fit in 32 bits");
+    (u64::from(node) << 32) | u64::from(page)
 }
 
 impl VsrCollector {
@@ -126,20 +198,94 @@ impl VsrCollector {
     pub fn new(order: VersionOrder) -> VsrCollector {
         VsrCollector {
             order,
-            current: FxHashMap::default(),
-            reads: FxHashMap::default(),
-            installs: FxHashMap::default(),
-            install_seq: FxHashMap::default(),
+            ids: FxHashMap::default(),
+            fates: Vec::new(),
+            pages: Vec::new(),
+            next_page: 0,
             committed: Vec::new(),
-            committed_set: FxHashSet::default(),
-            install_ts: FxHashMap::default(),
+            current: FxHashMap::default(),
+            live: FxHashMap::default(),
+            spare: Vec::new(),
+            read_log: Vec::new(),
+            install_log: Vec::new(),
             seq: 0,
         }
     }
 
+    /// The dense id of `(txn, run)`, assigned on first sight.
+    fn run_ix(&mut self, txn: TxnId, run: RunId) -> RunIx {
+        let next = RunIx::try_from(self.fates.len())
+            .ok()
+            .filter(|&ix| ix != NONE)
+            .expect("fewer than 2^32 - 1 runs");
+        let id = *self.ids.entry((txn, run)).or_insert(next);
+        if id == next {
+            self.fates.push(Fate::Live);
+        }
+        id
+    }
+
+    /// The dense id of `page`, assigned on first sight.
+    fn page_ix(&mut self, page: PageId) -> PageIx {
+        let file = page.file.0;
+        if file >= self.pages.len() {
+            self.pages.resize_with(file + 1, Vec::new);
+        }
+        let slots = &mut self.pages[file];
+        let i = usize::try_from(page.page).expect("page numbers fit in usize");
+        if i >= slots.len() {
+            slots.resize(i + 1, NONE);
+        }
+        if slots[i] == NONE {
+            slots[i] = self.next_page;
+            self.next_page += 1;
+        }
+        slots[i]
+    }
+
+    fn pending(&mut self, id: RunIx) -> &mut Pending {
+        let spare = &mut self.spare;
+        self.live
+            .entry(id)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Drop the run's pending entry, keeping its buffers.
+    fn discard(&mut self, id: RunIx) {
+        if let Some(p) = self.live.remove(&id) {
+            self.recycle(p);
+        }
+    }
+
+    fn recycle(&mut self, mut p: Pending) {
+        p.reads.clear();
+        p.installs.clear();
+        p.first_install = 0;
+        self.spare.push(p);
+    }
+
+    /// Move the run's pending reads and installs into the flat logs.
+    fn flush(&mut self, id: RunIx) {
+        if let Some(p) = self.live.remove(&id) {
+            self.read_log.extend(
+                p.reads
+                    .iter()
+                    .map(|&(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
+            );
+            self.install_log
+                .extend(p.installs.iter().map(|&page| (page, id)));
+            self.recycle(p);
+        }
+    }
+
     fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId) {
-        let obs = self.current.get(&(node, page)).copied();
-        let list = self.reads.entry((txn, run)).or_default();
+        let id = self.run_ix(txn, run);
+        if self.fates[id as usize] == Fate::Aborted {
+            return;
+        }
+        let page = self.page_ix(page);
+        let obs = self.current.get(&replica(node, page)).copied();
+        let list = &mut self.pending(id).reads;
         // One-copy collapse: a quorum read touches several replicas and
         // returns the newest version it saw, so a repeat observation of the
         // same page by the same run only replaces a strictly older one.
@@ -197,35 +343,53 @@ impl VsrCollector {
                     VersionOrder::ByRunTs => run_ts,
                     VersionOrder::ByCommitTs => commit_ts,
                 };
+                let id = self.run_ix(txn, run);
+                let page = self.page_ix(page);
                 let candidate = Version {
-                    writer: (txn, run),
+                    writer: id,
                     key,
                     seq: self.seq,
                 };
-                let replace = match (self.order, self.current.get(&(node, page))) {
+                let slot = replica(node, page);
+                let replace = match (self.order, self.current.get(&slot)) {
                     (_, None) | (VersionOrder::StreamOrder, _) => true,
                     (_, Some(cur)) => key > cur.key,
                 };
                 if replace {
-                    self.current.insert((node, page), candidate);
+                    self.current.insert(slot, candidate);
                 }
-                let run_key = (txn, run);
-                // Replicated installs repeat the page once per written
-                // replica; the logical write set is deduplicated.
-                let pages = self.installs.entry(run_key).or_default();
-                if !pages.contains(&page) {
-                    pages.push(page);
+                let seq = self.seq;
+                let p = self.pending(id);
+                if p.first_install == 0 {
+                    p.first_install = seq;
                 }
-                self.install_seq.entry(run_key).or_insert(self.seq);
-                self.install_ts.insert(run_key, (run_ts, commit_ts));
+                p.run_ts = run_ts;
+                p.commit_ts = commit_ts;
+                if !p.installs.contains(&page) {
+                    p.installs.push(page);
+                }
             }
             WitnessEvent::Committed {
                 txn,
                 run,
                 run_ts,
                 commit_ts,
-            } if self.committed_set.insert((txn, run)) => {
-                self.committed.push(((txn, run), run_ts, commit_ts));
+            } => {
+                let id = self.run_ix(txn, run);
+                if self.fates[id as usize] != Fate::Committed {
+                    self.fates[id as usize] = Fate::Committed;
+                    self.committed.push((id, run_ts, commit_ts));
+                    self.flush(id);
+                }
+            }
+            WitnessEvent::Phase {
+                txn,
+                run,
+                phase: TxnPhase::Aborting | TxnPhase::AbortingVote,
+            } => {
+                let id = self.run_ix(txn, run);
+                self.fates[id as usize] = Fate::Aborted;
+                self.discard(id);
             }
             _ => {}
         }
@@ -236,208 +400,176 @@ impl VsrCollector {
         // A run counts as committed if its Committed event was witnessed or
         // it installed versions before the stream was truncated mid-commit
         // (installs happen only on the commit path).
-        let mut runs: Vec<(Run, Ts, Ts)> = std::mem::take(&mut self.committed);
-        let mut extra: Vec<Run> = self
-            .installs
-            .keys()
-            .filter(|r| !self.committed_set.contains(*r))
-            .copied()
+        let mut order = std::mem::take(&mut self.committed);
+        let mut truncated: Vec<(u64, (RunIx, Ts, Ts))> = self
+            .live
+            .iter()
+            .filter(|&(&id, p)| self.fates[id as usize] != Fate::Committed && p.first_install != 0)
+            .map(|(&id, p)| (p.first_install, (id, p.run_ts, p.commit_ts)))
             .collect();
-        extra.sort_by_key(|r| self.install_seq.get(r).copied().unwrap_or(u64::MAX));
-        for r in extra {
-            let (run_ts, commit_ts) = self.install_ts.get(&r).copied().unwrap_or_default();
-            self.committed_set.insert(r);
-            runs.push((r, run_ts, commit_ts));
-        }
-        if runs.is_empty() {
+        truncated.sort_unstable_by_key(|&(first, _)| first);
+        order.extend(truncated.into_iter().map(|(_, run)| run));
+        if order.is_empty() {
             return VsrOutcome::Trivial;
         }
 
         // Order runs by the algorithm's natural serial order.
         match self.order {
             VersionOrder::StreamOrder => {}
-            VersionOrder::ByRunTs => runs.sort_by_key(|&(_, run_ts, _)| run_ts),
-            VersionOrder::ByCommitTs => runs.sort_by_key(|&(_, _, commit_ts)| commit_ts),
+            VersionOrder::ByRunTs => order.sort_by_key(|&(_, run_ts, _)| run_ts),
+            VersionOrder::ByCommitTs => order.sort_by_key(|&(_, _, commit_ts)| commit_ts),
         }
-        let pos: FxHashMap<Run, usize> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, &(r, _, _))| (r, i))
-            .collect();
-
-        // Committed writers per page and the final version per page.
-        let mut writers: FxHashMap<PageId, Vec<Run>> = FxHashMap::default();
-        for (&r, pages) in &self.installs {
-            if self.committed_set.contains(&r) {
-                for &p in pages {
-                    writers.entry(p).or_default().push(r);
-                }
+        let n = order.len();
+        let mut pos = vec![NONE; self.fates.len()];
+        for (i, &(r, _, _)) in order.iter().enumerate() {
+            pos[r as usize] = i as RunIx;
+        }
+        drop(order);
+        // Flush what the ordered runs still hold: truncated runs, and data
+        // a committed run produced after its Committed event (none in a
+        // well-formed stream). Every other live run never committed.
+        let live: Vec<RunIx> = self.live.keys().copied().collect();
+        for id in live {
+            if pos[id as usize] != NONE {
+                self.flush(id);
             }
         }
-        for w in writers.values_mut() {
-            w.sort_by_key(|r| pos[r]);
+        let VsrCollector {
+            current,
+            read_log: mut reads,
+            install_log: mut writers,
+            ..
+        } = self;
+        let at = |r: RunIx| if r == NONE { NONE } else { pos[r as usize] };
+
+        // From here on every run is named by its position. Every writer
+        // installed, so every writer has one.
+        for e in &mut reads {
+            *e = (at(e.0), e.1, at(e.2));
         }
+        // Committed writers per page: runs of one page in the sorted log.
+        for e in &mut writers {
+            e.1 = at(e.1);
+        }
+        writers.sort_unstable();
+        writers.dedup();
         // One-copy collapse of the final state: per logical page, the newest
         // committed version across every replica.
-        let mut best: FxHashMap<PageId, Version> = FxHashMap::default();
-        for (&(_, p), v) in &self.current {
-            if !self.committed_set.contains(&v.writer) {
-                continue;
-            }
-            match best.get(&p) {
-                Some(b) if !v.newer_than(b) => {}
-                _ => {
-                    best.insert(p, *v);
-                }
-            }
-        }
-        let finals: Vec<(PageId, Run)> = best.into_iter().map(|(p, v)| (p, v.writer)).collect();
+        let mut newest: Vec<(PageIx, Version)> = current
+            .into_iter()
+            .map(|(slot, v)| (slot as PageIx, v))
+            .collect();
+        newest
+            .sort_unstable_by(|(p, v), (q, w)| p.cmp(q).then((w.key, w.seq).cmp(&(v.key, v.seq))));
+        newest.dedup_by_key(|&mut (p, _)| p);
+        let finals = newest.into_iter().map(|(p, v)| (p, at(v.writer))).collect();
+        let history = History {
+            reads,
+            writers,
+            finals,
+        };
 
         // Fast path: verify the candidate order directly.
-        if self.order_explains(&pos, &writers, &finals) {
+        if history.order_explains() {
             return VsrOutcome::Serializable {
-                txns: runs.len(),
+                txns: n,
                 certificate: "candidate-order",
             };
         }
-
-        self.polygraph_search(&runs, &pos, &writers, &finals, budget)
+        history.polygraph_search(n, budget)
     }
+}
 
-    /// The reads-from edges of committed runs, walked in place: (reader,
-    /// page, writer of the version read; `None` = initial). Reads-from of
-    /// uncommitted writers (impossible: installs imply commitment) are
-    /// dropped defensively.
-    fn read_edges(&self) -> impl Iterator<Item = (Run, PageId, Option<Run>)> + '_ {
-        self.reads
-            .iter()
-            .filter(|(r, _)| self.committed_set.contains(*r))
-            .flat_map(move |(&r, list)| {
-                list.iter().filter_map(move |&(page, obs)| {
-                    let from = obs.map(|v| v.writer);
-                    from.is_none_or(|w| self.committed_set.contains(&w))
-                        .then_some((r, page, from))
-                })
-            })
+/// The committed history with every run named by its position in the
+/// candidate order.
+struct History {
+    /// Reads-from: (reader, page, writer or `NONE` = initial version).
+    reads: Vec<(RunIx, PageIx, RunIx)>,
+    /// (page, writer), sorted and deduplicated.
+    writers: Vec<(PageIx, RunIx)>,
+    /// The writer of each page's final version.
+    finals: Vec<(PageIx, RunIx)>,
+}
+
+impl History {
+    /// The committed writers of `page`.
+    fn writers_of(&self, page: PageIx) -> impl Iterator<Item = RunIx> + '_ {
+        let lo = self.writers.partition_point(|&(p, _)| p < page);
+        let hi = self.writers.partition_point(|&(p, _)| p <= page);
+        self.writers[lo..hi].iter().map(|&(_, w)| w)
     }
 
     /// Does the candidate order satisfy every view constraint?
-    fn order_explains(
-        &self,
-        pos: &FxHashMap<Run, usize>,
-        writers: &FxHashMap<PageId, Vec<Run>>,
-        finals: &[(PageId, Run)],
-    ) -> bool {
-        let empty: Vec<Run> = Vec::new();
-        for (r, page, from) in self.read_edges() {
-            let ws = writers.get(&page).unwrap_or(&empty);
-            let rp = pos[&r];
-            match from {
-                None => {
-                    // Initial version: every writer must come after r.
-                    if ws.iter().any(|w| *w != r && pos[w] < rp) {
-                        return false;
-                    }
+    fn order_explains(&self) -> bool {
+        for &(r, page, w) in &self.reads {
+            let mut ws = self.writers_of(page);
+            if w == NONE {
+                // Initial version: every writer must come after r.
+                if ws.any(|x| x != r && x < r) {
+                    return false;
                 }
-                Some(w) => {
-                    let wp = pos[&w];
-                    if wp >= rp {
-                        return false;
-                    }
-                    if ws
-                        .iter()
-                        .any(|x| *x != w && *x != r && pos[x] > wp && pos[x] < rp)
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        for &(page, wf) in finals {
-            let ws = writers.get(&page).unwrap_or(&empty);
-            let fp = pos[&wf];
-            if ws.iter().any(|x| *x != wf && pos[x] > fp) {
+            } else if w >= r || ws.any(|x| x != w && x != r && x > w && x < r) {
                 return false;
             }
         }
-        true
+        self.finals
+            .iter()
+            .all(|&(page, wf)| !self.writers_of(page).any(|x| x != wf && x > wf))
     }
 
     /// Backtracking search for an acyclic polygraph extension.
-    fn polygraph_search(
-        &self,
-        runs: &[(Run, Ts, Ts)],
-        pos: &FxHashMap<Run, usize>,
-        writers: &FxHashMap<PageId, Vec<Run>>,
-        finals: &[(PageId, Run)],
-        budget: u64,
-    ) -> VsrOutcome {
-        let n = runs.len();
+    fn polygraph_search(&self, n: usize, budget: u64) -> VsrOutcome {
         if n > 2000 {
             return VsrOutcome::Inconclusive {
                 reason: format!("{n} committed runs exceed the polygraph size bound"),
             };
         }
-        let empty: Vec<Run> = Vec::new();
-        let mut fixed: FxHashSet<(usize, usize)> = FxHashSet::default();
-        let mut choices: FxHashSet<(usize, usize, usize, usize)> = FxHashSet::default();
-        for (r, page, from) in self.read_edges() {
-            let rp = pos[&r];
-            let ws = writers.get(&page).unwrap_or(&empty);
-            match from {
-                None => {
-                    for x in ws {
-                        if *x != r {
-                            fixed.insert((rp, pos[x]));
-                        }
-                    }
-                }
-                Some(w) => {
-                    let wp = pos[&w];
-                    fixed.insert((wp, rp));
-                    for x in ws {
-                        let xp = pos[x];
-                        if *x != w && *x != r {
-                            // w' before w, or r before w'.
-                            choices.insert((xp, wp, rp, xp));
-                        }
-                    }
-                }
+        let mut fixed: Vec<(RunIx, RunIx)> = Vec::new();
+        for &(r, page, w) in &self.reads {
+            if w == NONE {
+                fixed.extend(self.writers_of(page).filter(|&x| x != r).map(|x| (r, x)));
+            } else {
+                fixed.push((w, r));
             }
         }
-        for &(page, wf) in finals {
-            let fp = pos[&wf];
-            for x in writers.get(&page).unwrap_or(&empty) {
-                if *x != wf {
-                    fixed.insert((pos[x], fp));
-                }
-            }
+        for &(page, wf) in &self.finals {
+            fixed.extend(self.writers_of(page).filter(|&x| x != wf).map(|x| (x, wf)));
         }
-        // Drop choices one branch of which is already fixed.
-        let mut open: Vec<(usize, usize, usize, usize)> = Vec::new();
-        for &(a1, b1, a2, b2) in &choices {
-            if fixed.contains(&(a1, b1)) || fixed.contains(&(a2, b2)) {
-                continue;
-            }
-            open.push((a1, b1, a2, b2));
-        }
-        open.sort_unstable();
-        open.dedup();
+        fixed.sort_unstable();
+        fixed.dedup();
 
-        let base: Vec<(usize, usize)> = fixed.iter().copied().collect();
-        let mut checks: u64 = 0;
-        let mut edges = base.clone();
-        if !Self::acyclic(n, &edges) {
+        let mut kahn = Kahn::default();
+        if !kahn.acyclic(n, &fixed) {
             return VsrOutcome::NotSerializable {
                 detail: format!(
                     "fixed reads-from constraints already cyclic \
                      ({} runs, {} fixed edges)",
                     n,
-                    base.len()
+                    fixed.len()
                 ),
             };
         }
-        if Self::search(n, &mut edges, &open, 0, &mut checks, budget) {
+        // w' before w, or r before w'; drop choices one branch of which is
+        // already fixed.
+        let mut open: Vec<(RunIx, RunIx, RunIx, RunIx)> = Vec::new();
+        for &(r, page, w) in &self.reads {
+            if w != NONE {
+                open.extend(
+                    self.writers_of(page)
+                        .filter(|&x| x != w && x != r)
+                        .map(|x| (x, w, r, x)),
+                );
+            }
+        }
+        let is_fixed = |e: (RunIx, RunIx)| fixed.binary_search(&e).is_ok();
+        open.retain(|&(a1, b1, a2, b2)| !is_fixed((a1, b1)) && !is_fixed((a2, b2)));
+        open.sort_unstable();
+        open.dedup();
+
+        let base = fixed.len();
+        let mut checks: u64 = 0;
+        let mut edges = fixed;
+        if kahn.search(n, &mut edges, &open, 0, &mut checks, budget) {
             VsrOutcome::Serializable {
                 txns: n,
                 certificate: "polygraph-search",
@@ -452,17 +584,32 @@ impl VsrCollector {
                     "no acyclic polygraph extension over {} runs \
                      ({} fixed edges, {} binary choices)",
                     n,
-                    base.len(),
+                    base,
                     open.len()
                 ),
             }
         }
     }
+}
 
+/// Kahn's algorithm over an edge list, with its buffers kept across the
+/// backtracking search's many calls.
+#[derive(Default)]
+struct Kahn {
+    indeg: Vec<u32>,
+    /// First edge out of each node, then the next edge out of the same
+    /// node, per edge (`NONE` ends a list).
+    head: Vec<u32>,
+    next: Vec<u32>,
+    stack: Vec<u32>,
+}
+
+impl Kahn {
     fn search(
+        &mut self,
         n: usize,
-        edges: &mut Vec<(usize, usize)>,
-        open: &[(usize, usize, usize, usize)],
+        edges: &mut Vec<(RunIx, RunIx)>,
+        open: &[(RunIx, RunIx, RunIx, RunIx)],
         idx: usize,
         checks: &mut u64,
         budget: u64,
@@ -471,7 +618,7 @@ impl VsrCollector {
             return false;
         }
         *checks += 1;
-        if !Self::acyclic(n, edges) {
+        if !self.acyclic(n, edges) {
             return false;
         }
         let Some(&(a1, b1, a2, b2)) = open.get(idx) else {
@@ -479,7 +626,7 @@ impl VsrCollector {
         };
         for (a, b) in [(a1, b1), (a2, b2)] {
             edges.push((a, b));
-            if Self::search(n, edges, open, idx + 1, checks, budget) {
+            if self.search(n, edges, open, idx + 1, checks, budget) {
                 return true;
             }
             edges.pop();
@@ -490,26 +637,34 @@ impl VsrCollector {
         false
     }
 
-    /// Kahn's algorithm over an edge list.
-    fn acyclic(n: usize, edges: &[(usize, usize)]) -> bool {
-        let mut indeg = vec![0usize; n];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in edges {
+    fn acyclic(&mut self, n: usize, edges: &[(RunIx, RunIx)]) -> bool {
+        self.indeg.clear();
+        self.indeg.resize(n, 0);
+        self.head.clear();
+        self.head.resize(n, NONE);
+        self.next.clear();
+        for (i, &(a, b)) in edges.iter().enumerate() {
             if a == b {
                 return false;
             }
-            adj[a].push(b);
-            indeg[b] += 1;
+            self.next.push(self.head[a as usize]);
+            self.head[a as usize] = i as u32;
+            self.indeg[b as usize] += 1;
         }
-        let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        self.stack.clear();
+        self.stack
+            .extend((0..n as u32).filter(|&v| self.indeg[v as usize] == 0));
         let mut seen = 0;
-        while let Some(v) = stack.pop() {
+        while let Some(v) = self.stack.pop() {
             seen += 1;
-            for &w in &adj[v] {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    stack.push(w);
+            let mut e = self.head[v as usize];
+            while e != NONE {
+                let w = edges[e as usize].1 as usize;
+                self.indeg[w] -= 1;
+                if self.indeg[w] == 0 {
+                    self.stack.push(w as u32);
                 }
+                e = self.next[e as usize];
             }
         }
         seen == n
@@ -623,6 +778,44 @@ mod tests {
         }
         let out = c.finalize(10_000);
         assert!(matches!(out, VsrOutcome::Serializable { .. }), "{out:?}");
+    }
+
+    #[test]
+    fn aborted_runs_leave_nothing_behind() {
+        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
+        let abort = WitnessEvent::Phase {
+            txn: TxnId(1),
+            run: 1,
+            phase: TxnPhase::Aborting,
+        };
+        for ev in [read(1, 0), read(1, 1), abort, read(1, 2)] {
+            c.observe(&ev);
+        }
+        assert!(c.live.is_empty() && c.read_log.is_empty());
+        assert_eq!(c.finalize(10_000), VsrOutcome::Trivial);
+    }
+
+    #[test]
+    fn runs_cut_off_mid_commit_count_as_committed() {
+        // T2 installed but the stream ended before its Committed event.
+        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
+        for ev in [
+            read(1, 0),
+            install(1, 1),
+            committed(1),
+            read(2, 1),
+            install(2, 0),
+        ] {
+            c.observe(&ev);
+        }
+        assert_eq!(c.read_log.len(), 1);
+        assert_eq!(
+            c.finalize(10_000),
+            VsrOutcome::Serializable {
+                txns: 2,
+                certificate: "candidate-order"
+            }
+        );
     }
 
     #[test]

@@ -152,19 +152,20 @@ impl<T> Disk<T> {
     }
 
     /// Remove queued (not yet started) requests matching `pred`; the
-    /// in-service request always completes. Returns removed tags.
+    /// in-service request always completes. Returns removed tags, reads
+    /// before writes, each in queue order. Filters in place: each queue
+    /// rotates once through its own buffer.
     pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
         let mut removed = Vec::new();
         for q in [&mut self.reads, &mut self.writes] {
-            let mut keep = VecDeque::with_capacity(q.len());
-            while let Some(p) = q.pop_front() {
+            for _ in 0..q.len() {
+                let p = q.pop_front().expect("counted");
                 if pred(&p.tag) {
                     removed.push(p.tag);
                 } else {
-                    keep.push_back(p);
+                    q.push_back(p);
                 }
             }
-            *q = keep;
         }
         removed
     }
@@ -363,6 +364,26 @@ mod tests {
         assert_eq!(removed, vec![2, 3]);
         assert_eq!(d.advance(SimTime(10 * MS)), vec![1]);
         assert_eq!(d.next_completion(), None);
+    }
+
+    #[test]
+    fn cancel_keeps_queue_order() {
+        let mut d: Disk<u32> = Disk::new();
+        d.submit(SimTime::ZERO, 0, false, SimDuration::from_millis(10));
+        for (tag, write) in [
+            (1, false),
+            (2, true),
+            (3, false),
+            (4, true),
+            (5, false),
+            (6, true),
+        ] {
+            d.submit(SimTime::ZERO, tag, write, SimDuration::from_millis(10));
+        }
+        assert_eq!(d.cancel_queued_where(|t| *t % 3 != 0), vec![1, 5, 2, 4]);
+        assert_eq!(d.queue_len(), 2);
+        // Writes first, then reads: the survivors keep their places.
+        assert_eq!(d.advance(SimTime(30 * MS)), vec![0, 6, 3]);
     }
 
     #[test]
