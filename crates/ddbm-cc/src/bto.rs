@@ -18,10 +18,9 @@
 //! [`TxnMeta`]); with its original timestamp a restarted transaction would
 //! find the same accesses out of order and abort forever.
 
-use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnMeta};
+use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, TxnId};
-use denet::FxHashMap;
+use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
 
 #[derive(Debug, Default)]
 struct PageState {
@@ -44,21 +43,11 @@ impl PageState {
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct BasicTimestampOrdering {
-    pages: FxHashMap<PageId, PageState>,
+    pages: PageMap<PageState>,
     /// Pages each transaction has pending writes on, with the write ts.
-    txn_writes: FxHashMap<TxnId, Vec<(PageId, Ts)>>,
+    txn_writes: TxnLists<(PageId, Ts)>,
     /// Pages each transaction has a blocked read on.
-    txn_blocked: FxHashMap<TxnId, Vec<PageId>>,
-    /// Recycled backing stores for the per-transaction lists above — every
-    /// commit/abort removes its transaction's lists, and without pooling that
-    /// is an allocate/free pair per transaction on the hot path.
-    write_list_pool: Vec<Vec<(PageId, Ts)>>,
-    page_list_pool: Vec<Vec<PageId>>,
-    /// Capacity floor for the per-transaction lists above (the most
-    /// accesses one transaction makes at this node, set by
-    /// [`CcManager::preallocate`]): growing each pooled list to the bound
-    /// on first use keeps steady-state pushes off the allocator.
-    list_capacity: usize,
+    txn_blocked: TxnLists<PageId>,
     /// Scratch for the pages a finishing transaction touched.
     touched_scratch: Vec<PageId>,
 }
@@ -72,7 +61,7 @@ impl BasicTimestampOrdering {
     /// Wake blocked reads on `page` after its pending-write set shrank.
     /// Earlier-arrived reads are considered first.
     fn wake_reads(&mut self, page: PageId, out: &mut ReleaseResponse) {
-        let Some(state) = self.pages.get_mut(&page) else {
+        let Some(state) = self.pages.get_mut(page) else {
             return;
         };
         let mut i = 0;
@@ -82,47 +71,41 @@ impl BasicTimestampOrdering {
                 // A larger-timestamped write committed while the read was
                 // blocked: the read is now out of order and must abort.
                 state.blocked_reads.remove(i);
-                remove_blocked_entry(&mut self.txn_blocked, &mut self.page_list_pool, r_txn, page);
+                self.txn_blocked.remove_item(r_txn, &page);
                 out.rejected.push((r_txn, page));
             } else if !state.min_pending_below(r_ts) {
                 state.blocked_reads.remove(i);
-                remove_blocked_entry(&mut self.txn_blocked, &mut self.page_list_pool, r_txn, page);
+                self.txn_blocked.remove_item(r_txn, &page);
                 state.rts = state.rts.max(r_ts);
                 out.granted.push((r_txn, page));
             } else {
                 i += 1;
             }
         }
-        // The page entry is kept even when quiescent: rts/wts are
-        // high-water marks that must survive.
     }
 
     fn finish(&mut self, txn: TxnId, install: bool) -> ReleaseResponse {
         let mut out = ReleaseResponse::default();
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        if let Some(mut writes) = self.txn_writes.remove(&txn) {
-            for (page, w_ts) in writes.drain(..) {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.pending_writes.retain(|(_, t)| *t != txn);
-                    if install && w_ts > state.wts {
-                        // Thomas write rule at install time: only a newer
-                        // write becomes the current version.
-                        state.wts = w_ts;
-                    }
-                    touched.push(page);
+        for &(page, w_ts) in self.txn_writes.get(txn) {
+            if let Some(state) = self.pages.get_mut(page) {
+                state.pending_writes.retain(|(_, t)| *t != txn);
+                if install && w_ts > state.wts {
+                    // Thomas write rule at install time: only a newer
+                    // write becomes the current version.
+                    state.wts = w_ts;
                 }
+                touched.push(page);
             }
-            self.write_list_pool.push(writes);
         }
-        if let Some(mut blocked) = self.txn_blocked.remove(&txn) {
-            for page in blocked.drain(..) {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.blocked_reads.retain(|(_, t)| *t != txn);
-                }
+        self.txn_writes.remove(txn);
+        for &page in self.txn_blocked.get(txn) {
+            if let Some(state) = self.pages.get_mut(page) {
+                state.blocked_reads.retain(|(_, t)| *t != txn);
             }
-            self.page_list_pool.push(blocked);
         }
+        self.txn_blocked.remove(txn);
         for page in touched.drain(..) {
             self.wake_reads(page, &mut out);
         }
@@ -131,26 +114,12 @@ impl BasicTimestampOrdering {
     }
 }
 
-fn remove_blocked_entry(
-    txn_blocked: &mut FxHashMap<TxnId, Vec<PageId>>,
-    pool: &mut Vec<Vec<PageId>>,
-    txn: TxnId,
-    page: PageId,
-) {
-    if let Some(v) = txn_blocked.get_mut(&txn) {
-        v.retain(|p| *p != page);
-        if v.is_empty() {
-            if let Some(empty) = txn_blocked.remove(&txn) {
-                pool.push(empty);
-            }
-        }
-    }
-}
-
 impl CcManager for BasicTimestampOrdering {
     fn request_access(&mut self, txn: &TxnMeta, page: PageId, write: bool) -> AccessResponse {
         let ts = txn.run_ts;
-        let state = self.pages.entry(page).or_default();
+        // Page entries are kept even when quiescent: rts/wts are high-water
+        // marks that must survive.
+        let state = self.pages.get_or_default(page);
         if write {
             if ts < state.rts {
                 // A later read already saw the previous version.
@@ -164,16 +133,7 @@ impl CcManager for BasicTimestampOrdering {
             }
             let pos = state.pending_writes.partition_point(|(w, _)| *w < ts);
             state.pending_writes.insert(pos, (ts, txn.id));
-            let pool = &mut self.write_list_pool;
-            let cap = self.list_capacity;
-            self.txn_writes
-                .entry(txn.id)
-                .or_insert_with(|| {
-                    let mut list = pool.pop().unwrap_or_default();
-                    list.reserve(cap);
-                    list
-                })
-                .push((page, ts));
+            self.txn_writes.push(txn.id, (page, ts));
             AccessResponse::granted()
         } else {
             if ts < state.wts {
@@ -182,16 +142,7 @@ impl CcManager for BasicTimestampOrdering {
             }
             if state.min_pending_below(ts) {
                 state.blocked_reads.push((ts, txn.id));
-                let pool = &mut self.page_list_pool;
-                let cap = self.list_capacity;
-                self.txn_blocked
-                    .entry(txn.id)
-                    .or_insert_with(|| {
-                        let mut list = pool.pop().unwrap_or_default();
-                        list.reserve(cap);
-                        list
-                    })
-                    .push(page);
+                self.txn_blocked.push(txn.id, page);
                 return AccessResponse::blocked();
             }
             state.rts = state.rts.max(ts);
@@ -199,9 +150,9 @@ impl CcManager for BasicTimestampOrdering {
         }
     }
 
-    fn preallocate(&mut self, num_pages: usize, max_txn_accesses: usize) {
-        self.pages.reserve(num_pages);
-        self.list_capacity = max_txn_accesses;
+    fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
+        self.txn_writes.set_capacity(max_txn_accesses);
+        self.txn_blocked.set_capacity(max_txn_accesses);
         self.touched_scratch.reserve(max_txn_accesses);
     }
 

@@ -234,8 +234,8 @@ impl CcManager for Locking {
         self.table.waits_for_edges_into(out);
     }
 
-    fn preallocate(&mut self, num_pages: usize, max_txn_accesses: usize) {
-        self.table.preallocate(num_pages, max_txn_accesses);
+    fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
+        self.table.preallocate(max_txn_accesses);
     }
 
     fn lock_stats(&self) -> Option<LockStats> {

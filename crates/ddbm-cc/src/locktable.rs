@@ -6,10 +6,8 @@
 //! which queue ahead of ordinary waiters. On every release the longest
 //! grantable prefix of the queue is granted.
 
-use crate::common::LockMode;
-use ddbm_config::{PageId, TxnId};
-use denet::FxHashMap;
-use std::collections::hash_map::Entry;
+use crate::common::{LockMode, TxnLists};
+use ddbm_config::{PageId, PageMap, TxnId};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Outcome of a lock request.
@@ -62,11 +60,13 @@ impl PageLock {
 /// The lock table for the pages stored at one node.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    pages: FxHashMap<PageId, PageLock>,
+    /// Lock state per page. An entry stays in place once created, so its
+    /// holder and queue buffers are reused by every later lock on the page.
+    pages: PageMap<PageLock>,
     /// Pages each transaction holds locks on (for O(1) release).
-    held: FxHashMap<TxnId, Vec<PageId>>,
+    held: TxnLists<PageId>,
     /// Pages each transaction is queued on.
-    waiting: FxHashMap<TxnId, Vec<PageId>>,
+    waiting: TxnLists<PageId>,
     /// Pages whose queue is non-empty, kept sorted. [`waits_for_edges_into`]
     /// (called on *every* blocked request under 2PL local detection) walks
     /// only these instead of collecting and sorting every held page —
@@ -80,22 +80,6 @@ pub struct LockTable {
     /// queued writers). Barging trades writer latency for fewer waits —
     /// and, in distributed 2PL, far fewer queue-edge deadlocks.
     barging: bool,
-    /// Retired [`PageLock`] shells (emptied, capacity retained). Page
-    /// entries churn constantly — created on first touch, removed when the
-    /// last lock drops — and recycling their holder/queue buffers keeps the
-    /// request path off the allocator.
-    lock_pool: Vec<PageLock>,
-    /// Retired per-transaction page-list buffers for `held`/`waiting`,
-    /// recycled for the same reason.
-    list_pool: Vec<Vec<PageId>>,
-    /// Capacity floor for per-transaction page lists (the most pages one
-    /// transaction can lock here, set by [`preallocate`]). Growing every
-    /// list to the bound on first use — instead of letting each recycled
-    /// buffer creep up by amortized doubling — makes the steady state
-    /// allocation-free.
-    ///
-    /// [`preallocate`]: LockTable::preallocate
-    list_capacity: usize,
     /// Scratch for the pages touched by [`release_all`], which runs on every
     /// commit and abort — without it each release allocates a fresh list.
     ///
@@ -117,33 +101,15 @@ impl LockTable {
         }
     }
 
-    /// Pre-size the page table for `num_pages` resident pages, with no
-    /// transaction locking more than `max_txn_accesses` of them (see
+    /// Pre-size the per-transaction state for transactions locking at most
+    /// `max_txn_accesses` pages here (see
     /// [`CcManager::preallocate`](crate::manager::CcManager::preallocate)).
-    ///
-    /// Besides reserving the map itself, this stocks the shell pool with one
-    /// `PageLock` per page, each with room for a few holders. At most
-    /// `num_pages` entries can be live at once, so the pool can never run
-    /// dry afterwards and the first grant on a fresh page entry stays off
-    /// the allocator.
-    pub fn preallocate(&mut self, num_pages: usize, max_txn_accesses: usize) {
-        self.pages.reserve(num_pages);
-        self.list_capacity = max_txn_accesses;
+    /// Page entries need no pre-sizing: they are created on first touch and
+    /// then stay.
+    pub fn preallocate(&mut self, max_txn_accesses: usize) {
+        self.held.set_capacity(max_txn_accesses);
+        self.waiting.set_capacity(max_txn_accesses);
         self.touched_scratch.reserve(2 * max_txn_accesses);
-        let target = num_pages.saturating_sub(self.pages.len());
-        while self.lock_pool.len() < target {
-            let mut shell = PageLock::default();
-            shell.holders.reserve(4);
-            self.lock_pool.push(shell);
-        }
-    }
-
-    /// A per-transaction page list from the pool, grown to the capacity
-    /// floor so later pushes cannot reallocate.
-    fn page_list(pool: &mut Vec<Vec<PageId>>, capacity: usize) -> Vec<PageId> {
-        let mut list = pool.pop().unwrap_or_default();
-        list.reserve(capacity);
-        list
     }
 
     /// Request a `mode` lock on `page` for `txn`.
@@ -152,11 +118,7 @@ impl LockTable {
     /// `Granted` (upgrading read → write when needed, possibly by queueing an
     /// upgrade request, in which case `Queued` is returned).
     pub fn request(&mut self, txn: TxnId, page: PageId, mode: LockMode) -> LockOutcome {
-        let lock_pool = &mut self.lock_pool;
-        let lock = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| lock_pool.pop().unwrap_or_default());
+        let lock = self.pages.get_or_default(page);
         // Re-requesting while already queued is idempotent (strengthening a
         // queued read to a write upgrades the queued request in place).
         if let Some(queued) = lock.queue.iter_mut().find(|w| w.txn == txn) {
@@ -191,12 +153,7 @@ impl LockTable {
         if grantable {
             lock.grant(req);
             if !req.is_upgrade {
-                let list_pool = &mut self.list_pool;
-                let cap = self.list_capacity;
-                self.held
-                    .entry(txn)
-                    .or_insert_with(|| LockTable::page_list(list_pool, cap))
-                    .push(page);
+                self.held.push(txn, page);
             }
             LockOutcome::Granted
         } else {
@@ -208,12 +165,7 @@ impl LockTable {
                 lock.queue.push_back(req);
             }
             self.queued.insert(page);
-            let list_pool = &mut self.list_pool;
-            let cap = self.list_capacity;
-            self.waiting
-                .entry(txn)
-                .or_insert_with(|| LockTable::page_list(list_pool, cap))
-                .push(page);
+            self.waiting.push(txn, page);
             LockOutcome::Queued
         }
     }
@@ -223,24 +175,20 @@ impl LockTable {
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, PageId)> {
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        if let Some(mut pages) = self.held.remove(&txn) {
-            for page in pages.drain(..) {
-                if let Some(lock) = self.pages.get_mut(&page) {
-                    lock.holders.retain(|(t, _)| *t != txn);
-                    touched.push(page);
-                }
+        for &page in self.held.get(txn) {
+            if let Some(lock) = self.pages.get_mut(page) {
+                lock.holders.retain(|(t, _)| *t != txn);
+                touched.push(page);
             }
-            self.list_pool.push(pages);
         }
-        if let Some(mut pages) = self.waiting.remove(&txn) {
-            for page in pages.drain(..) {
-                if let Some(lock) = self.pages.get_mut(&page) {
-                    lock.queue.retain(|w| w.txn != txn);
-                    touched.push(page);
-                }
+        self.held.remove(txn);
+        for &page in self.waiting.get(txn) {
+            if let Some(lock) = self.pages.get_mut(page) {
+                lock.queue.retain(|w| w.txn != txn);
+                touched.push(page);
             }
-            self.list_pool.push(pages);
         }
+        self.waiting.remove(txn);
         touched.sort_unstable();
         touched.dedup();
         let mut granted = Vec::new();
@@ -256,37 +204,24 @@ impl LockTable {
     /// abort protocol completes). Returns requests granted because the
     /// withdrawal unclogged the queue.
     pub fn cancel_wait(&mut self, txn: TxnId, page: PageId) -> Vec<(TxnId, PageId)> {
-        if let Some(lock) = self.pages.get_mut(&page) {
+        if let Some(lock) = self.pages.get_mut(page) {
             lock.queue.retain(|w| w.txn != txn);
         }
-        if let Some(w) = self.waiting.get_mut(&txn) {
-            w.retain(|p| *p != page);
-            if w.is_empty() {
-                if let Some(shell) = self.waiting.remove(&txn) {
-                    self.list_pool.push(shell);
-                }
-            }
-        }
+        self.waiting.remove_item(txn, &page);
         self.grant_from_queue(page)
     }
 
     /// Grant from `page`'s queue: the longest grantable prefix under strict
     /// FIFO, or every grantable request under barging.
     fn grant_from_queue(&mut self, page: PageId) -> Vec<(TxnId, PageId)> {
-        let barging = self.barging;
         let mut granted = Vec::new();
-        let Entry::Occupied(mut e) = self.pages.entry(page) else {
-            self.queued.remove(&page);
+        let Some(lock) = self.pages.get_mut(page) else {
             return granted;
         };
         let mut scan = 0usize;
-        loop {
-            let lock = e.get_mut();
-            let Some(head) = lock.queue.get(scan).copied() else {
-                break;
-            };
+        while let Some(&head) = lock.queue.get(scan) {
             if !lock.can_grant(&head) {
-                if barging {
+                if self.barging {
                     scan += 1;
                     continue;
                 }
@@ -295,30 +230,13 @@ impl LockTable {
             lock.queue.remove(scan);
             lock.grant(head);
             if !head.is_upgrade {
-                let list_pool = &mut self.list_pool;
-                let cap = self.list_capacity;
-                self.held
-                    .entry(head.txn)
-                    .or_insert_with(|| LockTable::page_list(list_pool, cap))
-                    .push(page);
+                self.held.push(head.txn, page);
             }
-            if let Some(w) = self.waiting.get_mut(&head.txn) {
-                w.retain(|p| *p != page);
-                if w.is_empty() {
-                    if let Some(shell) = self.waiting.remove(&head.txn) {
-                        self.list_pool.push(shell);
-                    }
-                }
-            }
+            self.waiting.remove_item(head.txn, &page);
             granted.push((head.txn, page));
         }
-        if e.get().queue.is_empty() {
+        if lock.queue.is_empty() {
             self.queued.remove(&page);
-            if e.get().holders.is_empty() {
-                // Both buffers are empty here; recycling the shell keeps
-                // their capacity for the next page entry.
-                self.lock_pool.push(e.remove());
-            }
         }
         granted
     }
@@ -326,7 +244,7 @@ impl LockTable {
     /// Current holders of `page`.
     pub fn holders(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
         self.pages
-            .get(&page)
+            .get(page)
             .map(|l| l.holders.clone())
             .unwrap_or_default()
     }
@@ -346,7 +264,7 @@ impl LockTable {
     /// compiles to plain nested loops, while stepping it with `next` (as a
     /// `for` loop or `Vec::extend` does) is several times slower.
     pub fn wait_pairs(&self, page: PageId) -> impl Iterator<Item = (TxnId, TxnId)> + '_ {
-        self.pages.get(&page).into_iter().flat_map(|lock| {
+        self.pages.get(page).into_iter().flat_map(|lock| {
             lock.queue.iter().enumerate().flat_map(move |(i, w)| {
                 let holders = lock
                     .holders
@@ -386,29 +304,29 @@ impl LockTable {
     /// O(pages) reference implementation of
     /// [`queued_pages`](LockTable::queued_pages), for consistency tests.
     pub fn scan_queued_pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self
-            .pages
+        self.pages
             .iter()
             .filter(|(_, lock)| !lock.queue.is_empty())
-            .map(|(page, _)| *page)
-            .collect();
-        pages.sort_unstable();
-        pages
+            .map(|(page, _)| page)
+            .collect()
     }
 
     /// The pages on which `txn` is currently queued.
     pub fn wait_pages(&self, txn: TxnId) -> Vec<PageId> {
-        self.waiting.get(&txn).cloned().unwrap_or_default()
+        self.waiting.get(txn).to_vec()
     }
 
     /// True if `txn` holds or awaits any lock.
     pub fn involves(&self, txn: TxnId) -> bool {
-        self.held.contains_key(&txn) || self.waiting.contains_key(&txn)
+        self.held.contains(txn) || self.waiting.contains(txn)
     }
 
-    /// Number of pages with any lock state (tests/diagnostics).
+    /// Number of pages with a holder or a waiter (tests/diagnostics).
     pub fn active_pages(&self) -> usize {
-        self.pages.len()
+        self.pages
+            .iter()
+            .filter(|(_, lock)| !lock.holders.is_empty() || !lock.queue.is_empty())
+            .count()
     }
 
     /// Number of transactions currently holding at least one lock here.
@@ -617,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_pages_are_garbage_collected() {
+    fn released_pages_hold_no_locks() {
         let mut lt = LockTable::new();
         lt.request(TxnId(1), page(1), LockMode::Write);
         lt.request(TxnId(1), page(2), LockMode::Read);

@@ -31,15 +31,16 @@ pub trait CcManager: Send {
     /// page is processed).
     fn request_access(&mut self, txn: &TxnMeta, page: PageId, write: bool) -> AccessResponse;
 
-    /// Pre-size per-page and per-transaction state for a node storing
-    /// `num_pages` pages where no transaction makes more than
-    /// `max_txn_accesses` accesses at this node. Called once at node
+    /// Pre-size per-transaction state for a node where no transaction
+    /// makes more than `max_txn_accesses` accesses. Called once at node
     /// construction (and again on crash recovery, which rebuilds the
-    /// manager): growing tables and pooled buffers to their working-set
-    /// bounds up front keeps steady-state accesses off the allocator —
-    /// page entries churn constantly under the lock managers, and the
-    /// resulting tombstones otherwise force occasional mid-run
-    /// rehash-resizes (see `tests/alloc_steady_state.rs`).
+    /// manager): growing pooled per-transaction buffers to their bound up
+    /// front keeps steady-state accesses off the allocator (see
+    /// `tests/alloc_steady_state.rs`). Per-page state needs no pre-sizing:
+    /// it grows on first touch and then stays in place.
+    ///
+    /// `num_pages` is unused. It stays only because the frozen benchmark
+    /// harness (`perfbench`) calls this method with it.
     fn preallocate(&mut self, _num_pages: usize, _max_txn_accesses: usize) {}
 
     /// Commit-time certification for this node's cohort, called during

@@ -20,9 +20,9 @@
 //! (installing `rts`/`wts`, the latter under the Thomas write rule) or
 //! aborts (discarding them).
 
-use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnMeta};
+use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, TxnId};
+use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
 use denet::FxHashMap;
 
 #[derive(Debug, Default)]
@@ -40,11 +40,11 @@ struct PageState {
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct OptimisticCertification {
-    pages: FxHashMap<PageId, PageState>,
+    pages: PageMap<PageState>,
     /// Uncertified recorded reads: page → version that was read.
-    reads: FxHashMap<TxnId, Vec<(PageId, Ts)>>,
+    reads: TxnLists<(PageId, Ts)>,
     /// Uncertified recorded writes.
-    writes: FxHashMap<TxnId, Vec<PageId>>,
+    writes: TxnLists<PageId>,
     /// Commit timestamps of locally certified transactions.
     certified: FxHashMap<TxnId, Ts>,
 }
@@ -54,37 +54,58 @@ impl OptimisticCertification {
     pub fn new() -> OptimisticCertification {
         OptimisticCertification::default()
     }
+
+    /// Withdraw `txn`'s registrations; with a `commit_ts`, install its
+    /// reads (`rts`) and writes (`wts`, under the Thomas write rule) first.
+    fn finish(&mut self, txn: TxnId, commit_ts: Option<Ts>) {
+        for &(page, _) in self.reads.get(txn) {
+            if let Some(state) = self.pages.get_mut(page) {
+                state.cert_reads.retain(|(t, _)| *t != txn);
+                if let Some(ts) = commit_ts {
+                    state.rts = state.rts.max(ts);
+                }
+            }
+        }
+        for &page in self.writes.get(txn) {
+            if let Some(state) = self.pages.get_mut(page) {
+                state.cert_writes.retain(|(t, _)| *t != txn);
+                if let Some(ts) = commit_ts {
+                    state.wts = state.wts.max(ts);
+                }
+            }
+        }
+        self.reads.remove(txn);
+        self.writes.remove(txn);
+    }
 }
 
 impl CcManager for OptimisticCertification {
     fn request_access(&mut self, txn: &TxnMeta, page: PageId, write: bool) -> AccessResponse {
         // "A concurrency control request ... is always granted in the case
         // of the OPT algorithm" (paper §3.3).
-        let state = self.pages.entry(page).or_default();
+        let state = self.pages.get_or_default(page);
         if write {
-            self.writes.entry(txn.id).or_default().push(page);
+            self.writes.push(txn.id, page);
         } else {
-            self.reads
-                .entry(txn.id)
-                .or_default()
-                .push((page, state.wts));
+            self.reads.push(txn.id, (page, state.wts));
         }
         AccessResponse::granted()
     }
 
-    fn preallocate(&mut self, num_pages: usize, _max_txn_accesses: usize) {
-        self.pages.reserve(num_pages);
+    fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
+        self.reads.set_capacity(max_txn_accesses);
+        self.writes.set_capacity(max_txn_accesses);
     }
 
     fn certify(&mut self, txn: &TxnMeta, commit_ts: Ts) -> bool {
         // `reads`/`writes` and `pages` are disjoint fields, so the lists stay
         // borrowed while `pages` is updated.
-        let reads = self.reads.get(&txn.id).map_or(&[][..], Vec::as_slice);
-        let writes = self.writes.get(&txn.id).map_or(&[][..], Vec::as_slice);
+        let reads = self.reads.get(txn.id);
+        let writes = self.writes.get(txn.id);
         let mut ok = true;
-        for (page, version) in reads {
-            let state = self.pages.entry(*page).or_default();
-            if state.wts != *version {
+        for &(page, version) in reads {
+            let state = self.pages.get_or_default(page);
+            if state.wts != version {
                 ok = false; // the version read is no longer current
                 break;
             }
@@ -94,8 +115,8 @@ impl CcManager for OptimisticCertification {
             }
         }
         if ok {
-            for page in writes {
-                let state = self.pages.entry(*page).or_default();
+            for &page in writes {
+                let state = self.pages.get_or_default(page);
                 if state.rts > commit_ts {
                     ok = false; // a later read already committed
                     break;
@@ -116,15 +137,13 @@ impl CcManager for OptimisticCertification {
         // Register the certified accesses; they hold until phase 2.
         for &(page, _) in reads {
             self.pages
-                .entry(page)
-                .or_default()
+                .get_or_default(page)
                 .cert_reads
                 .push((txn.id, commit_ts));
         }
         for &page in writes {
             self.pages
-                .entry(page)
-                .or_default()
+                .get_or_default(page)
                 .cert_writes
                 .push((txn.id, commit_ts));
         }
@@ -139,44 +158,13 @@ impl CcManager for OptimisticCertification {
             debug_assert!(false, "OPT commit for uncertified {txn}");
             return ReleaseResponse::default();
         };
-        if let Some(reads) = self.reads.remove(&txn) {
-            for (page, _) in reads {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_reads.retain(|(t, _)| *t != txn);
-                    state.rts = state.rts.max(commit_ts);
-                }
-            }
-        }
-        if let Some(writes) = self.writes.remove(&txn) {
-            for page in writes {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_writes.retain(|(t, _)| *t != txn);
-                    // Thomas write rule at install.
-                    if commit_ts > state.wts {
-                        state.wts = commit_ts;
-                    }
-                }
-            }
-        }
+        self.finish(txn, Some(commit_ts));
         ReleaseResponse::default()
     }
 
     fn abort(&mut self, txn: TxnId) -> ReleaseResponse {
         self.certified.remove(&txn);
-        if let Some(reads) = self.reads.remove(&txn) {
-            for (page, _) in reads {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_reads.retain(|(t, _)| *t != txn);
-                }
-            }
-        }
-        if let Some(writes) = self.writes.remove(&txn) {
-            for page in writes {
-                if let Some(state) = self.pages.get_mut(&page) {
-                    state.cert_writes.retain(|(t, _)| *t != txn);
-                }
-            }
-        }
+        self.finish(txn, None);
         ReleaseResponse::default()
     }
 

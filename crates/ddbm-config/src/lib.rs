@@ -22,7 +22,7 @@ pub mod trace;
 
 pub use config::{Config, ConfigError};
 pub use fault::{CrashWindow, FaultParams, FaultPlan, StallWindow};
-pub use ids::{FileId, NodeId, PageId, TerminalId, TxnId};
+pub use ids::{FileId, NodeId, PageId, PageMap, TerminalId, TxnId};
 pub use params::{
     Algorithm, DatabaseParams, ExecPattern, SimControl, SystemParams, WorkloadParams,
 };

@@ -57,9 +57,6 @@ struct NodeState {
     /// Extension: per-node LRU buffer pool (capacity 0 = the paper's model,
     /// every read access does a disk I/O).
     buffer: LruPool<PageId>,
-    /// Pages stored at this node (0 at the host); sizes the CC manager's
-    /// preallocation whenever it is rebuilt.
-    pages: usize,
     /// The pending CPU completion event lives in a calendar *prediction
     /// slot*. Every CPU state change re-predicts; if the instant moved, the
     /// slot is overwritten in place (an O(1) store — no heap traffic and no
@@ -89,10 +86,11 @@ struct NodeState {
 }
 
 /// A node's volatile CC and buffer state, fresh: built at startup and again
-/// after every crash. The CC manager is preallocated for `pages` pages.
-fn fresh_cc_and_buffer(config: &Config, pages: usize) -> (Box<dyn CcManager>, LruPool<PageId>) {
+/// after every crash. The CC manager's page state grows on first touch, so
+/// only its per-transaction buffers are pre-sized.
+fn fresh_cc_and_buffer(config: &Config) -> (Box<dyn CcManager>, LruPool<PageId>) {
     let mut cc = make_manager_with(config.algorithm, config.system.lock_barging);
-    cc.preallocate(pages, config.max_txn_accesses());
+    cc.preallocate(0, config.max_txn_accesses());
     (cc, LruPool::new(config.system.buffer_pages as usize))
 }
 
@@ -223,19 +221,15 @@ impl Simulator {
         let placement = config.placement().map_err(|e| ConfigError(e.to_string()))?;
         let seed = config.control.seed;
         let mut calendar = EventCalendar::new();
-        let files_per_node = placement.files_per_node(config.system.num_proc_nodes);
         let nodes: Vec<NodeState> = config
             .node_ids()
             .map(|id| {
-                let files = id.0.checked_sub(1).map_or(0, |i| files_per_node[i]);
-                let pages = files * config.database.pages_per_file as usize;
-                let (cc, buffer) = fresh_cc_and_buffer(&config, pages);
+                let (cc, buffer) = fresh_cc_and_buffer(&config);
                 NodeState {
                     cpu: Cpu::new(config.system.cpu_rate(id)),
                     disks: DiskArray::new(config.system.num_disks),
                     cc,
                     buffer,
-                    pages,
                     cpu_slot: calendar.register_slot(),
                     disk_slot: calendar.register_slot(),
                     cpu_dirty: false,

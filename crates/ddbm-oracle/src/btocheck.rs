@@ -14,7 +14,7 @@
 
 use crate::violation::{Violation, ViolationKind};
 use ddbm_cc::Ts;
-use ddbm_config::{NodeId, PageId, TxnId};
+use ddbm_config::{NodeId, PageId, PageMap, TxnId};
 use ddbm_core::{WitnessEvent, WitnessReply};
 use denet::{FxHashMap, SimTime};
 
@@ -36,7 +36,7 @@ impl PageModel {
 
 #[derive(Debug, Default)]
 struct NodeModel {
-    pages: FxHashMap<PageId, PageModel>,
+    pages: PageMap<PageModel>,
     /// Pages at which each transaction has a pending write or a blocked
     /// read (a page may repeat), so a release visits only those.
     touched: FxHashMap<TxnId, Vec<PageId>>,
@@ -70,8 +70,7 @@ impl BtoChecker {
             .entry(node)
             .or_default()
             .pages
-            .entry(page)
-            .or_default()
+            .get_or_default(page)
     }
 
     /// Feed one witnessed event through the reference model.
@@ -87,7 +86,7 @@ impl BtoChecker {
                 ..
             } => {
                 let nm = self.nodes.entry(node).or_default();
-                let pm = nm.pages.entry(page).or_default();
+                let pm = nm.pages.get_or_default(page);
                 let ts = run_ts;
                 let expected = if write {
                     if ts < pm.rts {
@@ -241,7 +240,7 @@ impl BtoChecker {
             WitnessEvent::Release { txn, node, .. } => {
                 if let Some(nm) = self.nodes.get_mut(&node) {
                     for page in nm.touched.remove(&txn).unwrap_or_default() {
-                        if let Some(pm) = nm.pages.get_mut(&page) {
+                        if let Some(pm) = nm.pages.get_mut(page) {
                             pm.pending.retain(|&(_, t)| t != txn);
                             pm.blocked.retain(|&(_, t)| t != txn);
                         }
@@ -319,7 +318,7 @@ mod tests {
         assert!(out.is_empty(), "{out:?}");
         let nm = &c.nodes[&NodeId(1)];
         assert!(!nm.touched.contains_key(&TxnId(10)));
-        let pm = |p| &nm.pages[&page(p)];
+        let pm = |p| nm.pages.get(page(p)).unwrap();
         assert!(pm(0).pending.is_empty() && pm(1).pending.is_empty());
         assert!(pm(2).blocked.is_empty());
         assert_eq!(pm(2).pending.len(), 1, "another txn's pending write stays");
@@ -350,7 +349,8 @@ mod tests {
             ],
         );
         assert!(out.is_empty(), "{out:?}");
-        assert_eq!(c.nodes[&NodeId(2)].pages[&page(0)].pending.len(), 1);
+        let pm = c.nodes[&NodeId(2)].pages.get(page(0)).unwrap();
+        assert_eq!(pm.pending.len(), 1);
     }
 
     #[test]

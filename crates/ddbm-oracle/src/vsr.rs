@@ -42,7 +42,7 @@
 //! position) groups each page's writers.
 
 use ddbm_cc::Ts;
-use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
+use ddbm_config::{Algorithm, NodeId, PageId, PageMap, TxnId};
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent};
 use denet::FxHashMap;
@@ -162,10 +162,8 @@ pub struct VsrCollector {
     ids: FxHashMap<(TxnId, RunId), RunIx>,
     /// Indexed by run id.
     fates: Vec<Fate>,
-    /// Dense logical page ids, `pages[file][page]` (`NONE` = not seen
-    /// yet). Pages are numbered from 0 in each file, so this holds one
-    /// `u32` per page up to the highest page seen in each file.
-    pages: Vec<Vec<PageIx>>,
+    /// Dense logical page ids, assigned on first sight.
+    pages: PageMap<PageIx>,
     next_page: PageIx,
     /// Committed runs in `Committed` event order, with (run_ts, commit_ts).
     committed: Vec<(RunIx, Ts, Ts)>,
@@ -200,7 +198,7 @@ impl VsrCollector {
             order,
             ids: FxHashMap::default(),
             fates: Vec::new(),
-            pages: Vec::new(),
+            pages: PageMap::new(),
             next_page: 0,
             committed: Vec::new(),
             current: FxHashMap::default(),
@@ -227,20 +225,11 @@ impl VsrCollector {
 
     /// The dense id of `page`, assigned on first sight.
     fn page_ix(&mut self, page: PageId) -> PageIx {
-        let file = page.file.0;
-        if file >= self.pages.len() {
-            self.pages.resize_with(file + 1, Vec::new);
-        }
-        let slots = &mut self.pages[file];
-        let i = usize::try_from(page.page).expect("page numbers fit in usize");
-        if i >= slots.len() {
-            slots.resize(i + 1, NONE);
-        }
-        if slots[i] == NONE {
-            slots[i] = self.next_page;
-            self.next_page += 1;
-        }
-        slots[i]
+        let next = &mut self.next_page;
+        *self.pages.get_or_insert_with(page, || {
+            *next += 1;
+            *next - 1
+        })
     }
 
     fn pending(&mut self, id: RunIx) -> &mut Pending {

@@ -9,8 +9,8 @@
 //!   deterministic FIFO tie-breaking,
 //! * named, reproducible random streams ([`SimRng`]) with the distributions
 //!   the model needs (exponential, uniform, Bernoulli, distinct sampling),
-//! * output-analysis collectors ([`Tally`], [`TimeWeighted`], [`BusyTracker`],
-//!   [`RateCounter`]) with warmup-reset support.
+//! * output-analysis collectors ([`Tally`], [`LogHistogram`], [`BusyTracker`],
+//!   [`BatchMeans`]) with warmup-reset support.
 //!
 //! The engine is intentionally minimal: model components (CPUs, disks, the
 //! transaction manager, ...) live in the `ddbm-*` crates and drive the
@@ -27,7 +27,7 @@ pub mod witness;
 pub use calendar::{EventCalendar, SlotId};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SimRng;
-pub use stats::{BatchMeans, BusyTracker, LogHistogram, RateCounter, Tally, TimeWeighted};
+pub use stats::{BatchMeans, BusyTracker, LogHistogram, Tally};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
 pub use trace::TraceRing;
 pub use witness::WitnessLog;

@@ -310,65 +310,6 @@ impl LogHistogram {
     }
 }
 
-/// A time-weighted average of a piecewise-constant signal, e.g. queue length
-/// or a busy/idle indicator (giving utilization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Create a new instance.
-    pub fn new(start: SimTime, initial: f64) -> TimeWeighted {
-        TimeWeighted {
-            value: initial,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_change);
-        self.weighted_sum += self.value * now.since(self.last_change).as_secs_f64();
-        self.last_change = now;
-        self.value = value;
-    }
-
-    /// Add `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    #[inline]
-    /// The current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// The time-average over `[start, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start).as_secs_f64();
-        if total <= 0.0 {
-            return self.value;
-        }
-        let pending = self.value * now.since(self.last_change).as_secs_f64();
-        (self.weighted_sum + pending) / total
-    }
-
-    /// Restart the averaging window at `now`, keeping the current value.
-    pub fn reset(&mut self, now: SimTime) {
-        self.weighted_sum = 0.0;
-        self.last_change = now;
-        self.start = now;
-    }
-}
-
 /// Tracks busy time of a resource (utilization = busy / elapsed).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BusyTracker {
@@ -430,51 +371,6 @@ impl BusyTracker {
         if self.busy_since.is_some() {
             self.busy_since = Some(now);
         }
-    }
-}
-
-/// A monotone event counter with a measurement window, for rates
-/// (e.g. throughput = commits / elapsed).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RateCounter {
-    count: u64,
-    window_start: SimTime,
-}
-
-impl RateCounter {
-    /// Create a new instance.
-    pub fn new(start: SimTime) -> RateCounter {
-        RateCounter {
-            count: 0,
-            window_start: start,
-        }
-    }
-
-    /// Count one event.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    #[inline]
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Events per second over the measurement window.
-    pub fn rate(&self, now: SimTime) -> f64 {
-        let elapsed = now.since(self.window_start).as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / elapsed
-        }
-    }
-
-    /// Reset to the empty state.
-    pub fn reset(&mut self, now: SimTime) {
-        self.count = 0;
-        self.window_start = now;
     }
 }
 
@@ -648,23 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime(NANOS(10.0)), 2.0); // 0 for 10s
-        tw.set(SimTime(NANOS(30.0)), 0.0); // 2 for 20s
-        let avg = tw.average(SimTime(NANOS(40.0))); // 0 for 10s
-        assert!((avg - 1.0).abs() < 1e-9, "avg {avg}");
-    }
-
-    #[test]
-    fn time_weighted_reset() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 5.0);
-        tw.reset(SimTime(NANOS(100.0)));
-        let avg = tw.average(SimTime(NANOS(110.0)));
-        assert!((avg - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn busy_tracker_utilization() {
         let mut b = BusyTracker::new(SimTime::ZERO);
         b.set_busy(SimTime(NANOS(2.0)), true);
@@ -683,18 +562,6 @@ mod tests {
         b.set_busy(SimTime::ZERO, true);
         b.reset(SimTime(NANOS(5.0)));
         assert!((b.utilization(SimTime(NANOS(10.0))) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_counter() {
-        let mut r = RateCounter::new(SimTime::ZERO);
-        for _ in 0..50 {
-            r.incr();
-        }
-        assert!((r.rate(SimTime(NANOS(10.0))) - 5.0).abs() < 1e-9);
-        r.reset(SimTime(NANOS(10.0)));
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.rate(SimTime(NANOS(20.0))), 0.0);
     }
 
     #[allow(non_snake_case)]

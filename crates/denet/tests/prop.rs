@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation engine.
 
-use denet::{EventCalendar, LogHistogram, SimDuration, SimRng, SimTime, Tally, TimeWeighted};
+use denet::{EventCalendar, LogHistogram, SimDuration, SimRng, SimTime, Tally};
 use proptest::prelude::*;
 
 /// One step of a calendar/reference interleaving. Delays are relative to the
@@ -106,30 +106,6 @@ proptest! {
         prop_assert_eq!(a.count(), whole.count());
         prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
         prop_assert!((a.variance() - whole.variance()).abs() < 1e-6 * (1.0 + whole.variance()));
-    }
-
-    /// Time-weighted average equals the hand-computed piecewise integral.
-    #[test]
-    fn time_weighted_matches_integral(
-        steps in prop::collection::vec((1u64..1_000_000, 0f64..100.0), 1..50),
-    ) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        let mut now = 0u64;
-        let mut integral = 0.0;
-        let mut value = 0.0;
-        for (dt, v) in &steps {
-            integral += value * (*dt as f64 / 1e9);
-            now += dt;
-            tw.set(SimTime(now), *v);
-            value = *v;
-        }
-        // Extend one more step so the last value contributes.
-        integral += value * 1.0;
-        now += 1_000_000_000;
-        let avg = tw.average(SimTime(now));
-        let expect = integral / (now as f64 / 1e9);
-        prop_assert!((avg - expect).abs() < 1e-9 + 1e-9 * expect.abs(),
-            "avg {avg} expect {expect}");
     }
 
     /// Distinct sampling returns exactly k distinct in-range values.

@@ -19,12 +19,16 @@
 //! small page space that saturates the lock-table / timestamp-table maps
 //! during warmup. Contended paths allocate for genuinely variable-size
 //! results (grant lists, deadlock victims) and are exercised elsewhere.
+//!
+//! The same test also pins set-up cost: building an 8-node simulator makes
+//! a bounded number of allocations whatever the algorithm, because per-page
+//! CC state grows on first touch instead of being built up front.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddbm_config::{Algorithm, Config};
-use ddbm_core::run_config;
+use ddbm_core::{run_config, Simulator};
 use denet::SimDuration;
 
 /// Counts allocation *events* (alloc + realloc); frees are not interesting
@@ -123,11 +127,25 @@ fn steady_state_allocs(algorithm: Algorithm, msg_faults: bool) -> i64 {
     longer as i64 - base as i64
 }
 
+/// Most allocation events `Simulator::new` may make for an 8-node,
+/// 8-way partitioned configuration. Per-page CC state grows on first touch,
+/// so set-up cost does not scale with the database size.
+const SETUP_ALLOCS_MAX: u64 = 1_000;
+
+/// Allocation events made by building (not running) a simulator.
+fn setup_allocs(algorithm: Algorithm) -> u64 {
+    let config = Config::partitioning(algorithm, 8, false, 0.0);
+    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let sim = Simulator::new(config).expect("valid config");
+    let allocs = ALLOC_EVENTS.load(Ordering::Relaxed) - before;
+    drop(sim);
+    allocs
+}
+
 #[test]
 fn steady_state_commits_do_not_allocate() {
     // Every algorithm family in one #[test]: the counter is global, so the
-    // measurements must not run on concurrent test threads. OPT is absent:
-    // its per-transaction read/write lists are not pooled.
+    // measurements must not run on concurrent test threads.
     for msg_faults in [false, true] {
         for algorithm in [
             Algorithm::TwoPhaseLocking,
@@ -135,6 +153,7 @@ fn steady_state_commits_do_not_allocate() {
             Algorithm::WoundWait,
             Algorithm::WaitDie,
             Algorithm::BasicTimestampOrdering,
+            Algorithm::Optimistic,
             Algorithm::NoDataContention,
         ] {
             let allocs = steady_state_allocs(algorithm, msg_faults);
@@ -145,5 +164,19 @@ fn steady_state_commits_do_not_allocate() {
                  per-transaction hot path must run entirely from recycled pools"
             );
         }
+    }
+    // Set-up cost, pinned here for the same reason.
+    for algorithm in [
+        Algorithm::TwoPhaseLocking,
+        Algorithm::WoundWait,
+        Algorithm::BasicTimestampOrdering,
+        Algorithm::Optimistic,
+    ] {
+        let allocs = setup_allocs(algorithm);
+        assert!(
+            allocs <= SETUP_ALLOCS_MAX,
+            "{algorithm:?}: Simulator::new made {allocs} allocation(s), more \
+             than {SETUP_ALLOCS_MAX}; per-page state must not be built up front"
+        );
     }
 }
