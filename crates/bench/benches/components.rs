@@ -26,26 +26,6 @@ fn calendar(c: &mut Criterion) {
             black_box(sum)
         })
     });
-    // Baseline the calendar's 4-ary packed-key heap against the previous
-    // implementation (std BinaryHeap of (Reverse(time), Reverse(seq), event))
-    // on the same workload, so the data structure choice stays justified by
-    // a live number rather than by a comment.
-    c.bench_function("calendar/schedule_pop_10k_binaryheap_baseline", |b| {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        b.iter(|| {
-            let mut heap: BinaryHeap<(Reverse<u64>, Reverse<u64>, u64)> = BinaryHeap::new();
-            let mut rng = SimRng::from_seed(1);
-            for i in 0..10_000u64 {
-                heap.push((Reverse(rng.uniform_u64(i, i + 1_000_000)), Reverse(i), i));
-            }
-            let mut sum = 0u64;
-            while let Some((_, _, e)) = heap.pop() {
-                sum = sum.wrapping_add(e);
-            }
-            black_box(sum)
-        })
-    });
     // The simulator's real pattern is interleaved schedule/pop churn on a
     // modest queue, not bulk load + drain; measure that shape too.
     c.bench_function("calendar/interleaved_churn_50k", |b| {
@@ -94,56 +74,6 @@ fn calendar(c: &mut Criterion) {
                     let k = rng.index(slots.len());
                     let at = cal.now() + SimDuration(rng.uniform_u64(1, 1_000));
                     cal.set_slot(slots[k], at, k as u64);
-                }
-            }
-            black_box(sum)
-        })
-    });
-    // The zero-delay storm: the shape of zero-wire-time message traffic,
-    // where each popped event fans out into a chain of same-instant
-    // follow-ups (a MsgArrive that immediately triggers CPU polls and
-    // further sends) before the next timed arrival. Three of every four
-    // pops ride the same-instant fast lane.
-    c.bench_function("calendar/same_instant_storm", |b| {
-        b.iter(|| {
-            let mut cal = EventCalendar::new();
-            let mut rng = SimRng::from_seed(4);
-            for i in 0..64u64 {
-                cal.schedule(SimTime(i + 1), i * 4);
-            }
-            let mut sum = 0u64;
-            for _ in 0..50_000 {
-                let (t, e) = cal.pop().expect("kept non-empty");
-                sum = sum.wrapping_add(e);
-                if e % 4 == 3 {
-                    // The hop chain ends; the next arrival is a timed event.
-                    cal.schedule(t + SimDuration(rng.uniform_u64(1, 1_000)), e & !3);
-                } else {
-                    // A zero-wire-time hop: same-instant follow-up.
-                    cal.schedule_now(e + 1);
-                }
-            }
-            black_box(sum)
-        })
-    });
-    // The same storm pushed through the heap (`schedule` at the current
-    // instant) instead of the FIFO microqueue — the cost the fast lane
-    // removes.
-    c.bench_function("calendar/same_instant_storm_heap_baseline", |b| {
-        b.iter(|| {
-            let mut cal = EventCalendar::new();
-            let mut rng = SimRng::from_seed(4);
-            for i in 0..64u64 {
-                cal.schedule(SimTime(i + 1), i * 4);
-            }
-            let mut sum = 0u64;
-            for _ in 0..50_000 {
-                let (t, e) = cal.pop().expect("kept non-empty");
-                sum = sum.wrapping_add(e);
-                if e % 4 == 3 {
-                    cal.schedule(t + SimDuration(rng.uniform_u64(1, 1_000)), e & !3);
-                } else {
-                    cal.schedule(t, e + 1);
                 }
             }
             black_box(sum)
@@ -252,7 +182,7 @@ fn cpu_model(c: &mut Criterion) {
                 }
                 done += usize::from(cpu.submit_shared(now, i, 500.0 + (i % 13) as f64).is_some());
                 if i % 50 == 0 {
-                    done += cpu.cancel_shared_where(|tag| tag % 17 == 3).len();
+                    done += cpu.cancel_shared_where(|tag| tag % 17 == 3);
                 }
             }
             while let Some(t) = cpu.next_completion() {

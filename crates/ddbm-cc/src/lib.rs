@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `ddbm-cc` — the four distributed concurrency control algorithms of the
 //! paper, the 2PL-T and wait-die extensions and the NO_DC baseline, each
 //! behind the node-local [`CcManager`] trait.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `ddbm-config` — typed model parameters for the distributed database
 //! machine simulator.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `ddbm-core` — the distributed database machine simulator of Carey &
 //! Livny's SIGMOD 1989 study, assembled from the `denet` event engine, the
 //! `ddbm-resource` CPU/disk models, and the `ddbm-cc` concurrency control

@@ -377,10 +377,11 @@ pub enum Event {
 mod tests {
     use super::*;
 
-    /// The calendar stores events inline in its heap, fast lane, and
-    /// prediction slots, so every extra word here is copied on each of the
-    /// millions of schedule/pop pairs in a run. `MsgArrive` boxes its
-    /// payload for exactly this reason. If this assertion fires, either
+    /// The calendar stores events inline, and nearly all of them are
+    /// copied into and out of its prediction slots: hundreds of slot
+    /// writes per commit against one or two heap pushes. Every extra word
+    /// here is copied on each of them. `MsgArrive` boxes its payload for
+    /// exactly this reason. If this assertion fires, either
     /// shrink the new variant (box large fields) or consciously accept the
     /// cost and update the expected size.
     #[test]

@@ -407,3 +407,19 @@ fn replicated_runs_complete_and_fan_out_writes() {
         single.mean_response_time
     );
 }
+
+#[test]
+fn unbounded_lock_timeout_never_fires() {
+    // `lock_timeout = SimDuration(u64::MAX)` passes validation; scheduling
+    // the timer must saturate at the end of time rather than overflow (a
+    // debug-build panic) or wrap into the past (a release-build timeout
+    // that fires one nanosecond before it was set).
+    let mut c = Config::partitioning(Algorithm::TwoPhaseLockingTimeout, 8, false, 0.0);
+    c.system.lock_timeout = denet::SimDuration(u64::MAX);
+    c.control.warmup_commits = 5;
+    c.control.measure_commits = 20;
+    // With no timer and no detector, the first deadlock stalls its
+    // transactions for good; the run ends at the simulated-time wall.
+    let r = run(c);
+    assert_eq!(r.aborts_by_cause.lock_timeout, 0);
+}

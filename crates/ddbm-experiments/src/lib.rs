@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `ddbm-experiments` — the reproduction harness for every table and figure
 //! in the paper's evaluation (§4).
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `ddbm-oracle` — the differential verification oracle for the simulator.
 //!
 //! The simulator, run with `trace.witness` on, emits a totally ordered

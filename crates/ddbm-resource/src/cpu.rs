@@ -17,14 +17,17 @@
 //! shared jobs are live and frozen while a message preempts them. A job
 //! arriving with `w` instructions is stamped with a finish tag
 //! `f = v + w` that never changes afterwards, and it completes exactly when
-//! `v` reaches `f`. The pending tags sit in a small min-heap ordered by
-//! `(f, arrival seq)`, so:
+//! `v` reaches `f`. The pending jobs sit in a `std::collections::BinaryHeap`
+//! ordered by `(f, arrival seq)`, earliest first, with each job's tag
+//! stored inline, so:
 //!
 //! * [`Cpu::advance`] to an instant with no completions is an O(1) clock
 //!   update (one add to `v`) — no per-job work, no rescan;
 //! * [`Cpu::next_completion`] is O(1): the next finisher is the min finish
 //!   tag, at `last + (f_min − v)·n / rate`;
-//! * completing one job is one heap pop, O(log n).
+//! * completing one job is one heap pop, O(log n);
+//! * cancelling an aborted cohort's jobs is one `retain` over the heap, and
+//!   the survivors' share adjusts because `n` is the heap's length.
 //!
 //! The previous implementation rescanned the whole shared-job vector on
 //! every state change (O(n) per interaction, with repeated re-prediction of
@@ -44,7 +47,8 @@
 //! overwrites the slot in place, so stale completions never fire.
 
 use denet::{BusyTracker, SimDuration, SimTime, NANOS_PER_SEC};
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Work remaining below this many instructions counts as finished (guards
 /// against floating-point residue; far below one instruction).
@@ -56,31 +60,39 @@ struct Job<T> {
     remaining: f64, // instructions
 }
 
-/// A shared-class job: its tag plus the sequence number that validates heap
-/// entries pointing at this slot (slots are reused; stale heap entries carry
-/// an older sequence number and are skipped).
+/// A processor-shared job: its finish tag, arrival sequence and tag.
 #[derive(Debug)]
-struct SharedSlot<T> {
-    tag: T,
-    seq: u64,
-}
-
-/// One entry of the intra-CPU finish-tag heap.
-#[derive(Debug, Clone, Copy)]
-struct PsEntry {
-    /// Virtual finish tag `v(arrival) + instructions`.
+struct PsEntry<T> {
+    /// Virtual finish tag `v(arrival) + instructions`; positive and finite.
     finish: f64,
-    /// Arrival sequence: FIFO tie-break for equal tags, and slot validation.
+    /// Arrival sequence: FIFO tie-break for equal tags.
     seq: u64,
-    /// Index into `Cpu::slots`.
-    slot: u32,
+    tag: T,
 }
 
-impl PsEntry {
-    /// Min-heap order: earliest finish tag first, FIFO within a tag.
+impl<T> PartialEq for PsEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for PsEntry<T> {}
+
+impl<T> PartialOrd for PsEntry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for PsEntry<T> {
+    /// Reversed `(finish, seq)`, so the max-heap's top is the earliest
+    /// finish tag, FIFO within a tag.
     #[inline]
-    fn before(&self, other: &PsEntry) -> bool {
-        self.finish < other.finish || (self.finish == other.finish && self.seq < other.seq)
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .finish
+            .total_cmp(&self.finish)
+            .then(other.seq.cmp(&self.seq))
     }
 }
 
@@ -96,15 +108,9 @@ pub struct Cpu<T> {
     messages: VecDeque<Job<T>>,
     /// Cumulative virtual work per unit share, in instructions.
     v: f64,
-    /// Shared-job payloads; heap entries point into this slab.
-    slots: Vec<Option<SharedSlot<T>>>,
-    /// Vacated slab positions available for reuse.
-    free: Vec<u32>,
-    /// Min-heap of pending finish tags. May contain stale entries for
-    /// cancelled jobs; they are skipped lazily (validated against `slots`).
-    heap: Vec<PsEntry>,
-    /// Live shared jobs (`n` in the fluid model); excludes cancelled ones.
-    live: usize,
+    /// Processor-shared jobs, earliest finish tag on top; its length is
+    /// `n` in the fluid model.
+    heap: BinaryHeap<PsEntry<T>>,
     next_seq: u64,
     last: SimTime,
     busy: BusyTracker,
@@ -119,10 +125,7 @@ impl<T> Cpu<T> {
             ns_per_instr: NANOS_PER_SEC as f64 / rate,
             messages: VecDeque::new(),
             v: 0.0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            heap: Vec::new(),
-            live: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             last: SimTime::ZERO,
             busy: BusyTracker::new(SimTime::ZERO),
@@ -132,7 +135,7 @@ impl<T> Cpu<T> {
     #[inline]
     /// `is_idle`.
     pub fn is_idle(&self) -> bool {
-        self.messages.is_empty() && self.live == 0
+        self.messages.is_empty() && self.heap.is_empty()
     }
 
     /// True when the accounting clock already sits at `now`: an `advance`
@@ -141,18 +144,6 @@ impl<T> Cpu<T> {
     #[inline]
     pub fn is_current(&self, now: SimTime) -> bool {
         self.last == now
-    }
-
-    /// Number of jobs currently sharing the processor (excludes messages).
-    #[inline]
-    pub fn shared_len(&self) -> usize {
-        self.live
-    }
-
-    /// Number of queued message jobs.
-    #[inline]
-    pub fn message_len(&self) -> usize {
-        self.messages.len()
     }
 
     /// Fraction of time busy since the last utilization reset.
@@ -215,16 +206,15 @@ impl<T> Cpu<T> {
                     t = now;
                     break;
                 }
-            } else if self.live > 0 {
-                let n = self.live as f64;
-                let top = self.heap[0];
-                debug_assert!(self.entry_live(&top), "heap top must be live");
-                let need = duration_for((top.finish - self.v).max(0.0) * n, self.ns_per_instr);
+            } else if let Some(top) = self.heap.peek() {
+                let n = self.heap.len() as f64;
+                let finish = top.finish;
+                let need = duration_for((finish - self.v).max(0.0) * n, self.ns_per_instr);
                 if t + need <= now {
                     // Exact completion: the same product that predicted this
                     // instant lands virtual time exactly on the finish tag.
                     t += need;
-                    self.v = top.finish;
+                    self.v = finish;
                     done.push(self.complete_top());
                 } else {
                     // No completion in (t, now]: one O(1) fluid update.
@@ -233,7 +223,11 @@ impl<T> Cpu<T> {
                     // Ceil-rounded instants can overshoot a finish tag by a
                     // sub-nanosecond sliver; sweep tags the fluid already
                     // passed (the EPS companion to the message-class sweep).
-                    while self.live > 0 && self.heap[0].finish <= self.v + EPS_INSTR {
+                    while self
+                        .heap
+                        .peek()
+                        .is_some_and(|top| top.finish <= self.v + EPS_INSTR)
+                    {
                         done.push(self.complete_top());
                     }
                     break;
@@ -241,7 +235,7 @@ impl<T> Cpu<T> {
             } else {
                 break; // idle for the rest of the interval
             }
-            if t >= now && self.messages.is_empty() && self.live == 0 {
+            if t >= now && self.is_idle() {
                 break;
             }
         }
@@ -255,44 +249,17 @@ impl<T> Cpu<T> {
         }
     }
 
-    /// Pop the (live) top of the finish-tag heap, free its slot, and return
-    /// its tag. Rebases virtual time when the shared class empties.
+    /// Pop the top of the finish-tag heap and return its tag. Rebases
+    /// virtual time when the shared class empties.
     fn complete_top(&mut self) -> T {
-        let top = self.pop_heap();
-        let slot = self.slots[top.slot as usize].take().expect("live entry");
-        debug_assert_eq!(slot.seq, top.seq);
-        self.free.push(top.slot);
-        self.live -= 1;
-        if self.live == 0 {
+        let top = self.heap.pop().expect("non-empty heap");
+        if self.heap.is_empty() {
             // Empty shared class: reset the fluid clock so `v` (and the
             // f64 error of tags derived from it) stays bounded by one busy
             // period rather than growing for the whole run.
             self.v = 0.0;
-            self.heap.clear();
-        } else {
-            self.skip_dead_entries();
         }
-        slot.tag
-    }
-
-    /// True if a heap entry still refers to a live job (its slot holds the
-    /// same sequence number).
-    #[inline]
-    fn entry_live(&self, e: &PsEntry) -> bool {
-        self.slots[e.slot as usize]
-            .as_ref()
-            .is_some_and(|s| s.seq == e.seq)
-    }
-
-    /// Drop stale heap tops so `heap[0]`, when `live > 0`, is always a live
-    /// entry (the invariant `next_completion` and `advance` rely on).
-    fn skip_dead_entries(&mut self) {
-        while let Some(&top) = self.heap.first() {
-            if self.entry_live(&top) {
-                break;
-            }
-            self.pop_heap();
-        }
+        top.tag
     }
 
     /// Submit an ordinary (processor-shared) job of `instructions`.
@@ -306,22 +273,11 @@ impl<T> Cpu<T> {
         self.sync_clock(now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(SharedSlot { tag, seq });
-                s
-            }
-            None => {
-                self.slots.push(Some(SharedSlot { tag, seq }));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.push_heap(PsEntry {
+        self.heap.push(PsEntry {
             finish: self.v + instructions,
             seq,
-            slot,
+            tag,
         });
-        self.live += 1;
         self.busy.set_busy(now, true);
         None
     }
@@ -359,28 +315,18 @@ impl<T> Cpu<T> {
     }
 
     /// Remove all processor-shared jobs matching `pred` (e.g. the work of an
-    /// aborted cohort) and return their tags. Message jobs are never
-    /// cancelled: protocol processing always runs to completion.
+    /// aborted cohort) and return how many were removed. Message jobs are
+    /// never cancelled: protocol processing always runs to completion.
     ///
-    /// Removal is O(1) per removed job (slot freed, heap entry tombstoned
-    /// and skipped lazily); the fluid share of the survivors adjusts
-    /// automatically because `live` shrinks.
-    pub fn cancel_shared_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut removed = Vec::new();
-        for i in 0..self.slots.len() {
-            if self.slots[i].as_ref().is_some_and(|s| pred(&s.tag)) {
-                let slot = self.slots[i].take().expect("checked");
-                self.free.push(i as u32);
-                self.live -= 1;
-                removed.push(slot.tag);
-            }
-        }
-        if !removed.is_empty() {
-            if self.live == 0 {
+    /// The survivors keep their finish tags; their fluid share adjusts
+    /// because the heap shrinks.
+    pub fn cancel_shared_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        let before = self.heap.len();
+        self.heap.retain(|e| !pred(&e.tag));
+        let removed = before - self.heap.len();
+        if removed > 0 {
+            if self.heap.is_empty() {
                 self.v = 0.0;
-                self.heap.clear();
-            } else {
-                self.skip_dead_entries();
             }
             self.busy.set_busy(self.last, !self.is_idle());
         }
@@ -395,12 +341,9 @@ impl<T> Cpu<T> {
     /// idle afterwards.
     pub fn clear(&mut self, now: SimTime) -> usize {
         debug_assert!(now >= self.last, "CPU cleared in the past");
-        let dropped = self.messages.len() + self.live;
+        let dropped = self.messages.len() + self.heap.len();
         self.messages.clear();
-        self.slots.clear();
-        self.free.clear();
         self.heap.clear();
-        self.live = 0;
         self.v = 0.0;
         self.last = now;
         self.busy.set_busy(now, false);
@@ -416,58 +359,9 @@ impl<T> Cpu<T> {
         if let Some(head) = self.messages.front() {
             return Some(self.last + duration_for(head.remaining, self.ns_per_instr));
         }
-        if self.live == 0 {
-            return None;
-        }
-        let top = &self.heap[0];
-        debug_assert!(self.entry_live(top), "heap top must be live");
-        let n = self.live as f64;
+        let top = self.heap.peek()?;
+        let n = self.heap.len() as f64;
         Some(self.last + duration_for((top.finish - self.v).max(0.0) * n, self.ns_per_instr))
-    }
-
-    // --- intra-CPU finish-tag heap (binary, hole-free: entries are 24-byte
-    // `Copy`, so plain writes are cheap) ---
-
-    fn push_heap(&mut self, entry: PsEntry) {
-        let mut i = self.heap.len();
-        self.heap.push(entry);
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !entry.before(&self.heap[parent]) {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = entry;
-    }
-
-    fn pop_heap(&mut self) -> PsEntry {
-        let top = self.heap[0];
-        let last = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            let len = self.heap.len();
-            let mut i = 0;
-            loop {
-                let l = 2 * i + 1;
-                if l >= len {
-                    break;
-                }
-                let r = l + 1;
-                let child = if r < len && self.heap[r].before(&self.heap[l]) {
-                    r
-                } else {
-                    l
-                };
-                if !self.heap[child].before(&last) {
-                    break;
-                }
-                self.heap[i] = self.heap[child];
-                i = child;
-            }
-            self.heap[i] = last;
-        }
-        top
     }
 }
 
@@ -622,8 +516,7 @@ mod tests {
         assert!(cpu.submit_shared(SimTime::ZERO, 1, 1_000.0).is_none());
         assert!(cpu.submit_shared(SimTime::ZERO, 2, 1_000.0).is_none());
         assert!(cpu.submit_shared(SimTime::ZERO, 3, 1_000.0).is_none());
-        let removed = cpu.cancel_shared_where(|t| *t == 2);
-        assert_eq!(removed, vec![2]);
+        assert_eq!(cpu.cancel_shared_where(|t| *t == 2), 1);
         // Remaining two share the CPU from t=0: both done at 2 ms.
         let done = drain(&mut cpu, SimTime(2_000_000));
         assert_eq!(done, vec![1, 3]);
@@ -636,14 +529,14 @@ mod tests {
         assert!(cpu.submit_shared(SimTime::ZERO, 2, 5_000.0).is_none());
         // Job 1 would finish first (at 2 ms); cancel it. Job 2 then owns the
         // whole CPU from t=0: done at 5 ms.
-        assert_eq!(cpu.cancel_shared_where(|t| *t == 1), vec![1]);
+        assert_eq!(cpu.cancel_shared_where(|t| *t == 1), 1);
         assert_eq!(cpu.next_completion(), Some(SimTime(5_000_000)));
         assert_eq!(cpu.advance(SimTime(5_000_000)), vec![2]);
         assert!(cpu.is_idle());
     }
 
     #[test]
-    fn slots_are_reused_after_completion_and_cancel() {
+    fn heap_stays_small_after_completion_and_cancel() {
         let mut cpu = Cpu::new(1e6);
         for round in 0..100u32 {
             assert!(cpu.submit_shared(cpu.last, round, 1_000.0).is_none());
@@ -651,14 +544,14 @@ mod tests {
                 let t = cpu.next_completion().unwrap();
                 assert_eq!(cpu.advance(t), vec![round]);
             } else {
-                assert_eq!(cpu.cancel_shared_where(|_| true), vec![round]);
+                assert_eq!(cpu.cancel_shared_where(|_| true), 1);
             }
         }
         assert!(cpu.is_idle());
         assert!(
-            cpu.slots.len() <= 2,
-            "slab grew to {} for 1 concurrent job",
-            cpu.slots.len()
+            cpu.heap.capacity() <= 4,
+            "heap grew to capacity {} for 1 concurrent job",
+            cpu.heap.capacity()
         );
     }
 

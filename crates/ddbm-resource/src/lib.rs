@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `ddbm-resource` — physical resource models for a database machine node
 //! (the paper's *resource manager*, §3.4).
 //!

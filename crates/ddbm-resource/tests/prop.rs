@@ -3,6 +3,7 @@
 use ddbm_resource::{Cpu, DiskArray};
 use denet::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A randomized submission schedule: (gap to next action in µs, job kind).
 #[derive(Debug, Clone)]
@@ -18,6 +19,27 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         (1f64..5_000.0).prop_map(Action::Message),
         Just(Action::Idle),
     ]
+}
+
+/// A cancellation sweep after a step: `Some((m, r))` cancels the shared
+/// jobs whose id is `r` modulo `m`.
+fn sweep_strategy() -> impl Strategy<Value = Option<(u64, u64)>> {
+    prop_oneof![
+        2 => Just(None),
+        1 => (2u64..5, 0u64..5).prop_map(Some),
+    ]
+}
+
+/// Retire completed job ids from `pending`, asserting each was pending (not
+/// completed before, not cancelled); returns how many completed.
+fn settle(done: Vec<u64>, pending: &mut BTreeMap<u64, bool>) -> usize {
+    for id in &done {
+        assert!(
+            pending.remove(id).is_some(),
+            "job {id} completed twice or after its cancellation"
+        );
+    }
+    done.len()
 }
 
 proptest! {
@@ -71,6 +93,68 @@ proptest! {
             (busy - expect).abs() < 1e-5 + 1e-6 * expect,
             "busy {busy} vs expected {expect}"
         );
+    }
+
+    /// Cancellation is exact: under random submissions of both classes,
+    /// advances and `cancel_shared_where` sweeps, every job either completes
+    /// exactly once or is cancelled, each sweep removes exactly the pending
+    /// shared jobs it matches, message jobs are never cancelled, and the CPU
+    /// ends idle.
+    #[test]
+    fn cpu_cancel_is_exact(
+        steps in prop::collection::vec(
+            (0u64..3_000, action_strategy(), sweep_strategy()),
+            1..150,
+        ),
+    ) {
+        let mut cpu: Cpu<u64> = Cpu::new(1e6);
+        let mut now = SimTime::ZERO;
+        // Pending jobs by id, `true` for the message class.
+        let mut pending: BTreeMap<u64, bool> = BTreeMap::new();
+        let mut completed = 0usize;
+        let mut cancelled = 0usize;
+        let mut submitted = 0usize;
+        for (i, (gap_us, action, sweep)) in steps.into_iter().enumerate() {
+            let id = i as u64;
+            now += SimDuration::from_micros(gap_us);
+            completed += settle(cpu.advance(now), &mut pending);
+            match action {
+                Action::Shared(instr) | Action::Message(instr) => {
+                    let message = matches!(action, Action::Message(_));
+                    submitted += 1;
+                    pending.insert(id, message);
+                    let inline = if message {
+                        cpu.submit_message(now, id, instr)
+                    } else {
+                        cpu.submit_shared(now, id, instr)
+                    };
+                    prop_assert!(inline.is_none(), "every job here costs at least one instruction");
+                }
+                Action::Idle => {}
+            }
+            if let Some((m, r)) = sweep {
+                let matches = |tag: &u64| tag % m == r;
+                let expected: Vec<u64> = pending
+                    .iter()
+                    .filter(|&(tag, &message)| !message && matches(tag))
+                    .map(|(&tag, _)| tag)
+                    .collect();
+                prop_assert_eq!(cpu.cancel_shared_where(matches), expected.len());
+                for tag in &expected {
+                    pending.remove(tag);
+                }
+                cancelled += expected.len();
+            }
+        }
+        let mut guard = 0;
+        while let Some(t) = cpu.next_completion() {
+            completed += settle(cpu.advance(t), &mut pending);
+            guard += 1;
+            prop_assert!(guard < 10_000, "drain did not terminate");
+        }
+        prop_assert!(pending.is_empty(), "jobs never completed: {pending:?}");
+        prop_assert_eq!(completed + cancelled, submitted);
+        prop_assert!(cpu.is_idle());
     }
 
     /// Disk arrays complete every request exactly once; on a single disk,

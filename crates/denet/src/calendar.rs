@@ -5,61 +5,23 @@
 //! scheduled (FIFO tie-breaking via a monotone sequence number), which makes
 //! simulation runs fully deterministic for a given seed.
 //!
-//! # Winning configuration (measured)
+//! # One-shot events
 //!
-//! Internally this is a **4-ary min-heap of inline `(packed key, event)`
-//! entries**. The key is a single `u128` (`time << 64 | seq`), so every
-//! comparison is one integer compare; sifting uses hole-style moves (the
-//! displaced entry is held out of the array and written exactly once at its
-//! final position), so each level of the heap costs one entry move, never a
-//! three-move swap. Two details matter enough to show up in the benches:
-//! `pop` reads the root out and sifts the former last leaf down *from the
-//! hole* (no write-then-reread of slot 0), and the min-of-children scan is
-//! unrolled for full interior nodes — together worth ~1.5x on
-//! `calendar/schedule_pop_10k` over the naive formulation.
+//! Every [`schedule`](EventCalendar::schedule) and
+//! [`schedule_after`](EventCalendar::schedule_after), zero delays included,
+//! pushes onto a `std::collections::BinaryHeap` of inline entries. An entry
+//! is ordered by its packed key alone (`time << 64 | seq`, one `u128`
+//! compare), reversed so the max-heap pops the earliest key first.
 //!
-//! Two earlier configurations are retired, and the numbers that retired them
-//! live in the `calendar` benches of `crates/bench/benches/components.rs`
-//! (committed in `BENCH_core.json`):
-//!
-//! * **`std::collections::BinaryHeap` over `(Reverse(time), Reverse(seq),
-//!   event)`** — kept alive as the `schedule_pop_10k_binaryheap_baseline`
-//!   bench. The inline 4-ary heap beats it ~1.25x on bulk load/drain
-//!   (537µs vs 672µs per 10k schedule+pop pairs on the reference machine).
-//! * **An indirect heap** (heap of `(key, slot)` pairs pointing into a slab
-//!   of payloads). The indirection was meant to spare sifts from moving wide
-//!   events, but for every event type in this workspace (the simulator's
-//!   `Event` is 32 bytes; bench payloads are 8) the two dependent slab
-//!   accesses per schedule/pop cost more than moving the payload inline:
-//!   the retired indirect variant measured 0.44x the inline heap on
-//!   `schedule_pop_10k` and 0.69x on `interleaved_churn_50k` (same machine,
-//!   PR-over-PR), and lost to the `BinaryHeap` baseline outright. Inline
-//!   entries win for payloads up to at least ~32 bytes; revisit indirection
-//!   only if an event type grows well past that.
-//!
-//! `ARITY = 4` is likewise bench-justified (same machine, same session):
-//! on `schedule_pop_10k` 2-ary measured 743µs, 4-ary 537µs, 8-ary 605µs;
-//! on `interleaved_churn_50k` the three are within ~7% with 4-ary ahead.
-//! Halving the sift depth pays; quadrupling the per-level comparisons does
-//! not. Wegener's sift-down-to-bottom variant (as in `std`) was also tried
-//! and lost ~7% at this arity — with the depth already halved, the saved
-//! "done yet?" compares do not cover the extra leaf-to-position walk.
-//!
-//! # Same-instant fast lane
-//!
-//! Zero-delay events ([`schedule_now`](EventCalendar::schedule_now), and
-//! [`schedule_after`](EventCalendar::schedule_after) with a zero delay) skip
-//! the heap entirely: they are appended to a FIFO microqueue keyed with the
-//! same packed `(time, seq)` key a heap push would have assigned. Because
-//! both `now` and `seq` are monotone, the microqueue's keys are strictly
-//! increasing, so its front is always its minimum and
-//! [`pop`](EventCalendar::pop) only ever compares the front key against the
-//! other sources. Delivery order is *provably identical* to routing the same
-//! events through the heap: every event still receives the globally unique
-//! packed key it would have received from `push`, and `pop` always delivers
-//! the minimum key across all sources — only the container holding the
-//! entry changes, never its position in the total order. (The fast lane is
-//! O(1) per event instead of O(log n) sift + O(log n) pop.)
+//! The heap carries little of the simulator's traffic. Counted over the
+//! 16 cell configs of perfbench's `uncontended` and `contended` workloads
+//! (NO_DC at 1/4/8 nodes; 2PL, WW, WD, BTO and OPT at 8 nodes, 8- and
+//! 1-way), it pops 1.0–2.5 events per commit and never holds more than 129
+//! (about one per terminal), while the prediction slots below pop 164–446
+//! per commit: the heap serves 0.4–1.2% of all pops. An earlier unsafe
+//! 4-ary hole heap and a FIFO "fast lane" for zero-delay events were tuned
+//! on 10k-event microbenches and were retired for that reason
+//! (EXPERIMENTS.md §Performance baseline).
 //!
 //! # Prediction slots
 //!
@@ -90,9 +52,8 @@
 //! calendar schedules without allocating.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use std::mem::ManuallyDrop;
-use std::ptr;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Packed priority: earlier time first, FIFO within a time.
 #[inline]
@@ -105,12 +66,32 @@ fn unpack_time(key: u128) -> SimTime {
     SimTime((key >> 64) as u64)
 }
 
-const ARITY: usize = 4;
-
-/// One heap entry: packed key plus the payload, stored inline.
+/// One heap entry: packed key plus the payload, stored inline. Ordered by
+/// the key alone, reversed, so `BinaryHeap` (a max-heap) pops the least key.
 struct Entry<E> {
     key: u128,
     event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// Handle to a *prediction slot* registered with
@@ -120,17 +101,10 @@ struct Entry<E> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotId(u32);
 
-/// Sentinel key for a vacant slot. No real key can reach it: it would
-/// require both `SimTime(u64::MAX)` and a sequence number of `u64::MAX`.
+/// Sentinel key for a vacant slot (and for "no heap entry" in the min
+/// scans). No real key can reach it: it would require both
+/// `SimTime(u64::MAX)` and a sequence number of `u64::MAX`.
 const VACANT: u128 = u128::MAX;
-
-/// Which container holds the minimum-key candidate during a `pop`.
-#[derive(Clone, Copy)]
-enum Source {
-    Heap,
-    Fast,
-    Slot(usize),
-}
 
 /// A deterministic discrete-event calendar.
 ///
@@ -148,12 +122,8 @@ enum Source {
 /// assert_eq!(cal.pop(), None);
 /// ```
 pub struct EventCalendar<E> {
-    /// 4-ary min-heap of inline entries, rooted at index 0.
-    heap: Vec<Entry<E>>,
-    /// Same-instant fast lane: zero-delay events, keyed exactly as a heap
-    /// push would key them. Keys are strictly increasing front to back
-    /// (monotone `now`, monotone `seq`), so the front is the lane minimum.
-    fast: VecDeque<(u128, E)>,
+    /// One-shot events, least packed key on top.
+    heap: BinaryHeap<Entry<E>>,
     /// Prediction-slot keys, indexed by `SlotId`; `VACANT` marks an empty
     /// slot. Kept dense and separate from the payloads so the per-pop min
     /// scan touches only keys.
@@ -176,8 +146,7 @@ impl<E> EventCalendar<E> {
     /// Create a new instance.
     pub fn new() -> Self {
         EventCalendar {
-            heap: Vec::new(),
-            fast: VecDeque::new(),
+            heap: BinaryHeap::new(),
             slot_keys: Vec::new(),
             slot_events: Vec::new(),
             slots_live: 0,
@@ -205,34 +174,14 @@ impl<E> EventCalendar<E> {
         self.push(time, event);
     }
 
-    /// Schedule `event` to fire `delay` after the current clock.
+    /// Schedule `event` to fire `delay` after the current clock, after every
+    /// event already pending for that instant.
     ///
     /// Hot-path variant of [`schedule`](Self::schedule): `now + delay` can
-    /// never be in the past, so the causality check is skipped. A zero delay
-    /// takes the same-instant fast lane (see
-    /// [`schedule_now`](Self::schedule_now)); delivery order is identical to
-    /// a heap push either way.
+    /// never be in the past, so the causality check is skipped.
     #[inline]
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        if delay == SimDuration::ZERO {
-            self.schedule_now(event);
-        } else {
-            self.push(self.now + delay, event);
-        }
-    }
-
-    /// Schedule `event` to fire at the current instant, after every event
-    /// already pending for this instant (FIFO, like any other schedule).
-    ///
-    /// This is the same-instant fast lane: the event is appended to a
-    /// microqueue in O(1) with the exact packed `(now, seq)` key a heap push
-    /// would have assigned, so delivery order is identical to
-    /// `schedule(self.now(), event)` without the heap round-trip.
-    #[inline]
-    pub fn schedule_now(&mut self, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.fast.push_back((pack(self.now, seq), event));
+        self.push(self.now + delay, event);
     }
 
     /// Register a prediction slot: a stable cell holding at most one pending
@@ -289,46 +238,49 @@ impl<E> EventCalendar<E> {
     fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = pack(time, seq);
-        self.heap.push(Entry { key, event });
-        // SAFETY: the entry was just pushed, so `len - 1` is in bounds.
-        unsafe { self.sift_up(self.heap.len() - 1) };
+        self.heap.push(Entry {
+            key: pack(time, seq),
+            event,
+        });
+    }
+
+    /// The heap's least key, or `VACANT` when it is empty.
+    #[inline]
+    fn heap_key(&self) -> u128 {
+        self.heap.peek().map_or(VACANT, |e| e.key)
+    }
+
+    /// The occupied slot with the least key below `bound`, if any.
+    #[inline]
+    fn min_slot(&self, bound: u128) -> Option<(u128, usize)> {
+        if self.slots_live == 0 {
+            return None;
+        }
+        let mut best = None;
+        let mut min_k = bound;
+        for (i, &k) in self.slot_keys.iter().enumerate() {
+            if k < min_k {
+                min_k = k;
+                best = Some((k, i));
+            }
+        }
+        best
     }
 
     /// Remove and return the earliest event — the minimum packed key across
-    /// the heap, the same-instant fast lane, and the prediction slots —
-    /// advancing the clock to its time.
+    /// the heap and the prediction slots — advancing the clock to its time.
+    /// Packed keys are globally unique, so the merged order equals the order
+    /// a single heap holding every event would produce.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Candidate per source; packed keys are globally unique, so the
-        // minimum is unambiguous and the merged order equals the order a
-        // single heap holding every event would produce.
-        let mut best = self.heap.first().map(|e| (e.key, Source::Heap));
-        if let Some(&(k, _)) = self.fast.front() {
-            if best.is_none_or(|(bk, _)| k < bk) {
-                best = Some((k, Source::Fast));
-            }
-        }
-        if self.slots_live > 0 {
-            let mut min_k = best.map_or(VACANT, |(bk, _)| bk);
-            let mut min_i = usize::MAX;
-            for (i, &k) in self.slot_keys.iter().enumerate() {
-                if k < min_k {
-                    min_k = k;
-                    min_i = i;
-                }
-            }
-            if min_i != usize::MAX {
-                best = Some((min_k, Source::Slot(min_i)));
-            }
-        }
-        let (key, source) = best?;
-        let event = match source {
-            Source::Heap => self.pop_top().expect("root exists").event,
-            Source::Fast => self.fast.pop_front().expect("front exists").1,
-            Source::Slot(i) => {
+        let (key, event) = match self.min_slot(self.heap_key()) {
+            Some((key, i)) => {
                 self.slot_keys[i] = VACANT;
                 self.slots_live -= 1;
-                self.slot_events[i].take().expect("occupied slot")
+                (key, self.slot_events[i].take().expect("occupied slot"))
+            }
+            None => {
+                let e = self.heap.pop()?;
+                (e.key, e.event)
             }
         };
         let time = unpack_time(key);
@@ -337,191 +289,23 @@ impl<E> EventCalendar<E> {
         Some((time, event))
     }
 
-    /// Remove the root entry, restoring the heap property.
-    fn pop_top(&mut self) -> Option<Entry<E>> {
-        let last = self.heap.pop()?;
-        if self.heap.is_empty() {
-            return Some(last);
-        }
-        // SAFETY: the heap is non-empty and 0 is its root. The root is read
-        // out and `last` sifts down from the resulting hole directly,
-        // avoiding a write-then-reread of slot 0.
-        unsafe {
-            let top = ptr::read(self.heap.as_ptr());
-            self.sift_down_from_hole(last);
-            Some(top)
-        }
-    }
-
     /// The timestamp of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best = self.heap.first().map(|e| e.key);
-        if let Some(&(k, _)) = self.fast.front() {
-            if best.is_none_or(|bk| k < bk) {
-                best = Some(k);
-            }
-        }
-        if self.slots_live > 0 {
-            for &k in &self.slot_keys {
-                if best.map_or(k != VACANT, |bk| k < bk) {
-                    best = Some(k);
-                }
-            }
-        }
-        best.map(unpack_time)
+        let heap_key = self.heap_key();
+        let key = self.min_slot(heap_key).map_or(heap_key, |(k, _)| k);
+        (key != VACANT).then(|| unpack_time(key))
     }
 
     #[inline]
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.fast.len() + self.slots_live
+        self.heap.len() + self.slots_live
     }
 
     #[inline]
     /// True when no event is pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (a cheap progress gauge).
-    #[inline]
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Restore the heap property for the entry at `i` by walking it toward
-    /// the root: parents larger than it move down into the hole, and it is
-    /// written exactly once at its final position.
-    ///
-    /// # Safety
-    /// `i` must be in bounds.
-    unsafe fn sift_up(&mut self, i: usize) {
-        let mut hole = Hole::new(&mut self.heap, i);
-        while hole.pos > 0 {
-            let parent = (hole.pos - 1) / ARITY;
-            if hole.key() >= hole.get(parent).key {
-                break;
-            }
-            hole.move_to(parent);
-        }
-    }
-
-    /// Sift `elt` down from a hole at the root (slot 0, whose previous
-    /// content the caller has already read out) to its final position,
-    /// stepping past smaller children. The min-of-children scan is unrolled
-    /// for full interior nodes — the dynamic trip count of the general loop
-    /// otherwise defeats the optimizer on the hottest path.
-    ///
-    /// # Safety
-    /// The heap must be non-empty, with slot 0's content moved out.
-    unsafe fn sift_down_from_hole(&mut self, elt: Entry<E>) {
-        let len = self.heap.len();
-        let mut hole = Hole::with_elt(&mut self.heap, 0, elt);
-        loop {
-            let first_child = hole.pos * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut min = first_child;
-            let mut min_key = hole.get(first_child).key;
-            if first_child + ARITY <= len {
-                for c in first_child + 1..first_child + ARITY {
-                    let k = hole.get(c).key;
-                    if k < min_key {
-                        min = c;
-                        min_key = k;
-                    }
-                }
-            } else {
-                for c in first_child + 1..len {
-                    let k = hole.get(c).key;
-                    if k < min_key {
-                        min = c;
-                        min_key = k;
-                    }
-                }
-            }
-            if min_key >= hole.key() {
-                break;
-            }
-            hole.move_to(min);
-        }
-    }
-}
-
-/// A hole in a heap slice: the element at `pos` has been moved out and is
-/// held in `elt`; `move_to` shifts another element into the hole, and the
-/// held element is written back at the final position on drop. This is the
-/// standard panic-safe one-move-per-level sift (as in `std`'s `BinaryHeap`);
-/// key comparisons cannot panic, so the drop-based write-back is simply the
-/// single exit path.
-struct Hole<'a, E> {
-    data: &'a mut [Entry<E>],
-    elt: ManuallyDrop<Entry<E>>,
-    pos: usize,
-}
-
-impl<'a, E> Hole<'a, E> {
-    /// # Safety
-    /// `pos` must be in bounds.
-    unsafe fn new(data: &'a mut [Entry<E>], pos: usize) -> Self {
-        debug_assert!(pos < data.len());
-        let elt = ptr::read(data.get_unchecked(pos));
-        Hole {
-            data,
-            elt: ManuallyDrop::new(elt),
-            pos,
-        }
-    }
-
-    /// A hole at `pos` filled with an externally supplied element (the slot's
-    /// previous content must already have been moved out by the caller).
-    ///
-    /// # Safety
-    /// `pos` must be in bounds and its slot logically vacated.
-    unsafe fn with_elt(data: &'a mut [Entry<E>], pos: usize, elt: Entry<E>) -> Self {
-        debug_assert!(pos < data.len());
-        Hole {
-            data,
-            elt: ManuallyDrop::new(elt),
-            pos,
-        }
-    }
-
-    #[inline]
-    fn key(&self) -> u128 {
-        self.elt.key
-    }
-
-    /// # Safety
-    /// `index` must be in bounds and not equal to `pos`.
-    #[inline]
-    unsafe fn get(&self, index: usize) -> &Entry<E> {
-        debug_assert!(index != self.pos && index < self.data.len());
-        self.data.get_unchecked(index)
-    }
-
-    /// Move the element at `index` into the hole; `index` becomes the hole.
-    ///
-    /// # Safety
-    /// `index` must be in bounds and not equal to `pos`.
-    #[inline]
-    unsafe fn move_to(&mut self, index: usize) {
-        debug_assert!(index != self.pos && index < self.data.len());
-        let ptr = self.data.as_mut_ptr();
-        ptr::copy_nonoverlapping(ptr.add(index), ptr.add(self.pos), 1);
-        self.pos = index;
-    }
-}
-
-impl<E> Drop for Hole<'_, E> {
-    #[inline]
-    fn drop(&mut self) {
-        // Write the held element into the final hole position.
-        unsafe {
-            let pos = self.pos;
-            ptr::copy_nonoverlapping(&*self.elt, self.data.get_unchecked_mut(pos), 1);
-        }
     }
 }
 
@@ -626,10 +410,9 @@ mod tests {
         );
     }
 
-    /// The inline heap must pop in exactly the order the old
-    /// `BinaryHeap<(time, seq)>` implementation did: ascending packed key.
-    /// Simulation determinism (bit-identical `RunReport`s across the swap)
-    /// rides on this property.
+    /// The heap must pop in ascending packed key: time order, FIFO within
+    /// an instant. Simulation determinism (bit-identical `RunReport`s) rides
+    /// on this property.
     #[test]
     fn pop_order_matches_reference_sort_under_churn() {
         let mut rng = crate::SimRng::from_seed(0xCA1E_0DA2);
@@ -670,47 +453,20 @@ mod tests {
     }
 
     #[test]
-    fn schedule_now_is_fifo_after_pending_same_instant_events() {
+    fn zero_delay_is_fifo_after_pending_same_instant_events() {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(10), 0);
         cal.pop();
-        // Pending heap events at the current instant were scheduled first,
-        // so they carry smaller seqs and must fire before the fast-lane
-        // entries even though the lane is consulted on every pop.
+        // Zero-delay events interleave with events scheduled for the current
+        // instant strictly in scheduling order.
         cal.schedule(SimTime(10), 1);
-        cal.schedule_now(2);
+        cal.schedule_after(SimDuration::ZERO, 2);
         cal.schedule(SimTime(10), 3);
-        cal.schedule_now(4);
+        cal.schedule_after(SimDuration::ZERO, 4);
         for want in 1..=4 {
             assert_eq!(cal.pop(), Some((SimTime(10), want)));
         }
         assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn fast_lane_matches_heap_routing_exactly() {
-        // Reference: everything through the heap. Subject: zero delays via
-        // the fast lane. Identical op sequence must pop identically.
-        let mut rng = crate::SimRng::from_seed(0xFA57);
-        let mut heap_only = EventCalendar::new();
-        let mut fast = EventCalendar::new();
-        for i in 0..5_000u64 {
-            if rng.bernoulli(0.5) {
-                let d = SimDuration(rng.uniform_u64(0, 3));
-                heap_only.schedule(heap_only.now() + d, i);
-                fast.schedule_after(d, i);
-            } else {
-                assert_eq!(heap_only.pop(), fast.pop());
-                assert_eq!(heap_only.len(), fast.len());
-            }
-        }
-        loop {
-            let (a, b) = (heap_only.pop(), fast.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]
@@ -735,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_events_interleave_with_heap_and_fast_lane() {
+    fn slot_events_interleave_with_heap_events() {
         let mut cal = EventCalendar::new();
         let s = cal.register_slot();
         cal.schedule(SimTime(10), 1); // seq 0
@@ -743,7 +499,7 @@ mod tests {
         cal.schedule(SimTime(10), 3); // seq 2
         assert_eq!(cal.peek_time(), Some(SimTime(10)));
         assert_eq!(cal.pop(), Some((SimTime(10), 1)));
-        cal.schedule_now(4); // seq 3
+        cal.schedule_after(SimDuration::ZERO, 4); // seq 3
         assert_eq!(cal.pop(), Some((SimTime(10), 2)));
         assert_eq!(cal.pop(), Some((SimTime(10), 3)));
         assert_eq!(cal.pop(), Some((SimTime(10), 4)));
@@ -800,7 +556,7 @@ mod tests {
     }
 
     /// Payloads with heap allocations must be dropped exactly once through
-    /// the unsafe hole sifts, slot overwrites, and the calendar's own drop.
+    /// heap pops, slot overwrites, and the calendar's own drop.
     #[test]
     fn owning_payloads_are_not_leaked_or_double_dropped() {
         use std::rc::Rc;
@@ -809,8 +565,8 @@ mod tests {
         for i in 0..100u64 {
             cal.schedule(SimTime(i % 13), Rc::clone(&counter));
         }
-        cal.schedule_now(Rc::clone(&counter));
-        cal.schedule_now(Rc::clone(&counter));
+        cal.schedule_after(SimDuration::ZERO, Rc::clone(&counter));
+        cal.schedule_after(SimDuration::ZERO, Rc::clone(&counter));
         let s = cal.register_slot();
         cal.set_slot(s, SimTime(50), Rc::clone(&counter));
         cal.set_slot(s, SimTime(60), Rc::clone(&counter)); // supersedes
@@ -820,8 +576,7 @@ mod tests {
         let undelivered = cal.register_slot();
         cal.set_slot(undelivered, SimTime(90), Rc::clone(&counter));
         assert_eq!(cal.len(), 100 + 2 + 1 + 1 - 60);
-        // Undelivered heap, slot and fast-lane payloads drop with the
-        // calendar.
+        // Undelivered heap and slot payloads drop with the calendar.
         drop(cal);
         assert_eq!(Rc::strong_count(&counter), 1, "payloads leaked");
     }

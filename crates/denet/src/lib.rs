@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `denet` — a small, deterministic discrete-event simulation engine.
 //!
 //! Carey and Livny's original study was implemented in DeNet, a Modula-2-based

@@ -115,18 +115,22 @@ fn secs_to_nanos(secs: f64) -> u64 {
     (secs * NANOS_PER_SEC as f64).round() as u64
 }
 
+/// Saturates at [`SimTime::MAX`]: an instant that far out lies past every
+/// run horizon, so an event scheduled with a huge delay (say, a lock
+/// timeout of `SimDuration(u64::MAX)`) simply never fires instead of
+/// wrapping around into the past.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -192,6 +196,17 @@ mod tests {
         let t2 = t + SimDuration::from_millis(5);
         assert_eq!(t2.since(t), SimDuration::from_millis(5));
         assert_eq!(t.saturating_since(t2), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn adding_a_duration_saturates_at_max() {
+        let t = SimTime(5);
+        assert_eq!(t + SimDuration(u64::MAX), SimTime::MAX);
+        assert_eq!(SimTime::MAX + SimDuration(1), SimTime::MAX);
+        let mut u = SimTime(u64::MAX - 1);
+        u += SimDuration(7);
+        assert_eq!(u, SimTime::MAX);
+        assert_eq!(SimTime(1) + SimDuration(2), SimTime(3));
     }
 
     #[test]

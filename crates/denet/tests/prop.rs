@@ -11,10 +11,8 @@ use proptest::prelude::*;
 enum CalOp {
     /// Plain `schedule` at `now + delay` µs.
     Schedule(u64),
-    /// `schedule_after(delay)`; a zero delay takes the same-instant lane.
+    /// `schedule_after(delay)`, zero delays included.
     After(u64),
-    /// `schedule_now`.
-    Now,
     /// Re-predict slot `k` at `now + delay` µs with `set_slot`.
     SetSlot(usize, u64),
     /// Withdraw slot `k` with `clear_slot`.
@@ -27,7 +25,6 @@ fn cal_op_strategy() -> impl Strategy<Value = CalOp> {
     prop_oneof![
         3 => (0u64..50).prop_map(CalOp::Schedule),
         3 => (0u64..30).prop_map(CalOp::After),
-        2 => Just(CalOp::Now),
         3 => ((0usize..4), (0u64..30)).prop_map(|(k, d)| CalOp::SetSlot(k, d)),
         1 => (0usize..4).prop_map(CalOp::ClearSlot),
         4 => Just(CalOp::Pop),
@@ -134,9 +131,9 @@ proptest! {
 
 proptest! {
     /// Model test: under arbitrary interleavings of `schedule`,
-    /// `schedule_after`, `schedule_now`, `set_slot`, `clear_slot` and `pop`,
-    /// the calendar must behave exactly like the naive scan-the-vector
-    /// reference — time order, FIFO within an instant, superseded and
+    /// `schedule_after`, `set_slot`, `clear_slot` and `pop`, the calendar
+    /// must behave exactly like the naive scan-the-vector reference — time
+    /// order, FIFO within an instant, superseded and
     /// withdrawn slot predictions suppressed, and `len()` and `peek_time()`
     /// exact. Every event takes the next arrival number, as the calendar
     /// takes the next sequence number: a slot's new prediction replaces its
@@ -166,11 +163,6 @@ proptest! {
                     let d = SimDuration::from_micros(delay_us);
                     cal.schedule_after(d, arrivals);
                     reference.push(RefEntry { time: now + d, arrival: arrivals });
-                    arrivals += 1;
-                }
-                CalOp::Now => {
-                    cal.schedule_now(arrivals);
-                    reference.push(RefEntry { time: now, arrival: arrivals });
                     arrivals += 1;
                 }
                 CalOp::SetSlot(k, delay_us) => {
