@@ -18,7 +18,7 @@
 //! [`TxnMeta`]); with its original timestamp a restarted transaction would
 //! find the same accesses out of order and abort forever.
 
-use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
+use crate::common::{AccessResponse, PageBuffers, ReleaseResponse, Spares, Ts, TxnLists, TxnMeta};
 use crate::manager::CcManager;
 use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
 
@@ -26,13 +26,20 @@ use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
 struct PageState {
     rts: Ts,
     wts: Ts,
+    /// The page's waiting accesses, boxed: `None` while both lists are
+    /// empty, which is most pages most of the time.
+    lists: Option<Box<Lists>>,
+}
+
+#[derive(Debug)]
+struct Lists {
     /// Granted-but-uncommitted writes, kept sorted by timestamp.
     pending_writes: Vec<(Ts, TxnId)>,
     /// Reads blocked behind smaller-timestamped pending writes, FIFO.
     blocked_reads: Vec<(Ts, TxnId)>,
 }
 
-impl PageState {
+impl Lists {
     fn min_pending_below(&self, ts: Ts) -> bool {
         // `pending_writes` is kept sorted by timestamp, so the smallest is
         // the front.
@@ -40,10 +47,30 @@ impl PageState {
     }
 }
 
+impl PageBuffers for Lists {
+    /// Room for the first pending writes; reads block only under
+    /// contention.
+    fn stocked() -> Self {
+        Lists {
+            pending_writes: Vec::with_capacity(4),
+            blocked_reads: Vec::new(),
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        self.pending_writes.is_empty() && self.blocked_reads.is_empty()
+    }
+}
+
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct BasicTimestampOrdering {
+    /// Per-page state. `rts`/`wts` are high-water marks and stay once a
+    /// page is touched; its lists go back to `spare` when both empty.
     pages: PageMap<PageState>,
+    /// Lists of pages that went idle, buffers kept, for the next page that
+    /// needs one.
+    spare: Spares<Lists>,
     /// Pages each transaction has pending writes on, with the write ts.
     txn_writes: TxnLists<(PageId, Ts)>,
     /// Pages each transaction has a blocked read on.
@@ -64,17 +91,20 @@ impl BasicTimestampOrdering {
         let Some(state) = self.pages.get_mut(page) else {
             return;
         };
+        let Some(lists) = &mut state.lists else {
+            return;
+        };
         let mut i = 0;
-        while i < state.blocked_reads.len() {
-            let (r_ts, r_txn) = state.blocked_reads[i];
+        while i < lists.blocked_reads.len() {
+            let (r_ts, r_txn) = lists.blocked_reads[i];
             if r_ts < state.wts {
                 // A larger-timestamped write committed while the read was
                 // blocked: the read is now out of order and must abort.
-                state.blocked_reads.remove(i);
+                lists.blocked_reads.remove(i);
                 self.txn_blocked.remove_item(r_txn, &page);
                 out.rejected.push((r_txn, page));
-            } else if !state.min_pending_below(r_ts) {
-                state.blocked_reads.remove(i);
+            } else if !lists.min_pending_below(r_ts) {
+                lists.blocked_reads.remove(i);
                 self.txn_blocked.remove_item(r_txn, &page);
                 state.rts = state.rts.max(r_ts);
                 out.granted.push((r_txn, page));
@@ -82,6 +112,7 @@ impl BasicTimestampOrdering {
                 i += 1;
             }
         }
+        self.spare.settle(&mut state.lists);
     }
 
     fn finish(&mut self, txn: TxnId, install: bool) -> ReleaseResponse {
@@ -90,7 +121,9 @@ impl BasicTimestampOrdering {
         touched.clear();
         for &(page, w_ts) in self.txn_writes.get(txn) {
             if let Some(state) = self.pages.get_mut(page) {
-                state.pending_writes.retain(|(_, t)| *t != txn);
+                if let Some(lists) = &mut state.lists {
+                    lists.pending_writes.retain(|(_, t)| *t != txn);
+                }
                 if install && w_ts > state.wts {
                     // Thomas write rule at install time: only a newer
                     // write becomes the current version.
@@ -102,10 +135,14 @@ impl BasicTimestampOrdering {
         self.txn_writes.remove(txn);
         for &page in self.txn_blocked.get(txn) {
             if let Some(state) = self.pages.get_mut(page) {
-                state.blocked_reads.retain(|(_, t)| *t != txn);
+                if let Some(lists) = &mut state.lists {
+                    lists.blocked_reads.retain(|(_, t)| *t != txn);
+                }
+                self.spare.settle(&mut state.lists);
             }
         }
         self.txn_blocked.remove(txn);
+        // Waking also settles every page this transaction wrote.
         for page in touched.drain(..) {
             self.wake_reads(page, &mut out);
         }
@@ -131,8 +168,9 @@ impl CcManager for BasicTimestampOrdering {
                 // it cannot block any reader).
                 return AccessResponse::granted();
             }
-            let pos = state.pending_writes.partition_point(|(w, _)| *w < ts);
-            state.pending_writes.insert(pos, (ts, txn.id));
+            let pending = &mut self.spare.fill(&mut state.lists).pending_writes;
+            let pos = pending.partition_point(|(w, _)| *w < ts);
+            pending.insert(pos, (ts, txn.id));
             self.txn_writes.push(txn.id, (page, ts));
             AccessResponse::granted()
         } else {
@@ -140,8 +178,15 @@ impl CcManager for BasicTimestampOrdering {
                 // The version this read should see has been overwritten.
                 return AccessResponse::rejected();
             }
-            if state.min_pending_below(ts) {
-                state.blocked_reads.push((ts, txn.id));
+            if state
+                .lists
+                .as_ref()
+                .is_some_and(|l| l.min_pending_below(ts))
+            {
+                self.spare
+                    .fill(&mut state.lists)
+                    .blocked_reads
+                    .push((ts, txn.id));
                 self.txn_blocked.push(txn.id, page);
                 return AccessResponse::blocked();
             }
@@ -154,6 +199,7 @@ impl CcManager for BasicTimestampOrdering {
         self.txn_writes.set_capacity(max_txn_accesses);
         self.txn_blocked.set_capacity(max_txn_accesses);
         self.touched_scratch.reserve(max_txn_accesses);
+        self.spare.set_batch(max_txn_accesses);
     }
 
     fn certify(&mut self, _txn: &TxnMeta, _commit_ts: Ts) -> bool {
@@ -343,6 +389,41 @@ mod tests {
             m.request_access(&meta_ts(1, 40), page(1), true).reply,
             AccessReply::Granted
         );
+    }
+
+    #[test]
+    fn idle_pages_keep_no_lists_and_reuse_a_spare() {
+        let mut m = BasicTimestampOrdering::new();
+        m.request_access(&meta_ts(1, 10), page(1), true); // pending @10
+        m.request_access(&meta_ts(2, 20), page(1), false); // blocked
+        m.request_access(&meta_ts(3, 30), page(2), false); // granted
+        assert!(m.pages.get(page(2)).unwrap().lists.is_none());
+        let lists = m.pages.get(page(1)).unwrap().lists.as_deref().unwrap();
+        let (lists, pending): (*const Lists, _) = (lists, lists.pending_writes.as_ptr());
+        // The commit installs wts = 10 and wakes the read: page 1 goes idle
+        // and keeps only its timestamps.
+        assert_eq!(m.commit(TxnId(1)).granted, vec![(TxnId(2), page(1))]);
+        let state = m.pages.get(page(1)).unwrap();
+        assert!(state.lists.is_none());
+        assert_eq!(
+            (state.wts, state.rts),
+            (Ts::new(10, TxnId(1)), Ts::new(20, TxnId(2)))
+        );
+        assert_eq!(m.spare.stock(), 1);
+        // The next page to need lists takes that spare, buffers and all.
+        m.request_access(&meta_ts(4, 40), page(3), true);
+        let reused = m.pages.get(page(3)).unwrap().lists.as_deref().unwrap();
+        assert!(std::ptr::eq(reused, lists));
+        assert_eq!(reused.pending_writes.as_ptr(), pending);
+        assert_eq!(m.spare.stock(), 0);
+        // A reader's abort withdraws its blocked read; the page stays
+        // active until the write it waited on aborts too.
+        m.request_access(&meta_ts(5, 50), page(3), false); // blocked
+        assert!(m.abort(TxnId(5)).is_empty());
+        assert!(m.pages.get(page(3)).unwrap().lists.is_some());
+        assert!(m.abort(TxnId(4)).is_empty());
+        assert!(m.pages.get(page(3)).unwrap().lists.is_none());
+        assert_eq!(m.spare.stock(), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! which queue ahead of ordinary waiters. On every release the longest
 //! grantable prefix of the queue is granted.
 
-use crate::common::{LockMode, TxnLists};
+use crate::common::{LockMode, PageBuffers, Spares, TxnLists};
 use ddbm_config::{PageId, PageMap, TxnId};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -28,10 +28,24 @@ struct WaitReq {
     is_upgrade: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PageLock {
     holders: Vec<(TxnId, LockMode)>,
     queue: VecDeque<WaitReq>,
+}
+
+impl PageBuffers for PageLock {
+    /// Room for the first holders; the queue grows only under contention.
+    fn stocked() -> Self {
+        PageLock {
+            holders: Vec::with_capacity(4),
+            queue: VecDeque::new(),
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        self.holders.is_empty() && self.queue.is_empty()
+    }
 }
 
 impl PageLock {
@@ -60,9 +74,12 @@ impl PageLock {
 /// The lock table for the pages stored at one node.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    /// Lock state per page. An entry stays in place once created, so its
-    /// holder and queue buffers are reused by every later lock on the page.
-    pages: PageMap<PageLock>,
+    /// Lock state of every page with a holder or a waiter, one word per
+    /// page slot. A page that goes idle gives its lock back to `spare`.
+    pages: PageMap<Box<PageLock>>,
+    /// Locks of pages that went idle, buffers kept, for the next page to
+    /// be locked.
+    spare: Spares<PageLock>,
     /// Pages each transaction holds locks on (for O(1) release).
     held: TxnLists<PageId>,
     /// Pages each transaction is queued on.
@@ -104,12 +121,13 @@ impl LockTable {
     /// Pre-size the per-transaction state for transactions locking at most
     /// `max_txn_accesses` pages here (see
     /// [`CcManager::preallocate`](crate::manager::CcManager::preallocate)).
-    /// Page entries need no pre-sizing: they are created on first touch and
-    /// then stay.
+    /// Page locks need no pre-sizing: they are taken from the spares when a
+    /// page is first locked and returned when it goes idle.
     pub fn preallocate(&mut self, max_txn_accesses: usize) {
         self.held.set_capacity(max_txn_accesses);
         self.waiting.set_capacity(max_txn_accesses);
         self.touched_scratch.reserve(2 * max_txn_accesses);
+        self.spare.set_batch(max_txn_accesses);
     }
 
     /// Request a `mode` lock on `page` for `txn`.
@@ -118,7 +136,7 @@ impl LockTable {
     /// `Granted` (upgrading read → write when needed, possibly by queueing an
     /// upgrade request, in which case `Queued` is returned).
     pub fn request(&mut self, txn: TxnId, page: PageId, mode: LockMode) -> LockOutcome {
-        let lock = self.pages.get_or_default(page);
+        let lock = self.pages.get_or_insert_with(page, || self.spare.take());
         // Re-requesting while already queued is idempotent (strengthening a
         // queued read to a write upgrades the queued request in place).
         if let Some(queued) = lock.queue.iter_mut().find(|w| w.txn == txn) {
@@ -237,6 +255,10 @@ impl LockTable {
         }
         if lock.queue.is_empty() {
             self.queued.remove(&page);
+            if lock.holders.is_empty() {
+                let lock = self.pages.remove(page).expect("the page is locked");
+                self.spare.put(lock);
+            }
         }
         granted
     }
@@ -321,11 +343,12 @@ impl LockTable {
         self.held.contains(txn) || self.waiting.contains(txn)
     }
 
-    /// Number of pages with a holder or a waiter (tests/diagnostics).
+    /// Number of pages with a holder or a waiter (tests/diagnostics). Idle
+    /// pages keep no entry, so this counts the entries.
     pub fn active_pages(&self) -> usize {
         self.pages
             .iter()
-            .filter(|(_, lock)| !lock.holders.is_empty() || !lock.queue.is_empty())
+            .inspect(|(_, lock)| debug_assert!(!lock.is_idle()))
             .count()
     }
 
@@ -544,6 +567,36 @@ mod tests {
         assert!(lt.release_all(TxnId(1)).is_empty());
         assert_eq!(lt.active_pages(), 0);
         assert!(!lt.involves(TxnId(1)));
+    }
+
+    #[test]
+    fn idle_pages_keep_no_lock_and_reuse_a_spare() {
+        let mut lt = LockTable::new();
+        lt.request(TxnId(1), page(1), LockMode::Write);
+        lt.request(TxnId(2), page(1), LockMode::Read); // queued
+        lt.request(TxnId(1), page(2), LockMode::Read);
+        let lock: *const PageLock = &**lt.pages.get(page(1)).unwrap();
+        let holders = lt.pages.get(page(1)).unwrap().holders.as_ptr();
+        // T1's release grants T2: page 1 stays locked, page 2 goes idle.
+        lt.release_all(TxnId(1));
+        assert!(lt.pages.get(page(1)).is_some());
+        assert!(lt.pages.get(page(2)).is_none());
+        assert_eq!(lt.spare.stock(), 1);
+        lt.release_all(TxnId(2));
+        assert_eq!(lt.pages.iter().count(), 0);
+        assert_eq!(lt.spare.stock(), 2);
+        // The next page locked takes the last lock returned, buffers and
+        // all: page 1's, with its holder and queue capacity.
+        lt.request(TxnId(3), page(7), LockMode::Write);
+        lt.request(TxnId(4), page(7), LockMode::Write);
+        let reused = lt.pages.get(page(7)).unwrap();
+        assert!(std::ptr::eq(&**reused, lock));
+        assert_eq!(reused.holders.as_ptr(), holders);
+        assert_eq!(lt.spare.stock(), 1);
+        assert_eq!(lt.release_all(TxnId(3)), vec![(TxnId(4), page(7))]);
+        lt.release_all(TxnId(4));
+        assert_eq!(lt.spare.stock(), 2);
+        assert_eq!(lt.active_pages(), 0);
     }
 
     #[test]

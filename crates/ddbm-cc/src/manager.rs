@@ -32,12 +32,16 @@ pub trait CcManager: Send {
     fn request_access(&mut self, txn: &TxnMeta, page: PageId, write: bool) -> AccessResponse;
 
     /// Pre-size per-transaction state for a node where no transaction
-    /// makes more than `max_txn_accesses` accesses. Called once at node
-    /// construction (and again on crash recovery, which rebuilds the
-    /// manager): growing pooled per-transaction buffers to their bound up
-    /// front keeps steady-state accesses off the allocator (see
-    /// `tests/alloc_steady_state.rs`). Per-page state needs no pre-sizing:
-    /// it grows on first touch and then stays in place.
+    /// makes more than `max_txn_accesses` accesses. The simulator passes
+    /// the node's own bound: the copies of one relation stored at the node,
+    /// replicas included, times `max_pages_per_file` (12 in 8-way
+    /// declustering), not the whole-transaction
+    /// `Config::max_txn_accesses`. Called once at node construction (and
+    /// again on crash recovery, which rebuilds the manager): growing pooled
+    /// per-transaction buffers to their bound up front keeps steady-state
+    /// accesses off the allocator (see `tests/alloc_steady_state.rs`).
+    /// Per-page state needs no pre-sizing: it grows on first touch, and a
+    /// page's lists go back to a spare list when the page goes idle.
     ///
     /// `num_pages` is unused. It stays only because the frozen benchmark
     /// harness (`perfbench`) calls this method with it.

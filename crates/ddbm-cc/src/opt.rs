@@ -20,7 +20,7 @@
 //! (installing `rts`/`wts`, the latter under the Thomas write rule) or
 //! aborts (discarding them).
 
-use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
+use crate::common::{AccessResponse, PageBuffers, ReleaseResponse, Spares, Ts, TxnLists, TxnMeta};
 use crate::manager::CcManager;
 use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
 use denet::FxHashMap;
@@ -31,16 +31,41 @@ struct PageState {
     rts: Ts,
     /// Commit timestamp of the current committed version.
     wts: Ts,
+    /// The page's certified, uncommitted accesses, boxed: `None` while
+    /// there are none, which is most pages most of the time.
+    certified: Option<Box<Certified>>,
+}
+
+#[derive(Debug)]
+struct Certified {
     /// Locally certified, uncommitted reads: (txn, commit ts).
-    cert_reads: Vec<(TxnId, Ts)>,
+    reads: Vec<(TxnId, Ts)>,
     /// Locally certified, uncommitted writes: (txn, commit ts).
-    cert_writes: Vec<(TxnId, Ts)>,
+    writes: Vec<(TxnId, Ts)>,
+}
+
+impl PageBuffers for Certified {
+    fn stocked() -> Self {
+        Certified {
+            reads: Vec::with_capacity(4),
+            writes: Vec::with_capacity(4),
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        self.reads.is_empty() && self.writes.is_empty()
+    }
 }
 
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct OptimisticCertification {
+    /// Per-page state. `rts`/`wts` stay once a page is touched; its
+    /// certified lists go back to `spare` when both empty.
     pages: PageMap<PageState>,
+    /// Certified lists of pages that went idle, buffers kept, for the next
+    /// page that certifies an access.
+    spare: Spares<Certified>,
     /// Uncertified recorded reads: page → version that was read.
     reads: TxnLists<(PageId, Ts)>,
     /// Uncertified recorded writes.
@@ -60,18 +85,24 @@ impl OptimisticCertification {
     fn finish(&mut self, txn: TxnId, commit_ts: Option<Ts>) {
         for &(page, _) in self.reads.get(txn) {
             if let Some(state) = self.pages.get_mut(page) {
-                state.cert_reads.retain(|(t, _)| *t != txn);
+                if let Some(c) = &mut state.certified {
+                    c.reads.retain(|(t, _)| *t != txn);
+                }
                 if let Some(ts) = commit_ts {
                     state.rts = state.rts.max(ts);
                 }
+                self.spare.settle(&mut state.certified);
             }
         }
         for &page in self.writes.get(txn) {
             if let Some(state) = self.pages.get_mut(page) {
-                state.cert_writes.retain(|(t, _)| *t != txn);
+                if let Some(c) = &mut state.certified {
+                    c.writes.retain(|(t, _)| *t != txn);
+                }
                 if let Some(ts) = commit_ts {
                     state.wts = state.wts.max(ts);
                 }
+                self.spare.settle(&mut state.certified);
             }
         }
         self.reads.remove(txn);
@@ -95,6 +126,7 @@ impl CcManager for OptimisticCertification {
     fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
         self.reads.set_capacity(max_txn_accesses);
         self.writes.set_capacity(max_txn_accesses);
+        self.spare.set_batch(max_txn_accesses);
     }
 
     fn certify(&mut self, txn: &TxnMeta, commit_ts: Ts) -> bool {
@@ -109,7 +141,8 @@ impl CcManager for OptimisticCertification {
                 ok = false; // the version read is no longer current
                 break;
             }
-            if state.cert_writes.iter().any(|(t, _)| *t != txn.id) {
+            let certified = state.certified.as_deref();
+            if certified.is_some_and(|c| c.writes.iter().any(|(t, _)| *t != txn.id)) {
                 ok = false; // a certified (necessarily newer) write is pending
                 break;
             }
@@ -121,11 +154,12 @@ impl CcManager for OptimisticCertification {
                     ok = false; // a later read already committed
                     break;
                 }
-                if state
-                    .cert_reads
-                    .iter()
-                    .any(|(t, ts)| *t != txn.id && *ts > commit_ts)
-                {
+                let certified = state.certified.as_deref();
+                if certified.is_some_and(|c| {
+                    c.reads
+                        .iter()
+                        .any(|(t, ts)| *t != txn.id && *ts > commit_ts)
+                }) {
                     ok = false; // a later read is locally certified
                     break;
                 }
@@ -136,16 +170,14 @@ impl CcManager for OptimisticCertification {
         }
         // Register the certified accesses; they hold until phase 2.
         for &(page, _) in reads {
-            self.pages
-                .get_or_default(page)
-                .cert_reads
-                .push((txn.id, commit_ts));
+            let state = self.pages.get_or_default(page);
+            let certified = self.spare.fill(&mut state.certified);
+            certified.reads.push((txn.id, commit_ts));
         }
         for &page in writes {
-            self.pages
-                .get_or_default(page)
-                .cert_writes
-                .push((txn.id, commit_ts));
+            let state = self.pages.get_or_default(page);
+            let certified = self.spare.fill(&mut state.certified);
+            certified.writes.push((txn.id, commit_ts));
         }
         self.certified.insert(txn.id, commit_ts);
         true
@@ -307,6 +339,36 @@ mod tests {
         assert!(m.certify(&meta(2), cts(20)));
         m.commit(TxnId(1));
         m.commit(TxnId(2));
+    }
+
+    #[test]
+    fn idle_pages_keep_no_lists_and_reuse_a_spare() {
+        let mut m = OptimisticCertification::new();
+        m.request_access(&meta(1), page(1), false);
+        m.request_access(&meta(1), page(1), true);
+        m.request_access(&meta(2), page(2), true);
+        // Recorded but uncertified accesses hold no page lists.
+        assert!(m.pages.iter().all(|(_, s)| s.certified.is_none()));
+        assert!(m.certify(&meta(1), cts(10)));
+        assert!(m.certify(&meta(2), cts(20)));
+        let lists = m.pages.get(page(1)).unwrap().certified.as_deref().unwrap();
+        let (lists, reads): (*const Certified, _) = (lists, lists.reads.as_ptr());
+        m.commit(TxnId(1));
+        let state = m.pages.get(page(1)).unwrap();
+        assert!(state.certified.is_none());
+        assert_eq!((state.rts, state.wts), (cts(10), cts(10)));
+        assert_eq!(m.spare.stock(), 1);
+        // Page 3's first certified access takes page 1's lists.
+        m.request_access(&meta(3), page(3), false);
+        assert!(m.certify(&meta(3), cts(30)));
+        let reused = m.pages.get(page(3)).unwrap().certified.as_deref().unwrap();
+        assert!(std::ptr::eq(reused, lists));
+        assert_eq!(reused.reads.as_ptr(), reads);
+        assert_eq!(m.spare.stock(), 0);
+        m.abort(TxnId(2));
+        m.abort(TxnId(3));
+        assert!(m.pages.iter().all(|(_, s)| s.certified.is_none()));
+        assert_eq!(m.spare.stock(), 2);
     }
 
     #[test]

@@ -114,12 +114,15 @@ impl Config {
         )
     }
 
-    /// An upper bound on the page accesses one transaction can make at any
-    /// single node: every partition of one relation, at most
-    /// `max_pages_per_file` pages each, times the replication factor (each
-    /// write adds one access per extra replica). Used to pre-size
-    /// per-transaction buffers so the steady-state hot path stays off the
-    /// allocator (see `CcManager::preallocate`).
+    /// An upper bound on the page accesses one transaction makes in all:
+    /// every partition of one relation, at most `max_pages_per_file` pages
+    /// each, times the replication factor (each write adds one access per
+    /// extra replica). This is also a bound for any single node, but a
+    /// loose one under declustering: the simulator sizes each node's
+    /// per-transaction buffers by the tighter per-node bound, the copies of
+    /// one relation stored there
+    /// ([`Placement::relation_copies_per_node`]) times `max_pages_per_file`
+    /// (see `CcManager::preallocate`).
     pub fn max_txn_accesses(&self) -> usize {
         self.database.partitions_per_relation
             * self.workload.max_pages_per_file as usize

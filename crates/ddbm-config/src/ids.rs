@@ -58,9 +58,10 @@ impl fmt::Display for PageId {
 /// Per-page state, stored densely as `files[file][page]`.
 ///
 /// Pages are numbered from 0 within each file, so a row per file indexed by
-/// page number needs no hashing. A file's row grows the first time one of
-/// its pages is touched (up to that page), and an entry stays in place once
-/// created, buffers and all. Iteration runs in [`PageId`] order.
+/// page number needs no hashing. A file's row grows when a page past its
+/// end is first touched, to that page and by at least an eighth (so under
+/// an eighth of a row is spare), and an entry stays in place until
+/// [`remove`](PageMap::remove)d. Iteration runs in [`PageId`] order.
 #[derive(Debug, Clone)]
 pub struct PageMap<T> {
     files: Vec<Vec<Option<T>>>,
@@ -100,9 +101,24 @@ impl<T> PageMap<T> {
         let row = &mut self.files[file];
         let i = slot(page);
         if i >= row.len() {
+            // Doubling would leave up to half of a row as never-used
+            // capacity; growing only exactly to the page would copy the
+            // row on every new highest page, quadratic when pages are first
+            // touched in ascending order. An eighth at least keeps that
+            // amortized O(1).
+            if i >= row.capacity() {
+                let want = (i + 1).max(row.capacity() + row.capacity() / 8);
+                row.reserve_exact(want - row.len());
+            }
             row.resize_with(i + 1, || None);
         }
         row[i].get_or_insert_with(make)
+    }
+
+    /// Take `page`'s entry out, leaving the page untouched again (its row
+    /// keeps its length). `None` if the page has no entry.
+    pub fn remove(&mut self, page: PageId) -> Option<T> {
+        self.files.get_mut(page.file.0)?.get_mut(slot(page))?.take()
     }
 
     /// The entry for `page`, created as `T::default()` on first touch.
@@ -212,5 +228,52 @@ mod tests {
         sorted.sort();
         let seen: Vec<PageId> = m.iter().map(|(p, _)| p).collect();
         assert_eq!(seen, sorted);
+    }
+
+    #[test]
+    fn page_map_rows_grow_to_the_touched_page_by_at_least_an_eighth() {
+        let mut m: PageMap<u8> = PageMap::new();
+        for page in [5, 2, 9, 30] {
+            m.get_or_default(pid(0, page));
+        }
+        assert_eq!(m.files[0].capacity(), 31);
+        // Ascending first touches: few regrowths, under an eighth spare.
+        let mut growths = 0;
+        for page in 0..1000 {
+            let capacity = m.files.get(1).map_or(0, Vec::capacity);
+            m.get_or_default(pid(1, page));
+            growths += usize::from(m.files[1].capacity() != capacity);
+        }
+        assert!(growths <= 60, "{growths} regrowths");
+        assert!(m.files[1].capacity() <= 1000 + 1000 / 8);
+    }
+
+    #[test]
+    fn page_map_remove_then_reinsert_keeps_page_id_order() {
+        let mut m: PageMap<u64> = PageMap::new();
+        let pages = [pid(1, 4), pid(0, 2), pid(1, 0), pid(0, 7)];
+        for &p in &pages {
+            *m.get_or_default(p) = p.page;
+        }
+        assert_eq!(m.remove(pid(0, 2)), Some(2));
+        assert_eq!(m.remove(pid(0, 2)), None);
+        assert_eq!(m.remove(pid(5, 0)), None);
+        assert_eq!(m.get(pid(0, 2)), None);
+        let seen: Vec<PageId> = m.iter().map(|(p, _)| p).collect();
+        assert_eq!(seen, [pid(0, 7), pid(1, 0), pid(1, 4)]);
+        // Reinserted, the page reads its new value and takes its old place.
+        *m.get_or_default(pid(0, 2)) = 20;
+        assert_eq!(m.remove(pid(1, 0)), Some(0));
+        *m.get_or_default(pid(1, 0)) = 10;
+        let seen: Vec<(PageId, u64)> = m.iter().map(|(p, &v)| (p, v)).collect();
+        assert_eq!(
+            seen,
+            [
+                (pid(0, 2), 20),
+                (pid(0, 7), 7),
+                (pid(1, 0), 10),
+                (pid(1, 4), 4)
+            ]
+        );
     }
 }

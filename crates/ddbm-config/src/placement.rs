@@ -194,10 +194,17 @@ impl Placement {
     /// The ordered replica set of `file`: the primary first, then each copy
     /// on the next node in ring order. All `factor` nodes are distinct.
     pub fn replicas(&self, file: FileId, num_proc_nodes: usize) -> Vec<NodeId> {
+        self.replica_nodes(file, num_proc_nodes).collect()
+    }
+
+    /// [`replicas`](Placement::replicas) without collecting them.
+    pub fn replica_nodes(
+        &self,
+        file: FileId,
+        num_proc_nodes: usize,
+    ) -> impl Iterator<Item = NodeId> {
         let primary = self.node_of[file.0].0 - 1;
-        (0..self.factor)
-            .map(|k| NodeId((primary + k) % num_proc_nodes + 1))
-            .collect()
+        (0..self.factor).map(move |k| NodeId((primary + k) % num_proc_nodes + 1))
     }
 
     #[inline]
@@ -242,12 +249,36 @@ impl Placement {
     /// files-per-node count.
     pub fn files_per_node(&self, num_proc_nodes: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_proc_nodes];
-        for n in &self.node_of {
-            for k in 0..self.factor {
-                counts[(n.0 - 1 + k) % num_proc_nodes] += 1;
+        self.count_copies(&self.node_of, &mut counts);
+        counts
+    }
+
+    /// The most file copies (primaries and replicas) of any one relation
+    /// that each processing node stores (index 0 = node `S1`). A
+    /// transaction touches one relation, so times `max_pages_per_file` this
+    /// bounds the accesses one transaction makes at the node.
+    pub fn relation_copies_per_node(&self, num_proc_nodes: usize) -> Vec<usize> {
+        let mut most = vec![0usize; num_proc_nodes];
+        let mut counts = vec![0usize; num_proc_nodes];
+        for rel in self.node_of.chunks(self.partitions_per_relation.max(1)) {
+            counts.fill(0);
+            self.count_copies(rel, &mut counts);
+            for (m, &c) in most.iter_mut().zip(&counts) {
+                *m = (*m).max(c);
             }
         }
-        counts
+        most
+    }
+
+    /// Add one to `counts[node - 1]` for every copy of the files whose
+    /// primaries are `primaries`.
+    fn count_copies(&self, primaries: &[NodeId], counts: &mut [usize]) {
+        let n = counts.len();
+        for p in primaries {
+            for k in 0..self.factor {
+                counts[(p.0 - 1 + k) % n] += 1;
+            }
+        }
     }
 }
 
@@ -413,6 +444,28 @@ mod tests {
             let p = Placement::replicated_layout(&db, 8, factor).unwrap();
             assert_eq!(p.files_per_node(8), vec![8 * factor; 8], "factor {factor}");
         }
+    }
+
+    #[test]
+    fn relation_copies_follow_degree_and_factor() {
+        // 8 partitions per relation spread over `degree` nodes; each copy
+        // step adds the predecessor's files of the same relation.
+        for (degree, factor, want) in [(8, 1, 1), (4, 1, 2), (1, 1, 8), (8, 3, 3), (1, 3, 8)] {
+            let db = DatabaseParams::small(degree);
+            let p = Placement::replicated_layout(&db, 8, factor).unwrap();
+            assert_eq!(
+                p.relation_copies_per_node(8),
+                vec![want; 8],
+                "degree {degree} factor {factor}"
+            );
+        }
+        // One node holds every copy of everything.
+        let db = DatabaseParams::small(1);
+        let p = Placement::paper_layout(&db, 1).unwrap();
+        assert_eq!(
+            p.relation_copies_per_node(1),
+            vec![db.partitions_per_relation]
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::store::TxnStore;
 use crate::trace::TraceLog;
 use crate::txn::CohortRun;
 use crate::witness::{WitnessSink, WitnessStream};
-use crate::workload::TxnTemplate;
+use crate::workload::{RouteScratch, TxnTemplate};
 use ddbm_cc::{make_manager_with, CcManager};
 use ddbm_config::{Config, ConfigError, FaultPlan, NodeId, PageId, Placement, TxnId};
 use ddbm_resource::{Cpu, DiskArray, LruPool};
@@ -54,6 +54,10 @@ struct NodeState {
     cpu: Cpu<CpuJob>,
     disks: DiskArray<DiskJob>,
     cc: Box<dyn CcManager>,
+    /// The most page accesses one transaction can make at this node (0 at
+    /// the host): the CC manager's per-transaction lists are sized by it,
+    /// at startup and on every crash rebuild.
+    max_accesses: usize,
     /// Extension: per-node LRU buffer pool (capacity 0 = the paper's model,
     /// every read access does a disk I/O).
     buffer: LruPool<PageId>,
@@ -87,11 +91,32 @@ struct NodeState {
 
 /// A node's volatile CC and buffer state, fresh: built at startup and again
 /// after every crash. The CC manager's page state grows on first touch, so
-/// only its per-transaction buffers are pre-sized.
-fn fresh_cc_and_buffer(config: &Config) -> (Box<dyn CcManager>, LruPool<PageId>) {
+/// only its per-transaction buffers are pre-sized, to `max_accesses` (the
+/// node's bound; see [`max_accesses_per_node`]).
+fn fresh_cc_and_buffer(
+    config: &Config,
+    max_accesses: usize,
+) -> (Box<dyn CcManager>, LruPool<PageId>) {
     let mut cc = make_manager_with(config.algorithm, config.system.lock_barging);
-    cc.preallocate(0, config.max_txn_accesses());
+    cc.preallocate(0, max_accesses);
     (cc, LruPool::new(config.system.buffer_pages as usize))
+}
+
+/// The most page accesses one transaction can make at each node, indexed
+/// by node id: the copies (replicas included) of one relation stored there
+/// times `max_pages_per_file`, and 0 at the host, which stores no data.
+/// In 8-way declustering this is 12, an eighth of
+/// [`Config::max_txn_accesses`].
+fn max_accesses_per_node(config: &Config, placement: &Placement) -> Vec<usize> {
+    let pages = config.workload.max_pages_per_file as usize;
+    std::iter::once(0)
+        .chain(
+            placement
+                .relation_copies_per_node(config.system.num_proc_nodes)
+                .into_iter()
+                .map(|copies| copies * pages),
+        )
+        .collect()
 }
 
 /// Deliberate, test-only protocol defects, injectable through
@@ -162,12 +187,17 @@ pub struct Simulator {
     /// Freelist of commit write-back page lists (`CpuJob::UpdateInit`),
     /// recycled when the initiation chain issues its last disk write.
     page_pool: Pool<Vec<PageId>>,
+    /// The largest of the nodes' `max_accesses`: the capacity of every
+    /// write-back page list.
+    most_accesses: usize,
     /// Freelist of Snoop gather buffers (`MsgKind::SnoopReply` edge lists).
     edge_pool: Pool<Vec<(TxnId, TxnId)>>,
     /// Page-sampling scratch reused across template generations.
     sample_scratch: Vec<usize>,
     /// Node-liveness scratch reused across `route` calls.
     route_up: Vec<bool>,
+    /// Replica-target scratch reused across `route` calls.
+    route_scratch: RouteScratch,
     rng_think: SimRng,
     rng_work: SimRng,
     rng_proc: SimRng,
@@ -221,14 +251,17 @@ impl Simulator {
         let placement = config.placement().map_err(|e| ConfigError(e.to_string()))?;
         let seed = config.control.seed;
         let mut calendar = EventCalendar::new();
+        let max_accesses = max_accesses_per_node(&config, &placement);
+        let most_accesses = max_accesses.iter().copied().max().unwrap_or(0);
         let nodes: Vec<NodeState> = config
             .node_ids()
             .map(|id| {
-                let (cc, buffer) = fresh_cc_and_buffer(&config);
+                let (cc, buffer) = fresh_cc_and_buffer(&config, max_accesses[id.0]);
                 NodeState {
                     cpu: Cpu::new(config.system.cpu_rate(id)),
                     disks: DiskArray::new(config.system.num_disks),
                     cc,
+                    max_accesses: max_accesses[id.0],
                     buffer,
                     cpu_slot: calendar.register_slot(),
                     disk_slot: calendar.register_slot(),
@@ -263,11 +296,15 @@ impl Simulator {
             cohort_pool: Pool::default(),
             // Stocked up front at full capacity: the pool drains LIFO, so a
             // rarely-reached depth would otherwise hand out a fresh buffer
-            // (and one allocation) long after warmup.
-            page_pool: Pool::stocked(|| Vec::with_capacity(config.max_txn_accesses())),
+            // (and one allocation) long after warmup. A cohort writes at
+            // most its node's access bound; lists move between nodes, so
+            // each gets the largest.
+            page_pool: Pool::stocked(|| Vec::with_capacity(most_accesses)),
+            most_accesses,
             edge_pool: Pool::default(),
             sample_scratch: Vec::new(),
             route_up: Vec::new(),
+            route_scratch: RouteScratch::default(),
             rng_think: SimRng::derive(seed, "think"),
             rng_work: SimRng::derive(seed, "workload"),
             rng_proc: SimRng::derive(seed, "page-processing"),

@@ -511,7 +511,7 @@ impl Simulator {
         let mut pages = self.page_pool.take();
         // Grow straight to the workload bound: letting each recycled buffer
         // creep up by amortized doubling would reallocate long after warmup.
-        pages.reserve(self.config.max_txn_accesses());
+        pages.reserve(self.most_accesses);
         pages.extend(
             txn.template.cohorts[cohort]
                 .accesses

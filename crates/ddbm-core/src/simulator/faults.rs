@@ -27,7 +27,7 @@ impl Simulator {
         st.epoch += 1;
         st.cpu.clear(now);
         st.disks.clear_all(now);
-        (st.cc, st.buffer) = fresh_cc_and_buffer(&self.config);
+        (st.cc, st.buffer) = fresh_cc_and_buffer(&self.config, st.max_accesses);
         if let Some(o) = &mut self.obs {
             o.witness(now, || WitnessEvent::NodeCrash { node });
         }

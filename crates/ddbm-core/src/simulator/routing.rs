@@ -3,7 +3,7 @@
 //! plan freelist, since every routed plan is written into a recycled one.
 
 use super::Simulator;
-use crate::workload::{materialize_replicated, route_identity_factor_one, TxnTemplate};
+use crate::workload::{materialize_replicated_into, route_identity_factor_one, TxnTemplate};
 use ddbm_config::FileId;
 use std::rc::Rc;
 
@@ -22,16 +22,25 @@ impl Simulator {
         let mut up = std::mem::take(&mut self.route_up);
         up.clear();
         up.extend(self.nodes.iter().map(|n| n.up));
-        let routed = materialize_replicated(
+        let mut tpl = self.tpl_pool.take();
+        let routed = materialize_replicated_into(
             &self.config,
             &self.placement,
             logical,
             &up,
             &mut self.read_rr,
             self.hooks.skip_replica_write,
+            &mut self.route_scratch,
+            Rc::get_mut(&mut tpl).expect("pooled template is uniquely owned"),
         );
         self.route_up = up;
-        routed.map(|t| self.pooled_template(t))
+        match routed {
+            Ok(()) => Ok(tpl),
+            Err(file) => {
+                self.tpl_pool.put(tpl);
+                Err(file)
+            }
+        }
     }
 
     /// Move `t` into a pooled `Rc`.

@@ -14,8 +14,6 @@
 use ddbm_config::{Config, FileId, NodeId, PageId, Placement, ReplicaControl};
 use denet::SimRng;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// One page access by a cohort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,59 +145,110 @@ pub fn materialize_replicated(
     read_rr: &mut u64,
     skip_replica_write: bool,
 ) -> Result<TxnTemplate, FileId> {
+    let mut out = TxnTemplate::default();
+    materialize_replicated_into(
+        config,
+        placement,
+        logical,
+        node_up,
+        read_rr,
+        skip_replica_write,
+        &mut RouteScratch::default(),
+        &mut out,
+    )?;
+    Ok(out)
+}
+
+/// Each file's replica targets while one plan is routed, reused across
+/// [`materialize_replicated_into`] calls.
+#[derive(Debug, Default)]
+pub struct RouteScratch {
+    /// `(file, start, live, writes)`, in first-touch order: the file's live
+    /// replicas are `nodes[start..start + live]`, its write set their first
+    /// `writes` and its read set the `read_quorum()` nodes after them.
+    files: Vec<(FileId, usize, usize, usize)>,
+    nodes: Vec<NodeId>,
+}
+
+/// [`materialize_replicated`] into a caller-owned (pooled) template, with
+/// caller-owned scratch: the identical plan and cursor, but a steady-state
+/// caller allocates nothing. On `Err`, `out` holds a partial plan.
+#[allow(clippy::too_many_arguments)]
+pub fn materialize_replicated_into(
+    config: &Config,
+    placement: &Placement,
+    logical: &TxnTemplate,
+    node_up: &[bool],
+    read_rr: &mut u64,
+    skip_replica_write: bool,
+    scratch: &mut RouteScratch,
+    out: &mut TxnTemplate,
+) -> Result<(), FileId> {
     let n = config.system.num_proc_nodes;
     let rp = &config.replication;
     let rowa = rp.control == ReplicaControl::ReadOneWriteAll;
     let (need_r, need_w) = (rp.read_quorum(), rp.write_quorum());
-    let mut targets: HashMap<FileId, (Vec<NodeId>, Vec<NodeId>)> = HashMap::new();
-    let mut cohorts: Vec<CohortSpec> = Vec::new();
+    let RouteScratch { files, nodes } = scratch;
+    files.clear();
+    nodes.clear();
+    out.relation = logical.relation;
+    // Cohorts `..used` are this plan's; later slots keep their buffers.
+    let mut used = 0;
     for spec in &logical.cohorts {
         for acc in &spec.accesses {
             let file = acc.page.file;
-            let (reads, writes) = match targets.entry(file) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let live: Vec<NodeId> = placement
-                        .replicas(file, n)
-                        .into_iter()
-                        .filter(|r| node_up[r.0])
-                        .collect();
-                    if live.is_empty() || live.len() < need_r || live.len() < need_w {
+            let (start, live, writes) = match files.iter().find(|t| t.0 == file) {
+                Some(&(_, start, live, writes)) => (start, live, writes),
+                None => {
+                    let start = nodes.len();
+                    nodes.extend(placement.replica_nodes(file, n).filter(|r| node_up[r.0]));
+                    let live = nodes.len() - start;
+                    if live == 0 || live < need_r || live < need_w {
                         return Err(file);
                     }
-                    let mut writes: Vec<NodeId> = if rowa {
-                        live.clone()
-                    } else {
-                        live.iter().copied().take(need_w).collect()
-                    };
-                    if skip_replica_write && writes.len() > 1 {
-                        writes.pop();
+                    let mut writes = if rowa { live } else { need_w };
+                    if skip_replica_write && writes > 1 {
+                        writes -= 1;
                     }
-                    let start = (*read_rr as usize) % live.len();
+                    let rotate = (*read_rr as usize) % live;
                     *read_rr += 1;
-                    let reads: Vec<NodeId> = (0..need_r)
-                        .map(|k| live[(start + k) % live.len()])
-                        .collect();
-                    e.insert((reads, writes))
+                    for k in 0..need_r {
+                        nodes.push(nodes[start + (rotate + k) % live]);
+                    }
+                    files.push((file, start, live, writes));
+                    (start, live, writes)
                 }
             };
-            let (reads, writes) = (&*reads, &*writes);
-            for node in if acc.write { writes } else { reads } {
-                match cohorts.iter_mut().find(|c| c.node == *node) {
-                    Some(c) => c.accesses.push(*acc),
-                    None => cohorts.push(CohortSpec {
-                        node: *node,
-                        accesses: vec![*acc],
-                    }),
-                }
+            let targets = if acc.write {
+                start..start + writes
+            } else {
+                start + live..start + live + need_r
+            };
+            for &node in &nodes[targets] {
+                let cohort = match out.cohorts[..used].iter().position(|c| c.node == node) {
+                    Some(i) => &mut out.cohorts[i],
+                    None => {
+                        if used == out.cohorts.len() {
+                            out.cohorts.push(CohortSpec {
+                                node,
+                                accesses: Vec::new(),
+                            });
+                        }
+                        let slot = &mut out.cohorts[used];
+                        slot.node = node;
+                        slot.accesses.clear();
+                        used += 1;
+                        slot
+                    }
+                };
+                cohort.accesses.push(*acc);
             }
         }
     }
-    cohorts.sort_by_key(|c| c.node);
-    Ok(TxnTemplate {
-        relation: logical.relation,
-        cohorts,
-    })
+    out.cohorts.truncate(used);
+    // Node ids are distinct, so the unstable sort is the stable order.
+    out.cohorts.sort_unstable_by_key(|c| c.node);
+    Ok(())
 }
 
 /// Replica-route interning for factor-1 machines.
@@ -377,6 +426,43 @@ mod tests {
             generate_template_into(&c, &groups, 0, &mut rng_b, &mut scratch, &mut out);
             assert_eq!(out, reference, "terminal {term}");
         }
+    }
+
+    #[test]
+    fn materialize_into_matches_and_reuses_buffers() {
+        let (mut c, _, mut rng) = setup(8, 8);
+        c.replication = ddbm_config::ReplicationParams::rowa(3);
+        let p = c.placement().unwrap();
+        let mut up = vec![true; 9];
+        up[4] = false;
+        let (mut out, mut scratch) = (TxnTemplate::default(), RouteScratch::default());
+        let (mut rr_fresh, mut rr_into) = (0u64, 0u64);
+        for term in 0..64 {
+            let logical = generate_template(&c, &p, &mut rng, term % 128);
+            let fresh = materialize_replicated(&c, &p, &logical, &up, &mut rr_fresh, false);
+            let into = materialize_replicated_into(
+                &c,
+                &p,
+                &logical,
+                &up,
+                &mut rr_into,
+                false,
+                &mut scratch,
+                &mut out,
+            );
+            assert_eq!(fresh, into.map(|()| out.clone()), "terminal {term}");
+            assert_eq!(rr_fresh, rr_into);
+        }
+        // Routing the same plan again rewrites the cohorts in place.
+        let logical = generate_template(&c, &p, &mut rng, 0);
+        let route = |out: &mut TxnTemplate, scratch: &mut RouteScratch| {
+            materialize_replicated_into(&c, &p, &logical, &up, &mut 0, false, scratch, out)
+        };
+        route(&mut out, &mut scratch).unwrap();
+        let buffers: Vec<*const Access> = out.cohorts.iter().map(|c| c.accesses.as_ptr()).collect();
+        route(&mut out, &mut scratch).unwrap();
+        let again: Vec<*const Access> = out.cohorts.iter().map(|c| c.accesses.as_ptr()).collect();
+        assert_eq!(buffers, again);
     }
 
     #[test]
