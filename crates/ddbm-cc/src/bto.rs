@@ -18,9 +18,9 @@
 //! [`TxnMeta`]); with its original timestamp a restarted transaction would
 //! find the same accesses out of order and abort forever.
 
-use crate::common::{AccessResponse, PageBuffers, ReleaseResponse, Spares, Ts, TxnLists, TxnMeta};
+use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
+use ddbm_config::{Algorithm, PageBuffers, PageId, PageMap, Spares, TxnId};
 
 #[derive(Debug, Default)]
 struct PageState {

@@ -190,10 +190,16 @@ impl<T> TxnLists<T> {
     /// Append `item` to `txn`'s list, starting one from a spare buffer.
     pub(crate) fn push(&mut self, txn: TxnId, item: T) {
         let (spare, capacity) = (&mut self.spare, self.capacity);
+        let out = self.lists.len() + 1;
         self.lists
             .entry(txn)
             .or_insert_with(|| {
-                let mut list = spare.pop().unwrap_or_default();
+                let mut list = spare.pop().unwrap_or_else(|| {
+                    // A new buffer: make room for every buffer out to come
+                    // back without regrowing the stock.
+                    spare.reserve(out);
+                    Vec::new()
+                });
                 list.reserve(capacity);
                 list
             })
@@ -232,87 +238,6 @@ impl<T> TxnLists<T> {
             if list.is_empty() {
                 self.remove(txn);
             }
-        }
-    }
-}
-
-/// A page's buffers that it needs only while busy: a lock's holders and
-/// queue, BTO's pending and blocked lists, OPT's certified lists.
-pub(crate) trait PageBuffers {
-    /// Fresh buffers with the capacity a first use needs.
-    fn stocked() -> Self;
-    /// True when every list is empty, so the page no longer needs them.
-    fn is_idle(&self) -> bool;
-}
-
-/// The buffers of idle pages, kept for the next page to go busy, so the
-/// buffers a manager holds follow its busy pages, not every page it ever
-/// touched.
-///
-/// When the stock runs dry it is refilled with as many buffers as are out
-/// (at least one transaction's worth), each with its first-use capacity:
-/// the stock doubles like a `Vec`, so a rising number of busy pages costs
-/// a logarithmic number of allocation rounds and the steady state none.
-#[derive(Debug)]
-pub(crate) struct Spares<T> {
-    free: Vec<Box<T>>,
-    /// Buffers handed out and not yet returned.
-    out: usize,
-    /// The smallest refill: the most pages one transaction makes busy here.
-    batch: usize,
-}
-
-impl<T> Default for Spares<T> {
-    fn default() -> Self {
-        Spares {
-            free: Vec::new(),
-            out: 0,
-            batch: 0,
-        }
-    }
-}
-
-impl<T: PageBuffers> Spares<T> {
-    pub(crate) fn set_batch(&mut self, batch: usize) {
-        self.batch = batch;
-    }
-
-    /// Idle buffers in stock.
-    #[cfg(test)]
-    pub(crate) fn stock(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Buffers for a page going busy.
-    pub(crate) fn take(&mut self) -> Box<T> {
-        if self.free.is_empty() {
-            let refill = self.out.max(self.batch).max(1);
-            // Room for every buffer to come back without regrowing.
-            self.free.reserve_exact(self.out + refill);
-            self.free
-                .extend(std::iter::repeat_with(|| Box::new(T::stocked())).take(refill));
-        }
-        self.out += 1;
-        self.free.pop().expect("stocked above")
-    }
-
-    /// The buffers in `slot`, taken from stock if it has none.
-    pub(crate) fn fill<'a>(&mut self, slot: &'a mut Option<Box<T>>) -> &'a mut T {
-        slot.get_or_insert_with(|| self.take())
-    }
-
-    /// Return idle `buffers` to stock.
-    pub(crate) fn put(&mut self, buffers: Box<T>) {
-        debug_assert!(buffers.is_idle(), "only an idle page's buffers return");
-        debug_assert!(self.out > 0, "returned more buffers than taken");
-        self.out -= 1;
-        self.free.push(buffers);
-    }
-
-    /// Return `slot`'s buffers to stock once they are idle.
-    pub(crate) fn settle(&mut self, slot: &mut Option<Box<T>>) {
-        if slot.as_deref().is_some_and(T::is_idle) {
-            self.put(slot.take().expect("checked above"));
         }
     }
 }
@@ -371,45 +296,6 @@ mod tests {
         l.remove_item(TxnId(1), &1);
         assert_eq!(l.get(TxnId(1)), &[5, 9]);
         assert_eq!(l.len(), 2);
-    }
-
-    impl PageBuffers for Vec<u32> {
-        fn stocked() -> Self {
-            Vec::with_capacity(4)
-        }
-        fn is_idle(&self) -> bool {
-            self.is_empty()
-        }
-    }
-
-    #[test]
-    fn spares_double_when_dry_and_hand_back_the_last_returned() {
-        let mut s: Spares<Vec<u32>> = Spares::default();
-        s.set_batch(2);
-        let mut out: Vec<Box<Vec<u32>>> = Vec::new();
-        // Refills: the batch (2), then as many as are out (2, then 4).
-        for (taken, stock) in [(1, 1), (2, 0), (3, 1), (4, 0), (5, 3)] {
-            out.push(s.take());
-            assert_eq!((out.len(), s.stock()), (taken, stock));
-        }
-        assert!(out.iter().all(|b| b.is_empty() && b.capacity() == 4));
-        let last: *const Vec<u32> = &*out[4];
-        let capacity = s.free.capacity();
-        for b in out.drain(..) {
-            s.put(b);
-        }
-        assert_eq!(s.stock(), 8);
-        assert_eq!(s.free.capacity(), capacity, "returns never regrow");
-        assert!(std::ptr::eq(&*s.take(), last));
-        // `settle` returns a slot's buffers only once idle.
-        let mut slot = Some(s.take());
-        slot.as_mut().unwrap().push(1);
-        s.settle(&mut slot);
-        assert!(slot.is_some());
-        slot.as_mut().unwrap().clear();
-        s.settle(&mut slot);
-        assert!(slot.is_none());
-        assert_eq!(s.fill(&mut slot).capacity(), 4);
     }
 
     #[test]

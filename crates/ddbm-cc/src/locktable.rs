@@ -6,8 +6,8 @@
 //! which queue ahead of ordinary waiters. On every release the longest
 //! grantable prefix of the queue is granted.
 
-use crate::common::{LockMode, PageBuffers, Spares, TxnLists};
-use ddbm_config::{PageId, PageMap, TxnId};
+use crate::common::{LockMode, TxnLists};
+use ddbm_config::{PageBuffers, PageId, PageMap, Spares, TxnId};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Outcome of a lock request.

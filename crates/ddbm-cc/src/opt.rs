@@ -20,9 +20,9 @@
 //! (installing `rts`/`wts`, the latter under the Thomas write rule) or
 //! aborts (discarding them).
 
-use crate::common::{AccessResponse, PageBuffers, ReleaseResponse, Spares, Ts, TxnLists, TxnMeta};
+use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, PageMap, TxnId};
+use ddbm_config::{Algorithm, PageBuffers, PageId, PageMap, Spares, TxnId};
 use denet::FxHashMap;
 
 #[derive(Debug, Default)]

@@ -16,6 +16,7 @@
 pub mod config;
 pub mod fault;
 pub mod ids;
+pub mod pages;
 pub mod params;
 pub mod placement;
 pub mod replication;
@@ -23,7 +24,8 @@ pub mod trace;
 
 pub use config::{Config, ConfigError};
 pub use fault::{CrashWindow, FaultParams, FaultPlan, StallWindow};
-pub use ids::{FileId, NodeId, PageId, PageMap, TerminalId, TxnId};
+pub use ids::{FileId, NodeId, PageId, TerminalId, TxnId};
+pub use pages::{PageBuffers, PageMap, Spares};
 pub use params::{
     Algorithm, DatabaseParams, ExecPattern, SimControl, SystemParams, WorkloadParams,
 };

@@ -176,12 +176,14 @@ pub struct Simulator {
     /// `Placement::cohort_groups` is placement-static but allocates per
     /// call, and template generation needs it once per transaction.
     cohort_groups: Vec<Vec<(NodeId, Vec<ddbm_config::FileId>)>>,
-    /// Freelist of uniquely-owned transaction plans. A committed
-    /// transaction's template (and, under replication, its logical plan)
-    /// returns here, and the next submission writes its fresh plan into the
-    /// recycled cohort/access vectors through `Rc::get_mut` — steady-state
-    /// admission allocates nothing.
+    /// Freelist of uniquely-owned logical transaction plans. A committed
+    /// transaction's plan returns here, and the next submission writes its
+    /// fresh plan into the recycled cohort/access vectors through
+    /// `Rc::get_mut` — steady-state admission allocates nothing.
     tpl_pool: Pool<Rc<TxnTemplate>>,
+    /// The same for replica-routed plans, kept apart: a routed plan has
+    /// other cohorts, and longer access lists, than a logical one.
+    routed_pool: Pool<Rc<TxnTemplate>>,
     /// Freelist of per-cohort progress vectors (`TxnRuntime::cohorts`).
     cohort_pool: Pool<Vec<CohortRun>>,
     /// Freelist of commit write-back page lists (`CpuJob::UpdateInit`),
@@ -251,15 +253,27 @@ impl Simulator {
         let placement = config.placement().map_err(|e| ConfigError(e.to_string()))?;
         let seed = config.control.seed;
         let mut calendar = EventCalendar::new();
+        let msg_faults = config.faults.msg_drop_prob > 0.0 || config.faults.msg_delay_prob > 0.0;
+        if msg_faults {
+            // Dropped and delayed messages wait in the calendar: room for
+            // one to or from each cohort of every terminal's transaction,
+            // plus the transaction's own pending event.
+            calendar.reserve(config.workload.num_terminals * (config.system.num_proc_nodes + 1));
+        }
         let max_accesses = max_accesses_per_node(&config, &placement);
         let most_accesses = max_accesses.iter().copied().max().unwrap_or(0);
         let nodes: Vec<NodeState> = config
             .node_ids()
             .map(|id| {
                 let (cc, buffer) = fresh_cc_and_buffer(&config, max_accesses[id.0]);
+                let mut disks = DiskArray::new(config.system.num_disks);
+                // A write queue's first allocation holds one transaction's
+                // write-back at the node. (Reads need none: a cohort waits
+                // for each before issuing the next.)
+                disks.set_write_burst(max_accesses[id.0]);
                 NodeState {
                     cpu: Cpu::new(config.system.cpu_rate(id)),
-                    disks: DiskArray::new(config.system.num_disks),
+                    disks,
                     cc,
                     max_accesses: max_accesses[id.0],
                     buffer,
@@ -290,9 +304,16 @@ impl Simulator {
             disk_bufs: Pool::default(),
             dirty_cpu: Vec::new(),
             dirty_disk: Vec::new(),
-            msg_pool: Pool::default(),
+            // Only message faults box messages; stocked then, so a new
+            // high-water of messages in flight takes no allocation.
+            msg_pool: if msg_faults {
+                Pool::stocked(Box::default)
+            } else {
+                Pool::default()
+            },
             cohort_groups,
             tpl_pool: Pool::default(),
+            routed_pool: Pool::default(),
             cohort_pool: Pool::default(),
             // Stocked up front at full capacity: the pool drains LIFO, so a
             // rarely-reached depth would otherwise hand out a fresh buffer
@@ -304,7 +325,7 @@ impl Simulator {
             edge_pool: Pool::default(),
             sample_scratch: Vec::new(),
             route_up: Vec::new(),
-            route_scratch: RouteScratch::default(),
+            route_scratch: RouteScratch::with_cohort_capacity(most_accesses),
             rng_think: SimRng::derive(seed, "think"),
             rng_work: SimRng::derive(seed, "workload"),
             rng_proc: SimRng::derive(seed, "page-processing"),
@@ -588,9 +609,11 @@ pub struct OracleRecording {
     /// Events dropped after the witness log filled; `0` means the stream is
     /// a complete record of the run (always `0` for [`run_witnessed`]).
     pub witness_overflow: u64,
-    /// Every template submitted, in submission order. For a scripted run
-    /// this is the consumed prefix of the script; otherwise it is the
-    /// generated workload.
+    /// Every template submitted, in submission order: for a scripted run
+    /// the consumed prefix of the script, otherwise the generated workload.
+    /// Only [`run_oracle`] fills it, for the callers that shrink and
+    /// replay a recorded run; it is empty for [`run_witnessed`], whose
+    /// sink checks the run as it goes.
     pub templates: Vec<TxnTemplate>,
     /// True when the run hit `max_sim_time` instead of reaching its
     /// measurement target — the normal ending for scripted replays, whose
@@ -599,21 +622,22 @@ pub struct OracleRecording {
 }
 
 /// Oracle entry point: [`run_witnessed`] into a [`WitnessLog`] of 2^22
-/// events, returned as the recording's stream.
+/// events, returned as the recording's stream, with every submitted
+/// template recorded alongside it.
 pub fn run_oracle(
     config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
 ) -> Result<OracleRecording, ConfigError> {
     let log = WitnessLog::new(WITNESS_CAPACITY);
-    let (mut recording, log) = run_witnessed(config, script, hooks, false, log)?;
+    let (mut recording, log) = run_with_sink(config, script, hooks, false, log, true)?;
     (recording.witness, recording.witness_overflow) = log.into_parts();
     Ok(recording)
 }
 
 /// Run with witness emission forced on, feeding every event to `sink` as
 /// it happens, and hand the sink back with the recording (whose `witness`
-/// stays empty). Optionally replays a fixed transaction `script`
+/// and `templates` stay empty). Optionally replays a fixed transaction `script`
 /// (terminals consume its templates in order and stop admitting when it
 /// runs dry) and injects a deliberate [`TestHooks`] protocol defect.
 ///
@@ -629,9 +653,22 @@ pub fn run_witnessed<S: WitnessSink>(
     drain: bool,
     sink: S,
 ) -> Result<(OracleRecording, S), ConfigError> {
+    run_with_sink(config, script, hooks, drain, sink, false)
+}
+
+/// [`run_witnessed`], recording the submitted templates when
+/// `record_templates` holds.
+fn run_with_sink<S: WitnessSink>(
+    config: Config,
+    script: Option<Vec<TxnTemplate>>,
+    hooks: TestHooks,
+    drain: bool,
+    sink: S,
+    record_templates: bool,
+) -> Result<(OracleRecording, S), ConfigError> {
     let mut sim = Simulator::new(config)?;
     sim.hooks = hooks;
-    sim.template_log = Some(Vec::new());
+    sim.template_log = record_templates.then(Vec::new);
     if let Some(templates) = script {
         sim.script = Some(ScriptedWorkload { templates, next: 0 });
     }

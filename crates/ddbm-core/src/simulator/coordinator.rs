@@ -105,12 +105,11 @@ impl Simulator {
             cohorts,
             ..
         } = txn;
-        if let Some(l) = logical {
-            if !Rc::ptr_eq(&l, &template) {
-                self.put_template(l);
-            }
+        let routed = logical.as_ref().is_some_and(|l| !Rc::ptr_eq(l, &template));
+        if let Some(l) = logical.filter(|_| routed) {
+            self.put_template(l, false);
         }
-        self.put_template(template);
+        self.put_template(template, routed);
         self.cohort_pool.put(cohorts);
     }
 
@@ -141,7 +140,8 @@ impl Simulator {
                     Ok(t) => {
                         let old = self.txns.get_mut(id).map(|txn| txn.replace_template(t));
                         if let Some(old) = old {
-                            self.put_template(old);
+                            let routed = !Rc::ptr_eq(&old, &logical);
+                            self.put_template(old, routed);
                         }
                     }
                     Err(_file) => {

@@ -22,7 +22,7 @@ impl Simulator {
         let mut up = std::mem::take(&mut self.route_up);
         up.clear();
         up.extend(self.nodes.iter().map(|n| n.up));
-        let mut tpl = self.tpl_pool.take();
+        let mut tpl = self.routed_pool.take();
         let routed = materialize_replicated_into(
             &self.config,
             &self.placement,
@@ -37,7 +37,7 @@ impl Simulator {
         match routed {
             Ok(()) => Ok(tpl),
             Err(file) => {
-                self.tpl_pool.put(tpl);
+                self.routed_pool.put(tpl);
                 Err(file)
             }
         }
@@ -50,10 +50,14 @@ impl Simulator {
         tpl
     }
 
-    /// Return a plan handle to the freelist if this was the last one.
-    pub(super) fn put_template(&mut self, tpl: Rc<TxnTemplate>) {
+    /// Return a plan handle to its freelist if this was the last one.
+    pub(super) fn put_template(&mut self, tpl: Rc<TxnTemplate>, routed: bool) {
         if Rc::strong_count(&tpl) == 1 {
-            self.tpl_pool.put(tpl);
+            if routed {
+                self.routed_pool.put(tpl);
+            } else {
+                self.tpl_pool.put(tpl);
+            }
         }
     }
 }

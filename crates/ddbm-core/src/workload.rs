@@ -102,9 +102,12 @@ pub fn generate_template_into(
             accesses: Vec::new(),
         });
     }
+    let per_file = config.workload.max_pages_per_file as usize;
     for (slot, (node, files)) in out.cohorts.iter_mut().zip(groups) {
         slot.node = *node;
         slot.accesses.clear();
+        // The cohort's bound, so a recycled list never regrows.
+        slot.accesses.reserve(files.len() * per_file);
         for file in files {
             push_file_accesses(config, rng, *file, pages_scratch, &mut slot.accesses);
         }
@@ -159,7 +162,8 @@ pub fn materialize_replicated(
     Ok(out)
 }
 
-/// Each file's replica targets while one plan is routed, reused across
+/// Each file's replica targets while one plan is routed, and the cohort
+/// buffers routed plans give up, reused across
 /// [`materialize_replicated_into`] calls.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
@@ -168,6 +172,34 @@ pub struct RouteScratch {
     /// `writes` and its read set the `read_quorum()` nodes after them.
     files: Vec<(FileId, usize, usize, usize)>,
     nodes: Vec<NodeId>,
+    /// Access lists of cohorts a plan had and its next routing did not
+    /// need, for the next plan that needs more.
+    spare: Vec<Vec<Access>>,
+    /// Access lists created here so far: `spare` has room for them all.
+    created: usize,
+    /// Capacity of each created access list.
+    cohort_capacity: usize,
+}
+
+impl RouteScratch {
+    /// Scratch whose new cohort access lists hold `cohort_capacity`
+    /// accesses, the most one node's cohort takes.
+    pub fn with_cohort_capacity(cohort_capacity: usize) -> RouteScratch {
+        RouteScratch {
+            cohort_capacity,
+            ..RouteScratch::default()
+        }
+    }
+
+    /// An empty access list: a spare one, or a new one with full capacity.
+    fn access_list(&mut self) -> Vec<Access> {
+        self.spare.pop().unwrap_or_else(|| {
+            self.created += 1;
+            // Room for every list to come back without regrowing.
+            self.spare.reserve(self.created);
+            Vec::with_capacity(self.cohort_capacity)
+        })
+    }
 }
 
 /// [`materialize_replicated`] into a caller-owned (pooled) template, with
@@ -188,15 +220,17 @@ pub fn materialize_replicated_into(
     let rp = &config.replication;
     let rowa = rp.control == ReplicaControl::ReadOneWriteAll;
     let (need_r, need_w) = (rp.read_quorum(), rp.write_quorum());
-    let RouteScratch { files, nodes } = scratch;
-    files.clear();
-    nodes.clear();
+    scratch.files.clear();
+    scratch.nodes.clear();
     out.relation = logical.relation;
+    // At most one cohort per node.
+    out.cohorts.reserve(n.saturating_sub(out.cohorts.len()));
     // Cohorts `..used` are this plan's; later slots keep their buffers.
     let mut used = 0;
     for spec in &logical.cohorts {
         for acc in &spec.accesses {
             let file = acc.page.file;
+            let RouteScratch { files, nodes, .. } = scratch;
             let (start, live, writes) = match files.iter().find(|t| t.0 == file) {
                 Some(&(_, start, live, writes)) => (start, live, writes),
                 None => {
@@ -224,14 +258,15 @@ pub fn materialize_replicated_into(
             } else {
                 start + live..start + live + need_r
             };
-            for &node in &nodes[targets] {
+            for k in targets {
+                let node = scratch.nodes[k];
                 let cohort = match out.cohorts[..used].iter().position(|c| c.node == node) {
                     Some(i) => &mut out.cohorts[i],
                     None => {
                         if used == out.cohorts.len() {
                             out.cohorts.push(CohortSpec {
                                 node,
-                                accesses: Vec::new(),
+                                accesses: scratch.access_list(),
                             });
                         }
                         let slot = &mut out.cohorts[used];
@@ -245,7 +280,10 @@ pub fn materialize_replicated_into(
             }
         }
     }
-    out.cohorts.truncate(used);
+    scratch.spare.extend(out.cohorts.drain(used..).map(|mut c| {
+        c.accesses.clear();
+        c.accesses
+    }));
     // Node ids are distinct, so the unstable sort is the stable order.
     out.cohorts.sort_unstable_by_key(|c| c.node);
     Ok(())

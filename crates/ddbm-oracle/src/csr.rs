@@ -16,6 +16,13 @@
 //! shows first, so runs cut off mid-commit count — and looks for a cycle.
 //! Aborted runs never decide to commit, so their reads drop out.
 //!
+//! Runs get dense `u32` ids, and each copy is keyed by one word, its node
+//! and dense page id packed as the view checker packs them, so a copy's
+//! entry is two ids: its installer and the head of its readers list. The
+//! readers of every copy share one arena of `(run, next)` links, newest
+//! first; an install drains its copy's list, oldest reader first, and
+//! hands the links back for reuse.
+//!
 //! Under strict locking a run decides while it holds all its locks, and a
 //! conflicting run acquires its lock only after the release that follows,
 //! so the order of decisions is a topological order of the graph. When
@@ -28,8 +35,9 @@
 //! histories that are view- but not conflict-serializable; the polygraph
 //! check in [`crate::vsr`] covers them.
 
+use crate::dense::{copy_key, DensePages};
 use ddbm_cc::find_cycle;
-use ddbm_config::{NodeId, PageId, TxnId};
+use ddbm_config::TxnId;
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent, WitnessReply};
 use denet::FxHashMap;
@@ -40,14 +48,81 @@ type Run = (TxnId, RunId);
 /// The decision rank of a run that has not decided to commit.
 const UNDECIDED: u32 = u32::MAX;
 
+/// No run, or the end of a readers list.
+const NONE: u32 = u32::MAX;
+
 /// What later operations on one page copy conflict with. Runs are dense
 /// indices into [`ConflictChecker::runs`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Copy)]
 struct CopyState {
-    /// The run whose write the copy holds.
-    installer: Option<u32>,
-    /// Runs that read the copy since that install.
-    readers: Vec<u32>,
+    /// The run whose write the copy holds, or `NONE`.
+    installer: u32,
+    /// The newest link of the runs that read the copy since that install,
+    /// in [`ConflictChecker::readers`], or `NONE`.
+    readers: u32,
+}
+
+impl CopyState {
+    const UNTOUCHED: CopyState = CopyState {
+        installer: NONE,
+        readers: NONE,
+    };
+}
+
+/// The readers lists of every copy in one arena of `(run, next)` links,
+/// each list newest first and ended by `NONE`. Drained lists' links are
+/// chained for reuse, so the arena holds no more links than the most
+/// readers listed at once.
+#[derive(Debug)]
+struct ReaderLists {
+    links: Vec<(u32, u32)>,
+    /// The first unused link, or `NONE`.
+    free: u32,
+}
+
+impl Default for ReaderLists {
+    fn default() -> Self {
+        ReaderLists {
+            links: Vec::new(),
+            free: NONE,
+        }
+    }
+}
+
+impl ReaderLists {
+    /// The run at the head of the list starting at `head`.
+    fn newest(&self, head: u32) -> Option<u32> {
+        (head != NONE).then(|| self.links[head as usize].0)
+    }
+
+    /// Put `run` in front of the list starting at `head`; returns the new
+    /// head.
+    fn push(&mut self, head: u32, run: u32) -> u32 {
+        if self.free == NONE {
+            self.links.push((run, head));
+            return self.links.len() as u32 - 1;
+        }
+        let at = self.free;
+        self.free = self.links[at as usize].1;
+        self.links[at as usize] = (run, head);
+        at
+    }
+
+    /// Empty the list starting at `head` into `out`, newest first, and free
+    /// its links.
+    fn drain(&mut self, head: u32, out: &mut Vec<u32>) {
+        let mut at = head;
+        while at != NONE {
+            let (run, next) = self.links[at as usize];
+            out.push(run);
+            if next == NONE {
+                // The whole list goes back at once.
+                self.links[at as usize].1 = self.free;
+                self.free = head;
+            }
+            at = next;
+        }
+    }
 }
 
 /// See module docs.
@@ -60,7 +135,12 @@ pub struct ConflictChecker {
     runs: Vec<(TxnId, u32)>,
     /// Commit decisions seen so far.
     decisions: u32,
-    copies: FxHashMap<(NodeId, PageId), CopyState>,
+    pages: DensePages,
+    /// Keyed by [`copy_key`].
+    copies: FxHashMap<u64, CopyState>,
+    readers: ReaderLists,
+    /// Scratch: a drained readers list, newest first.
+    drained: Vec<u32>,
     /// Precedence edges between runs, committed or not.
     edges: Vec<(u32, u32)>,
 }
@@ -110,12 +190,13 @@ impl ConflictChecker {
                 ..
             } => {
                 let reader = self.run(txn, run);
-                let copy = self.copies.entry((node, page)).or_default();
-                if let Some(w) = copy.installer.filter(|&w| self.runs[w as usize].0 != txn) {
-                    self.edges.push((w, reader));
+                let key = copy_key(node, self.pages.ix(page));
+                let copy = self.copies.entry(key).or_insert(CopyState::UNTOUCHED);
+                if copy.installer != NONE && self.runs[copy.installer as usize].0 != txn {
+                    self.edges.push((copy.installer, reader));
                 }
-                if copy.readers.last() != Some(&reader) {
-                    copy.readers.push(reader);
+                if self.readers.newest(copy.readers) != Some(reader) {
+                    copy.readers = self.readers.push(copy.readers, reader);
                 }
             }
             WitnessEvent::Install {
@@ -126,12 +207,18 @@ impl ConflictChecker {
                 ..
             } => {
                 let writer = self.decide(txn, run);
-                let copy = self.copies.entry((node, page)).or_default();
-                let earlier = copy.installer.replace(writer).into_iter();
+                let key = copy_key(node, self.pages.ix(page));
+                let copy = self.copies.entry(key).or_insert(CopyState::UNTOUCHED);
+                let earlier = std::mem::replace(&mut copy.installer, writer);
+                let head = std::mem::replace(&mut copy.readers, NONE);
+                self.drained.clear();
+                self.readers.drain(head, &mut self.drained);
                 let runs = &self.runs;
                 self.edges.extend(
-                    earlier
-                        .chain(copy.readers.drain(..))
+                    Some(earlier)
+                        .filter(|&w| w != NONE)
+                        .into_iter()
+                        .chain(self.drained.iter().rev().copied())
                         .filter(|&r| runs[r as usize].0 != txn)
                         .map(|r| (r, writer)),
                 );
@@ -169,7 +256,7 @@ impl ConflictChecker {
 mod tests {
     use super::*;
     use ddbm_cc::Ts;
-    use ddbm_config::FileId;
+    use ddbm_config::{FileId, NodeId, PageId};
 
     fn page(n: u64) -> PageId {
         PageId {
@@ -466,5 +553,41 @@ mod tests {
     #[test]
     fn commit_with_no_ops_is_serializable() {
         assert_eq!(check(&[commit(9, 3)]), None);
+    }
+
+    #[test]
+    fn install_draws_edges_from_readers_oldest_first_and_frees_their_links() {
+        let mut c = ConflictChecker::new();
+        // Readers T1, T2, T1 (not consecutive, so listed twice) and T3 on
+        // page 1; T2 twice in a row on page 2 is listed once.
+        for ev in [
+            read(1, 1, 1),
+            read(2, 1, 1),
+            read(2, 1, 1),
+            read(1, 1, 1),
+            read(3, 1, 1),
+            read(2, 1, 2),
+            read(2, 1, 2),
+        ] {
+            c.observe(&ev);
+        }
+        assert_eq!(c.readers.links.len(), 5);
+        c.observe(&install(3, 1, 1));
+        let edges = |c: &ConflictChecker, from: usize| -> Vec<(u64, u64)> {
+            let t = |r: u32| c.runs[r as usize].0 .0;
+            c.edges[from..].iter().map(|&(a, b)| (t(a), t(b))).collect()
+        };
+        assert_eq!(
+            edges(&c, 0),
+            [(1, 3), (2, 3), (1, 3)],
+            "the writer's own read draws none"
+        );
+        // Page 1's four links are free again; new readers reuse them.
+        for txn in 4..8 {
+            c.observe(&read(txn, 1, 1));
+        }
+        assert_eq!(c.readers.links.len(), 5, "the arena did not grow");
+        c.observe(&install(8, 1, 2));
+        assert_eq!(edges(&c, 3), [(3, 4), (3, 5), (3, 6), (3, 7), (2, 8)]);
     }
 }

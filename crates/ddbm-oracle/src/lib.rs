@@ -40,6 +40,7 @@
 
 pub mod btocheck;
 pub mod csr;
+mod dense;
 pub mod locking;
 pub mod phase;
 pub mod replica;
@@ -391,8 +392,10 @@ pub fn check_recording(config: &Config, recording: &OracleRecording) -> OracleRe
 
 /// Run the simulator with an [`Oracle`] fed online and report in one step:
 /// the primary entry point for the fuzz driver, the shrinker and the CLI
-/// gate. The recording carries the report and templates; its `witness` is
-/// empty and `witness_overflow` is `0`, because no stream is stored.
+/// gate. The recording carries the report; its `witness` and `templates`
+/// are empty and `witness_overflow` is `0`, because neither the stream nor
+/// the workload is stored. Use [`ddbm_core::run_oracle`] for a run to
+/// shrink or replay.
 pub fn run_and_check(
     config: Config,
     script: Option<Vec<TxnTemplate>>,

@@ -41,17 +41,15 @@
 //! positions in the candidate order, and sorting the install log by (page,
 //! position) groups each page's writers.
 
+use crate::dense::{copy_key, copy_page, DensePages, PageIx};
 use ddbm_cc::Ts;
-use ddbm_config::{Algorithm, NodeId, PageId, PageMap, TxnId};
+use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent};
 use denet::FxHashMap;
 
 /// A dense run id, or a position in the candidate serial order.
 type RunIx = u32;
-
-/// A dense logical page id.
-type PageIx = u32;
 
 /// No run: the initial version of a page, or a run outside the order.
 const NONE: RunIx = RunIx::MAX;
@@ -163,12 +161,11 @@ pub struct VsrCollector {
     /// Indexed by run id.
     fates: Vec<Fate>,
     /// Dense logical page ids, assigned on first sight.
-    pages: PageMap<PageIx>,
-    next_page: PageIx,
+    pages: DensePages,
     /// Committed runs in `Committed` event order, with (run_ts, commit_ts).
     committed: Vec<(RunIx, Ts, Ts)>,
     /// Currently visible version per *replica* of a page, keyed by
-    /// [`replica`] (absent = initial database state). Single-copy runs have
+    /// [`copy_key`] (absent = initial database state). Single-copy runs have
     /// exactly one entry per page; replicated runs collapse to one-copy
     /// semantics at read-record and finalize time.
     current: FxHashMap<u64, Version>,
@@ -183,14 +180,6 @@ pub struct VsrCollector {
     seq: u64,
 }
 
-/// The `current` key of one replica of a page. The page goes in the low
-/// half: the Fx hash of a word is one multiply, whose low bits (the bucket
-/// index) depend only on the key's low bits, and pages are what vary.
-fn replica(node: NodeId, page: PageIx) -> u64 {
-    let node = u32::try_from(node.0).expect("node ids fit in 32 bits");
-    (u64::from(node) << 32) | u64::from(page)
-}
-
 impl VsrCollector {
     /// A collector using `order` as the version order.
     pub fn new(order: VersionOrder) -> VsrCollector {
@@ -198,8 +187,7 @@ impl VsrCollector {
             order,
             ids: FxHashMap::default(),
             fates: Vec::new(),
-            pages: PageMap::new(),
-            next_page: 0,
+            pages: DensePages::default(),
             committed: Vec::new(),
             current: FxHashMap::default(),
             live: FxHashMap::default(),
@@ -221,15 +209,6 @@ impl VsrCollector {
             self.fates.push(Fate::Live);
         }
         id
-    }
-
-    /// The dense id of `page`, assigned on first sight.
-    fn page_ix(&mut self, page: PageId) -> PageIx {
-        let next = &mut self.next_page;
-        *self.pages.get_or_insert_with(page, || {
-            *next += 1;
-            *next - 1
-        })
     }
 
     fn pending(&mut self, id: RunIx) -> &mut Pending {
@@ -272,8 +251,8 @@ impl VsrCollector {
         if self.fates[id as usize] == Fate::Aborted {
             return;
         }
-        let page = self.page_ix(page);
-        let obs = self.current.get(&replica(node, page)).copied();
+        let page = self.pages.ix(page);
+        let obs = self.current.get(&copy_key(node, page)).copied();
         let list = &mut self.pending(id).reads;
         // One-copy collapse: a quorum read touches several replicas and
         // returns the newest version it saw, so a repeat observation of the
@@ -333,13 +312,13 @@ impl VsrCollector {
                     VersionOrder::ByCommitTs => commit_ts,
                 };
                 let id = self.run_ix(txn, run);
-                let page = self.page_ix(page);
+                let page = self.pages.ix(page);
                 let candidate = Version {
                     writer: id,
                     key,
                     seq: self.seq,
                 };
-                let slot = replica(node, page);
+                let slot = copy_key(node, page);
                 let replace = match (self.order, self.current.get(&slot)) {
                     (_, None) | (VersionOrder::StreamOrder, _) => true,
                     (_, Some(cur)) => key > cur.key,
@@ -446,7 +425,7 @@ impl VsrCollector {
         // committed version across every replica.
         let mut newest: Vec<(PageIx, Version)> = current
             .into_iter()
-            .map(|(slot, v)| (slot as PageIx, v))
+            .map(|(slot, v)| (copy_page(slot), v))
             .collect();
         newest
             .sort_unstable_by(|(p, v), (q, w)| p.cmp(q).then((w.key, w.seq).cmp(&(v.key, v.seq))));

@@ -14,6 +14,13 @@
 //! view checker keeps a compact record per committed run and nothing per
 //! aborted one, and the phase tracker drops each run's record when the run
 //! ends, so its size follows the runs in flight, not the stream length.
+//! The per-page checkers, fed the 1000-commit ROWA-3 streams of their
+//! algorithms, stay under a stated number of bytes per page copy.
+//!
+//! Last, `run_and_check` stores nothing per commit beyond what its checkers
+//! keep: on the 2PL ROWA-3 gate cell its peak grows by at most a stated
+//! number of bytes per commit from 1,000 to 4,000 commits, and its
+//! recording carries no templates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,7 +29,9 @@ use std::sync::Mutex;
 
 use ddbm_config::{Algorithm, Config, ReplicationParams};
 use ddbm_core::{run_oracle, TestHooks, WitnessEvent, WitnessStream};
-use ddbm_oracle::{run_and_check, PhaseTracker, VersionOrder, VsrCollector};
+use ddbm_oracle::{
+    run_and_check, BtoChecker, ConflictChecker, PhaseTracker, VersionOrder, VsrCollector,
+};
 use denet::{SimDuration, SimTime};
 
 /// Tracks live bytes, their high-water mark, and every byte ever
@@ -138,12 +147,25 @@ fn run_and_check_peaks_below_the_recorded_stream() {
     );
 }
 
-/// The gate's 2PL ROWA-3 cell, run to `commits` commits, recorded.
-fn rowa3_stream(commits: u64) -> WitnessStream {
+/// The gate's ROWA-3 cell of `algorithm`, run to `commits` commits.
+fn rowa3_cell(algorithm: Algorithm, commits: u64) -> Config {
     let mut c = cell();
+    c.algorithm = algorithm;
     c.replication = ReplicationParams::rowa(3);
     c.control.measure_commits = commits;
-    let recorded = run_oracle(c, None, TestHooks::default()).expect("valid config");
+    c
+}
+
+/// The gate's 2PL ROWA-3 cell, run to `commits` commits, recorded.
+fn rowa3_stream(commits: u64) -> WitnessStream {
+    algorithm_rowa3_stream(Algorithm::TwoPhaseLocking, commits)
+}
+
+/// The gate's ROWA-3 cell of `algorithm`, run to `commits` commits,
+/// recorded.
+fn algorithm_rowa3_stream(algorithm: Algorithm, commits: u64) -> WitnessStream {
+    let recorded = run_oracle(rowa3_cell(algorithm, commits), None, TestHooks::default())
+        .expect("valid config");
     assert_eq!(recorded.witness_overflow, 0);
     recorded.witness
 }
@@ -217,5 +239,122 @@ fn checker_state_stays_compact() {
         tracker_long as f64 <= TRACKER_GROWTH * tracker_short as f64,
         "phase tracker grew from {tracker_short} B at 1000 commits to \
          {tracker_long} B at 4000"
+    );
+}
+
+/// Distinct `(node, page)` copies a stream reads, writes or installs.
+fn page_copies(stream: &WitnessStream) -> usize {
+    let mut copies: Vec<_> = stream
+        .iter()
+        .filter_map(|(_, ev)| match *ev {
+            WitnessEvent::Access { node, page, .. }
+            | WitnessEvent::Grant { node, page, .. }
+            | WitnessEvent::Install { node, page, .. } => Some((node, page)),
+            _ => None,
+        })
+        .collect();
+    copies.sort_unstable();
+    copies.dedup();
+    copies.len()
+}
+
+/// Most bytes `BtoChecker` may hold per page copy after the 1000-commit
+/// BTO ROWA-3 stream. With `rts`/`wts` inline and the lists boxed only
+/// while a page is busy it holds about 60 B; with both lists inline, and
+/// their buffers kept on every page ever written, about 170 B.
+const BTO_BYTES_PER_COPY: usize = 90;
+
+/// Most bytes `ConflictChecker` may hold per page copy after the
+/// 1000-commit 2PL ROWA-3 stream, edges included. With one-word copy keys
+/// and the readers in one arena it holds about 100 B; with a `(node,
+/// page)` key and a readers `Vec` per copy, about 155 B.
+const CSR_BYTES_PER_COPY: usize = 125;
+
+#[test]
+fn per_page_checkers_stay_compact() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let bto = algorithm_rowa3_stream(Algorithm::BasicTimestampOrdering, 1_000);
+    let bto_copies = page_copies(&bto);
+    let (checker, bto_bytes) = live_bytes(|| {
+        let mut c = BtoChecker::new();
+        let mut out = Vec::new();
+        for (at, ev) in &bto {
+            c.observe(*at, ev, &mut out);
+        }
+        assert!(out.is_empty(), "{out:?}");
+        c
+    });
+    drop((checker, bto));
+
+    let lock = rowa3_stream(1_000);
+    let csr_copies = page_copies(&lock);
+    let (checker, csr_bytes) = live_bytes(|| {
+        let mut c = ConflictChecker::new();
+        for (_, ev) in &lock {
+            c.observe(ev);
+        }
+        c
+    });
+    assert_eq!(checker.finalize(), None);
+
+    eprintln!(
+        "BtoChecker holds {bto_bytes} B for {bto_copies} page copies ({} B each); \
+         ConflictChecker {csr_bytes} B for {csr_copies} ({} B each)",
+        bto_bytes / bto_copies,
+        csr_bytes / csr_copies
+    );
+    assert!(
+        bto_bytes <= BTO_BYTES_PER_COPY * bto_copies,
+        "BtoChecker holds {bto_bytes} B for {bto_copies} page copies, over \
+         {BTO_BYTES_PER_COPY} B each"
+    );
+    assert!(
+        csr_bytes <= CSR_BYTES_PER_COPY * csr_copies,
+        "ConflictChecker holds {csr_bytes} B for {csr_copies} page copies, over \
+         {CSR_BYTES_PER_COPY} B each"
+    );
+}
+
+/// Most `run_and_check`'s peak may grow per commit from 1,000 to 4,000
+/// commits on the 2PL ROWA-3 cell. It grows about 0.7 KB per commit, the
+/// checkers' stream-length state; recording every submitted template as
+/// well, and the parent's per-page checker layouts, made it 1.45 KB.
+const RUN_AND_CHECK_BYTES_PER_COMMIT: usize = 1_024;
+
+#[test]
+fn run_and_check_keeps_no_workload() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |commits| {
+        peak_bytes(|| {
+            run_and_check(
+                rowa3_cell(Algorithm::TwoPhaseLocking, commits),
+                None,
+                TestHooks::default(),
+            )
+            .expect("valid config")
+        })
+    };
+    let ((short, report), short_peak) = run(1_000);
+    assert!(report.clean(), "{}", report.render());
+    assert!(
+        short.templates.is_empty(),
+        "run_and_check recorded templates"
+    );
+    drop((short, report));
+    let ((long, report), long_peak) = run(4_000);
+    assert!(report.clean(), "{}", report.render());
+    assert!(
+        long.templates.is_empty(),
+        "run_and_check recorded templates"
+    );
+    let per_commit = long_peak.saturating_sub(short_peak) / 3_000;
+    eprintln!(
+        "run_and_check peaks at {short_peak} B at 1000 commits, {long_peak} B at 4000: \
+         {per_commit} B per commit"
+    );
+    assert!(
+        per_commit <= RUN_AND_CHECK_BYTES_PER_COMMIT,
+        "run_and_check grew {per_commit} B per commit from 1000 to 4000 commits, over \
+         {RUN_AND_CHECK_BYTES_PER_COMMIT}"
     );
 }

@@ -40,6 +40,9 @@ pub struct Disk<T> {
     /// this instant. `SimTime::ZERO` — the fault-free value — is vacuous.
     stalled_until: SimTime,
     busy: BusyTracker,
+    /// Room the write queue adds whenever it fills (see
+    /// [`DiskArray::set_write_burst`]); `0` leaves growth to `VecDeque`.
+    write_burst: usize,
 }
 
 impl<T> Disk<T> {
@@ -51,6 +54,7 @@ impl<T> Disk<T> {
             current: None,
             stalled_until: SimTime::ZERO,
             busy: BusyTracker::new(SimTime::ZERO),
+            write_burst: 0,
         }
     }
 
@@ -58,6 +62,9 @@ impl<T> Disk<T> {
     pub fn submit(&mut self, now: SimTime, tag: T, is_write: bool, service: SimDuration) {
         let p = Pending { tag, service };
         if is_write {
+            if self.writes.len() == self.writes.capacity() {
+                self.writes.reserve(self.write_burst.max(1));
+            }
             self.writes.push_back(p);
         } else {
             self.reads.push_back(p);
@@ -199,6 +206,15 @@ impl<T> DiskArray<T> {
         assert!(num_disks > 0);
         DiskArray {
             disks: (0..num_disks).map(|_| Disk::new()).collect(),
+        }
+    }
+
+    /// Let every disk's write queue, each time it fills, grow by room for
+    /// at least `burst` more requests, so its first allocation already
+    /// holds a burst of that size.
+    pub fn set_write_burst(&mut self, burst: usize) {
+        for d in &mut self.disks {
+            d.write_burst = burst;
         }
     }
 
@@ -460,5 +476,18 @@ mod tests {
         }
         // One in service, five queued on disk 0.
         assert_eq!(a.total_queue_len(), 5);
+    }
+
+    #[test]
+    fn write_queue_first_grows_to_the_burst() {
+        let mut a: DiskArray<u32> = DiskArray::new(1);
+        a.set_write_burst(10);
+        // The first write goes into service; the next nine queue.
+        for i in 0..10 {
+            a.submit(SimTime::ZERO, 0, i, true, SimDuration::from_millis(10));
+        }
+        assert_eq!(a.total_queue_len(), 9);
+        assert!(a.disks[0].writes.capacity() >= 10);
+        assert_eq!(a.disks[0].reads.capacity(), 0, "reads grow on their own");
     }
 }

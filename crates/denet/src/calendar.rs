@@ -155,6 +155,12 @@ impl<E> EventCalendar<E> {
         }
     }
 
+    /// Make room for `additional` more events off the prediction slots, so
+    /// the calendar does not regrow until that many more are pending.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     /// The current simulation clock: the timestamp of the last event popped.
     #[inline]
     pub fn now(&self) -> SimTime {
