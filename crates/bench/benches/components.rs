@@ -8,7 +8,7 @@ use ddbm_cc::{make_manager, LockMode, LockTable, Ts, TxnMeta};
 use ddbm_config::{Algorithm, Config, FileId, PageId, TxnId};
 use ddbm_core::run_config;
 use ddbm_resource::Cpu;
-use denet::{EventCalendar, SimDuration, SimRng, SimTime};
+use denet::{EventCalendar, Fired, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 
 fn calendar(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn calendar(c: &mut Criterion) {
                 cal.schedule(SimTime(rng.uniform_u64(i, i + 1_000_000)), i);
             }
             let mut sum = 0u64;
-            while let Some((_, e)) = cal.pop() {
+            while let Some((_, Fired::Event(e))) = cal.pop() {
                 sum = sum.wrapping_add(e);
             }
             black_box(sum)
@@ -37,7 +37,9 @@ fn calendar(c: &mut Criterion) {
             }
             let mut sum = 0u64;
             for _ in 0..50_000 {
-                let (t, e) = cal.pop().expect("kept full");
+                let Some((t, Fired::Event(e))) = cal.pop() else {
+                    unreachable!("kept full, no slots registered")
+                };
                 sum = sum.wrapping_add(e);
                 cal.schedule(t + SimDuration(rng.uniform_u64(1, 1_000)), e);
             }
@@ -48,32 +50,35 @@ fn calendar(c: &mut Criterion) {
     // superseded before they fire. Two of every three steps re-predict one
     // of 256 prediction slots in place, mimicking the simulator
     // re-predicting a node's next CPU completion on every state change.
+    // Slots carry no payload: a fired slot is its own key.
     c.bench_function("calendar/slot_churn", |b| {
         b.iter(|| {
-            let mut cal = EventCalendar::new();
+            let mut cal = EventCalendar::<()>::new();
             let mut rng = SimRng::from_seed(3);
             // One pending prediction per slot, like one per simulated node
             // resource.
-            let slots: Vec<_> = (0..256u64)
-                .map(|i| {
+            let slots: Vec<_> = (0..256)
+                .map(|_| {
                     let slot = cal.register_slot();
-                    cal.set_slot(slot, SimTime(rng.uniform_u64(1, 1_000)), i);
+                    cal.set_slot(slot, SimTime(rng.uniform_u64(1, 1_000)));
                     slot
                 })
                 .collect();
-            let mut sum = 0u64;
+            let mut sum = 0usize;
             for i in 0..50_000u64 {
                 if i % 3 == 0 {
                     // A prediction comes true: fire it, predict the next.
-                    let (t, e) = cal.pop().expect("kept non-empty");
-                    sum = sum.wrapping_add(e);
+                    let Some((t, Fired::Slot(slot))) = cal.pop() else {
+                        unreachable!("kept non-empty, slots only")
+                    };
+                    sum = sum.wrapping_add(slot.index());
                     let at = t + SimDuration(rng.uniform_u64(1, 1_000));
-                    cal.set_slot(slots[e as usize], at, e);
+                    cal.set_slot(slot, at);
                 } else {
                     // A prediction is superseded: overwrite it in place.
                     let k = rng.index(slots.len());
                     let at = cal.now() + SimDuration(rng.uniform_u64(1, 1_000));
-                    cal.set_slot(slots[k], at, k as u64);
+                    cal.set_slot(slots[k], at);
                 }
             }
             black_box(sum)
@@ -137,6 +142,12 @@ fn lock_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// Advance `cpu` to `now` and count the completions it takes.
+fn step(cpu: &mut Cpu<u64>, now: SimTime) -> usize {
+    cpu.advance(now);
+    std::iter::from_fn(|| cpu.pop_done()).count()
+}
+
 fn cpu_model(c: &mut Criterion) {
     c.bench_function("cpu/processor_sharing_churn", |b| {
         b.iter(|| {
@@ -152,10 +163,10 @@ fn cpu_model(c: &mut Criterion) {
                     done += usize::from(cpu.submit_message(now, 10_000 + i, 500.0).is_some());
                 }
                 now += SimDuration::from_micros(200);
-                done += cpu.advance(now).len();
+                done += step(&mut cpu, now);
             }
             while let Some(t) = cpu.next_completion() {
-                done += cpu.advance(t).len();
+                done += step(&mut cpu, t);
             }
             black_box(done)
         })
@@ -177,7 +188,7 @@ fn cpu_model(c: &mut Criterion) {
                 // Ties in the finish tags complete in batches, so the CPU
                 // can briefly drain; refill from wherever the clock stands.
                 if let Some(t) = cpu.next_completion() {
-                    done += cpu.advance(t).len();
+                    done += step(&mut cpu, t);
                     now = t;
                 }
                 done += usize::from(cpu.submit_shared(now, i, 500.0 + (i % 13) as f64).is_some());
@@ -186,7 +197,7 @@ fn cpu_model(c: &mut Criterion) {
                 }
             }
             while let Some(t) = cpu.next_completion() {
-                done += cpu.advance(t).len();
+                done += step(&mut cpu, t);
             }
             black_box(done)
         })

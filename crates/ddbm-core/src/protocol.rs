@@ -330,14 +330,6 @@ pub enum DiskJob {
 pub enum Event {
     /// A terminal finished thinking and submits a new transaction.
     TerminalSubmit { terminal: usize },
-    /// A node's CPU reaches its predicted next completion. Held in the
-    /// node's calendar prediction slot, where a superseded prediction is
-    /// overwritten, so every one of these that fires corresponds to real
-    /// completed work.
-    CpuPoll { node: NodeId },
-    /// A node's disk array reaches its predicted next completion (same
-    /// prediction-slot scheduling as `CpuPoll`).
-    DiskPoll { node: NodeId },
     /// The restart delay of an aborted transaction expired.
     Restart { txn: TxnId },
     /// The current Snoop node's detection interval expired.
@@ -377,13 +369,13 @@ pub enum Event {
 mod tests {
     use super::*;
 
-    /// The calendar stores events inline, and nearly all of them are
-    /// copied into and out of its prediction slots: hundreds of slot
-    /// writes per commit against one or two heap pushes. Every extra word
-    /// here is copied on each of them. `MsgArrive` boxes its payload for
-    /// exactly this reason. If this assertion fires, either
-    /// shrink the new variant (box large fields) or consciously accept the
-    /// cost and update the expected size.
+    /// The calendar's heap stores events inline and moves them on every
+    /// sift, so every extra word here is copied on each push and pop.
+    /// (Resource completions carry no event at all: they fire as bare
+    /// prediction slots.) `MsgArrive` boxes its payload for exactly this
+    /// reason. If this assertion fires, either shrink the new variant (box
+    /// large fields) or consciously accept the cost and update the expected
+    /// size.
     #[test]
     fn event_stays_32_bytes() {
         assert_eq!(std::mem::size_of::<Event>(), 32);

@@ -44,7 +44,7 @@ use crate::workload::{RouteScratch, TxnTemplate};
 use ddbm_cc::{make_manager_with, CcManager};
 use ddbm_config::{Config, ConfigError, FaultPlan, NodeId, PageId, Placement, TxnId};
 use ddbm_resource::{Cpu, DiskArray, LruPool};
-use denet::{EventCalendar, SimDuration, SimRng, SimTime, SlotId, WitnessLog};
+use denet::{EventCalendar, Fired, SimDuration, SimRng, SimTime, SlotId, WitnessLog};
 use pool::Pool;
 use snoop::SnoopState;
 use std::any::Any;
@@ -61,17 +61,18 @@ struct NodeState {
     /// Extension: per-node LRU buffer pool (capacity 0 = the paper's model,
     /// every read access does a disk I/O).
     buffer: LruPool<PageId>,
-    /// The pending CPU completion event lives in a calendar *prediction
-    /// slot*. Every CPU state change re-predicts; if the instant moved, the
-    /// slot is overwritten in place (an O(1) store — no heap traffic and no
-    /// tombstone), so every `CpuPoll` that fires is the unique live
-    /// prediction for this node — no stale polls reach the handler, and the
-    /// CPU is only ever advanced to instants where something actually
-    /// completes. Slot seq consumption equals that of pushing each changed
-    /// prediction onto the heap, so run reports stayed bit-identical across
-    /// the switch to slots (see `denet::calendar` module docs).
+    /// The CPU's next completion instant lives in a calendar *prediction
+    /// slot*, calendar slot `2n` for node `n`. Every CPU state change
+    /// re-predicts; if the instant moved, the slot is overwritten in place
+    /// (an O(1) store — no heap traffic and no tombstone), so every firing
+    /// of this slot is the unique live prediction for this node — no stale
+    /// polls reach the handler, and the CPU is only ever advanced to
+    /// instants where something actually completes. Slot seq consumption
+    /// equals that of pushing each changed prediction onto the heap, so run
+    /// reports stayed bit-identical across the switch to slots (see
+    /// `denet::calendar` module docs).
     cpu_slot: SlotId,
-    /// Same prediction-slot scheduling for the disk array.
+    /// Same prediction-slot scheduling for the disk array, in slot `2n + 1`.
     disk_slot: SlotId,
     /// True while this node's CPU prediction awaits reconciliation with the
     /// calendar (it is listed in `Simulator::dirty_cpu`). A handler cascade
@@ -128,6 +129,8 @@ pub struct TestHooks {
     /// Release a cohort's locks the moment its last access completes,
     /// instead of holding them through the commit protocol — the classic
     /// non-strict early release. The 2PL strictness checker must catch it.
+    /// Under OPT, which certifies at prepare, the cohort is released
+    /// abort-style, so its access sets are gone before certification.
     #[serde(default)]
     pub early_lock_release: bool,
     /// Replication: silently drop the last replica from every multi-replica
@@ -152,12 +155,6 @@ pub struct Simulator {
     nodes: Vec<NodeState>,
     txns: TxnStore,
     next_txn: u64,
-    /// Scratch buffers reused by [`touch_cpu`](Self::touch_cpu) /
-    /// [`touch_disks`](Self::touch_disks). A pool rather than a single
-    /// buffer because handling one completion can recursively advance the
-    /// same resource (e.g. a message completion sends another message).
-    cpu_bufs: Pool<Vec<CpuJob>>,
-    disk_bufs: Pool<Vec<DiskJob>>,
     /// Nodes whose CPU prediction changed during the current event and whose
     /// calendar entry has not been reconciled yet (see
     /// [`flush_rescheds`](Self::flush_rescheds)).
@@ -271,14 +268,17 @@ impl Simulator {
                 // write-back at the node. (Reads need none: a cohort waits
                 // for each before issuing the next.)
                 disks.set_write_burst(max_accesses[id.0]);
+                // Slots count up in registration order: 2n, then 2n + 1.
+                let (cpu_slot, disk_slot) = (calendar.register_slot(), calendar.register_slot());
+                debug_assert_eq!(cpu_slot.index(), 2 * id.0);
                 NodeState {
                     cpu: Cpu::new(config.system.cpu_rate(id)),
                     disks,
                     cc,
                     max_accesses: max_accesses[id.0],
                     buffer,
-                    cpu_slot: calendar.register_slot(),
-                    disk_slot: calendar.register_slot(),
+                    cpu_slot,
+                    disk_slot,
                     cpu_dirty: false,
                     disk_dirty: false,
                     up: true,
@@ -300,8 +300,6 @@ impl Simulator {
             nodes,
             txns: TxnStore::new(),
             next_txn: 1,
-            cpu_bufs: Pool::default(),
-            disk_bufs: Pool::default(),
             dirty_cpu: Vec::new(),
             dirty_disk: Vec::new(),
             // Only message faults box messages; stocked then, so a new
@@ -423,12 +421,15 @@ impl Simulator {
     /// The event loop: pop and dispatch until `done` holds or the
     /// simulated-time wall is reached.
     fn drive(&mut self, done: impl Fn(&Simulator) -> bool) {
-        while let Some((now, ev)) = self.calendar.pop() {
+        while let Some((now, fired)) = self.calendar.pop() {
             if now > SimTime::ZERO + self.config.control.max_sim_time {
                 self.truncated = true;
                 break;
             }
-            self.on_event(now, ev);
+            match fired {
+                Fired::Slot(slot) => self.on_prediction(now, slot.index()),
+                Fired::Event(ev) => self.on_event(now, ev),
+            }
             // Reconcile deferred CPU/disk predictions with the calendar now
             // that the cascade is done, before the next pop relies on it.
             self.flush_rescheds();
@@ -499,31 +500,27 @@ impl Simulator {
     // Event dispatch
     // ------------------------------------------------------------------
 
+    /// A resource's predicted completion came due: calendar slot `2n` is
+    /// node `n`'s CPU, slot `2n + 1` its disk array. Superseded predictions
+    /// are overwritten in their slot, so a slot that fires is always the
+    /// live prediction, and popping it vacated the slot — the handlers
+    /// below can freely re-predict without clobbering the one firing now.
+    fn on_prediction(&mut self, now: SimTime, slot: usize) {
+        let node = NodeId(slot / 2);
+        if slot.is_multiple_of(2) {
+            debug_assert_eq!(self.calendar.slot_time(self.nodes[node.0].cpu_slot), None);
+            self.touch_cpu(now, node);
+            self.resched_cpu(node);
+        } else {
+            debug_assert_eq!(self.calendar.slot_time(self.nodes[node.0].disk_slot), None);
+            self.touch_disks(now, node);
+            self.resched_disks(node);
+        }
+    }
+
     fn on_event(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::TerminalSubmit { terminal } => self.submit_transaction(now, terminal),
-            Event::CpuPoll { node } => {
-                // Superseded predictions are overwritten in their slot, so a
-                // poll that fires is always the live prediction, and popping
-                // it vacated the slot — the handlers below can freely
-                // re-predict without clobbering the event firing right now.
-                debug_assert_eq!(
-                    self.calendar.slot_time(self.nodes[node.0].cpu_slot),
-                    None,
-                    "a stale CpuPoll fired"
-                );
-                self.touch_cpu(now, node);
-                self.resched_cpu(node);
-            }
-            Event::DiskPoll { node } => {
-                debug_assert_eq!(
-                    self.calendar.slot_time(self.nodes[node.0].disk_slot),
-                    None,
-                    "a stale DiskPoll fired"
-                );
-                self.touch_disks(now, node);
-                self.resched_disks(node);
-            }
             Event::Restart { txn } => self.restart_txn(now, txn),
             Event::SnoopWake { node, round } => self.snoop_wake(now, node, round),
             Event::LockTimeout {

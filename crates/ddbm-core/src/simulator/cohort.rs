@@ -80,9 +80,13 @@ impl Simulator {
                 // Test-only defect: a broken lock manager that frees the
                 // cohort's locks at work-completion instead of holding them
                 // through commit. The witness records the release honestly,
-                // so the strictness checker sees a commit-release while the
-                // coordinator is still Executing.
-                self.release(now, node, id, run, true);
+                // so the strictness checker sees a release while the
+                // coordinator is still Executing. OPT certifies at prepare,
+                // so a commit-style release now would commit an uncertified
+                // transaction; it releases abort-style instead, dropping
+                // the cohort's access sets before certification.
+                let commit = self.config.algorithm != Algorithm::Optimistic;
+                self.release(now, node, id, run, commit);
             }
             self.send(
                 now,

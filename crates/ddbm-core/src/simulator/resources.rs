@@ -9,19 +9,20 @@ use ddbm_config::NodeId;
 use denet::{SimDuration, SimTime, SlotId};
 
 impl Simulator {
-    /// Advance a node's CPU and handle every completed job. Completions land
-    /// in a pooled scratch buffer, so steady-state advances do not allocate.
+    /// Advance a node's CPU and handle every completed job, taking them
+    /// one at a time from the CPU's completion queue. A handler that
+    /// touches the same CPU again (a message completion sending another
+    /// message, say) finds its clock already at `now` and returns at once,
+    /// so the completions are handled in order, outermost loop first.
     #[inline]
     pub(super) fn touch_cpu(&mut self, now: SimTime, node: NodeId) {
         if self.nodes[node.0].cpu.is_current(now) {
             return; // clock already at `now`: nothing can have completed
         }
-        let mut buf = self.cpu_bufs.take();
-        self.nodes[node.0].cpu.advance_into(now, &mut buf);
-        for job in buf.drain(..) {
+        self.nodes[node.0].cpu.advance(now);
+        while let Some(job) = self.nodes[node.0].cpu.pop_done() {
             self.handle_cpu_done(now, node, job);
         }
-        self.cpu_bufs.put(buf);
     }
 
     /// Note that the node's CPU prediction may have changed. The calendar is
@@ -38,16 +39,16 @@ impl Simulator {
         }
     }
 
+    /// Advance a node's disk array and handle every completed request,
+    /// one at a time from the array's completion queue.
     pub(super) fn touch_disks(&mut self, now: SimTime, node: NodeId) {
         if self.nodes[node.0].disks.is_current(now) {
             return; // nothing in service can have completed by `now`
         }
-        let mut buf = self.disk_bufs.take();
-        self.nodes[node.0].disks.advance_into(now, &mut buf);
-        for job in buf.drain(..) {
+        self.nodes[node.0].disks.advance(now);
+        while let Some(job) = self.nodes[node.0].disks.pop_done() {
             self.handle_disk_done(now, node, job);
         }
-        self.disk_bufs.put(buf);
     }
 
     /// Deferred twin of [`resched_cpu`](Self::resched_cpu) for the disk
@@ -73,7 +74,7 @@ impl Simulator {
                 o.cpu(now, node, !st.cpu.is_idle());
             }
             let (slot, at) = (st.cpu_slot, st.cpu.next_completion());
-            self.predict(slot, at, Event::CpuPoll { node });
+            self.predict(slot, at);
         }
         while let Some(node) = self.dirty_disk.pop() {
             let st = &mut self.nodes[node.0];
@@ -82,7 +83,7 @@ impl Simulator {
                 o.disk(now, node, st.disks.any_busy());
             }
             let (slot, at) = (st.disk_slot, st.disks.next_completion());
-            self.predict(slot, at, Event::DiskPoll { node });
+            self.predict(slot, at);
         }
     }
 
@@ -92,11 +93,11 @@ impl Simulator {
     /// consumes a calendar sequence number, which is what kept run reports
     /// bit-identical when predictions moved from the heap to slots (see
     /// `denet::calendar` module docs).
-    fn predict(&mut self, slot: SlotId, at: Option<SimTime>, poll: Event) {
+    fn predict(&mut self, slot: SlotId, at: Option<SimTime>) {
         match at {
             Some(at) => {
                 if self.calendar.slot_time(slot) != Some(at) {
-                    self.calendar.set_slot(slot, at, poll);
+                    self.calendar.set_slot(slot, at);
                 }
             }
             None => self.calendar.clear_slot(slot),

@@ -10,10 +10,13 @@
 //!
 //! The checker keeps, per `(node, page)` copy, only the last installer and
 //! the readers since that install, and collects edges in one pass over the
-//! stream: transitively, that is every conflict. At end of stream it keeps
-//! the edges between runs whose commit was decided — the coordinator's
-//! move to `Committing`, an `Install` or a `Committed`, whichever the stream
-//! shows first, so runs cut off mid-commit count — and looks for a cycle.
+//! stream: transitively, that is every conflict. A run pair that conflicts
+//! on several copies (replicas of one page, say) yields one edge per copy;
+//! the repeats are dropped in place whenever the edge list fills. At end
+//! of stream it keeps the edges between runs whose commit was decided —
+//! the coordinator's move to `Committing`, an `Install` or a `Committed`,
+//! whichever the stream shows first, so runs cut off mid-commit count —
+//! and looks for a cycle.
 //! Aborted runs never decide to commit, so their reads drop out.
 //!
 //! Runs get dense `u32` ids, and each copy is keyed by one word, its node
@@ -141,8 +144,29 @@ pub struct ConflictChecker {
     readers: ReaderLists,
     /// Scratch: a drained readers list, newest first.
     drained: Vec<u32>,
-    /// Precedence edges between runs, committed or not.
+    /// Precedence edges between runs, committed or not. A run pair can
+    /// repeat (one edge per page copy they conflict on); [`push_edge`]
+    /// drops the repeats whenever the list fills.
     edges: Vec<(u32, u32)>,
+}
+
+/// Lists shorter than this grow without deduplication: too few edges for
+/// repeats to matter.
+const DEDUP_FROM: usize = 4096;
+
+/// Append `edge`. A full list of at least [`DEDUP_FROM`] edges is first
+/// sorted and stripped of repeated pairs in place, and grows only if that
+/// freed less than an eighth of it. The edges' order carries no meaning:
+/// [`ConflictChecker::finalize`] reads them as a set.
+fn push_edge(edges: &mut Vec<(u32, u32)>, edge: (u32, u32)) {
+    if edges.len() == edges.capacity() && edges.len() >= DEDUP_FROM {
+        edges.sort_unstable();
+        edges.dedup();
+        if edges.len() > edges.capacity() / 8 * 7 {
+            edges.reserve(edges.len());
+        }
+    }
+    edges.push(edge);
 }
 
 impl ConflictChecker {
@@ -193,7 +217,7 @@ impl ConflictChecker {
                 let key = copy_key(node, self.pages.ix(page));
                 let copy = self.copies.entry(key).or_insert(CopyState::UNTOUCHED);
                 if copy.installer != NONE && self.runs[copy.installer as usize].0 != txn {
-                    self.edges.push((copy.installer, reader));
+                    push_edge(&mut self.edges, (copy.installer, reader));
                 }
                 if self.readers.newest(copy.readers) != Some(reader) {
                     copy.readers = self.readers.push(copy.readers, reader);
@@ -214,14 +238,14 @@ impl ConflictChecker {
                 self.drained.clear();
                 self.readers.drain(head, &mut self.drained);
                 let runs = &self.runs;
-                self.edges.extend(
-                    Some(earlier)
-                        .filter(|&w| w != NONE)
-                        .into_iter()
-                        .chain(self.drained.iter().rev().copied())
-                        .filter(|&r| runs[r as usize].0 != txn)
-                        .map(|r| (r, writer)),
-                );
+                for r in Some(earlier)
+                    .filter(|&w| w != NONE)
+                    .into_iter()
+                    .chain(self.drained.iter().rev().copied())
+                    .filter(|&r| runs[r as usize].0 != txn)
+                {
+                    push_edge(&mut self.edges, (r, writer));
+                }
             }
             WitnessEvent::Phase {
                 txn,
@@ -589,5 +613,32 @@ mod tests {
         assert_eq!(c.readers.links.len(), 5, "the arena did not grow");
         c.observe(&install(8, 1, 2));
         assert_eq!(edges(&c, 3), [(3, 4), (3, 5), (3, 6), (3, 7), (2, 8)]);
+    }
+
+    #[test]
+    fn repeated_edges_are_dropped_when_the_list_fills() {
+        let mut c = ConflictChecker::new();
+        // T1 reads and T2 then installs 3 × DEDUP_FROM pages: the same
+        // T1 → T2 edge once per page.
+        let pages = 3 * DEDUP_FROM as u64;
+        for pg in 0..pages {
+            c.observe(&read(1, 1, pg));
+        }
+        for pg in 0..pages {
+            c.observe(&install(2, 1, pg));
+        }
+        assert!(
+            c.edges.len() <= DEDUP_FROM,
+            "{} edges kept for one run pair",
+            c.edges.len()
+        );
+        assert_eq!(c.edges.capacity(), DEDUP_FROM, "the list never grew");
+        c.observe(&commit(2, 1));
+        c.observe(&commit(1, 1));
+        // T1 → T2 plus a back edge T2 → T1: still a cycle after the purge.
+        c.observe(&install(2, 1, pages));
+        c.observe(&read(1, 1, pages));
+        let cycle = c.finalize().expect("T1 and T2 conflict both ways");
+        assert_eq!(cycle.len(), 2);
     }
 }

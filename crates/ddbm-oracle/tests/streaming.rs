@@ -10,7 +10,8 @@
 //!
 //! The quick case covers the 18 cells of the `repro verify` gate at one
 //! seed plus both injected defects; the `#[ignore]`d sweep repeats it at
-//! 1000 commits over three seeds (nightly CI).
+//! 1000 commits over three seeds (nightly CI), and its OPT rows under the
+//! defects also run on their own, in the debug profile.
 
 use ddbm_config::{Algorithm, Config, ReplicationParams};
 use ddbm_core::{run_oracle, TestHooks};
@@ -154,6 +155,33 @@ fn online_oracle_matches_the_recorded_stream_at_1000_commits() {
                 for hooks in [TestHooks::default(), early, skip] {
                     assert_agree(gate_cell(algorithm, replication, seed, 1_000), hooks);
                 }
+            }
+        }
+    }
+}
+
+/// The OPT rows of the hook set (OPT × three replica controls × three
+/// seeds × both defects, 1000 commits), quick enough for the debug profile,
+/// where CI runs it too: OPT's managers and the checkers keep their debug
+/// assertions there, which an early release that committed an uncertified
+/// OPT cohort used to trip.
+#[test]
+fn opt_rows_of_the_hook_set_run_with_debug_assertions() {
+    let early = TestHooks {
+        early_lock_release: true,
+        ..TestHooks::default()
+    };
+    let skip = TestHooks {
+        skip_replica_write: true,
+        ..TestHooks::default()
+    };
+    for seed in [7, 99, 1009] {
+        for replication in replications() {
+            for hooks in [early, skip] {
+                assert_agree(
+                    gate_cell(Algorithm::Optimistic, replication, seed, 1_000),
+                    hooks,
+                );
             }
         }
     }

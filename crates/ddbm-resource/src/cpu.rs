@@ -18,8 +18,10 @@
 //! arriving with `w` instructions is stamped with a finish tag
 //! `f = v + w` that never changes afterwards, and it completes exactly when
 //! `v` reaches `f`. The pending jobs sit in a `std::collections::BinaryHeap`
-//! ordered by `(f, arrival seq)`, earliest first, with each job's tag
-//! stored inline, so:
+//! of 24-byte `(f, arrival seq, slab index)` entries ordered by
+//! `(f, arrival seq)`, earliest first; the job tags themselves wait in a
+//! slab whose freed slots are reused, so a sift moves three words whatever
+//! the tag type. Thus:
 //!
 //! * [`Cpu::advance`] to an instant with no completions is an O(1) clock
 //!   update (one add to `v`) — no per-job work, no rescan;
@@ -41,10 +43,12 @@
 //! floating-point magnitude growth to one busy period.
 //!
 //! The model is driven by the owner: every interaction first calls
-//! [`Cpu::advance`] to apply progress up to the current instant, and after
-//! any state change the owner asks [`Cpu::next_completion`] and keeps that
-//! instant in one calendar *prediction slot* per CPU — a moved prediction
-//! overwrites the slot in place, so stale completions never fire.
+//! [`Cpu::advance`] to apply progress up to the current instant and then
+//! takes the completed tags, in completion order, from the CPU's own queue
+//! with [`Cpu::pop_done`]; after any state change the owner asks
+//! [`Cpu::next_completion`] and keeps that instant in one calendar
+//! *prediction slot* per CPU — a moved prediction overwrites the slot in
+//! place, so stale completions never fire.
 
 use denet::{BusyTracker, SimDuration, SimTime, NANOS_PER_SEC};
 use std::cmp::Ordering;
@@ -60,31 +64,33 @@ struct Job<T> {
     remaining: f64, // instructions
 }
 
-/// A processor-shared job: its finish tag, arrival sequence and tag.
-#[derive(Debug)]
-struct PsEntry<T> {
+/// A processor-shared job's heap entry: its finish tag, arrival sequence
+/// and the slab slot holding its tag.
+#[derive(Debug, Clone, Copy)]
+struct PsEntry {
     /// Virtual finish tag `v(arrival) + instructions`; positive and finite.
     finish: f64,
     /// Arrival sequence: FIFO tie-break for equal tags.
     seq: u64,
-    tag: T,
+    /// Index of the job's tag in `Cpu::tags`.
+    slot: u32,
 }
 
-impl<T> PartialEq for PsEntry<T> {
+impl PartialEq for PsEntry {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<T> Eq for PsEntry<T> {}
+impl Eq for PsEntry {}
 
-impl<T> PartialOrd for PsEntry<T> {
+impl PartialOrd for PsEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> Ord for PsEntry<T> {
+impl Ord for PsEntry {
     /// Reversed `(finish, seq)`, so the max-heap's top is the earliest
     /// finish tag, FIFO within a tag.
     #[inline]
@@ -110,7 +116,15 @@ pub struct Cpu<T> {
     v: f64,
     /// Processor-shared jobs, earliest finish tag on top; its length is
     /// `n` in the fluid model.
-    heap: BinaryHeap<PsEntry<T>>,
+    heap: BinaryHeap<PsEntry>,
+    /// Tags of the processor-shared jobs, indexed by `PsEntry::slot`;
+    /// `None` marks a free slot.
+    tags: Vec<Option<T>>,
+    /// Free slots of `tags`, reused before the slab grows.
+    free: Vec<u32>,
+    /// Tags of completed jobs, in completion order, not yet taken by
+    /// [`pop_done`](Self::pop_done).
+    done: VecDeque<T>,
     next_seq: u64,
     last: SimTime,
     busy: BusyTracker,
@@ -126,6 +140,9 @@ impl<T> Cpu<T> {
             messages: VecDeque::new(),
             v: 0.0,
             heap: BinaryHeap::new(),
+            tags: Vec::new(),
+            free: Vec::new(),
+            done: VecDeque::new(),
             next_seq: 0,
             last: SimTime::ZERO,
             busy: BusyTracker::new(SimTime::ZERO),
@@ -139,8 +156,8 @@ impl<T> Cpu<T> {
     }
 
     /// True when the accounting clock already sits at `now`: an `advance`
-    /// to `now` would be a no-op, so callers can skip completion-buffer
-    /// setup entirely. Same-instant interactions dominate event cascades.
+    /// to `now` would be a no-op, so callers can skip the completion drain
+    /// entirely. Same-instant interactions dominate event cascades.
     #[inline]
     pub fn is_current(&self, now: SimTime) -> bool {
         self.last == now
@@ -156,20 +173,10 @@ impl<T> Cpu<T> {
         self.busy.reset(now);
     }
 
-    /// Apply progress from the last interaction up to `now` and return the
-    /// tags of all jobs that completed, in completion order.
-    ///
-    /// Allocates a fresh `Vec`; the simulator's hot path uses
-    /// [`advance_into`](Self::advance_into) with a reused scratch buffer.
-    pub fn advance(&mut self, now: SimTime) -> Vec<T> {
-        let mut done = Vec::new();
-        self.advance_into(now, &mut done);
-        done
-    }
-
-    /// Like [`advance`](Self::advance), but appends the completed tags to
-    /// `done` instead of allocating. Completion order is identical.
-    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<T>) {
+    /// Apply progress from the last interaction up to `now`, queueing the
+    /// tags of all jobs that completed, in completion order, for
+    /// [`pop_done`](Self::pop_done).
+    pub fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last, "CPU advanced backwards");
         if now == self.last {
             // Zero elapsed time: no fluid progress, no message service, and
@@ -187,7 +194,7 @@ impl<T> Cpu<T> {
                 if t + need <= now {
                     t += need;
                     let job = self.messages.pop_front().expect("head exists");
-                    done.push(job.tag);
+                    self.done.push_back(job.tag);
                 } else {
                     // Partial progress. Scheduled completion instants are
                     // rounded *up* to whole nanoseconds, so an intermediate
@@ -199,7 +206,7 @@ impl<T> Cpu<T> {
                     head.remaining -= served;
                     if head.remaining <= EPS_INSTR {
                         let job = self.messages.pop_front().expect("head exists");
-                        done.push(job.tag);
+                        self.done.push_back(job.tag);
                     }
                     // The message (or its successor) holds the CPU past `now`;
                     // the shared class is preempted and sees zero progress.
@@ -215,7 +222,8 @@ impl<T> Cpu<T> {
                     // instant lands virtual time exactly on the finish tag.
                     t += need;
                     self.v = finish;
-                    done.push(self.complete_top());
+                    let tag = self.complete_top();
+                    self.done.push_back(tag);
                 } else {
                     // No completion in (t, now]: one O(1) fluid update.
                     self.v += now.since(t).as_secs_f64() * self.rate / n;
@@ -228,7 +236,8 @@ impl<T> Cpu<T> {
                         .peek()
                         .is_some_and(|top| top.finish <= self.v + EPS_INSTR)
                     {
-                        done.push(self.complete_top());
+                        let tag = self.complete_top();
+                        self.done.push_back(tag);
                     }
                     break;
                 }
@@ -249,8 +258,15 @@ impl<T> Cpu<T> {
         }
     }
 
-    /// Pop the top of the finish-tag heap and return its tag. Rebases
-    /// virtual time when the shared class empties.
+    /// The next completed tag, in completion order, or `None` once every
+    /// completion [`advance`](Self::advance) found has been taken.
+    #[inline]
+    pub fn pop_done(&mut self) -> Option<T> {
+        self.done.pop_front()
+    }
+
+    /// Pop the top of the finish-tag heap, free its slab slot and return
+    /// its tag. Rebases virtual time when the shared class empties.
     fn complete_top(&mut self) -> T {
         let top = self.heap.pop().expect("non-empty heap");
         if self.heap.is_empty() {
@@ -259,7 +275,8 @@ impl<T> Cpu<T> {
             // period rather than growing for the whole run.
             self.v = 0.0;
         }
-        top.tag
+        self.free.push(top.slot);
+        self.tags[top.slot as usize].take().expect("live slab slot")
     }
 
     /// Submit an ordinary (processor-shared) job of `instructions`.
@@ -273,10 +290,20 @@ impl<T> Cpu<T> {
         self.sync_clock(now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.tags[slot as usize] = Some(tag);
+                slot
+            }
+            None => {
+                self.tags.push(Some(tag));
+                (self.tags.len() - 1) as u32
+            }
+        };
         self.heap.push(PsEntry {
             finish: self.v + instructions,
             seq,
-            tag,
+            slot,
         });
         self.busy.set_busy(now, true);
         None
@@ -319,10 +346,19 @@ impl<T> Cpu<T> {
     /// never cancelled: protocol processing always runs to completion.
     ///
     /// The survivors keep their finish tags; their fluid share adjusts
-    /// because the heap shrinks.
+    /// because the heap shrinks. Completed tags still queued for
+    /// [`pop_done`](Self::pop_done) are not touched.
     pub fn cancel_shared_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
         let before = self.heap.len();
-        self.heap.retain(|e| !pred(&e.tag));
+        let (tags, free) = (&mut self.tags, &mut self.free);
+        self.heap.retain(|e| {
+            let cancel = pred(tags[e.slot as usize].as_ref().expect("live slab slot"));
+            if cancel {
+                tags[e.slot as usize] = None;
+                free.push(e.slot);
+            }
+            !cancel
+        });
         let removed = before - self.heap.len();
         if removed > 0 {
             if self.heap.is_empty() {
@@ -338,12 +374,15 @@ impl<T> Cpu<T> {
     /// [`cancel_shared_where`](Self::cancel_shared_where), this models the
     /// processor itself dying mid-instruction — protocol processing does NOT
     /// run to completion. The accounting clock jumps to `now` and the CPU is
-    /// idle afterwards.
+    /// idle afterwards. Completed tags still queued for
+    /// [`pop_done`](Self::pop_done) finished before the crash and stay.
     pub fn clear(&mut self, now: SimTime) -> usize {
         debug_assert!(now >= self.last, "CPU cleared in the past");
         let dropped = self.messages.len() + self.heap.len();
         self.messages.clear();
         self.heap.clear();
+        self.tags.clear();
+        self.free.clear();
         self.v = 0.0;
         self.last = now;
         self.busy.set_busy(now, false);
@@ -374,28 +413,44 @@ impl<T> Cpu<T> {
 fn duration_for(instructions: f64, ns_per_instr: f64) -> SimDuration {
     let ns = instructions.max(0.0) * ns_per_instr;
     // Integer ceil: `f64::ceil` is a libm call on baseline x86-64, and this
-    // sits on the prediction path of every CPU interaction. Identical
-    // results: `floor` truncates, and one is added exactly when truncation
-    // actually dropped a fraction (saturating casts make the overflow edge
-    // agree too).
-    let floor = ns as u64;
-    SimDuration(floor + u64::from((floor as f64) < ns))
+    // sits on the prediction path of every CPU interaction. `floor`
+    // truncates, and one is added exactly when truncation dropped a
+    // fraction. Baseline x86-64 converts between `f64` and `i64` in one
+    // instruction each but needs several for `u64`, so spans below 2^63 ns
+    // (292 years) go through `i64`; longer ones, and NaN, take the `u64`
+    // casts, which saturate.
+    if ns < TWO_POW_63 {
+        let floor = ns as i64;
+        SimDuration((floor + i64::from((floor as f64) < ns)) as u64)
+    } else {
+        let floor = ns as u64;
+        SimDuration(floor.saturating_add(u64::from((floor as f64) < ns)))
+    }
 }
+
+/// 2^63 as an `f64`: the first value `as i64` would saturate.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Advance to `now` and take every completion, in order.
+    fn step(cpu: &mut Cpu<u32>, now: SimTime) -> Vec<u32> {
+        cpu.advance(now);
+        std::iter::from_fn(|| cpu.pop_done()).collect()
+    }
 
     fn drain(cpu: &mut Cpu<u32>, upto: SimTime) -> Vec<u32> {
         // Step through completions exactly as the simulator's event loop does.
         let mut done = Vec::new();
         loop {
             match cpu.next_completion() {
-                Some(t) if t <= upto => done.extend(cpu.advance(t)),
+                Some(t) if t <= upto => done.extend(step(cpu, t)),
                 _ => break,
             }
         }
-        done.extend(cpu.advance(upto));
+        done.extend(step(cpu, upto));
         done
     }
 
@@ -408,7 +463,7 @@ mod tests {
             cpu.next_completion(),
             Some(SimTime::ZERO + SimDuration::from_millis(8))
         );
-        let done = cpu.advance(SimTime::ZERO + SimDuration::from_millis(8));
+        let done = step(&mut cpu, SimTime::ZERO + SimDuration::from_millis(8));
         assert_eq!(done, vec![1]);
         assert!(cpu.is_idle());
     }
@@ -440,10 +495,10 @@ mod tests {
         // left alone: done at 4 ms.
         let t1 = cpu.next_completion().unwrap();
         assert_eq!(t1, SimTime(2_000_000));
-        assert_eq!(cpu.advance(t1), vec![1]);
+        assert_eq!(step(&mut cpu, t1), vec![1]);
         let t2 = cpu.next_completion().unwrap();
         assert_eq!(t2, SimTime(4_000_000));
-        assert_eq!(cpu.advance(t2), vec![2]);
+        assert_eq!(step(&mut cpu, t2), vec![2]);
     }
 
     #[test]
@@ -451,17 +506,17 @@ mod tests {
         let mut cpu = Cpu::new(1e6);
         assert!(cpu.submit_shared(SimTime::ZERO, 1, 2_000.0).is_none());
         // At 1 ms, half done; a 1K message arrives and takes the CPU.
-        assert_eq!(cpu.advance(SimTime(1_000_000)), Vec::<u32>::new());
+        assert_eq!(step(&mut cpu, SimTime(1_000_000)), Vec::<u32>::new());
         assert!(cpu
             .submit_message(SimTime(1_000_000), 100, 1_000.0)
             .is_none());
         // Message completes at 2 ms; shared job then needs its last 1K → 3 ms.
         let t = cpu.next_completion().unwrap();
         assert_eq!(t, SimTime(2_000_000));
-        assert_eq!(cpu.advance(t), vec![100]);
+        assert_eq!(step(&mut cpu, t), vec![100]);
         let t = cpu.next_completion().unwrap();
         assert_eq!(t, SimTime(3_000_000));
-        assert_eq!(cpu.advance(t), vec![1]);
+        assert_eq!(step(&mut cpu, t), vec![1]);
     }
 
     #[test]
@@ -484,7 +539,7 @@ mod tests {
         }
         let t = cpu.next_completion().unwrap();
         assert_eq!(t, SimTime(4_000_000));
-        assert_eq!(cpu.advance(t), vec![1, 2, 3, 4]);
+        assert_eq!(step(&mut cpu, t), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -492,8 +547,8 @@ mod tests {
         let mut cpu = Cpu::new(1e6);
         assert!(cpu.submit_shared(SimTime::ZERO, 1, 1_000.0).is_none());
         let t = cpu.next_completion().unwrap();
-        cpu.advance(t); // busy for 1 ms
-        cpu.advance(SimTime(4_000_000)); // idle for 3 ms
+        step(&mut cpu, t); // busy for 1 ms
+        step(&mut cpu, SimTime(4_000_000)); // idle for 3 ms
         let u = cpu.utilization(SimTime(4_000_000));
         assert!((u - 0.25).abs() < 1e-9, "utilization {u}");
     }
@@ -502,11 +557,11 @@ mod tests {
     fn utilization_reset_mid_run() {
         let mut cpu = Cpu::new(1e6);
         assert!(cpu.submit_shared(SimTime::ZERO, 1, 10_000.0).is_none());
-        cpu.advance(SimTime(5_000_000));
+        step(&mut cpu, SimTime(5_000_000));
         cpu.reset_utilization(SimTime(5_000_000));
         let t = cpu.next_completion().unwrap();
         assert_eq!(t, SimTime(10_000_000));
-        cpu.advance(t);
+        step(&mut cpu, t);
         assert!((cpu.utilization(SimTime(10_000_000)) - 1.0).abs() < 1e-9);
     }
 
@@ -531,7 +586,7 @@ mod tests {
         // whole CPU from t=0: done at 5 ms.
         assert_eq!(cpu.cancel_shared_where(|t| *t == 1), 1);
         assert_eq!(cpu.next_completion(), Some(SimTime(5_000_000)));
-        assert_eq!(cpu.advance(SimTime(5_000_000)), vec![2]);
+        assert_eq!(step(&mut cpu, SimTime(5_000_000)), vec![2]);
         assert!(cpu.is_idle());
     }
 
@@ -542,7 +597,7 @@ mod tests {
             assert!(cpu.submit_shared(cpu.last, round, 1_000.0).is_none());
             if round % 2 == 0 {
                 let t = cpu.next_completion().unwrap();
-                assert_eq!(cpu.advance(t), vec![round]);
+                assert_eq!(step(&mut cpu, t), vec![round]);
             } else {
                 assert_eq!(cpu.cancel_shared_where(|_| true), 1);
             }
@@ -556,19 +611,148 @@ mod tests {
     }
 
     #[test]
+    fn slab_reuses_cancelled_and_completed_slots() {
+        // A sift moves the entry, not the tag: three words whatever `T` is.
+        assert_eq!(std::mem::size_of::<PsEntry>(), 24);
+        let mut cpu = Cpu::new(1e6);
+        let mut rng_state = 0x2545_F491_u64;
+        let mut next = || {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            rng_state
+        };
+        // Churn with up to eight jobs live: submit, cancel a random tag,
+        // complete the predicted finisher, cancel everything now and then.
+        let mut live = 0usize;
+        let mut peak = 0usize;
+        for round in 0..5_000u32 {
+            match next() % 4 {
+                0 | 1 if live < 8 => {
+                    let instr = 100.0 * (1 + next() % 50) as f64;
+                    assert!(cpu.submit_shared(cpu.last, round, instr).is_none());
+                    live += 1;
+                }
+                2 if live > 0 => {
+                    let victim = (next() % u64::from(round + 1)) as u32;
+                    live -= cpu.cancel_shared_where(|t| *t == victim);
+                }
+                _ => match cpu.next_completion() {
+                    Some(t) => live -= step(&mut cpu, t).len(),
+                    None if round % 500 == 0 => live -= cpu.cancel_shared_where(|_| true),
+                    None => {}
+                },
+            }
+            peak = peak.max(live);
+            assert_eq!(cpu.heap.len(), live);
+            // Every slab slot is either live in the heap or on the free list.
+            assert_eq!(cpu.tags.len(), cpu.heap.len() + cpu.free.len());
+            assert_eq!(
+                cpu.tags.iter().filter(|t| t.is_some()).count(),
+                cpu.heap.len()
+            );
+        }
+        assert_eq!(peak, 8, "the churn reached its concurrency cap");
+        assert!(
+            cpu.tags.len() <= peak,
+            "slab grew to {} slots for {peak} concurrent jobs",
+            cpu.tags.len()
+        );
+        assert!(cpu.tags.capacity() <= 16 && cpu.free.capacity() <= 16);
+    }
+
+    #[test]
+    fn completions_queue_until_popped() {
+        let mut cpu = Cpu::new(1e6);
+        assert!(cpu.submit_message(SimTime::ZERO, 10, 1_000.0).is_none());
+        assert!(cpu.submit_shared(SimTime::ZERO, 1, 1_000.0).is_none());
+        assert!(cpu.submit_shared(SimTime::ZERO, 2, 1_000.0).is_none());
+        assert!(cpu.submit_shared(SimTime::ZERO, 3, 9_000.0).is_none());
+        cpu.advance(SimTime(4_000_000));
+        assert_eq!(cpu.pop_done(), Some(10));
+        // A cancel between pops leaves the finished jobs queued.
+        assert_eq!(cpu.cancel_shared_where(|_| true), 1);
+        assert!(cpu.is_idle());
+        assert_eq!(cpu.pop_done(), Some(1));
+        assert_eq!(cpu.pop_done(), Some(2));
+        assert_eq!(cpu.pop_done(), None);
+    }
+
+    /// The ceiling `duration_for` took before it went through `i64`: `u64`
+    /// casts throughout, saturating at 2^64 ns.
+    fn duration_for_u64(instructions: f64, ns_per_instr: f64) -> SimDuration {
+        let ns = instructions.max(0.0) * ns_per_instr;
+        let floor = ns as u64;
+        SimDuration(floor.saturating_add(u64::from((floor as f64) < ns)))
+    }
+
+    #[test]
+    fn duration_for_matches_the_u64_ceiling() {
+        let two53 = 9_007_199_254_740_992.0;
+        let mut cases = vec![
+            (0.0, 1.0),
+            (-5.0, 100.0),
+            (1.0, 1.0),
+            (8_000.0, 1_000.0),
+            (1_234.0, 100.0),
+            (0.5, 1.0),
+            (1.0 + f64::EPSILON, 1.0),
+            (1e-9, 1.0),
+            (2.0 / 3.0, 300.0),
+            (1_000.0, 1e9 / 3e6),
+            (two53, 1.0),
+            (two53 - 1.0, 1.0),
+            (two53 - 0.5, 1.0),
+            (two53 + 2.0, 1.0),
+            (TWO_POW_63, 1.0),
+            (TWO_POW_63 - 1024.0, 1.0),
+            (TWO_POW_63 + 2048.0, 1.0),
+            (TWO_POW_63, 1.5),
+            (TWO_POW_63 * 2.0, 1.0),
+            (TWO_POW_63 * 4.0, 1.0),
+            (1e300, 1e10),
+            (f64::NAN, 1.0),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 1.0),
+            (f64::NEG_INFINITY, 1.0),
+        ];
+        // Fractions and integers across the range the simulator produces.
+        let mut x = 0.1;
+        while x < 1e18 {
+            for per in [1.0, 100.0, 1e9 / 3e6, 1e9 / 7e6] {
+                cases.push((x, per));
+                cases.push((x.floor(), per));
+            }
+            x *= 1.37;
+        }
+        for (instr, per) in cases {
+            assert_eq!(
+                duration_for(instr, per),
+                duration_for_u64(instr, per),
+                "duration_for({instr:e}, {per:e})"
+            );
+        }
+        assert_eq!(duration_for(1.5, 1.0), SimDuration(2));
+        assert_eq!(duration_for(two53, 1.0), SimDuration(1 << 53));
+        assert_eq!(duration_for(TWO_POW_63, 1.0), SimDuration(1 << 63));
+        assert_eq!(duration_for(f64::NAN, 1.0), SimDuration(0));
+        assert_eq!(duration_for(f64::INFINITY, 1.0), SimDuration(u64::MAX));
+    }
+
+    #[test]
     fn clear_drops_messages_and_shared_work() {
         let mut cpu = Cpu::new(1e6);
         assert!(cpu.submit_shared(SimTime::ZERO, 1, 5_000.0).is_none());
         assert!(cpu.submit_message(SimTime::ZERO, 2, 1_000.0).is_none());
         assert!(cpu.submit_message(SimTime::ZERO, 3, 1_000.0).is_none());
-        cpu.advance(SimTime(500_000));
+        step(&mut cpu, SimTime(500_000));
         assert_eq!(cpu.clear(SimTime(500_000)), 3);
         assert!(cpu.is_idle());
         assert_eq!(cpu.next_completion(), None);
         // The CPU is usable again after the crash.
         assert!(cpu.submit_shared(SimTime(600_000), 4, 1_000.0).is_none());
         assert_eq!(cpu.next_completion(), Some(SimTime(1_600_000)));
-        assert_eq!(cpu.advance(SimTime(1_600_000)), vec![4]);
+        assert_eq!(step(&mut cpu, SimTime(1_600_000)), vec![4]);
     }
 
     #[test]
@@ -588,10 +772,10 @@ mod tests {
                 done += usize::from(cpu.submit_shared(t, i, instr).is_some());
             }
             t += SimDuration::from_micros(137);
-            done += cpu.advance(t).len();
+            done += step(&mut cpu, t).len();
         }
         while let Some(next) = cpu.next_completion() {
-            done += cpu.advance(next).len();
+            done += step(&mut cpu, next).len();
         }
         assert_eq!(done, 20);
         let now = cpu.last;

@@ -13,7 +13,9 @@
 //! The owner keeps that instant in one calendar *prediction slot* per array
 //! and overwrites it whenever a new submission changes the prediction (a
 //! queued request can only *extend* the schedule; an earlier completion can
-//! only appear when an idle disk accepts work).
+//! only appear when an idle disk accepts work). Completed tags wait in the
+//! array's own queue until the owner takes them with
+//! [`DiskArray::pop_done`].
 
 use denet::{BusyTracker, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -127,23 +129,15 @@ impl<T> Disk<T> {
         dropped
     }
 
-    /// Complete any request due by `now` and start the next. Returns the tags
-    /// of completed requests in completion order.
-    pub fn advance(&mut self, now: SimTime) -> Vec<T> {
-        let mut done = Vec::new();
-        self.advance_into(now, &mut done);
-        done
-    }
-
-    /// Like [`advance`](Self::advance), but appends the completed tags to
-    /// `done` instead of allocating. Completion order is identical.
-    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<T>) {
+    /// Complete any request due by `now` and start the next, appending the
+    /// tags of completed requests to `done` in completion order.
+    pub fn advance(&mut self, now: SimTime, done: &mut VecDeque<T>) {
         while let Some(cur) = &self.current {
             if cur.done_at > now {
                 break;
             }
             let finished = self.current.take().expect("checked");
-            done.push(finished.tag);
+            done.push_back(finished.tag);
             self.try_start(finished.done_at);
         }
     }
@@ -198,6 +192,9 @@ impl<T> Default for Disk<T> {
 #[derive(Debug)]
 pub struct DiskArray<T> {
     disks: Vec<Disk<T>>,
+    /// Tags of completed requests, in completion order, not yet taken by
+    /// [`pop_done`](Self::pop_done).
+    done: VecDeque<T>,
 }
 
 impl<T> DiskArray<T> {
@@ -206,6 +203,7 @@ impl<T> DiskArray<T> {
         assert!(num_disks > 0);
         DiskArray {
             disks: (0..num_disks).map(|_| Disk::new()).collect(),
+            done: VecDeque::new(),
         }
     }
 
@@ -242,20 +240,20 @@ impl<T> DiskArray<T> {
         self.disks[idx].submit(now, tag, is_write, service);
     }
 
-    /// Advance every disk; returns all completions in (disk-index, FIFO)
-    /// order, which is deterministic.
-    pub fn advance(&mut self, now: SimTime) -> Vec<T> {
-        let mut done = Vec::new();
-        self.advance_into(now, &mut done);
-        done
+    /// Advance every disk, queueing all completions for
+    /// [`pop_done`](Self::pop_done) in (disk-index, FIFO) order, which is
+    /// deterministic.
+    pub fn advance(&mut self, now: SimTime) {
+        for d in &mut self.disks {
+            d.advance(now, &mut self.done);
+        }
     }
 
-    /// Like [`advance`](Self::advance), but appends into `done` instead of
-    /// allocating. Completion order is identical ((disk-index, FIFO)).
-    pub fn advance_into(&mut self, now: SimTime, done: &mut Vec<T>) {
-        for d in &mut self.disks {
-            d.advance_into(now, done);
-        }
+    /// The next completed tag, in completion order, or `None` once every
+    /// completion [`advance`](Self::advance) found has been taken.
+    #[inline]
+    pub fn pop_done(&mut self) -> Option<T> {
+        self.done.pop_front()
     }
 
     /// The earliest in-service completion across all disks.
@@ -299,7 +297,8 @@ impl<T> DiskArray<T> {
     }
 
     /// Crash support: destroy all queued and in-service requests on every
-    /// disk. Returns how many were destroyed.
+    /// disk. Returns how many were destroyed. Completed tags still queued
+    /// for [`pop_done`](Self::pop_done) finished before the crash and stay.
     pub fn clear_all(&mut self, now: SimTime) -> usize {
         self.disks.iter_mut().map(|d| d.clear(now)).sum()
     }
@@ -328,14 +327,27 @@ mod tests {
 
     const MS: u64 = 1_000_000;
 
+    /// Advance one disk to `now` and return its completions, in order.
+    fn step(d: &mut Disk<u32>, now: SimTime) -> Vec<u32> {
+        let mut done = VecDeque::new();
+        d.advance(now, &mut done);
+        done.into()
+    }
+
+    /// Advance an array to `now` and take every completion, in order.
+    fn step_all(a: &mut DiskArray<u32>, now: SimTime) -> Vec<u32> {
+        a.advance(now);
+        std::iter::from_fn(|| a.pop_done()).collect()
+    }
+
     #[test]
     fn fifo_service_within_class() {
         let mut d: Disk<u32> = Disk::new();
         d.submit(SimTime::ZERO, 1, false, SimDuration::from_millis(10));
         d.submit(SimTime::ZERO, 2, false, SimDuration::from_millis(10));
         assert_eq!(d.next_completion(), Some(SimTime(10 * MS)));
-        assert_eq!(d.advance(SimTime(10 * MS)), vec![1]);
-        assert_eq!(d.advance(SimTime(20 * MS)), vec![2]);
+        assert_eq!(step(&mut d, SimTime(10 * MS)), vec![1]);
+        assert_eq!(step(&mut d, SimTime(20 * MS)), vec![2]);
         assert_eq!(d.next_completion(), None);
     }
 
@@ -346,7 +358,7 @@ mod tests {
         d.submit(SimTime::ZERO, 2, false, SimDuration::from_millis(10)); // queued read
         d.submit(SimTime::ZERO, 3, true, SimDuration::from_millis(10)); // queued write
                                                                         // In-service read is not preempted; then the write, then the read.
-        assert_eq!(d.advance(SimTime(30 * MS)), vec![1, 3, 2]);
+        assert_eq!(step(&mut d, SimTime(30 * MS)), vec![1, 3, 2]);
     }
 
     #[test]
@@ -355,7 +367,7 @@ mod tests {
         for i in 0..5 {
             d.submit(SimTime::ZERO, i, false, SimDuration::from_millis(10));
         }
-        assert_eq!(d.advance(SimTime(50 * MS)), vec![0, 1, 2, 3, 4]);
+        assert_eq!(step(&mut d, SimTime(50 * MS)), vec![0, 1, 2, 3, 4]);
         assert!((d.utilization(SimTime(50 * MS)) - 1.0).abs() < 1e-9);
     }
 
@@ -363,9 +375,9 @@ mod tests {
     fn utilization_with_idle_gap() {
         let mut d: Disk<u32> = Disk::new();
         d.submit(SimTime::ZERO, 1, false, SimDuration::from_millis(20));
-        d.advance(SimTime(20 * MS));
+        step(&mut d, SimTime(20 * MS));
         d.submit(SimTime(60 * MS), 2, false, SimDuration::from_millis(20));
-        d.advance(SimTime(80 * MS));
+        step(&mut d, SimTime(80 * MS));
         let u = d.utilization(SimTime(80 * MS));
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
     }
@@ -378,7 +390,7 @@ mod tests {
         d.submit(SimTime::ZERO, 3, true, SimDuration::from_millis(10));
         let removed = d.cancel_queued_where(|t| *t != 1);
         assert_eq!(removed, vec![2, 3]);
-        assert_eq!(d.advance(SimTime(10 * MS)), vec![1]);
+        assert_eq!(step(&mut d, SimTime(10 * MS)), vec![1]);
         assert_eq!(d.next_completion(), None);
     }
 
@@ -399,7 +411,7 @@ mod tests {
         assert_eq!(d.cancel_queued_where(|t| *t % 3 != 0), vec![1, 5, 2, 4]);
         assert_eq!(d.queue_len(), 2);
         // Writes first, then reads: the survivors keep their places.
-        assert_eq!(d.advance(SimTime(30 * MS)), vec![0, 6, 3]);
+        assert_eq!(step(&mut d, SimTime(30 * MS)), vec![0, 6, 3]);
     }
 
     #[test]
@@ -411,9 +423,9 @@ mod tests {
         // The in-service request is pushed to the end of the stall; the
         // queued one starts there and takes its full service time.
         assert_eq!(d.next_completion(), Some(SimTime(50 * MS)));
-        assert_eq!(d.advance(SimTime(50 * MS)), vec![1]);
+        assert_eq!(step(&mut d, SimTime(50 * MS)), vec![1]);
         assert_eq!(d.next_completion(), Some(SimTime(60 * MS)));
-        assert_eq!(d.advance(SimTime(60 * MS)), vec![2]);
+        assert_eq!(step(&mut d, SimTime(60 * MS)), vec![2]);
         // Stalls never move completions earlier, and expired ones are inert.
         d.submit(SimTime(70 * MS), 3, false, SimDuration::from_millis(10));
         assert_eq!(d.next_completion(), Some(SimTime(80 * MS)));
@@ -438,16 +450,16 @@ mod tests {
         a.submit(SimTime::ZERO, 0, 1, false, SimDuration::from_millis(30));
         a.submit(SimTime::ZERO, 1, 2, false, SimDuration::from_millis(10));
         assert_eq!(a.next_completion(), Some(SimTime(10 * MS)));
-        assert_eq!(a.advance(SimTime(10 * MS)), vec![2]);
+        assert_eq!(step_all(&mut a, SimTime(10 * MS)), vec![2]);
         assert_eq!(a.next_completion(), Some(SimTime(30 * MS)));
-        assert_eq!(a.advance(SimTime(30 * MS)), vec![1]);
+        assert_eq!(step_all(&mut a, SimTime(30 * MS)), vec![1]);
     }
 
     #[test]
     fn array_mean_utilization() {
         let mut a: DiskArray<u32> = DiskArray::new(2);
         a.submit(SimTime::ZERO, 0, 1, false, SimDuration::from_millis(10));
-        a.advance(SimTime(10 * MS));
+        step_all(&mut a, SimTime(10 * MS));
         // Disk 0 busy 100%, disk 1 idle → mean 50%.
         let u = a.mean_utilization(SimTime(10 * MS));
         assert!((u - 0.5).abs() < 1e-9, "mean utilization {u}");
@@ -457,7 +469,7 @@ mod tests {
     fn array_reset_utilization() {
         let mut a: DiskArray<u32> = DiskArray::new(2);
         a.submit(SimTime::ZERO, 0, 1, false, SimDuration::from_millis(10));
-        a.advance(SimTime(10 * MS));
+        step_all(&mut a, SimTime(10 * MS));
         a.reset_utilization(SimTime(10 * MS));
         assert_eq!(a.mean_utilization(SimTime(20 * MS)), 0.0);
     }

@@ -30,6 +30,18 @@ fn sweep_strategy() -> impl Strategy<Value = Option<(u64, u64)>> {
     ]
 }
 
+/// Advance `cpu` to `now` and take every completion, in order.
+fn step_cpu<T>(cpu: &mut Cpu<T>, now: SimTime) -> Vec<T> {
+    cpu.advance(now);
+    std::iter::from_fn(|| cpu.pop_done()).collect()
+}
+
+/// Advance `disks` to `now` and take every completion, in order.
+fn step_disks<T>(disks: &mut DiskArray<T>, now: SimTime) -> Vec<T> {
+    disks.advance(now);
+    std::iter::from_fn(|| disks.pop_done()).collect()
+}
+
 /// Retire completed job ids from `pending`, asserting each was pending (not
 /// completed before, not cancelled); returns how many completed.
 fn settle(done: Vec<u64>, pending: &mut BTreeMap<u64, bool>) -> usize {
@@ -60,7 +72,7 @@ proptest! {
         let mut total_work = 0.0f64;
         for (i, (gap_us, action)) in actions.iter().enumerate() {
             now += SimDuration::from_micros(*gap_us);
-            completed += cpu.advance(now).len();
+            completed += step_cpu(&mut cpu, now).len();
             match action {
                 Action::Shared(instr) => {
                     total_work += instr;
@@ -78,7 +90,7 @@ proptest! {
         // Drain.
         let mut guard = 0;
         while let Some(t) = cpu.next_completion() {
-            completed += cpu.advance(t).len();
+            completed += step_cpu(&mut cpu, t).len();
             guard += 1;
             prop_assert!(guard < 10_000, "drain did not terminate");
             now = now.max(t);
@@ -117,7 +129,7 @@ proptest! {
         for (i, (gap_us, action, sweep)) in steps.into_iter().enumerate() {
             let id = i as u64;
             now += SimDuration::from_micros(gap_us);
-            completed += settle(cpu.advance(now), &mut pending);
+            completed += settle(step_cpu(&mut cpu, now), &mut pending);
             match action {
                 Action::Shared(instr) | Action::Message(instr) => {
                     let message = matches!(action, Action::Message(_));
@@ -148,7 +160,7 @@ proptest! {
         }
         let mut guard = 0;
         while let Some(t) = cpu.next_completion() {
-            completed += settle(cpu.advance(t), &mut pending);
+            completed += settle(step_cpu(&mut cpu, t), &mut pending);
             guard += 1;
             prop_assert!(guard < 10_000, "drain did not terminate");
         }
@@ -170,14 +182,14 @@ proptest! {
         let mut total_service = SimDuration::ZERO;
         for (i, (gap_us, is_write, service_ms)) in reqs.iter().enumerate() {
             now += SimDuration::from_micros(*gap_us);
-            completed += disks.advance(now).len();
+            completed += step_disks(&mut disks, now).len();
             let service = SimDuration::from_millis(*service_ms);
             total_service += service;
             disks.submit(now, i % num_disks, i, *is_write, service);
         }
         let mut guard = 0;
         while let Some(t) = disks.next_completion() {
-            completed += disks.advance(t).len();
+            completed += step_disks(&mut disks, t).len();
             now = now.max(t);
             guard += 1;
             prop_assert!(guard < 10_000);
@@ -203,7 +215,7 @@ proptest! {
         for (i, w) in kinds.iter().enumerate() {
             disks.submit(SimTime::ZERO, 0, i, *w, SimDuration::from_millis(10));
         }
-        let done = disks.advance(SimTime(10_000_000_000));
+        let done = step_disks(&mut disks, SimTime(10_000_000_000));
         prop_assert_eq!(done.len(), kinds.len());
         // After the head (position 0), all writes precede all reads.
         let tail = &done[1..];

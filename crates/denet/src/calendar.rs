@@ -1,5 +1,5 @@
 //! The event calendar: a priority queue of future events, plus prediction
-//! slots that hold one overwritable pending event each.
+//! slots that hold one overwritable pending instant each.
 //!
 //! Events scheduled for the same instant are delivered in the order they were
 //! scheduled (FIFO tie-breaking via a monotone sequence number), which makes
@@ -13,30 +13,32 @@
 //! is ordered by its packed key alone (`time << 64 | seq`, one `u128`
 //! compare), reversed so the max-heap pops the earliest key first.
 //!
-//! The heap carries little of the simulator's traffic. Counted over the
-//! 16 cell configs of perfbench's `uncontended` and `contended` workloads
-//! (NO_DC at 1/4/8 nodes; 2PL, WW, WD, BTO and OPT at 8 nodes, 8- and
-//! 1-way), it pops 1.0–2.5 events per commit and never holds more than 129
-//! (about one per terminal), while the prediction slots below pop 164–446
-//! per commit: the heap serves 0.4–1.2% of all pops. An earlier unsafe
-//! 4-ary hole heap and a FIFO "fast lane" for zero-delay events were tuned
-//! on 10k-event microbenches and were retired for that reason
+//! The heap carries little of the simulator's traffic. Counted over one
+//! round of each perfbench workload at seed 1 (warm-up commits included),
+//! a commit takes 1.09 heap pops against 202.2 slot pops in `uncontended`
+//! (NO_DC at 1/4/8 nodes), 2.03 against 297.7 in `contended` (2PL, WW,
+//! WD, BTO and OPT at 8 nodes, 8- and 1-way) and 1.10 against 108.3 in
+//! `verify` (the oracle gate grid); per cell, slot pops range over
+//! 163–452 per commit in the first two and 84–133 in the third. An earlier
+//! unsafe 4-ary hole heap and a FIFO "fast lane" for zero-delay events were
+//! tuned on 10k-event microbenches and were retired for that reason
 //! (EXPERIMENTS.md §Performance baseline).
 //!
 //! # Prediction slots
 //!
 //! The simulator's dominant calendar traffic is *completion predictions*:
-//! one pending "next CPU/disk completion" event per node resource,
-//! re-predicted on almost every state change. Through the heap alone, every
-//! superseded prediction would have to be withdrawn from the heap before
-//! its replacement is pushed — historically ~25–30% of all scheduled events
-//! were superseded this way. A
-//! [`register_slot`](EventCalendar::register_slot) slot holds at most one
-//! pending event in a flat array instead:
-//! [`set_slot`](EventCalendar::set_slot) overwrites in place (an O(1)
-//! store) and `pop` finds the earliest slot with a linear scan over a dense
-//! key array — a handful of cache lines for the simulator's ~2 slots/node,
-//! cheaper than the sift traffic it replaces.
+//! one pending "next CPU/disk completion" instant per node resource,
+//! re-predicted on almost every state change (264–388 slot writes per
+//! commit in the counts above). Through the heap alone, every superseded
+//! prediction would have to be withdrawn from the heap before its
+//! replacement is pushed. A [`register_slot`](EventCalendar::register_slot)
+//! slot holds at most one pending instant in a flat key array instead:
+//! [`set_slot`](EventCalendar::set_slot) overwrites one `u128` key in
+//! place, and `pop` finds the earliest slot with a linear scan over the
+//! keys — a handful of cache lines for the simulator's 2 slots per node.
+//! A slot carries no payload: `pop` hands back its
+//! [`SlotId`] as [`Fired::Slot`], and the owner maps the slot's
+//! [`index`](SlotId::index) to the resource it registered it for.
 //!
 //! **Determinism:** `set_slot` assigns `seq = next_seq++` exactly as a heap
 //! push does, and `clear_slot` consumes no seq. A slot therefore behaves
@@ -96,10 +98,29 @@ impl<E> Ord for Entry<E> {
 
 /// Handle to a *prediction slot* registered with
 /// [`register_slot`](EventCalendar::register_slot): a stable cell holding at
-/// most one pending event, overwritten in place by
+/// most one pending instant, overwritten in place by
 /// [`set_slot`](EventCalendar::set_slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotId(u32);
+
+impl SlotId {
+    /// Registration order: the `k`-th registered slot has index `k`, so an
+    /// owner that registers its slots in a fixed pattern can map a fired
+    /// slot back to its resource without a lookup table.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What [`pop`](EventCalendar::pop) delivers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fired<E> {
+    /// The prediction held in this slot came due; the slot is vacant now.
+    Slot(SlotId),
+    /// A one-shot event.
+    Event(E),
+}
 
 /// Sentinel key for a vacant slot (and for "no heap entry" in the min
 /// scans). No real key can reach it: it would require both
@@ -109,27 +130,25 @@ const VACANT: u128 = u128::MAX;
 /// A deterministic discrete-event calendar.
 ///
 /// ```
-/// use denet::{EventCalendar, SimTime};
+/// use denet::{EventCalendar, Fired, SimTime};
 /// let mut cal = EventCalendar::new();
 /// cal.schedule(SimTime(20), "late");
 /// cal.schedule(SimTime(10), "early");
 /// let slot = cal.register_slot();
-/// cal.set_slot(slot, SimTime(5), "superseded");
-/// cal.set_slot(slot, SimTime(15), "predicted");
-/// assert_eq!(cal.pop(), Some((SimTime(10), "early")));
-/// assert_eq!(cal.pop(), Some((SimTime(15), "predicted")));
-/// assert_eq!(cal.pop(), Some((SimTime(20), "late")));
+/// cal.set_slot(slot, SimTime(5)); // superseded below
+/// cal.set_slot(slot, SimTime(15));
+/// assert_eq!(cal.pop(), Some((SimTime(10), Fired::Event("early"))));
+/// assert_eq!(cal.pop(), Some((SimTime(15), Fired::Slot(slot))));
+/// assert_eq!(cal.pop(), Some((SimTime(20), Fired::Event("late"))));
 /// assert_eq!(cal.pop(), None);
 /// ```
 pub struct EventCalendar<E> {
     /// One-shot events, least packed key on top.
     heap: BinaryHeap<Entry<E>>,
     /// Prediction-slot keys, indexed by `SlotId`; `VACANT` marks an empty
-    /// slot. Kept dense and separate from the payloads so the per-pop min
-    /// scan touches only keys.
+    /// slot. A slot carries no payload: the owner knows which resource a
+    /// slot predicts from its index.
     slot_keys: Vec<u128>,
-    /// Prediction-slot payloads, parallel to `slot_keys`.
-    slot_events: Vec<Option<E>>,
     /// Number of occupied slots; the min scan is skipped when zero.
     slots_live: usize,
     next_seq: u64,
@@ -148,7 +167,6 @@ impl<E> EventCalendar<E> {
         EventCalendar {
             heap: BinaryHeap::new(),
             slot_keys: Vec::new(),
-            slot_events: Vec::new(),
             slots_live: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -191,21 +209,20 @@ impl<E> EventCalendar<E> {
     }
 
     /// Register a prediction slot: a stable cell holding at most one pending
-    /// event, overwritten in place by [`set_slot`](Self::set_slot). Slots
+    /// instant, overwritten in place by [`set_slot`](Self::set_slot). Slots
     /// are meant for long-lived, frequently superseded predictions (one per
-    /// simulated node resource); register them once at startup.
+    /// simulated node resource); register them once at startup. Slot
+    /// indices count up from 0 in registration order.
     pub fn register_slot(&mut self) -> SlotId {
         self.slot_keys.push(VACANT);
-        self.slot_events.push(None);
         SlotId((self.slot_keys.len() - 1) as u32)
     }
 
-    /// Set `slot`'s pending event, replacing (and dropping) any previous
-    /// one. Consumes one sequence number, exactly like a heap push, so the
-    /// event is delivered in the order a push would give it (see module
-    /// docs).
+    /// Set `slot` to fire at `time`, replacing any previous prediction.
+    /// Consumes one sequence number, exactly like a heap push, so the slot
+    /// is delivered in the order a push would give it (see module docs).
     #[inline]
-    pub fn set_slot(&mut self, slot: SlotId, time: SimTime, event: E) {
+    pub fn set_slot(&mut self, slot: SlotId, time: SimTime) {
         debug_assert!(
             time >= self.now,
             "attempt to set slot prediction at {time} before the current clock {now}",
@@ -213,27 +230,24 @@ impl<E> EventCalendar<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let i = slot.0 as usize;
-        if self.slot_keys[i] == VACANT {
-            self.slots_live += 1;
-        }
-        self.slot_keys[i] = pack(time, seq);
-        self.slot_events[i] = Some(event);
+        let key = &mut self.slot_keys[slot.0 as usize];
+        self.slots_live += usize::from(*key == VACANT);
+        *key = pack(time, seq);
     }
 
-    /// Withdraw `slot`'s pending event, if any. Consumes no sequence number.
+    /// Withdraw `slot`'s pending prediction, if any. Consumes no sequence
+    /// number.
     #[inline]
     pub fn clear_slot(&mut self, slot: SlotId) {
-        let i = slot.0 as usize;
-        if self.slot_keys[i] != VACANT {
-            self.slot_keys[i] = VACANT;
-            self.slot_events[i] = None;
+        let key = &mut self.slot_keys[slot.0 as usize];
+        if *key != VACANT {
+            *key = VACANT;
             self.slots_live -= 1;
         }
     }
 
-    /// The instant `slot`'s pending event will fire, or `None` if the slot
-    /// is vacant (never set, cleared, or already delivered by `pop`).
+    /// The instant `slot` will fire, or `None` if the slot is vacant (never
+    /// set, cleared, or already delivered by `pop`).
     #[inline]
     pub fn slot_time(&self, slot: SlotId) -> Option<SimTime> {
         let key = self.slot_keys[slot.0 as usize];
@@ -273,26 +287,26 @@ impl<E> EventCalendar<E> {
         best
     }
 
-    /// Remove and return the earliest event — the minimum packed key across
-    /// the heap and the prediction slots — advancing the clock to its time.
-    /// Packed keys are globally unique, so the merged order equals the order
-    /// a single heap holding every event would produce.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, event) = match self.min_slot(self.heap_key()) {
+    /// Remove and return the earliest pending entry — the minimum packed
+    /// key across the heap and the prediction slots — advancing the clock
+    /// to its time. Packed keys are globally unique, so the merged order
+    /// equals the order a single heap holding every event would produce.
+    pub fn pop(&mut self) -> Option<(SimTime, Fired<E>)> {
+        let (key, fired) = match self.min_slot(self.heap_key()) {
             Some((key, i)) => {
                 self.slot_keys[i] = VACANT;
                 self.slots_live -= 1;
-                (key, self.slot_events[i].take().expect("occupied slot"))
+                (key, Fired::Slot(SlotId(i as u32)))
             }
             None => {
                 let e = self.heap.pop()?;
-                (e.key, e.event)
+                (e.key, Fired::Event(e.event))
             }
         };
         let time = unpack_time(key);
         debug_assert!(time >= self.now);
         self.now = time;
-        Some((time, event))
+        Some((time, fired))
     }
 
     /// The timestamp of the next event, if any, without popping it.
@@ -319,15 +333,25 @@ impl<E> EventCalendar<E> {
 mod tests {
     use super::*;
 
+    impl<E> EventCalendar<E> {
+        /// Pop a one-shot event; the tests that use it register no slots.
+        fn pop_event(&mut self) -> Option<(SimTime, E)> {
+            self.pop().map(|(t, fired)| match fired {
+                Fired::Event(e) => (t, e),
+                Fired::Slot(s) => panic!("slot {s:?} fired in a heap-only test"),
+            })
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(30), 3);
         cal.schedule(SimTime(10), 1);
         cal.schedule(SimTime(20), 2);
-        assert_eq!(cal.pop(), Some((SimTime(10), 1)));
-        assert_eq!(cal.pop(), Some((SimTime(20), 2)));
-        assert_eq!(cal.pop(), Some((SimTime(30), 3)));
+        assert_eq!(cal.pop_event(), Some((SimTime(10), 1)));
+        assert_eq!(cal.pop_event(), Some((SimTime(20), 2)));
+        assert_eq!(cal.pop_event(), Some((SimTime(30), 3)));
         assert!(cal.is_empty());
     }
 
@@ -338,7 +362,7 @@ mod tests {
             cal.schedule(SimTime(5), i);
         }
         for i in 0..100 {
-            assert_eq!(cal.pop(), Some((SimTime(5), i)));
+            assert_eq!(cal.pop_event(), Some((SimTime(5), i)));
         }
     }
 
@@ -347,7 +371,7 @@ mod tests {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(42), ());
         assert_eq!(cal.now(), SimTime::ZERO);
-        cal.pop();
+        cal.pop_event();
         assert_eq!(cal.now(), SimTime(42));
     }
 
@@ -356,7 +380,7 @@ mod tests {
     fn scheduling_into_the_past_panics() {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(10), ());
-        cal.pop();
+        cal.pop_event();
         cal.schedule(SimTime(5), ());
     }
 
@@ -373,11 +397,11 @@ mod tests {
     fn interleaved_schedule_and_pop() {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(10), "a");
-        let (t, _) = cal.pop().unwrap();
+        let (t, _) = cal.pop_event().unwrap();
         cal.schedule(t + crate::SimDuration(5), "b");
         cal.schedule(t + crate::SimDuration(1), "c");
-        assert_eq!(cal.pop().unwrap().1, "c");
-        assert_eq!(cal.pop().unwrap().1, "b");
+        assert_eq!(cal.pop_event().unwrap().1, "c");
+        assert_eq!(cal.pop_event().unwrap().1, "b");
     }
 
     #[test]
@@ -405,7 +429,7 @@ mod tests {
         }
         // Steady-state churn: pop one, schedule one, thousands of times.
         for _ in 0..10_000 {
-            let (t, e) = cal.pop().unwrap();
+            let (t, e) = cal.pop_event().unwrap();
             cal.schedule(t + SimDuration(3), e);
         }
         assert_eq!(cal.len(), 8);
@@ -433,17 +457,17 @@ mod tests {
                 pending.push((t, seq));
                 seq += 1;
             } else {
-                let got = cal.pop().unwrap();
+                let got = cal.pop_event().unwrap();
                 popped.push(got);
             }
             if round % 97 == 0 {
                 // Occasionally drain a few to exercise deep sift-downs.
                 for _ in 0..cal.len().min(5) {
-                    popped.push(cal.pop().unwrap());
+                    popped.push(cal.pop_event().unwrap());
                 }
             }
         }
-        while let Some(got) = cal.pop() {
+        while let Some(got) = cal.pop_event() {
             popped.push(got);
         }
         // Check the invariant that actually matters: every popped event
@@ -462,7 +486,7 @@ mod tests {
     fn zero_delay_is_fifo_after_pending_same_instant_events() {
         let mut cal = EventCalendar::new();
         cal.schedule(SimTime(10), 0);
-        cal.pop();
+        cal.pop_event();
         // Zero-delay events interleave with events scheduled for the current
         // instant strictly in scheduling order.
         cal.schedule(SimTime(10), 1);
@@ -470,26 +494,27 @@ mod tests {
         cal.schedule(SimTime(10), 3);
         cal.schedule_after(SimDuration::ZERO, 4);
         for want in 1..=4 {
-            assert_eq!(cal.pop(), Some((SimTime(10), want)));
+            assert_eq!(cal.pop_event(), Some((SimTime(10), want)));
         }
         assert!(cal.is_empty());
     }
 
     #[test]
     fn slot_set_clear_and_overwrite() {
-        let mut cal = EventCalendar::new();
+        let mut cal = EventCalendar::<()>::new();
         let s = cal.register_slot();
+        assert_eq!(s.index(), 0);
         assert_eq!(cal.slot_time(s), None);
-        cal.set_slot(s, SimTime(10), "stale");
+        cal.set_slot(s, SimTime(10));
         assert_eq!(cal.slot_time(s), Some(SimTime(10)));
         assert_eq!(cal.len(), 1);
         // Overwriting supersedes in place: the stale prediction never fires.
-        cal.set_slot(s, SimTime(5), "fresh");
+        cal.set_slot(s, SimTime(5));
         assert_eq!(cal.slot_time(s), Some(SimTime(5)));
         assert_eq!(cal.len(), 1);
-        assert_eq!(cal.pop(), Some((SimTime(5), "fresh")));
+        assert_eq!(cal.pop(), Some((SimTime(5), Fired::Slot(s))));
         assert_eq!(cal.slot_time(s), None, "delivery vacates the slot");
-        cal.set_slot(s, SimTime(9), "cleared");
+        cal.set_slot(s, SimTime(9));
         cal.clear_slot(s);
         assert_eq!(cal.pop(), None);
         assert!(cal.is_empty());
@@ -497,23 +522,23 @@ mod tests {
     }
 
     #[test]
-    fn slot_events_interleave_with_heap_events() {
+    fn slots_interleave_with_heap_events() {
         let mut cal = EventCalendar::new();
         let s = cal.register_slot();
         cal.schedule(SimTime(10), 1); // seq 0
-        cal.set_slot(s, SimTime(10), 2); // seq 1
+        cal.set_slot(s, SimTime(10)); // seq 1
         cal.schedule(SimTime(10), 3); // seq 2
         assert_eq!(cal.peek_time(), Some(SimTime(10)));
-        assert_eq!(cal.pop(), Some((SimTime(10), 1)));
+        assert_eq!(cal.pop(), Some((SimTime(10), Fired::Event(1))));
         cal.schedule_after(SimDuration::ZERO, 4); // seq 3
-        assert_eq!(cal.pop(), Some((SimTime(10), 2)));
-        assert_eq!(cal.pop(), Some((SimTime(10), 3)));
-        assert_eq!(cal.pop(), Some((SimTime(10), 4)));
+        assert_eq!(cal.pop(), Some((SimTime(10), Fired::Slot(s))));
+        assert_eq!(cal.pop(), Some((SimTime(10), Fired::Event(3))));
+        assert_eq!(cal.pop(), Some((SimTime(10), Fired::Event(4))));
         assert_eq!(cal.pop(), None);
     }
 
     /// Slots against a plain sorted model: each `set_slot` removes the
-    /// slot's previous event and adds one with a fresh sequence number, each
+    /// slot's previous entry and adds one with a fresh sequence number, each
     /// `clear_slot` removes it and consumes none, and every pop delivers the
     /// least `(time, seq)`.
     #[test]
@@ -521,7 +546,7 @@ mod tests {
         let mut rng = crate::SimRng::from_seed(0x5107);
         let mut subject = EventCalendar::new();
         let slots: Vec<SlotId> = (0..4).map(|_| subject.register_slot()).collect();
-        // (time, seq, payload); payloads below 4 are slot predictions.
+        // (time, seq, payload); payloads below 4 are slot indices.
         let mut reference: Vec<(SimTime, u64, u64)> = Vec::new();
         let mut seq = 0u64;
         for i in 0..10_000u64 {
@@ -533,7 +558,7 @@ mod tests {
                     reference.retain(|e| e.2 != k as u64);
                     reference.push((at, seq, k as u64));
                     seq += 1;
-                    subject.set_slot(slots[k], at, k as u64);
+                    subject.set_slot(slots[k], at);
                 }
                 1 => {
                     // Withdraw resource k's prediction.
@@ -552,7 +577,12 @@ mod tests {
                     reference.sort_unstable();
                     let expected = (!reference.is_empty()).then(|| {
                         let (t, _, e) = reference.remove(0);
-                        (t, e)
+                        let fired = if e < 4 {
+                            Fired::Slot(slots[e as usize])
+                        } else {
+                            Fired::Event(e)
+                        };
+                        (t, fired)
                     });
                     assert_eq!(subject.pop(), expected);
                     assert_eq!(subject.len(), reference.len());
@@ -562,7 +592,7 @@ mod tests {
     }
 
     /// Payloads with heap allocations must be dropped exactly once through
-    /// heap pops, slot overwrites, and the calendar's own drop.
+    /// heap pops and the calendar's own drop, with slots in between.
     #[test]
     fn owning_payloads_are_not_leaked_or_double_dropped() {
         use std::rc::Rc;
@@ -574,15 +604,15 @@ mod tests {
         cal.schedule_after(SimDuration::ZERO, Rc::clone(&counter));
         cal.schedule_after(SimDuration::ZERO, Rc::clone(&counter));
         let s = cal.register_slot();
-        cal.set_slot(s, SimTime(50), Rc::clone(&counter));
-        cal.set_slot(s, SimTime(60), Rc::clone(&counter)); // supersedes
+        cal.set_slot(s, SimTime(5));
+        cal.set_slot(s, SimTime(6)); // supersedes
         for _ in 0..60 {
             assert!(cal.pop().is_some());
         }
         let undelivered = cal.register_slot();
-        cal.set_slot(undelivered, SimTime(90), Rc::clone(&counter));
+        cal.set_slot(undelivered, SimTime(90));
         assert_eq!(cal.len(), 100 + 2 + 1 + 1 - 60);
-        // Undelivered heap and slot payloads drop with the calendar.
+        // Undelivered heap payloads drop with the calendar.
         drop(cal);
         assert_eq!(Rc::strong_count(&counter), 1, "payloads leaked");
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation engine.
 
-use denet::{EventCalendar, LogHistogram, SimDuration, SimRng, SimTime, Tally};
+use denet::{EventCalendar, Fired, LogHistogram, SimDuration, SimRng, SimTime, Tally};
 use proptest::prelude::*;
 
 /// One step of a calendar/reference interleaving. Delays are relative to the
@@ -59,7 +59,7 @@ proptest! {
             cal.schedule(SimTime(*t), (*t, i));
         }
         let mut last: Option<(SimTime, usize)> = None;
-        while let Some((at, (t, seq))) = cal.pop() {
+        while let Some((at, Fired::Event((t, seq)))) = cal.pop() {
             prop_assert_eq!(at.0, t);
             if let Some((lt, lseq)) = last {
                 prop_assert!(at >= lt);
@@ -170,7 +170,7 @@ proptest! {
                     if let Some(old) = slot_arrival[k] {
                         reference.retain(|e| e.arrival != old);
                     }
-                    cal.set_slot(slots[k], at, arrivals);
+                    cal.set_slot(slots[k], at);
                     reference.push(RefEntry { time: at, arrival: arrivals });
                     slot_arrival[k] = Some(arrivals);
                     arrivals += 1;
@@ -184,15 +184,11 @@ proptest! {
                 CalOp::Pop => {
                     let expected = ref_pop(&mut reference);
                     let got = cal.pop();
-                    prop_assert_eq!(got, expected, "pop disagrees with the reference");
-                    if let Some((_, id)) = got {
-                        // A delivered prediction vacates its slot.
-                        for a in &mut slot_arrival {
-                            if *a == Some(id) {
-                                *a = None;
-                            }
-                        }
-                    }
+                    prop_assert_eq!(
+                        got.map(|(t, fired)| (t, arrival_of(fired, &mut slot_arrival))),
+                        expected,
+                        "pop disagrees with the reference"
+                    );
                 }
             }
             prop_assert_eq!(cal.len(), reference.len(), "live-event counts diverged");
@@ -202,17 +198,35 @@ proptest! {
                 reference.iter().map(|e| e.time).min(),
                 "peek disagrees with the reference"
             );
+            for (k, &slot) in slots.iter().enumerate() {
+                let want = slot_arrival[k]
+                    .and_then(|a| reference.iter().find(|e| e.arrival == a))
+                    .map(|e| e.time);
+                prop_assert_eq!(cal.slot_time(slot), want, "slot {} time", k);
+            }
         }
 
         // Drain both to the end: full order equality, including ties.
         loop {
             let expected = ref_pop(&mut reference);
-            let got = cal.pop();
+            let got = cal.pop().map(|(t, fired)| (t, arrival_of(fired, &mut slot_arrival)));
             prop_assert_eq!(got, expected);
             if got.is_none() {
                 break;
             }
         }
+    }
+}
+
+/// The reference arrival number a popped entry stands for: a one-shot
+/// event carries it as its payload; a fired slot carries only its key, so
+/// look up (and vacate) that slot's pending arrival.
+fn arrival_of(fired: Fired<u64>, slot_arrival: &mut [Option<u64>; 4]) -> u64 {
+    match fired {
+        Fired::Event(arrival) => arrival,
+        Fired::Slot(slot) => slot_arrival[slot.index()]
+            .take()
+            .expect("a fired slot had a pending prediction"),
     }
 }
 
