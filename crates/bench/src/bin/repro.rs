@@ -15,18 +15,20 @@
 //!                    the top crash rate) with full event tracing and write
 //!                    Chrome-trace JSON to PATH plus a JSONL event stream to
 //!                    PATH.jsonl
-//!   FIGURE      any of fig02..fig17, e17..e26 (default: all)
+//!   FIGURE      any of fig02..fig17, e17..e28 (default: all; `--help`
+//!               lists them)
 //!
 //! repro verify [--seeds N,N,...] [--replay FILE ...]
 //!
-//!   Runs the ddbm-oracle verification grid (6 algorithms × 4 seeds of
-//!   contended runs through the protocol invariant checkers) and exits
-//!   nonzero on any violation. With --replay, instead replays recorded
+//!   Runs the ddbm-oracle verification grid (6 algorithms × 3 replica
+//!   controls × 4 seeds = 72 cells of contended runs through the protocol
+//!   invariant checkers) and exits nonzero on any violation. With --replay, instead replays recorded
 //!   .repro.json files and checks that each still reproduces its frozen
 //!   violations deterministically.
 //! ```
 
-use ddbm_experiments::{chart, extensions, figures, oracle, FigureResult, Profile, Runner};
+use ddbm_experiments::figures::{Builder, FIGURES};
+use ddbm_experiments::{chart, extensions, oracle, FigureResult, Profile, Runner};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -37,7 +39,7 @@ struct Args {
     out: Option<PathBuf>,
     verbose: bool,
     charts: bool,
-    ids: Vec<String>,
+    ids: Vec<(&'static str, Builder)>,
     crash_rates: Vec<f64>,
     recovery_ms: Option<u64>,
     trace: Option<PathBuf>,
@@ -102,23 +104,26 @@ fn parse_args() -> Result<Args, String> {
                      [--crash-rate R ...] [--recovery-ms N] [--trace PATH] \
                      [FIGURE ...]\n       repro verify [--seeds N,N,...] [--replay FILE ...]\n\
                      figures: {}",
-                    figures::FIGURE_IDS.join(" ")
+                    FIGURES.map(|(id, _)| id).join(" ")
                 );
                 std::process::exit(0);
             }
-            id if figures::FIGURE_IDS.contains(&id) => ids.push(id.to_string()),
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
+            other => match FIGURES.iter().find(|(id, _)| *id == other) {
+                Some(&entry) => ids.push(entry),
+                None => return Err(format!("unknown argument {other:?} (try --help)")),
+            },
         }
     }
     if ids.is_empty() {
-        ids = figures::FIGURE_IDS.iter().map(|s| s.to_string()).collect();
+        ids = FIGURES.to_vec();
     }
-    if (!crash_rates.is_empty() || recovery_ms.is_some()) && !ids.iter().any(|id| id == "e25") {
+    let named = |name: &str| ids.iter().any(|(id, _)| *id == name);
+    if (!crash_rates.is_empty() || recovery_ms.is_some()) && !named("e25") {
         return Err(
             "--crash-rate/--recovery-ms only apply to e25; add it to the figure list".into(),
         );
     }
-    if trace.is_some() && !ids.iter().any(|id| id == "e26") {
+    if trace.is_some() && !named("e26") {
         return Err("--trace only applies to e26; add it to the figure list".into());
     }
     Ok(Args {
@@ -315,7 +320,7 @@ fn main() {
         args.profile.think_times.len(),
     );
     let t0 = Instant::now();
-    for id in &args.ids {
+    for &(id, build) in &args.ids {
         let figs = if id == "e25" {
             // e25 takes its fault grid from the command line when given.
             let rates = if args.crash_rates.is_empty() {
@@ -332,7 +337,7 @@ fn main() {
             let (a, b) = extensions::e25_fault_study(&runner, &args.profile, &rates, recovery);
             vec![a, b]
         } else {
-            figures::by_id(&runner, &args.profile, id).expect("id validated in parse_args")
+            build(&runner, &args.profile)
         };
         if id == "e26" {
             if let Some(path) = &args.trace {
@@ -358,12 +363,6 @@ fn main() {
         "done: {} simulations in {:.1?} ({} worker threads)",
         runner.executed(),
         t0.elapsed(),
-        if args.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(0)
-        } else {
-            args.threads
-        },
+        runner.threads(),
     );
 }

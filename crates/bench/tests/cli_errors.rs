@@ -1,7 +1,9 @@
 //! Error paths of the `repro` CLI: bad ids, missing flag values, malformed
 //! lists and unreadable repro files must fail fast with a usage exit code
-//! and a message naming the problem, before any simulation starts.
+//! and a message naming the problem, before any simulation starts. And
+//! `--help` must list exactly the figure ids `repro` accepts.
 
+use ddbm_experiments::figures::FIGURES;
 use std::process::Command;
 
 /// Run `repro` with `args`; returns the exit code and stderr.
@@ -73,4 +75,22 @@ fn crash_rate_out_of_range() {
 #[test]
 fn trace_outside_e26() {
     assert_fails(&["--trace", "x.json", "fig12"], 2, "only applies to e26");
+}
+
+#[test]
+fn help_lists_every_table_id_in_order() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--help")
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("figures: "))
+        .expect("a figures: line")
+        .split_whitespace()
+        .collect();
+    let table: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+    assert_eq!(listed, table);
 }

@@ -2,44 +2,52 @@
 //! choices the paper fixes (execution pattern, deadlock-resolution policy)
 //! and the buffering future work its footnote 6 defers.
 
+use crate::figures::{grid, plot, THINK};
 use crate::profile::Profile;
 use crate::runner::Runner;
-use crate::table::{FigureResult, Series};
+use crate::table::FigureResult;
 use ddbm_config::{Algorithm, Config, ExecPattern, ReplicationParams};
+use ddbm_core::RunReport;
 use denet::SimDuration;
+
+/// The think time of the extension experiments that hold it fixed.
+const THINK_S: f64 = 1.0;
 
 /// E20: sequential (RPC-style, Non-Stop SQL) vs parallel (Gamma-style)
 /// cohort execution — response time vs think time for 2PL and NO_DC.
-pub fn e20_exec_pattern(runner: &Runner, profile: &Profile) -> FigureResult {
-    let mut series = Vec::new();
-    for algo in [Algorithm::TwoPhaseLocking, Algorithm::NoDataContention] {
-        for pattern in [ExecPattern::Parallel, ExecPattern::Sequential] {
-            let mut configs = Vec::new();
-            for &t in &profile.think_times {
-                let mut c = Config::paper(algo, 8, 8, t);
-                c.workload.exec_pattern = pattern;
-                profile.apply(&mut c);
-                configs.push(c);
-            }
-            let reports = runner.run_all(&configs);
-            let label = match pattern {
-                ExecPattern::Parallel => format!("{algo} parallel"),
-                ExecPattern::Sequential => format!("{algo} sequential"),
-            };
-            series.push(Series {
-                name: label,
-                ys: reports.iter().map(|r| r.mean_response_time).collect(),
-            });
-        }
-    }
-    FigureResult {
-        id: "e20".into(),
-        title: "Sequential (RPC) vs parallel cohort execution, 8 nodes, 8-way".into(),
-        x_label: "mean think time (s)".into(),
-        y_label: "response time (s)".into(),
-        xs: profile.think_times.clone(),
-        series,
-    }
+pub fn e20_exec_pattern(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
+    let series: Vec<(Algorithm, ExecPattern, &str)> =
+        [Algorithm::TwoPhaseLocking, Algorithm::NoDataContention]
+            .into_iter()
+            .flat_map(|a| {
+                [
+                    (a, ExecPattern::Parallel, "parallel"),
+                    (a, ExecPattern::Sequential, "sequential"),
+                ]
+            })
+            .collect();
+    let reports = grid(
+        runner,
+        profile,
+        &series,
+        &profile.think_times,
+        |(a, pattern, _), t| {
+            let mut c = Config::paper(a, 8, 8, t);
+            c.workload.exec_pattern = pattern;
+            c
+        },
+    );
+    vec![plot(
+        "e20",
+        "Sequential (RPC) vs parallel cohort execution, 8 nodes, 8-way",
+        (THINK, "response time (s)"),
+        &profile.think_times,
+        series
+            .iter()
+            .map(|(a, _, pattern)| format!("{a} {pattern}")),
+        &reports,
+        |r| r.mean_response_time,
+    )]
 }
 
 /// The lock-timeout grid used by E21 (seconds).
@@ -47,60 +55,43 @@ pub const E21_TIMEOUTS: [f64; 6] = [0.5, 1.0, 2.0, 5.0, 10.0, 30.0];
 
 /// E21: sensitivity of timeout-resolved 2PL to the timeout value (paper
 /// footnote 2 cites Jenq et al.'s observation that the interval is critical).
-/// Returns (response-time figure, abort-ratio figure); each includes the
-/// detection-based 2PL as a flat reference line.
-pub fn e21_timeout_sensitivity(
-    runner: &Runner,
-    profile: &Profile,
-    think: f64,
-) -> (FigureResult, FigureResult) {
-    let mut configs = Vec::new();
-    for &to in &E21_TIMEOUTS {
-        let mut c = Config::paper(Algorithm::TwoPhaseLockingTimeout, 8, 8, think);
-        c.system.lock_timeout = SimDuration::from_secs_f64(to);
-        profile.apply(&mut c);
-        configs.push(c);
-    }
-    let reports = runner.run_all(&configs);
-    let mut reference = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, think);
-    profile.apply(&mut reference);
-    let base = runner.run(&reference);
-    let xs: Vec<f64> = E21_TIMEOUTS.to_vec();
-    let rt = FigureResult {
-        id: "e21-rt".into(),
-        title: format!("2PL-T response time vs lock timeout (think {think}s)"),
-        x_label: "lock timeout (s)".into(),
-        y_label: "response time (s)".into(),
-        xs: xs.clone(),
-        series: vec![
-            Series {
-                name: "2PL-T".into(),
-                ys: reports.iter().map(|r| r.mean_response_time).collect(),
-            },
-            Series {
-                name: "2PL (detection)".into(),
-                ys: vec![base.mean_response_time; xs.len()],
-            },
-        ],
-    };
-    let aborts = FigureResult {
-        id: "e21-aborts".into(),
-        title: format!("2PL-T abort ratio vs lock timeout (think {think}s)"),
-        x_label: "lock timeout (s)".into(),
-        y_label: "aborts per commit".into(),
-        xs: xs.clone(),
-        series: vec![
-            Series {
-                name: "2PL-T".into(),
-                ys: reports.iter().map(|r| r.abort_ratio).collect(),
-            },
-            Series {
-                name: "2PL (detection)".into(),
-                ys: vec![base.abort_ratio; xs.len()],
-            },
-        ],
-    };
-    (rt, aborts)
+/// Returns the response-time and the abort-ratio figure; each includes the
+/// detection-based 2PL as a flat reference line. The reference row ignores
+/// the timeout, so the batch runs it once.
+pub fn e21_timeout_sensitivity(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
+    let algos = [
+        Algorithm::TwoPhaseLockingTimeout,
+        Algorithm::TwoPhaseLocking,
+    ];
+    let reports = grid(runner, profile, &algos, &E21_TIMEOUTS, |a, to| {
+        let mut c = Config::paper(a, 8, 8, THINK_S);
+        if a == Algorithm::TwoPhaseLockingTimeout {
+            c.system.lock_timeout = SimDuration::from_secs_f64(to);
+        }
+        c
+    });
+    let names = ["2PL-T", "2PL (detection)"];
+    let x_label = "lock timeout (s)";
+    vec![
+        plot(
+            "e21-rt",
+            &format!("2PL-T response time vs lock timeout (think {THINK_S}s)"),
+            (x_label, "response time (s)"),
+            &E21_TIMEOUTS,
+            names,
+            &reports,
+            |r| r.mean_response_time,
+        ),
+        plot(
+            "e21-aborts",
+            &format!("2PL-T abort ratio vs lock timeout (think {THINK_S}s)"),
+            (x_label, "aborts per commit"),
+            &E21_TIMEOUTS,
+            names,
+            &reports,
+            |r| r.abort_ratio,
+        ),
+    ]
 }
 
 /// The buffer capacities swept by E22, as fractions of a node's data.
@@ -109,131 +100,77 @@ pub const E22_FRACTIONS: [f64; 4] = [0.0, 0.125, 0.5, 1.0];
 /// E22 (paper footnote 6's future work): does per-node buffering change the
 /// algorithm ordering? Throughput vs buffer capacity for all five paper
 /// algorithms at a contended operating point.
-pub fn e22_buffering(runner: &Runner, profile: &Profile, think: f64) -> FigureResult {
+pub fn e22_buffering(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
     // A node stores num_files/num_proc_nodes files of pages_per_file pages.
     let probe = {
-        let mut c = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, think);
+        let mut c = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, THINK_S);
         profile.apply(&mut c);
         c
     };
     let pages_per_node = probe.database.total_pages() / probe.system.num_proc_nodes as u64;
-    let capacities: Vec<u64> = E22_FRACTIONS
-        .iter()
-        .map(|f| (*f * pages_per_node as f64) as u64)
-        .collect();
-    let mut series = Vec::new();
-    for algo in Algorithm::ALL {
-        let mut configs = Vec::new();
-        for &cap in &capacities {
-            let mut c = Config::paper(algo, 8, 8, think);
-            c.system.buffer_pages = cap;
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-        let reports = runner.run_all(&configs);
-        series.push(Series {
-            name: algo.label().to_string(),
-            ys: reports.iter().map(|r| r.throughput).collect(),
-        });
-    }
-    FigureResult {
-        id: "e22".into(),
-        title: format!(
-            "Throughput vs per-node buffer capacity (think {think}s; node data = {pages_per_node} pages)"
+    let capacities = E22_FRACTIONS.map(|f| (f * pages_per_node as f64) as u64);
+    let reports = grid(runner, profile, &Algorithm::ALL, &capacities, |a, cap| {
+        let mut c = Config::paper(a, 8, 8, THINK_S);
+        c.system.buffer_pages = cap;
+        c
+    });
+    vec![plot(
+        "e22",
+        &format!(
+            "Throughput vs per-node buffer capacity (think {THINK_S}s; node data = {pages_per_node} pages)"
         ),
-        x_label: "buffer capacity (pages)".into(),
-        y_label: "throughput (txn/s)".into(),
-        xs: capacities.iter().map(|c| *c as f64).collect(),
-        series,
-    }
+        ("buffer capacity (pages)", "throughput (txn/s)"),
+        &capacities.map(|c| c as f64),
+        Algorithm::ALL.map(Algorithm::label),
+        &reports,
+        |r| r.throughput,
+    )]
 }
 
 /// E23: wound-wait vs wait-die vs detection-based 2PL — throughput and abort
 /// ratio across the think-time grid.
-pub fn e23_wait_die(runner: &Runner, profile: &Profile) -> (FigureResult, FigureResult) {
+pub fn e23_wait_die(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
     let algos = [
         Algorithm::TwoPhaseLocking,
         Algorithm::WoundWait,
         Algorithm::WaitDie,
     ];
-    let mut tput = Vec::new();
-    let mut aborts = Vec::new();
-    for algo in algos {
-        let mut configs = Vec::new();
-        for &t in &profile.think_times {
-            let mut c = Config::paper(algo, 8, 8, t);
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-        let reports = runner.run_all(&configs);
-        tput.push(Series {
-            name: algo.label().to_string(),
-            ys: reports.iter().map(|r| r.throughput).collect(),
-        });
-        aborts.push(Series {
-            name: algo.label().to_string(),
-            ys: reports.iter().map(|r| r.abort_ratio).collect(),
-        });
-    }
-    (
-        FigureResult {
-            id: "e23-tput".into(),
-            title: "Deadlock policies: detection vs wound-wait vs wait-die (throughput)".into(),
-            x_label: "mean think time (s)".into(),
-            y_label: "throughput (txn/s)".into(),
-            xs: profile.think_times.clone(),
-            series: tput,
-        },
-        FigureResult {
-            id: "e23-aborts".into(),
-            title: "Deadlock policies: detection vs wound-wait vs wait-die (abort ratio)".into(),
-            x_label: "mean think time (s)".into(),
-            y_label: "aborts per commit".into(),
-            xs: profile.think_times.clone(),
-            series: aborts,
-        },
-    )
+    let reports = grid(runner, profile, &algos, &profile.think_times, |a, t| {
+        Config::paper(a, 8, 8, t)
+    });
+    let names = algos.map(Algorithm::label);
+    let title = "Deadlock policies: detection vs wound-wait vs wait-die";
+    tput_and_aborts("e23", title, &profile.think_times, &names, &reports)
 }
 
-/// All extension experiments, in order.
-pub fn all_extensions(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
-    let (e21_rt, e21_ab) = e21_timeout_sensitivity(runner, profile, 1.0);
-    let (e23_tp, e23_ab) = e23_wait_die(runner, profile);
-    let (e24_tp, e24_ab) = e24_barging(runner, profile);
-    let (e25_tp, e25_ab) = e25_fault_study(
-        runner,
-        profile,
-        &E25_CRASH_RATES,
-        SimDuration::from_millis(E25_RECOVERY_MS),
-    );
-    let (e27_tp, e27_rt) = e27_replication_overhead(runner, profile, 1.0);
-    let (e28_tp, e28_ab) = e28_availability(
-        runner,
-        profile,
-        &E28_CRASH_RATES,
-        SimDuration::from_millis(E28_RECOVERY_MS),
-    );
+/// The throughput and abort-ratio figures `{id}-tput` and `{id}-aborts` of
+/// a think-time sweep.
+fn tput_and_aborts(
+    id: &str,
+    title: &str,
+    xs: &[f64],
+    names: &[&str],
+    reports: &[Vec<RunReport>],
+) -> Vec<FigureResult> {
     vec![
-        e20_exec_pattern(runner, profile),
-        e21_rt,
-        e21_ab,
-        e22_buffering(runner, profile, 1.0),
-        e23_tp,
-        e23_ab,
-        e24_tp,
-        e24_ab,
-        e25_tp,
-        e25_ab,
-        e26_phase_breakdown(
-            runner,
-            profile,
-            &E25_CRASH_RATES,
-            SimDuration::from_millis(E25_RECOVERY_MS),
+        plot(
+            &format!("{id}-tput"),
+            &format!("{title} (throughput)"),
+            (THINK, "throughput (txn/s)"),
+            xs,
+            names.iter().copied(),
+            reports,
+            |r| r.throughput,
         ),
-        e27_tp,
-        e27_rt,
-        e28_tp,
-        e28_ab,
+        plot(
+            &format!("{id}-aborts"),
+            &format!("{title} (abort ratio)"),
+            (THINK, "aborts per commit"),
+            xs,
+            names.iter().copied(),
+            reports,
+            |r| r.abort_ratio,
+        ),
     ]
 }
 
@@ -267,52 +204,46 @@ pub fn e25_fault_study(
         Algorithm::WoundWait,
         Algorithm::Optimistic,
     ];
-    let think = 1.0;
-    let mut tput = Vec::new();
-    let mut aborts = Vec::new();
-    for algo in algos {
-        let mut configs = Vec::new();
-        for &rate in crash_rates {
-            let mut c = e25_config(algo, think, rate, recovery);
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-        let reports = runner.run_all(&configs);
-        tput.push(Series {
-            name: algo.label().to_string(),
-            ys: reports.iter().map(|r| r.throughput).collect(),
-        });
-        aborts.push(Series {
-            name: algo.label().to_string(),
-            ys: reports
-                .iter()
-                .map(|r| r.aborts_by_cause.fault_induced() as f64 / r.commits.max(1) as f64)
-                .collect(),
-        });
-    }
+    let reports = grid(runner, profile, &algos, crash_rates, |a, rate| {
+        e25_config(a, THINK_S, rate, recovery)
+    });
     let recovery_s = recovery.as_secs_f64();
+    let names = algos.map(Algorithm::label);
     (
-        FigureResult {
-            id: "e25-tput".into(),
-            title: format!(
-                "Fault study: throughput vs per-node crash rate (recovery {recovery_s}s, think {think}s)"
+        plot(
+            "e25-tput",
+            &format!(
+                "Fault study: throughput vs per-node crash rate (recovery {recovery_s}s, think {THINK_S}s)"
             ),
-            x_label: "crash rate (per node per s)".into(),
-            y_label: "throughput (txn/s)".into(),
-            xs: crash_rates.to_vec(),
-            series: tput,
-        },
-        FigureResult {
-            id: "e25-aborts".into(),
-            title: format!(
-                "Fault study: fault-induced aborts vs crash rate (recovery {recovery_s}s, think {think}s)"
+            (CRASH_RATE, "throughput (txn/s)"),
+            crash_rates,
+            names,
+            &reports,
+            |r| r.throughput,
+        ),
+        plot(
+            "e25-aborts",
+            &format!(
+                "Fault study: fault-induced aborts vs crash rate (recovery {recovery_s}s, think {THINK_S}s)"
             ),
-            x_label: "crash rate (per node per s)".into(),
-            y_label: "fault-induced aborts per commit".into(),
-            xs: crash_rates.to_vec(),
-            series: aborts,
-        },
+            (CRASH_RATE, FAULT_ABORTS),
+            crash_rates,
+            names,
+            &reports,
+            fault_aborts_per_commit,
+        ),
     )
+}
+
+/// The x-axis label of the crash-rate sweeps (E25, E26, E28).
+const CRASH_RATE: &str = "crash rate (per node per s)";
+
+/// The y-axis label of [`fault_aborts_per_commit`].
+const FAULT_ABORTS: &str = "fault-induced aborts per commit";
+
+/// The E25/E28 abort metric: aborts a fault caused, per commit.
+fn fault_aborts_per_commit(r: &RunReport) -> f64 {
+    r.aborts_by_cause.fault_induced() as f64 / r.commits.max(1) as f64
 }
 
 /// The E25 operating point: the paper's 8-node/8-way machine at `think` s
@@ -339,55 +270,42 @@ pub fn e25_config(algo: Algorithm, think: f64, crash_rate: f64, recovery: SimDur
 /// crash rate (every fault-killed run re-executes in full before the next
 /// certification attempt), while 2PL's growth concentrates in lock waits
 /// behind queues that crashes repeatedly wipe and rebuild.
-pub fn e26_phase_breakdown(
-    runner: &Runner,
-    profile: &Profile,
-    crash_rates: &[f64],
-    recovery: SimDuration,
-) -> FigureResult {
+pub fn e26_phase_breakdown(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
     let algos = [Algorithm::TwoPhaseLocking, Algorithm::Optimistic];
-    let think = 1.0;
-    let mut series = Vec::new();
-    for algo in algos {
-        let mut configs = Vec::new();
-        for &rate in crash_rates {
-            let mut c = e25_config(algo, think, rate, recovery);
-            c.trace.phase_stats = true;
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-        let reports = runner.run_all(&configs);
-        let breakdown = |r: &ddbm_core::RunReport| -> ddbm_core::PhaseBreakdown {
-            r.phase_breakdown
-                .clone()
-                .expect("phase stats were enabled for this run")
-        };
-        let phase_labels: Vec<&'static str> = breakdown(&reports[0])
+    let recovery = SimDuration::from_millis(E25_RECOVERY_MS);
+    let reports = grid(runner, profile, &algos, &E25_CRASH_RATES, |a, rate| {
+        let mut c = e25_config(a, THINK_S, rate, recovery);
+        c.trace.phase_stats = true;
+        c
+    });
+    let phases = |r: &RunReport| {
+        r.phase_breakdown
+            .as_ref()
+            .expect("phase stats were enabled for this run")
             .phases()
-            .iter()
-            .map(|(label, _)| *label)
-            .collect();
-        for (pi, label) in phase_labels.iter().enumerate() {
-            series.push(Series {
-                name: format!("{} {}", algo.label(), label),
-                ys: reports
-                    .iter()
-                    .map(|r| breakdown(r).phases()[pi].1.mean_s)
-                    .collect(),
-            });
+            .map(|(label, stats)| (label, stats.mean_s))
+    };
+    // One series per (algorithm, phase).
+    let mut names = Vec::new();
+    let mut rows = Vec::new();
+    for (algo, row) in algos.iter().zip(&reports) {
+        for (pi, (label, _)) in phases(&row[0]).into_iter().enumerate() {
+            names.push(format!("{algo} {label}"));
+            rows.push(row.iter().map(|r| phases(r)[pi].1).collect::<Vec<f64>>());
         }
     }
     let recovery_s = recovery.as_secs_f64();
-    FigureResult {
-        id: "e26-phases".into(),
-        title: format!(
-            "Phase breakdown under faults: mean time per committed txn by phase (recovery {recovery_s}s, think {think}s)"
+    vec![plot(
+        "e26-phases",
+        &format!(
+            "Phase breakdown under faults: mean time per committed txn by phase (recovery {recovery_s}s, think {THINK_S}s)"
         ),
-        x_label: "crash rate (per node per s)".into(),
-        y_label: "mean seconds in phase per commit".into(),
-        xs: crash_rates.to_vec(),
-        series,
-    }
+        (CRASH_RATE, "mean seconds in phase per commit"),
+        &E25_CRASH_RATES,
+        names,
+        &rows,
+        |y| *y,
+    )]
 }
 
 /// The single run exported by `repro e26 --trace <path>`: OPT at the top
@@ -396,7 +314,7 @@ pub fn e26_phase_breakdown(
 pub fn e26_trace_config(profile: &Profile) -> Config {
     let mut c = e25_config(
         Algorithm::Optimistic,
-        1.0,
+        THINK_S,
         *E25_CRASH_RATES.last().expect("non-empty"),
         SimDuration::from_millis(E25_RECOVERY_MS),
     );
@@ -430,57 +348,49 @@ pub fn replication_point(factor: usize, quorum: bool) -> ReplicationParams {
 /// reads stay single-replica; the quorum control trades some of the write
 /// fan-out for multi-replica reads. Each copy also multiplies the data
 /// stored per node, so lock/timestamp conflicts rise with the factor.
-pub fn e27_replication_overhead(
-    runner: &Runner,
-    profile: &Profile,
-    think: f64,
-) -> (FigureResult, FigureResult) {
-    let mut tput = Vec::new();
-    let mut resp = Vec::new();
-    for algo in Algorithm::ALL {
-        for (label, quorum) in [("rowa", false), ("quorum", true)] {
-            let mut configs = Vec::new();
-            for &factor in &E27_FACTORS {
-                let mut c = Config::paper(algo, 8, 8, think);
-                c.replication = replication_point(factor, quorum);
-                profile.apply(&mut c);
-                configs.push(c);
-            }
-            let reports = runner.run_all(&configs);
-            let name = format!("{} {label}", algo.label());
-            tput.push(Series {
-                name: name.clone(),
-                ys: reports.iter().map(|r| r.throughput).collect(),
-            });
-            resp.push(Series {
-                name,
-                ys: reports.iter().map(|r| r.mean_response_time).collect(),
-            });
-        }
-    }
-    let xs: Vec<f64> = E27_FACTORS.iter().map(|f| *f as f64).collect();
-    (
-        FigureResult {
-            id: "e27-tput".into(),
-            title: format!(
-                "Replication overhead: throughput vs replication factor (8 nodes, think {think}s)"
-            ),
-            x_label: "replication factor".into(),
-            y_label: "throughput (txn/s)".into(),
-            xs: xs.clone(),
-            series: tput,
+pub fn e27_replication_overhead(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
+    let series: Vec<(Algorithm, &str, bool)> = Algorithm::ALL
+        .into_iter()
+        .flat_map(|a| [(a, "rowa", false), (a, "quorum", true)])
+        .collect();
+    let reports = grid(
+        runner,
+        profile,
+        &series,
+        &E27_FACTORS,
+        |(a, _, quorum), f| {
+            let mut c = Config::paper(a, 8, 8, THINK_S);
+            c.replication = replication_point(f, quorum);
+            c
         },
-        FigureResult {
-            id: "e27-resp".into(),
-            title: format!(
-                "Replication overhead: response time vs replication factor (8 nodes, think {think}s)"
-            ),
-            x_label: "replication factor".into(),
-            y_label: "response time (s)".into(),
-            xs,
-            series: resp,
-        },
-    )
+    );
+    let names = || {
+        series
+            .iter()
+            .map(|(a, control, _)| format!("{a} {control}"))
+    };
+    let xs = E27_FACTORS.map(|f| f as f64);
+    let what = format!("vs replication factor (8 nodes, think {THINK_S}s)");
+    vec![
+        plot(
+            "e27-tput",
+            &format!("Replication overhead: throughput {what}"),
+            ("replication factor", "throughput (txn/s)"),
+            &xs,
+            names(),
+            &reports,
+            |r| r.throughput,
+        ),
+        plot(
+            "e27-resp",
+            &format!("Replication overhead: response time {what}"),
+            ("replication factor", "response time (s)"),
+            &xs,
+            names(),
+            &reports,
+            |r| r.mean_response_time,
+        ),
+    ]
 }
 
 /// The per-node crash rates swept by E28 (same grid as E25).
@@ -500,64 +410,44 @@ pub const E28_RECOVERY_MS: u64 = 5_000;
 /// sets to the live members, aborting only when *all* copies of a file are
 /// down — so it keeps committing through crash schedules that starve the
 /// single-copy baseline.
-pub fn e28_availability(
-    runner: &Runner,
-    profile: &Profile,
-    crash_rates: &[f64],
-    recovery: SimDuration,
-) -> (FigureResult, FigureResult) {
-    let think = 1.0;
-    let mut tput = Vec::new();
-    let mut aborts = Vec::new();
-    for algo in [Algorithm::TwoPhaseLocking, Algorithm::Optimistic] {
-        for factor in [1usize, 3] {
-            let mut configs = Vec::new();
-            for &rate in crash_rates {
-                configs.push(e28_config(algo, factor, think, rate, recovery));
-            }
-            let mut configs_applied = Vec::new();
-            for mut c in configs {
-                profile.apply(&mut c);
-                configs_applied.push(c);
-            }
-            let reports = runner.run_all(&configs_applied);
-            let name = format!("{} factor {factor}", algo.label());
-            tput.push(Series {
-                name: name.clone(),
-                ys: reports.iter().map(|r| r.throughput).collect(),
-            });
-            aborts.push(Series {
-                name,
-                ys: reports
-                    .iter()
-                    .map(|r| r.aborts_by_cause.fault_induced() as f64 / r.commits.max(1) as f64)
-                    .collect(),
-            });
-        }
-    }
-    let recovery_s = recovery.as_secs_f64();
-    (
-        FigureResult {
-            id: "e28-tput".into(),
-            title: format!(
-                "Availability: goodput vs crash rate, single-copy vs 3-way ROWA (recovery {recovery_s}s, think {think}s)"
-            ),
-            x_label: "crash rate (per node per s)".into(),
-            y_label: "throughput (txn/s)".into(),
-            xs: crash_rates.to_vec(),
-            series: tput,
-        },
-        FigureResult {
-            id: "e28-aborts".into(),
-            title: format!(
-                "Availability: fault-induced aborts vs crash rate, single-copy vs 3-way ROWA (recovery {recovery_s}s, think {think}s)"
-            ),
-            x_label: "crash rate (per node per s)".into(),
-            y_label: "fault-induced aborts per commit".into(),
-            xs: crash_rates.to_vec(),
-            series: aborts,
-        },
-    )
+pub fn e28_availability(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
+    let recovery = SimDuration::from_millis(E28_RECOVERY_MS);
+    let series: Vec<(Algorithm, usize)> = [Algorithm::TwoPhaseLocking, Algorithm::Optimistic]
+        .into_iter()
+        .flat_map(|a| [(a, 1), (a, 3)])
+        .collect();
+    let reports = grid(
+        runner,
+        profile,
+        &series,
+        &E28_CRASH_RATES,
+        |(a, f), rate| e28_config(a, f, THINK_S, rate, recovery),
+    );
+    let names = || series.iter().map(|(a, f)| format!("{a} factor {f}"));
+    let what = format!(
+        "vs crash rate, single-copy vs 3-way ROWA (recovery {}s, think {THINK_S}s)",
+        recovery.as_secs_f64()
+    );
+    vec![
+        plot(
+            "e28-tput",
+            &format!("Availability: goodput {what}"),
+            (CRASH_RATE, "throughput (txn/s)"),
+            &E28_CRASH_RATES,
+            names(),
+            &reports,
+            |r| r.throughput,
+        ),
+        plot(
+            "e28-aborts",
+            &format!("Availability: fault-induced aborts {what}"),
+            (CRASH_RATE, FAULT_ABORTS),
+            &E28_CRASH_RATES,
+            names(),
+            &reports,
+            fault_aborts_per_commit,
+        ),
+    ]
 }
 
 /// The E28 operating point: the E25 fault machine (seeded crashes, mild
@@ -578,43 +468,20 @@ pub fn e28_config(
 /// E24: strict-FIFO vs barging lock grants for 2PL — the one lock-manager
 /// policy the paper leaves unspecified, and the lever behind 2PL's 8-way
 /// deadlock-abort rate at heavy load.
-pub fn e24_barging(runner: &Runner, profile: &Profile) -> (FigureResult, FigureResult) {
-    let mut tput = Vec::new();
-    let mut aborts = Vec::new();
-    for (label, barging) in [("2PL FIFO", false), ("2PL barging", true)] {
-        let mut configs = Vec::new();
-        for &t in &profile.think_times {
+pub fn e24_barging(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
+    let series = [("2PL FIFO", false), ("2PL barging", true)];
+    let reports = grid(
+        runner,
+        profile,
+        &series,
+        &profile.think_times,
+        |(_, barging), t| {
             let mut c = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, t);
             c.system.lock_barging = barging;
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-        let reports = runner.run_all(&configs);
-        tput.push(Series {
-            name: label.into(),
-            ys: reports.iter().map(|r| r.throughput).collect(),
-        });
-        aborts.push(Series {
-            name: label.into(),
-            ys: reports.iter().map(|r| r.abort_ratio).collect(),
-        });
-    }
-    (
-        FigureResult {
-            id: "e24-tput".into(),
-            title: "2PL lock-grant policy: strict FIFO vs barging (throughput)".into(),
-            x_label: "mean think time (s)".into(),
-            y_label: "throughput (txn/s)".into(),
-            xs: profile.think_times.clone(),
-            series: tput,
+            c
         },
-        FigureResult {
-            id: "e24-aborts".into(),
-            title: "2PL lock-grant policy: strict FIFO vs barging (abort ratio)".into(),
-            x_label: "mean think time (s)".into(),
-            y_label: "aborts per commit".into(),
-            xs: profile.think_times.clone(),
-            series: aborts,
-        },
-    )
+    );
+    let names = series.map(|(name, _)| name);
+    let title = "2PL lock-grant policy: strict FIFO vs barging";
+    tput_and_aborts("e24", title, &profile.think_times, &names, &reports)
 }

@@ -1,5 +1,5 @@
-//! One function per paper figure (and per text-only experiment), each
-//! returning a [`FigureResult`].
+//! The figure table: one entry per paper figure (and per text-only or
+//! extension experiment), each returning its [`FigureResult`]s.
 //!
 //! The mapping to the paper (see DESIGN.md §5):
 //!
@@ -7,357 +7,331 @@
 //! * Figures 8–13 — partitioning at fixed size (§4.3): 1-way vs 8-way.
 //! * Figures 14–17 — overhead sensitivity (§4.4): speedup vs degree.
 //! * E17–E19 — results the paper reports in prose only.
+//! * E20–E28 — the extension experiments in [`crate::extensions`].
+//!
+//! Every builder runs its whole sweep as one [`grid`] batch and turns the
+//! reports into figures with [`plot`].
 
+use crate::extensions as ext;
 use crate::profile::Profile;
 use crate::runner::Runner;
 use crate::table::{FigureResult, Series};
 use ddbm_config::{Algorithm, Config};
 use ddbm_core::RunReport;
 
-/// The sweep of one machine-size configuration: `reports[a][t]` is the run
-/// of `Algorithm::ALL[a]` at `profile.think_times[t]`.
-fn sweep(
+/// The x-axis label of the think-time sweeps.
+pub(crate) const THINK: &str = "mean think time (s)";
+
+/// Builds one table entry's figures.
+pub type Builder = fn(&Runner, &Profile) -> Vec<FigureResult>;
+
+/// Every figure set `repro` accepts, in output order: the paper's artifacts
+/// plus this reproduction's extension experiments (e20–e28).
+pub const FIGURES: [(&str, Builder); 28] = [
+    ("fig02", |r, p| {
+        machine_sizes(r, p, "fig02", "Throughput", "throughput (txn/s)", |x| {
+            x.throughput
+        })
+    }),
+    ("fig03", |r, p| {
+        machine_sizes(r, p, "fig03", "Response time", "response time (s)", |x| {
+            x.mean_response_time
+        })
+    }),
+    ("fig04", |r, p| vec![scaling_speedups(r, p, 8).remove(0)]),
+    ("fig05", |r, p| vec![scaling_speedups(r, p, 8).remove(1)]),
+    ("fig06", |r, p| {
+        machine_sizes(r, p, "fig06", "Disk utilization", "Disk utilization", |x| {
+            x.disk_utilization
+        })
+    }),
+    ("fig07", |r, p| {
+        machine_sizes(r, p, "fig07", "CPU utilization", "CPU utilization", |x| {
+            x.proc_cpu_utilization
+        })
+    }),
+    ("fig08", |r, p| partitioning_speedup(r, p, "fig08", true)),
+    ("fig09", |r, p| partitioning_speedup(r, p, "fig09", false)),
+    ("fig10", |r, p| versus_nodc(r, p, "fig10", 8, DEGRADATION)),
+    ("fig11", |r, p| versus_nodc(r, p, "fig11", 1, DEGRADATION)),
+    ("fig12", |r, p| versus_nodc(r, p, "fig12", 8, ABORTS)),
+    ("fig13", |r, p| versus_nodc(r, p, "fig13", 1, ABORTS)),
+    ("fig14", |r, p| overhead_speedup(r, p, "fig14", 0, 0, 0.0)),
+    ("fig15", |r, p| overhead_speedup(r, p, "fig15", 0, 0, 8.0)),
+    ("fig16", |r, p| {
+        overhead_speedup(r, p, "fig16", 0, 4_000, 0.0)
+    }),
+    ("fig17", |r, p| {
+        overhead_speedup(r, p, "fig17", 0, 4_000, 8.0)
+    }),
+    ("e17", |r, p| scaling_speedups(r, p, 4)),
+    ("e18", e18_blocking_time),
+    // E19 (§4.4 prose): 20K-instruction process startup with free
+    // messages — "very close to those of Figures 16 and 17".
+    ("e19", |r, p| {
+        [
+            overhead_speedup(r, p, "e19-think0", 20_000, 0, 0.0),
+            overhead_speedup(r, p, "e19-think8", 20_000, 0, 8.0),
+        ]
+        .concat()
+    }),
+    ("e20", ext::e20_exec_pattern),
+    ("e21", ext::e21_timeout_sensitivity),
+    ("e22", ext::e22_buffering),
+    ("e23", ext::e23_wait_die),
+    ("e24", ext::e24_barging),
+    ("e25", |r, p| {
+        let recovery = denet::SimDuration::from_millis(ext::E25_RECOVERY_MS);
+        let (tput, aborts) = ext::e25_fault_study(r, p, &ext::E25_CRASH_RATES, recovery);
+        vec![tput, aborts]
+    }),
+    ("e26", ext::e26_phase_breakdown),
+    ("e27", ext::e27_replication_overhead),
+    ("e28", ext::e28_availability),
+];
+
+/// Run a whole figure as one batch: `reports[s][x]` is the run of
+/// `mk(series[s], xs[x])` with `profile` applied. Runs shared with other
+/// figures come from the runner's cache.
+pub fn grid<S: Copy, X: Copy>(
     runner: &Runner,
     profile: &Profile,
-    mk: impl Fn(Algorithm, f64) -> Config,
+    series: &[S],
+    xs: &[X],
+    mk: impl Fn(S, X) -> Config,
 ) -> Vec<Vec<RunReport>> {
-    let mut configs = Vec::new();
-    for algo in Algorithm::ALL {
-        for &t in &profile.think_times {
-            let mut c = mk(algo, t);
+    let mut configs = Vec::with_capacity(series.len() * xs.len());
+    for &s in series {
+        for &x in xs {
+            let mut c = mk(s, x);
             profile.apply(&mut c);
             configs.push(c);
         }
     }
     let flat = runner.run_all(&configs);
-    let n = profile.think_times.len();
-    flat.chunks(n).map(|c| c.to_vec()).collect()
+    flat.chunks(xs.len()).map(<[RunReport]>::to_vec).collect()
 }
 
-fn figure(
+/// A figure whose series `names[s]` plots `metric` over `rows[s]`, one
+/// point per x. `axes` is (x label, y label).
+pub fn plot<T>(
     id: &str,
     title: &str,
-    x_label: &str,
-    y_label: &str,
-    xs: Vec<f64>,
-    series: Vec<Series>,
+    axes: (&str, &str),
+    xs: &[f64],
+    names: impl IntoIterator<Item = impl Into<String>>,
+    rows: &[Vec<T>],
+    metric: impl Fn(&T) -> f64,
 ) -> FigureResult {
+    let series = names
+        .into_iter()
+        .zip(rows)
+        .map(|(name, row)| Series {
+            name: name.into(),
+            ys: row.iter().map(&metric).collect(),
+        })
+        .collect();
     FigureResult {
         id: id.into(),
         title: title.into(),
-        x_label: x_label.into(),
-        y_label: y_label.into(),
+        x_label: axes.0.into(),
+        y_label: axes.1.into(),
+        xs: xs.to_vec(),
+        series,
+    }
+}
+
+/// Point-by-point (run, base run) pairs of a grid whose rows alternate a
+/// base setting and the setting compared with it.
+fn over_base(reports: &[Vec<RunReport>]) -> Vec<Vec<(&RunReport, &RunReport)>> {
+    reports
+        .chunks(2)
+        .map(|pair| pair[1].iter().zip(&pair[0]).collect())
+        .collect()
+}
+
+/// Each algorithm on the 1-node (or 1-way) setting, then on `n`: the rows
+/// [`over_base`] pairs.
+fn one_and(n: usize) -> Vec<(Algorithm, usize)> {
+    Algorithm::ALL
+        .iter()
+        .flat_map(|&a| [(a, 1), (a, n)])
+        .collect()
+}
+
+// ----------------------------------------------------------------------
+// §4.2 — machine size and parallelism (Figures 2–7, E17)
+// ----------------------------------------------------------------------
+
+/// Figures 2, 3, 6 and 7: `metric` vs think time on the 1-node and the
+/// 8-node machine, small DB.
+fn machine_sizes(
+    runner: &Runner,
+    profile: &Profile,
+    id: &str,
+    what: &str,
+    y_label: &str,
+    metric: fn(&RunReport) -> f64,
+) -> Vec<FigureResult> {
+    let series = one_and(8);
+    let reports = grid(
+        runner,
+        profile,
+        &series,
+        &profile.think_times,
+        |(a, n), t| Config::scaling(a, n, t),
+    );
+    let names = series.iter().map(|(a, n)| format!("{a} {n}-node"));
+    let title = format!("{what}, 1-node vs 8-node (small DB)");
+    let xs = &profile.think_times;
+    vec![plot(
+        id,
+        &title,
+        (THINK, y_label),
         xs,
-        series,
-    }
-}
-
-fn series_of(name: impl Into<String>, ys: Vec<f64>) -> Series {
-    Series {
-        name: name.into(),
-        ys,
-    }
-}
-
-// ----------------------------------------------------------------------
-// §4.2 — machine size and parallelism (Figures 2–7)
-// ----------------------------------------------------------------------
-
-fn scaling_sweep(runner: &Runner, profile: &Profile, n: usize) -> Vec<Vec<RunReport>> {
-    sweep(runner, profile, |algo, t| Config::scaling(algo, n, t))
-}
-
-/// Figure 2: throughput vs think time, 1-node and 8-node machines.
-pub fn fig02(runner: &Runner, profile: &Profile) -> FigureResult {
-    let one = scaling_sweep(runner, profile, 1);
-    let eight = scaling_sweep(runner, profile, 8);
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        series.push(series_of(
-            format!("{algo} 1-node"),
-            one[a].iter().map(|r| r.throughput).collect(),
-        ));
-        series.push(series_of(
-            format!("{algo} 8-node"),
-            eight[a].iter().map(|r| r.throughput).collect(),
-        ));
-    }
-    figure(
-        "fig02",
-        "Throughput, 1-node vs 8-node (small DB)",
-        "mean think time (s)",
-        "throughput (txn/s)",
-        profile.think_times.clone(),
-        series,
-    )
-}
-
-/// Figure 3: response time vs think time, 1-node and 8-node machines.
-pub fn fig03(runner: &Runner, profile: &Profile) -> FigureResult {
-    let one = scaling_sweep(runner, profile, 1);
-    let eight = scaling_sweep(runner, profile, 8);
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        series.push(series_of(
-            format!("{algo} 1-node"),
-            one[a].iter().map(|r| r.mean_response_time).collect(),
-        ));
-        series.push(series_of(
-            format!("{algo} 8-node"),
-            eight[a].iter().map(|r| r.mean_response_time).collect(),
-        ));
-    }
-    figure(
-        "fig03",
-        "Response time, 1-node vs 8-node (small DB)",
-        "mean think time (s)",
-        "response time (s)",
-        profile.think_times.clone(),
-        series,
-    )
+        names,
+        &reports,
+        metric,
+    )]
 }
 
 /// The throughput- and response-speedup figure pair for an `n`-node machine
 /// vs the 1-node machine. `n = 8` gives Figures 4 and 5; `n = 4` gives the
 /// prose results of §4.2 (E17).
-pub fn scaling_speedups(
-    runner: &Runner,
-    profile: &Profile,
-    n: usize,
-) -> (FigureResult, FigureResult) {
-    let one = scaling_sweep(runner, profile, 1);
-    let big = scaling_sweep(runner, profile, n);
-    let mut tput = Vec::new();
-    let mut resp = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        tput.push(series_of(
-            algo.label(),
-            big[a]
-                .iter()
-                .zip(&one[a])
-                .map(|(b, o)| b.throughput_speedup_over(o))
-                .collect(),
-        ));
-        resp.push(series_of(
-            algo.label(),
-            big[a]
-                .iter()
-                .zip(&one[a])
-                .map(|(b, o)| b.response_speedup_over(o))
-                .collect(),
-        ));
-    }
+fn scaling_speedups(runner: &Runner, profile: &Profile, n: usize) -> Vec<FigureResult> {
+    let reports = grid(
+        runner,
+        profile,
+        &one_and(n),
+        &profile.think_times,
+        |(a, n), t| Config::scaling(a, n, t),
+    );
+    let pairs = over_base(&reports);
     let (tid, rid) = if n == 8 {
         ("fig04".to_string(), "fig05".to_string())
     } else {
         (format!("e17-tput-{n}node"), format!("e17-resp-{n}node"))
     };
-    (
-        figure(
+    let xs = &profile.think_times;
+    vec![
+        plot(
             &tid,
             &format!("Throughput speedup, {n}-node over 1-node"),
-            "mean think time (s)",
-            "throughput speedup",
-            profile.think_times.clone(),
-            tput,
+            (THINK, "throughput speedup"),
+            xs,
+            Algorithm::ALL.map(Algorithm::label),
+            &pairs,
+            |(big, one)| big.throughput_speedup_over(one),
         ),
-        figure(
+        plot(
             &rid,
             &format!("Response time speedup, {n}-node over 1-node"),
-            "mean think time (s)",
-            "response time speedup",
-            profile.think_times.clone(),
-            resp,
+            (THINK, "response time speedup"),
+            xs,
+            Algorithm::ALL.map(Algorithm::label),
+            &pairs,
+            |(big, one)| big.response_speedup_over(one),
         ),
-    )
-}
-
-/// Figure 4: 8-node throughput speedup.
-pub fn fig04(runner: &Runner, profile: &Profile) -> FigureResult {
-    scaling_speedups(runner, profile, 8).0
-}
-
-/// Figure 5: 8-node response-time speedup.
-pub fn fig05(runner: &Runner, profile: &Profile) -> FigureResult {
-    scaling_speedups(runner, profile, 8).1
-}
-
-/// Figure 6: disk utilization vs think time, 1-node and 8-node.
-pub fn fig06(runner: &Runner, profile: &Profile) -> FigureResult {
-    utilization_figure(runner, profile, "fig06", "Disk utilization", |r| {
-        r.disk_utilization
-    })
-}
-
-/// Figure 7: CPU utilization (processing nodes) vs think time.
-pub fn fig07(runner: &Runner, profile: &Profile) -> FigureResult {
-    utilization_figure(runner, profile, "fig07", "CPU utilization", |r| {
-        r.proc_cpu_utilization
-    })
-}
-
-fn utilization_figure(
-    runner: &Runner,
-    profile: &Profile,
-    id: &str,
-    what: &str,
-    get: impl Fn(&RunReport) -> f64,
-) -> FigureResult {
-    let one = scaling_sweep(runner, profile, 1);
-    let eight = scaling_sweep(runner, profile, 8);
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        series.push(series_of(
-            format!("{algo} 1-node"),
-            one[a].iter().map(&get).collect(),
-        ));
-        series.push(series_of(
-            format!("{algo} 8-node"),
-            eight[a].iter().map(&get).collect(),
-        ));
-    }
-    figure(
-        id,
-        &format!("{what}, 1-node vs 8-node (small DB)"),
-        "mean think time (s)",
-        what,
-        profile.think_times.clone(),
-        series,
-    )
+    ]
 }
 
 // ----------------------------------------------------------------------
-// §4.3 — partitioning at fixed machine size (Figures 8–13)
+// §4.3 — partitioning at fixed machine size (Figures 8–13, E18)
 // ----------------------------------------------------------------------
-
-fn partitioning_sweep(
-    runner: &Runner,
-    profile: &Profile,
-    degree: usize,
-    large_db: bool,
-) -> Vec<Vec<RunReport>> {
-    sweep(runner, profile, |algo, t| {
-        Config::partitioning(algo, degree, large_db, t)
-    })
-}
 
 /// Figures 8 (large DB) and 9 (small DB): response-time speedup of 8-way
 /// over 1-way partitioning on the 8-node machine.
-pub fn partitioning_speedup(runner: &Runner, profile: &Profile, large_db: bool) -> FigureResult {
-    let one_way = partitioning_sweep(runner, profile, 1, large_db);
-    let eight_way = partitioning_sweep(runner, profile, 8, large_db);
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        series.push(series_of(
-            algo.label(),
-            eight_way[a]
-                .iter()
-                .zip(&one_way[a])
-                .map(|(e, o)| e.response_speedup_over(o))
-                .collect(),
-        ));
-    }
-    let (id, db) = if large_db {
-        ("fig08", "large DB")
-    } else {
-        ("fig09", "small DB")
-    };
-    figure(
+fn partitioning_speedup(
+    runner: &Runner,
+    profile: &Profile,
+    id: &str,
+    large_db: bool,
+) -> Vec<FigureResult> {
+    let reports = grid(
+        runner,
+        profile,
+        &one_and(8),
+        &profile.think_times,
+        |(a, d), t| Config::partitioning(a, d, large_db, t),
+    );
+    let db = if large_db { "large DB" } else { "small DB" };
+    vec![plot(
         id,
         &format!("Response-time speedup of 8-way over 1-way partitioning ({db})"),
-        "mean think time (s)",
-        "response time speedup",
-        profile.think_times.clone(),
-        series,
-    )
+        (THINK, "response time speedup"),
+        &profile.think_times,
+        Algorithm::ALL.map(Algorithm::label),
+        &over_base(&reports),
+        |(eight, one)| eight.response_speedup_over(one),
+    )]
 }
 
-/// `fig08`.
-pub fn fig08(runner: &Runner, profile: &Profile) -> FigureResult {
-    partitioning_speedup(runner, profile, true)
-}
+/// A figure of Figures 10–13: (title head, y label, `metric(run, NO_DC run)`).
+type VersusNodc = (
+    &'static str,
+    &'static str,
+    fn(&RunReport, &RunReport) -> f64,
+);
 
-/// `fig09`.
-pub fn fig09(runner: &Runner, profile: &Profile) -> FigureResult {
-    partitioning_speedup(runner, profile, false)
-}
+/// Figures 10 and 11: percent response-time degradation relative to NO_DC.
+const DEGRADATION: VersusNodc = (
+    "% response-time degradation vs NO_DC",
+    "% degradation",
+    |run, nodc| run.degradation_vs(nodc),
+);
 
-/// Figures 10 (8-way) and 11 (1-way): percent response-time degradation of
-/// each real algorithm relative to NO_DC, small DB.
-pub fn degradation(runner: &Runner, profile: &Profile, degree: usize) -> FigureResult {
-    let reports = partitioning_sweep(runner, profile, degree, false);
-    let nodc_idx = Algorithm::ALL
+/// Figures 12 and 13: aborts per commit (NO_DC never aborts).
+const ABORTS: VersusNodc = ("Abort ratio", "aborts per commit", |run, _| run.abort_ratio);
+
+/// Figures 10–13: `what`'s metric vs think time for each real algorithm at
+/// `degree`-way partitioning, small DB.
+fn versus_nodc(
+    runner: &Runner,
+    profile: &Profile,
+    id: &str,
+    degree: usize,
+    (head, y_label, metric): VersusNodc,
+) -> Vec<FigureResult> {
+    let mut algos: Vec<Algorithm> = Algorithm::ALL
+        .into_iter()
+        .filter(|a| *a != Algorithm::NoDataContention)
+        .collect();
+    algos.push(Algorithm::NoDataContention);
+    let reports = grid(runner, profile, &algos, &profile.think_times, |a, t| {
+        Config::partitioning(a, degree, false, t)
+    });
+    let (nodc, real) = reports.split_last().expect("NO_DC row");
+    let pairs: Vec<Vec<(&RunReport, &RunReport)>> = real
         .iter()
-        .position(|a| *a == Algorithm::NoDataContention)
-        .expect("NO_DC in ALL");
-    let nodc = reports[nodc_idx].clone();
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        if *algo == Algorithm::NoDataContention {
-            continue;
-        }
-        series.push(series_of(
-            algo.label(),
-            reports[a]
-                .iter()
-                .zip(&nodc)
-                .map(|(r, b)| r.degradation_vs(b))
-                .collect(),
-        ));
-    }
-    let id = if degree == 8 { "fig10" } else { "fig11" };
-    figure(
+        .map(|row| row.iter().zip(nodc).collect())
+        .collect();
+    vec![plot(
         id,
-        &format!("% response-time degradation vs NO_DC, {degree}-way partitioning (small DB)"),
-        "mean think time (s)",
-        "% degradation",
-        profile.think_times.clone(),
-        series,
-    )
+        &format!("{head}, {degree}-way partitioning (small DB)"),
+        (THINK, y_label),
+        &profile.think_times,
+        algos[..real.len()].iter().map(|a| a.label()),
+        &pairs,
+        |(run, base)| metric(run, base),
+    )]
 }
 
-/// `fig10`.
-pub fn fig10(runner: &Runner, profile: &Profile) -> FigureResult {
-    degradation(runner, profile, 8)
-}
-
-/// `fig11`.
-pub fn fig11(runner: &Runner, profile: &Profile) -> FigureResult {
-    degradation(runner, profile, 1)
-}
-
-/// Figures 12 (8-way) and 13 (1-way): abort ratio, small DB.
-pub fn abort_ratio(runner: &Runner, profile: &Profile, degree: usize) -> FigureResult {
-    let reports = partitioning_sweep(runner, profile, degree, false);
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        if *algo == Algorithm::NoDataContention {
-            continue;
-        }
-        series.push(series_of(
-            algo.label(),
-            reports[a].iter().map(|r| r.abort_ratio).collect(),
-        ));
-    }
-    let id = if degree == 8 { "fig12" } else { "fig13" };
-    figure(
-        id,
-        &format!("Abort ratio, {degree}-way partitioning (small DB)"),
-        "mean think time (s)",
-        "aborts per commit",
-        profile.think_times.clone(),
-        series,
-    )
-}
-
-/// `fig12`.
-pub fn fig12(runner: &Runner, profile: &Profile) -> FigureResult {
-    abort_ratio(runner, profile, 8)
-}
-
-/// `fig13`.
-pub fn fig13(runner: &Runner, profile: &Profile) -> FigureResult {
-    abort_ratio(runner, profile, 1)
+/// E18 (§4.3 prose): mean 2PL blocking time, 1-way vs 8-way partitioning.
+/// The paper reports the 1-way value ≈1.6× the 8-way value at think = 12 s.
+fn e18_blocking_time(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
+    let degrees = [1usize, 8];
+    let reports = grid(runner, profile, &degrees, &profile.think_times, |d, t| {
+        Config::partitioning(Algorithm::TwoPhaseLocking, d, false, t)
+    });
+    vec![plot(
+        "e18",
+        "Mean 2PL blocking time per episode, 1-way vs 8-way (small DB)",
+        (THINK, "blocking time (s)"),
+        &profile.think_times,
+        degrees.iter().map(|d| format!("2PL {d}-way")),
+        &reports,
+        |r| r.mean_blocking_time,
+    )]
 }
 
 // ----------------------------------------------------------------------
@@ -366,219 +340,32 @@ pub fn fig13(runner: &Runner, profile: &Profile) -> FigureResult {
 
 /// Response-time speedup as a function of the partitioning degree at a fixed
 /// think time and fixed overhead costs, relative to 1-way partitioning.
-pub fn overhead_speedup(
+fn overhead_speedup(
     runner: &Runner,
     profile: &Profile,
     id: &str,
     inst_per_startup: u64,
     inst_per_msg: u64,
     think: f64,
-) -> FigureResult {
+) -> Vec<FigureResult> {
     let degrees = [1usize, 2, 4, 8];
-    let mut configs = Vec::new();
-    for algo in Algorithm::ALL {
-        for &d in &degrees {
-            let mut c = Config::overheads(algo, d, inst_per_startup, inst_per_msg, think);
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-    }
-    let flat = runner.run_all(&configs);
-    let per_algo: Vec<&[RunReport]> = flat.chunks(degrees.len()).collect();
-    let mut series = Vec::new();
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        let base = &per_algo[a][0]; // 1-way
-        series.push(series_of(
-            algo.label(),
-            per_algo[a]
-                .iter()
-                .map(|r| r.response_speedup_over(base))
-                .collect(),
-        ));
-    }
-    figure(
+    let reports = grid(runner, profile, &Algorithm::ALL, &degrees, |a, d| {
+        Config::overheads(a, d, inst_per_startup, inst_per_msg, think)
+    });
+    let pairs: Vec<Vec<(&RunReport, &RunReport)>> = reports
+        .iter()
+        .map(|row| row.iter().zip(std::iter::repeat(&row[0])).collect())
+        .collect();
+    vec![plot(
         id,
         &format!(
             "Response-time speedup vs partitioning degree \
              (startup={inst_per_startup}, msg={inst_per_msg}, think={think}s)"
         ),
-        "partitioning degree",
-        "response time speedup vs 1-way",
-        degrees.iter().map(|d| *d as f64).collect(),
-        series,
-    )
+        ("partitioning degree", "response time speedup vs 1-way"),
+        &degrees.map(|d| d as f64),
+        Algorithm::ALL.map(Algorithm::label),
+        &pairs,
+        |(run, one_way)| run.response_speedup_over(one_way),
+    )]
 }
-
-/// Figure 14: zero overheads, think time 0.
-pub fn fig14(runner: &Runner, profile: &Profile) -> FigureResult {
-    overhead_speedup(runner, profile, "fig14", 0, 0, 0.0)
-}
-
-/// Figure 15: zero overheads, think time 8 s.
-pub fn fig15(runner: &Runner, profile: &Profile) -> FigureResult {
-    overhead_speedup(runner, profile, "fig15", 0, 0, 8.0)
-}
-
-/// Figure 16: 4K-instruction messages, think time 0.
-pub fn fig16(runner: &Runner, profile: &Profile) -> FigureResult {
-    overhead_speedup(runner, profile, "fig16", 0, 4_000, 0.0)
-}
-
-/// Figure 17: 4K-instruction messages, think time 8 s.
-pub fn fig17(runner: &Runner, profile: &Profile) -> FigureResult {
-    overhead_speedup(runner, profile, "fig17", 0, 4_000, 8.0)
-}
-
-/// E19 (§4.4 prose): 20K-instruction process startup with free messages —
-/// "very close to those of Figures 16 and 17".
-pub fn e19_startup_overhead(runner: &Runner, profile: &Profile, think: f64) -> FigureResult {
-    let id = if think == 0.0 {
-        "e19-think0"
-    } else {
-        "e19-think8"
-    };
-    overhead_speedup(runner, profile, id, 20_000, 0, think)
-}
-
-// ----------------------------------------------------------------------
-// Prose-only experiments
-// ----------------------------------------------------------------------
-
-/// E18 (§4.3 prose): mean 2PL blocking time, 1-way vs 8-way partitioning.
-/// The paper reports the 1-way value ≈1.6× the 8-way value at think = 12 s.
-pub fn e18_blocking_time(runner: &Runner, profile: &Profile) -> FigureResult {
-    let mut series = Vec::new();
-    for degree in [1usize, 8] {
-        let mut configs = Vec::new();
-        for &t in &profile.think_times {
-            let mut c = Config::partitioning(Algorithm::TwoPhaseLocking, degree, false, t);
-            profile.apply(&mut c);
-            configs.push(c);
-        }
-        let reports = runner.run_all(&configs);
-        series.push(series_of(
-            format!("2PL {degree}-way"),
-            reports.iter().map(|r| r.mean_blocking_time).collect(),
-        ));
-    }
-    figure(
-        "e18",
-        "Mean 2PL blocking time per episode, 1-way vs 8-way (small DB)",
-        "mean think time (s)",
-        "blocking time (s)",
-        profile.think_times.clone(),
-        series,
-    )
-}
-
-/// Every figure of the paper plus the prose experiments, in order. Shared
-/// sweeps are computed once thanks to the runner's memoization.
-pub fn all_figures(runner: &Runner, profile: &Profile) -> Vec<FigureResult> {
-    let (e17_tput, e17_resp) = scaling_speedups(runner, profile, 4);
-    vec![
-        fig02(runner, profile),
-        fig03(runner, profile),
-        fig04(runner, profile),
-        fig05(runner, profile),
-        fig06(runner, profile),
-        fig07(runner, profile),
-        fig08(runner, profile),
-        fig09(runner, profile),
-        fig10(runner, profile),
-        fig11(runner, profile),
-        fig12(runner, profile),
-        fig13(runner, profile),
-        fig14(runner, profile),
-        fig15(runner, profile),
-        fig16(runner, profile),
-        fig17(runner, profile),
-        e17_tput,
-        e17_resp,
-        e18_blocking_time(runner, profile),
-        e19_startup_overhead(runner, profile, 0.0),
-        e19_startup_overhead(runner, profile, 8.0),
-    ]
-}
-
-/// Look up a figure builder by id (`fig02`…`fig17`, `e17`…`e28`).
-pub fn by_id(runner: &Runner, profile: &Profile, id: &str) -> Option<Vec<FigureResult>> {
-    let one = |f: FigureResult| Some(vec![f]);
-    match id {
-        "fig02" => one(fig02(runner, profile)),
-        "fig03" => one(fig03(runner, profile)),
-        "fig04" => one(fig04(runner, profile)),
-        "fig05" => one(fig05(runner, profile)),
-        "fig06" => one(fig06(runner, profile)),
-        "fig07" => one(fig07(runner, profile)),
-        "fig08" => one(fig08(runner, profile)),
-        "fig09" => one(fig09(runner, profile)),
-        "fig10" => one(fig10(runner, profile)),
-        "fig11" => one(fig11(runner, profile)),
-        "fig12" => one(fig12(runner, profile)),
-        "fig13" => one(fig13(runner, profile)),
-        "fig14" => one(fig14(runner, profile)),
-        "fig15" => one(fig15(runner, profile)),
-        "fig16" => one(fig16(runner, profile)),
-        "fig17" => one(fig17(runner, profile)),
-        "e17" => {
-            let (a, b) = scaling_speedups(runner, profile, 4);
-            Some(vec![a, b])
-        }
-        "e18" => one(e18_blocking_time(runner, profile)),
-        "e19" => Some(vec![
-            e19_startup_overhead(runner, profile, 0.0),
-            e19_startup_overhead(runner, profile, 8.0),
-        ]),
-        "e20" => one(crate::extensions::e20_exec_pattern(runner, profile)),
-        "e21" => {
-            let (a, b) = crate::extensions::e21_timeout_sensitivity(runner, profile, 1.0);
-            Some(vec![a, b])
-        }
-        "e22" => one(crate::extensions::e22_buffering(runner, profile, 1.0)),
-        "e23" => {
-            let (a, b) = crate::extensions::e23_wait_die(runner, profile);
-            Some(vec![a, b])
-        }
-        "e24" => {
-            let (a, b) = crate::extensions::e24_barging(runner, profile);
-            Some(vec![a, b])
-        }
-        "e26" => Some(vec![crate::extensions::e26_phase_breakdown(
-            runner,
-            profile,
-            &crate::extensions::E25_CRASH_RATES,
-            denet::SimDuration::from_millis(crate::extensions::E25_RECOVERY_MS),
-        )]),
-        "e25" => {
-            let (a, b) = crate::extensions::e25_fault_study(
-                runner,
-                profile,
-                &crate::extensions::E25_CRASH_RATES,
-                denet::SimDuration::from_millis(crate::extensions::E25_RECOVERY_MS),
-            );
-            Some(vec![a, b])
-        }
-        "e27" => {
-            let (a, b) = crate::extensions::e27_replication_overhead(runner, profile, 1.0);
-            Some(vec![a, b])
-        }
-        "e28" => {
-            let (a, b) = crate::extensions::e28_availability(
-                runner,
-                profile,
-                &crate::extensions::E28_CRASH_RATES,
-                denet::SimDuration::from_millis(crate::extensions::E28_RECOVERY_MS),
-            );
-            Some(vec![a, b])
-        }
-        _ => None,
-    }
-}
-
-/// All valid figure ids accepted by [`by_id`]: the paper's artifacts plus
-/// this reproduction's extension experiments (e20–e28).
-pub const FIGURE_IDS: [&str; 28] = [
-    "fig02", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "e17", "e18", "e19", "e20", "e21", "e22",
-    "e23", "e24", "e25", "e26", "e27", "e28",
-];

@@ -4,10 +4,12 @@
 //! in the paper's evaluation (§4).
 //!
 //! * [`Profile`] selects the think-time grid and run lengths.
-//! * [`Runner`] executes configurations in parallel with memoization, so
-//!   figures that share sweeps (e.g. Figures 2–7) reuse each other's runs.
-//! * [`figures`] holds one builder per paper artifact; [`figures::all_figures`]
-//!   regenerates everything.
+//! * [`Runner`] executes each batch of configurations in parallel, running
+//!   every distinct configuration once and caching the reports, so figures
+//!   that share sweeps (e.g. Figures 2–7) reuse each other's runs.
+//! * [`figures::FIGURES`] is the table of every paper artifact and
+//!   extension experiment, by id; [`figures::grid`] and [`figures::plot`]
+//!   are the sweep and the figure assembly every builder shares.
 //! * [`oracle`] runs the `ddbm-oracle` verification grid backing the
 //!   `repro verify` CI gate.
 //!
@@ -15,8 +17,10 @@
 //! use ddbm_experiments::{figures, Profile, Runner};
 //! let runner = Runner::new(0); // all cores
 //! let profile = Profile::quick();
-//! let fig = figures::fig04(&runner, &profile);
-//! println!("{}", fig.to_table());
+//! let (_, build) = figures::FIGURES.iter().find(|(id, _)| *id == "fig04").unwrap();
+//! for fig in build(&runner, &profile) {
+//!     println!("{}", fig.to_table());
+//! }
 //! ```
 
 pub mod chart;

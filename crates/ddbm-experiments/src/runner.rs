@@ -2,91 +2,36 @@
 //!
 //! Figures share underlying simulation runs (e.g. Figures 2–7 all derive
 //! from the same 1-node/8-node sweeps), so the runner caches every completed
-//! run keyed by a 128-bit structural fingerprint of its full configuration
-//! (hashing the serialized value tree — no JSON string is built per lookup).
-//! Independent configurations fan out across OS threads with
-//! `std::thread::scope`.
+//! run keyed by its configuration's JSON text. Floats serialize as their
+//! shortest round-trip decimal, so configs that differ in any finite value,
+//! even by one ulp, get different keys.
 //!
-//! `run` is **single-flight**: when several threads ask for the same
-//! uncached configuration concurrently, exactly one executes the simulation
-//! while the rest block on the in-flight slot and share its result.
+//! [`Runner::run_all`] drops the batch's duplicates and cache hits up front,
+//! runs the distinct new configurations across OS threads with
+//! [`map_parallel`], and returns every report in input order.
+//! [`Runner::run`] is a batch of one.
 
 use ddbm_config::Config;
 use ddbm_core::{run_config, RunReport};
-use serde::{Serialize, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
-/// Cache key: a 128-bit FNV-1a fingerprint of the config's serialized value
-/// tree. Collisions are astronomically unlikely (~10^-20 for a million
-/// distinct configs), and a colliding sweep would only reuse a report, not
-/// corrupt one.
-type Key = u128;
-
-/// One cache slot: either a finished report or an in-flight marker whose
-/// condvar followers wait on.
-enum Slot {
-    Done(Box<RunReport>),
-    InFlight(Arc<Flight>),
-}
-
-/// Lifecycle of an in-flight run. `Poisoned` means the leader panicked
-/// before publishing: followers must stop waiting and elect a new leader.
-enum FlightState {
-    Pending,
-    Done(Box<RunReport>),
-    Poisoned,
-}
-
-struct Flight {
-    state: Mutex<FlightState>,
-    ready: Condvar,
-}
-
-/// Where verbose progress lines go: the process stderr, or an in-memory
-/// capture used by tests to assert the emitted counts are monotone.
-enum ProgressSink {
-    Stderr,
-    #[allow(dead_code)]
-    Capture(Vec<usize>),
-}
-
-/// Leader unwind guard: if the simulation panics before the result is
-/// published, mark the flight poisoned, evict the dead in-flight slot so a
-/// later caller can re-run, and wake every follower. Disarmed with
-/// [`std::mem::forget`] on the success path.
-struct FlightGuard<'a> {
-    runner: &'a Runner,
-    key: Key,
-    flight: &'a Arc<Flight>,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        // Evict first, then poison: a follower that observes `Poisoned` and
-        // retries must not find the dead slot still installed.
-        {
-            let mut cache = self.runner.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(Slot::InFlight(f)) = cache.get(&self.key) {
-                if Arc::ptr_eq(f, self.flight) {
-                    cache.remove(&self.key);
-                }
-            }
-        }
-        *self.flight.state.lock().unwrap_or_else(|e| e.into_inner()) = FlightState::Poisoned;
-        self.flight.ready.notify_all();
-    }
+/// Executed-simulation count plus where verbose progress lines go: the
+/// process stderr, or (tests only) an in-memory capture of the counts.
+#[derive(Default)]
+struct Progress {
+    executed: usize,
+    captured: Option<Vec<usize>>,
 }
 
 /// See module docs.
 pub struct Runner {
-    cache: Mutex<HashMap<Key, Slot>>,
+    cache: Mutex<HashMap<String, RunReport>>,
     threads: usize,
-    completed: AtomicUsize,
     /// Counter increment and line emission happen under this lock, so the
     /// printed counts are strictly increasing even under thread races.
-    progress: Mutex<ProgressSink>,
+    progress: Mutex<Progress>,
     /// Print a short progress line per completed simulation.
     pub verbose: bool,
 }
@@ -104,90 +49,60 @@ impl Runner {
         Runner {
             cache: Mutex::new(HashMap::new()),
             threads,
-            completed: AtomicUsize::new(0),
-            progress: Mutex::new(ProgressSink::Stderr),
+            progress: Mutex::new(Progress::default()),
             verbose: false,
         }
     }
 
-    fn key(config: &Config) -> Key {
-        let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-        hash_value(&config.to_value(), &mut h);
-        h
+    /// The number of worker threads a batch fans out to.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
-    /// Run one configuration (memoized, single-flight).
-    ///
-    /// If a leader panics mid-run (e.g. on an invalid configuration), its
-    /// unwind guard poisons the flight and wakes all followers; each
-    /// follower then retries, becoming the new leader, so the panic
-    /// propagates to every caller instead of deadlocking them.
+    fn key(config: &Config) -> String {
+        serde_json::to_string(config).expect("config serializes")
+    }
+
+    /// Run one configuration (memoized).
     pub fn run(&self, config: &Config) -> RunReport {
-        let key = Self::key(config);
-        loop {
-            let flight = {
-                let mut cache = self.cache.lock().unwrap();
-                match cache.get(&key) {
-                    Some(Slot::Done(hit)) => return (**hit).clone(),
-                    Some(Slot::InFlight(flight)) => {
-                        // Another thread is already running this config: wait
-                        // for its result instead of duplicating the simulation.
-                        let flight = Arc::clone(flight);
-                        drop(cache);
-                        let mut state = flight.state.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            match &*state {
-                                FlightState::Pending => {
-                                    state =
-                                        flight.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                                }
-                                FlightState::Done(report) => return (**report).clone(),
-                                FlightState::Poisoned => break,
-                            }
-                        }
-                        // Leader died; its slot has been evicted. Retry.
-                        continue;
-                    }
-                    None => {
-                        let flight = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Pending),
-                            ready: Condvar::new(),
-                        });
-                        cache.insert(key, Slot::InFlight(Arc::clone(&flight)));
-                        flight
-                    }
-                }
-            };
-            let guard = FlightGuard {
-                runner: self,
-                key,
-                flight: &flight,
-            };
-            let report = run_config(config.clone()).expect("config validated by caller");
-            self.note_progress(config, &report);
-            *self
-                .cache
-                .lock()
-                .unwrap()
-                .get_mut(&key)
-                .expect("slot exists") = Slot::Done(Box::new(report.clone()));
-            *flight.state.lock().unwrap() = FlightState::Done(Box::new(report.clone()));
-            flight.ready.notify_all();
-            // Success: the guard must not poison the published flight.
-            std::mem::forget(guard);
-            return report;
-        }
+        self.run_all(std::slice::from_ref(config)).remove(0)
     }
 
-    /// Bump the completed counter and emit the verbose progress line as one
+    /// Run many configurations in parallel (memoized); results come back in
+    /// input order. Each distinct configuration not yet in the cache runs
+    /// exactly once. An invalid configuration panics out of the batch and
+    /// caches none of it.
+    pub fn run_all(&self, configs: &[Config]) -> Vec<RunReport> {
+        let keys: Vec<String> = configs.iter().map(Self::key).collect();
+        let fresh: Vec<usize> = {
+            let cache = self.cache.lock().unwrap();
+            let mut seen = HashSet::new();
+            (0..configs.len())
+                .filter(|&i| !cache.contains_key(&keys[i]) && seen.insert(&keys[i]))
+                .collect()
+        };
+        let reports = map_parallel(self.threads, &fresh, |&i| {
+            let report = run_config(configs[i].clone()).expect("config validated by caller");
+            self.note_progress(&configs[i], &report);
+            report
+        });
+        let mut cache = self.cache.lock().unwrap();
+        for (i, report) in fresh.into_iter().zip(reports) {
+            cache.insert(keys[i].clone(), report);
+        }
+        keys.iter().map(|k| cache[k].clone()).collect()
+    }
+
+    /// Bump the executed counter and emit the verbose progress line as one
     /// atomic step, so concurrent completions can never print duplicate or
     /// out-of-order counts.
     fn note_progress(&self, config: &Config, report: &RunReport) {
-        let mut sink = self.progress.lock().unwrap();
-        let n = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut progress = self.progress.lock().unwrap();
+        progress.executed += 1;
+        let n = progress.executed;
         if self.verbose {
-            match &mut *sink {
-                ProgressSink::Stderr => eprintln!(
+            match &mut progress.captured {
+                None => eprintln!(
                     "  [{n}] {} n={} deg={} think={:>5.1}s  tps={:>7.2} rt={:>7.3}s",
                     config.algorithm,
                     config.system.num_proc_nodes,
@@ -196,36 +111,14 @@ impl Runner {
                     report.throughput,
                     report.mean_response_time,
                 ),
-                ProgressSink::Capture(lines) => lines.push(n),
+                Some(counts) => counts.push(n),
             }
         }
     }
 
-    /// Redirect verbose progress into an in-memory capture (tests only).
-    #[cfg(test)]
-    fn capture_progress(&self) {
-        *self.progress.lock().unwrap() = ProgressSink::Capture(Vec::new());
-    }
-
-    /// The captured progress counts, in emission order (tests only).
-    #[cfg(test)]
-    fn captured_progress(&self) -> Vec<usize> {
-        match &*self.progress.lock().unwrap() {
-            ProgressSink::Capture(lines) => lines.clone(),
-            ProgressSink::Stderr => Vec::new(),
-        }
-    }
-
-    /// Run many configurations in parallel (memoized); results come back in
-    /// input order. Duplicates within the batch are handled by `run`'s
-    /// single-flight cache, so no pre-deduplication is needed.
-    pub fn run_all(&self, configs: &[Config]) -> Vec<RunReport> {
-        map_parallel(self.threads, configs, |config| self.run(config))
-    }
-
     /// Number of simulations actually executed (not cache hits).
     pub fn executed(&self) -> usize {
-        self.completed.load(Ordering::Relaxed)
+        self.progress.lock().unwrap().executed
     }
 }
 
@@ -258,56 +151,6 @@ where
         .into_iter()
         .map(|s| s.into_inner().unwrap().expect("every slot filled"))
         .collect()
-}
-
-/// Streamed 128-bit FNV-1a over a serialized value tree. Kind tags keep
-/// different shapes with equal bytes distinct (e.g. `0u64` vs `false`).
-fn hash_value(v: &Value, h: &mut u128) {
-    fn eat(h: &mut u128, bytes: &[u8]) {
-        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-        for b in bytes {
-            *h ^= *b as u128;
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
-    match v {
-        Value::Null => eat(h, &[0]),
-        Value::Bool(b) => eat(h, &[1, *b as u8]),
-        Value::UInt(n) => {
-            eat(h, &[2]);
-            eat(h, &n.to_le_bytes());
-        }
-        Value::Int(n) => {
-            eat(h, &[3]);
-            eat(h, &n.to_le_bytes());
-        }
-        Value::Float(x) => {
-            eat(h, &[4]);
-            // Bit pattern, so -0.0 vs 0.0 and every NaN payload stay distinct.
-            eat(h, &x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            eat(h, &[5]);
-            eat(h, &(s.len() as u64).to_le_bytes());
-            eat(h, s.as_bytes());
-        }
-        Value::Array(items) => {
-            eat(h, &[6]);
-            eat(h, &(items.len() as u64).to_le_bytes());
-            for item in items {
-                hash_value(item, h);
-            }
-        }
-        Value::Object(fields) => {
-            eat(h, &[7]);
-            eat(h, &(fields.len() as u64).to_le_bytes());
-            for (k, fv) in fields {
-                eat(h, &(k.len() as u64).to_le_bytes());
-                eat(h, k.as_bytes());
-                hash_value(fv, h);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -346,20 +189,29 @@ mod tests {
         let mut think = base.clone();
         think.workload.think_time_secs += 0.5;
         assert_ne!(Runner::key(&base), Runner::key(&think));
+        // Think times one ulp apart are different configurations.
+        let mut next = base.clone();
+        next.workload.think_time_secs = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_ne!(Runner::key(&base), Runner::key(&next));
     }
 
     #[test]
-    fn run_all_preserves_order_and_caches() {
+    fn batch_runs_each_distinct_config_once_in_input_order() {
         let r = Runner::new(4);
-        let configs = vec![quick_config(0.0), quick_config(2.0), quick_config(0.0)];
+        let thinks = [0.0, 2.0, 0.0, 1.0, 2.0, 0.0];
+        let configs: Vec<Config> = thinks.iter().map(|t| quick_config(*t)).collect();
         let reports = r.run_all(&configs);
-        assert_eq!(reports.len(), 3);
-        // Identical configs → identical (cached or deterministic) results.
-        assert_eq!(reports[0].mean_response_time, reports[2].mean_response_time);
-        assert!(r.executed() <= 2, "third run must hit the cache");
-        // And matches a direct run.
-        let direct = r.run(&quick_config(2.0));
-        assert_eq!(direct.mean_response_time, reports[1].mean_response_time);
+        assert_eq!(r.executed(), 3, "one run per distinct config");
+        // Input order: each report matches a fresh single-config runner.
+        for (t, report) in thinks.iter().zip(&reports) {
+            let alone = Runner::new(1).run(&quick_config(*t));
+            assert_eq!(report.mean_response_time, alone.mean_response_time);
+            assert_eq!(report.commits, alone.commits);
+        }
+        // A second batch is served from the cache.
+        let again = r.run_all(&configs[..2]);
+        assert_eq!(r.executed(), 3, "second batch must hit the cache");
+        assert_eq!(again[1].mean_response_time, reports[1].mean_response_time);
     }
 
     #[test]
@@ -375,90 +227,39 @@ mod tests {
         }
     }
 
-    /// Regression test for the duplicate-execution race: many threads
-    /// requesting the same uncached config concurrently must execute the
-    /// simulation exactly once (single-flight), and all callers must agree
-    /// on the result.
+    /// An invalid configuration inside a batch panics out of `run_all`
+    /// (callers such as perfbench catch exactly that), and the runner stays
+    /// usable afterwards.
     #[test]
-    fn concurrent_same_config_runs_once() {
-        let r = Runner::new(8);
-        let config = quick_config(0.5);
-        let barrier = std::sync::Barrier::new(8);
-        let reports: Vec<RunReport> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Line all threads up on the uncached key at once.
-                        barrier.wait();
-                        r.run(&config)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            r.executed(),
-            1,
-            "single-flight must collapse concurrent identical runs"
-        );
-        for w in reports.windows(2) {
-            assert_eq!(w[0].mean_response_time, w[1].mean_response_time);
-            assert_eq!(w[0].commits, w[1].commits);
-        }
-        // And a run in a batch is also collapsed.
-        let batch = vec![config.clone(); 16];
-        let all = r.run_all(&batch);
-        assert_eq!(all.len(), 16);
-        assert_eq!(r.executed(), 1, "batch duplicates must hit the cache");
-    }
-
-    /// Regression test for the single-flight poison bug: a panicking leader
-    /// used to leave `Flight` forever pending, hanging every follower. Now
-    /// the unwind guard wakes followers, each retries as the new leader, and
-    /// the panic propagates to all callers.
-    #[test]
-    fn leader_panic_wakes_followers_and_propagates() {
-        let r = Runner::new(4);
+    fn invalid_config_in_batch_panics_and_runner_recovers() {
+        let r = Runner::new(2);
         let mut bad = quick_config(1.0);
-        // Invalid: zero disks fails validation, so the leader's
-        // `expect("config validated by caller")` panics mid-flight.
+        // Zero disks fails validation inside the worker.
         bad.system.num_disks = 0;
-        let barrier = std::sync::Barrier::new(4);
-        let outcomes: Vec<bool> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.run(&bad)))
-                            .is_err()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(
-            outcomes.iter().all(|panicked| *panicked),
-            "every caller must observe the panic; none may hang or get a report"
-        );
-        assert_eq!(r.executed(), 0, "no simulation completed");
-        // The runner is not wedged: a valid config still runs and caches.
+        let batch = [quick_config(0.0), bad, quick_config(1.0)];
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.run_all(&batch)));
+        assert!(outcome.is_err(), "the invalid config must panic the batch");
+        // The failed batch cached nothing; a valid config runs and caches.
+        let before = r.executed();
         let report = r.run(&quick_config(1.0));
         assert!(report.commits > 0);
-        assert_eq!(r.executed(), 1);
+        assert_eq!(r.executed(), before + 1);
+        r.run(&quick_config(1.0));
+        assert_eq!(r.executed(), before + 1, "second run must hit the cache");
     }
 
     /// Regression test for duplicate/out-of-order verbose progress counts:
-    /// the counter increment and the line emission now happen under one
-    /// lock, so captured counts are exactly 1, 2, 3, ... regardless of
-    /// thread interleaving.
+    /// the counter increment and the line emission happen under one lock,
+    /// so captured counts are exactly 1, 2, 3, ... regardless of thread
+    /// interleaving.
     #[test]
     fn progress_counts_are_strictly_monotonic() {
         let mut r = Runner::new(8);
         r.verbose = true;
-        r.capture_progress();
+        r.progress.lock().unwrap().captured = Some(Vec::new());
         let configs: Vec<Config> = (0..12).map(|i| quick_config(0.25 * i as f64)).collect();
         r.run_all(&configs);
-        let counts = r.captured_progress();
+        let counts = r.progress.lock().unwrap().captured.clone().unwrap();
         assert_eq!(counts.len(), 12);
         for (i, n) in counts.iter().enumerate() {
             assert_eq!(*n, i + 1, "emitted counts must be gapless and in order");

@@ -1,14 +1,38 @@
-//! Structural smoke tests: every figure builder runs end-to-end on the tiny
-//! test profile and produces well-formed series.
+//! Structural smoke tests: every entry of the figure table runs end-to-end
+//! on the tiny test profile and produces well-formed series.
 
-use ddbm_experiments::{figures, Profile, Runner};
+use ddbm_experiments::figures::FIGURES;
+use ddbm_experiments::{Profile, Runner};
+use std::collections::HashSet;
+
+/// The figures the table produces, in table order: the paper's 21
+/// (fig02–fig17, E17–E19), then the extensions' 15 (E20–E28).
+const FIGURE_RESULT_IDS: &str = "\
+    fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15 \
+    fig16 fig17 e17-tput-4node e17-resp-4node e18 e19-think0 e19-think8 \
+    e20 e21-rt e21-aborts e22 e23-tput e23-aborts e24-tput e24-aborts e25-tput e25-aborts \
+    e26-phases e27-tput e27-resp e28-tput e28-aborts";
 
 #[test]
-fn all_figures_build_and_are_well_formed() {
+fn table_ids_are_unique() {
+    let ids: HashSet<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids.len(), FIGURES.len(), "duplicate id in FIGURES");
+}
+
+#[test]
+fn every_table_entry_builds_and_is_well_formed() {
     let runner = Runner::new(0);
     let profile = Profile::test();
-    let figs = figures::all_figures(&runner, &profile);
-    assert_eq!(figs.len(), 21);
+    let mut figs = Vec::new();
+    for (id, build) in FIGURES {
+        let built = build(&runner, &profile);
+        assert!(!built.is_empty(), "{id} built no figure");
+        figs.extend(built);
+    }
+    let ids: Vec<&str> = figs.iter().map(|f| f.id.as_str()).collect();
+    let expected: Vec<&str> = FIGURE_RESULT_IDS.split_whitespace().collect();
+    assert_eq!(expected.len(), 36);
+    assert_eq!(ids, expected);
 
     for fig in &figs {
         assert!(!fig.series.is_empty(), "{} has no series", fig.id);
@@ -41,8 +65,8 @@ fn all_figures_build_and_are_well_formed() {
         }
     }
 
-    // Figure-specific shape checks.
     let by_id = |id: &str| figs.iter().find(|f| f.id == id).unwrap();
+    // Figure-specific shape checks.
     assert_eq!(by_id("fig02").series.len(), 10, "5 algos × 2 machine sizes");
     assert_eq!(by_id("fig04").series.len(), 5);
     assert_eq!(by_id("fig10").series.len(), 4, "NO_DC excluded");
@@ -69,35 +93,9 @@ fn all_figures_build_and_are_well_formed() {
             assert!(s.ys.iter().all(|y| *y >= 0.0), "{id}/{}", s.name);
         }
     }
-}
 
-#[test]
-fn by_id_covers_every_figure() {
-    let runner = Runner::new(0);
-    let profile = Profile::test();
-    // Only check the mapping exists and rejects junk — reuse cached runs for
-    // one real id.
-    assert!(figures::by_id(&runner, &profile, "nonsense").is_none());
-    assert_eq!(figures::FIGURE_IDS.len(), 28);
-    let f = figures::by_id(&runner, &profile, "fig12").unwrap();
-    assert_eq!(f[0].id, "fig12");
-}
-
-#[test]
-fn extension_experiments_build() {
-    let runner = Runner::new(0);
-    let profile = Profile::test();
-    let figs = ddbm_experiments::extensions::all_extensions(&runner, &profile);
-    assert_eq!(figs.len(), 15);
-    for fig in &figs {
-        assert!(!fig.series.is_empty(), "{} empty", fig.id);
-        for s in &fig.series {
-            assert_eq!(s.ys.len(), fig.xs.len(), "{}/{}", fig.id, s.name);
-            assert!(s.ys.iter().all(|y| y.is_finite()), "{}/{}", fig.id, s.name);
-        }
-    }
     // e25: no fault-induced aborts without crashes; some at the top rate.
-    let e25 = figs.iter().find(|f| f.id == "e25-aborts").unwrap();
+    let e25 = by_id("e25-aborts");
     assert_eq!(e25.xs[0], 0.0);
     for s in &e25.series {
         assert_eq!(s.ys[0], 0.0, "crash-free {} run aborted on faults", s.name);
@@ -112,7 +110,7 @@ fn extension_experiments_build() {
     // e26: the phase means for each (algorithm, crash rate) must sum to a
     // positive response time, and commit/prepare must stay small relative
     // to the whole at the top crash rate.
-    let e26 = figs.iter().find(|f| f.id == "e26-phases").unwrap();
+    let e26 = by_id("e26-phases");
     assert_eq!(e26.series.len(), 12, "2 algorithms x 6 phases");
     let last = e26.xs.len() - 1;
     for algo in ["2PL", "OPT"] {
@@ -137,7 +135,7 @@ fn extension_experiments_build() {
     // e27: 10 series (5 algorithms × 2 replica controls) over factors
     // 1..3; the factor-1 points of the rowa and quorum variants are the
     // same single-copy run, so each pair must agree exactly there.
-    let e27 = figs.iter().find(|f| f.id == "e27-tput").unwrap();
+    let e27 = by_id("e27-tput");
     assert_eq!(e27.series.len(), 10, "5 algos × 2 replica controls");
     assert_eq!(e27.xs, vec![1.0, 2.0, 3.0]);
     for algo in ["2PL", "BTO", "WW", "OPT", "NO_DC"] {
@@ -154,8 +152,8 @@ fn extension_experiments_build() {
     // fault-induced aborts, the 3-way replicated run must still be
     // committing (its goodput stays positive), and crash-free goodput must
     // be positive everywhere.
-    let e28_tp = figs.iter().find(|f| f.id == "e28-tput").unwrap();
-    let e28_ab = figs.iter().find(|f| f.id == "e28-aborts").unwrap();
+    let e28_tp = by_id("e28-tput");
+    let e28_ab = by_id("e28-aborts");
     assert_eq!(e28_tp.series.len(), 4, "2 algorithms × 2 factors");
     for algo in ["2PL", "OPT"] {
         let single_ab = e28_ab.series(&format!("{algo} factor 1")).unwrap();
@@ -180,7 +178,7 @@ fn extension_experiments_build() {
     }
 
     // e20: sequential must not be faster than parallel at the light point.
-    let e20 = &figs[0];
+    let e20 = by_id("e20");
     let par = e20.series("NO_DC parallel").unwrap();
     let seq = e20.series("NO_DC sequential").unwrap();
     let last = e20.xs.len() - 1;
