@@ -1,12 +1,14 @@
 //! Microbenchmarks of the simulator's core components, plus ablations of
 //! the design choices called out in DESIGN.md (event-calendar throughput,
 //! lock-table conflict handling, processor-sharing CPU math, per-algorithm
-//! simulation cost).
+//! simulation cost, the oracle's checkers over a recorded stream).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddbm_cc::{make_manager, LockMode, LockTable, Ts, TxnMeta};
-use ddbm_config::{Algorithm, Config, FileId, PageId, TxnId};
-use ddbm_core::run_config;
+use ddbm_config::{Algorithm, Config, FileId, PageId, ReplicationParams, TxnId};
+use ddbm_core::{run_config, run_oracle, TestHooks};
+use ddbm_experiments::oracle::oracle_config;
+use ddbm_oracle::{check_options_for, check_stream};
 use ddbm_resource::Cpu;
 use denet::{EventCalendar, Fired, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
@@ -255,7 +257,7 @@ fn whole_sim(c: &mut Criterion) {
     // creeping.
     group.bench_function(BenchmarkId::from_parameter("2PL-rep1"), |b| {
         let mut config = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 4.0);
-        config.replication = ddbm_config::ReplicationParams::rowa(1);
+        config.replication = ReplicationParams::rowa(1);
         config.control.warmup_commits = 40;
         config.control.measure_commits = 200;
         b.iter(|| {
@@ -311,6 +313,31 @@ fn whole_sim_traced(c: &mut Criterion) {
     group.finish();
 }
 
+/// The streaming oracle alone: every checker of a `repro verify` cell over
+/// its recorded witness stream, the 1,000-commit 2PL ROWA-3 cell (about
+/// 50k events), where the locking checker, the replica checker and the
+/// conflict checker all run. The simulation that records the stream runs
+/// once, outside the timed loop.
+fn oracle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("oracle");
+    group.sample_size(10);
+    group.bench_function("check_stream", |b| {
+        let mut config = oracle_config(Algorithm::TwoPhaseLocking, 7);
+        config.replication = ReplicationParams::rowa(3);
+        config.control.measure_commits = 1_000;
+        let opts = check_options_for(&config);
+        let stream = run_oracle(config, None, TestHooks::default())
+            .expect("valid")
+            .witness;
+        b.iter(|| {
+            let report = check_stream(&opts, black_box(&stream));
+            assert!(report.clean(), "{}", report.render());
+            black_box(report.events)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     calendar,
@@ -319,6 +346,7 @@ criterion_group!(
     cc_managers,
     whole_sim,
     messages,
-    whole_sim_traced
+    whole_sim_traced,
+    oracle
 );
 criterion_main!(benches);

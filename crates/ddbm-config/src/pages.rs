@@ -1,8 +1,7 @@
 //! Dense per-page state: [`PageMap`], and the [`Spares`] stock that lends
 //! busy pages their buffers.
 //!
-//! The concurrency control managers and the oracle's checkers keep one
-//! entry per page they touch. Keeping that entry small — a few scalars
+//! The concurrency control managers keep one entry per page they touch. Keeping that entry small — a few scalars
 //! inline, lists boxed only while the page is busy — is what makes their
 //! memory follow the pages in use rather than every page ever touched.
 
@@ -101,8 +100,7 @@ fn slot(page: PageId) -> usize {
 }
 
 /// A page's buffers that it needs only while busy: a lock's holders and
-/// queue, BTO's pending and blocked lists, OPT's certified lists, and the
-/// oracle's mirror of BTO's.
+/// queue, BTO's pending and blocked lists, and OPT's certified lists.
 pub trait PageBuffers {
     /// Fresh buffers with the capacity a first use needs.
     fn stocked() -> Self;
@@ -111,8 +109,8 @@ pub trait PageBuffers {
 }
 
 /// The buffers of idle pages, kept for the next page to go busy, so the
-/// buffers a manager (or checker) holds follow its busy pages, not every
-/// page it ever touched.
+/// buffers a manager holds follow its busy pages, not every page it ever
+/// touched.
 ///
 /// When the stock runs dry it is refilled with as many buffers as are out
 /// (at least one transaction's worth), each with its first-use capacity:

@@ -12,86 +12,69 @@
 //! Every event therefore costs O(pages the transaction touched), however
 //! long the run.
 //!
-//! A page keeps its `rts`/`wts` inline, like the manager's, and borrows its
-//! two lists from the node's [`Spares`] stock only while one of them is
-//! non-empty, so the model's size follows the pages touched plus the pages
-//! busy, not the pages ever written.
+//! A page keeps its `rts`/`wts` inline, like the manager's, in a table with
+//! a row per file the node serves. Its pending writes and blocked reads,
+//! like the pages of each transaction, are lists in arenas the node's pages
+//! share, so the model's size follows the pages touched plus the accesses
+//! waiting, not the pages ever written, and once the arenas have grown to
+//! the busiest moment no event allocates.
 
+use crate::dense::PageTable;
+use crate::lists::{List, Lists};
 use crate::violation::{Violation, ViolationKind};
 use ddbm_cc::Ts;
-use ddbm_config::{NodeId, PageBuffers, PageId, PageMap, Spares, TxnId};
+use ddbm_config::{NodeId, PageId, TxnId};
 use ddbm_core::{WitnessEvent, WitnessReply};
 use denet::{FxHashMap, SimTime};
+
+/// A waiting access: its timestamp and transaction.
+type Wait = (Ts, TxnId);
 
 #[derive(Debug, Default)]
 struct PageModel {
     rts: Ts,
     wts: Ts,
-    /// The page's waiting accesses, boxed: `None` while both lists are
-    /// empty.
-    lists: Option<Box<Lists>>,
-}
-
-#[derive(Debug)]
-struct Lists {
     /// Granted-but-uncommitted writes, sorted by timestamp.
-    pending: Vec<(Ts, TxnId)>,
+    pending: List,
     /// Blocked reads in arrival order.
-    blocked: Vec<(Ts, TxnId)>,
-}
-
-impl PageBuffers for Lists {
-    /// Room for the first pending writes, as in the manager.
-    fn stocked() -> Self {
-        Lists {
-            pending: Vec::with_capacity(4),
-            blocked: Vec::new(),
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.blocked.is_empty()
-    }
-}
-
-impl PageModel {
-    fn min_pending_below(&self, ts: Ts) -> bool {
-        self.lists
-            .as_ref()
-            .and_then(|l| l.pending.first())
-            .is_some_and(|&(w, _)| w < ts)
-    }
-
-    /// Remove `txn`'s blocked read, returning its timestamp.
-    fn unblock(&mut self, txn: TxnId) -> Option<Ts> {
-        let blocked = &mut self.lists.as_mut()?.blocked;
-        let pos = blocked.iter().position(|&(_, t)| t == txn)?;
-        Some(blocked.remove(pos).0)
-    }
-
-    /// Drop every pending write and blocked read of `txn`.
-    fn forget(&mut self, txn: TxnId) {
-        if let Some(lists) = &mut self.lists {
-            lists.pending.retain(|&(_, t)| t != txn);
-            lists.blocked.retain(|&(_, t)| t != txn);
-        }
-    }
+    blocked: List,
 }
 
 #[derive(Debug, Default)]
 struct NodeModel {
-    pages: PageMap<PageModel>,
-    /// Lists of pages that went idle, kept for the next busy page.
-    spare: Spares<Lists>,
+    pages: PageTable<PageModel>,
+    /// Every page's pending writes and blocked reads.
+    waits: Lists<Wait>,
     /// Pages at which each transaction has a pending write or a blocked
     /// read (a page may repeat), so a release visits only those.
-    touched: FxHashMap<TxnId, Vec<PageId>>,
+    txns: FxHashMap<TxnId, List>,
+    /// Every transaction's pages.
+    touched: Lists<PageId>,
+}
+
+impl NodeModel {
+    /// Record that `txn` has a pending write or a blocked read at `page`.
+    fn touch(&mut self, txn: TxnId, page: PageId) {
+        self.touched.push(self.txns.entry(txn).or_default(), page);
+    }
+}
+
+/// True when `pm` has a pending write older than `ts`.
+fn min_pending_below(waits: &Lists<Wait>, pm: &PageModel, ts: Ts) -> bool {
+    waits.iter(pm.pending).next().is_some_and(|(w, _)| w < ts)
+}
+
+/// Remove `txn`'s blocked read at `pm`, returning its timestamp.
+fn unblock(waits: &mut Lists<Wait>, pm: &mut PageModel, txn: TxnId) -> Option<Ts> {
+    let pos = waits.iter(pm.blocked).position(|(_, t)| t == txn)?;
+    Some(waits.remove(&mut pm.blocked, pos).0)
 }
 
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct BtoChecker {
-    nodes: FxHashMap<NodeId, NodeModel>,
+    /// Indexed by node id.
+    nodes: Vec<NodeModel>,
 }
 
 impl BtoChecker {
@@ -112,7 +95,10 @@ impl BtoChecker {
     }
 
     fn node_model(&mut self, node: NodeId) -> &mut NodeModel {
-        self.nodes.entry(node).or_default()
+        if node.0 >= self.nodes.len() {
+            self.nodes.resize_with(node.0 + 1, NodeModel::default);
+        }
+        &mut self.nodes[node.0]
     }
 
     /// Feed one witnessed event through the reference model.
@@ -128,7 +114,7 @@ impl BtoChecker {
                 ..
             } => {
                 let nm = self.node_model(node);
-                let pm = nm.pages.get_or_default(page);
+                let pm = nm.pages.entry(page);
                 let ts = run_ts;
                 let expected = if write {
                     if ts < pm.rts {
@@ -140,7 +126,7 @@ impl BtoChecker {
                     }
                 } else if ts < pm.wts {
                     WitnessReply::Rejected
-                } else if pm.min_pending_below(ts) {
+                } else if min_pending_below(&nm.waits, pm, ts) {
                     WitnessReply::Blocked
                 } else {
                     WitnessReply::Granted
@@ -168,18 +154,17 @@ impl BtoChecker {
                 match reply {
                     WitnessReply::Granted if write => {
                         if ts >= pm.wts {
-                            let pending = &mut nm.spare.fill(&mut pm.lists).pending;
-                            let pos = pending.partition_point(|&(w, _)| w < ts);
-                            pending.insert(pos, (ts, txn));
-                            nm.touched.entry(txn).or_default().push(page);
+                            nm.waits
+                                .insert(&mut pm.pending, (ts, txn), |&(w, _)| w >= ts);
+                            nm.touch(txn, page);
                         }
                     }
                     WitnessReply::Granted => {
                         pm.rts = pm.rts.max(ts);
                     }
                     WitnessReply::Blocked => {
-                        nm.spare.fill(&mut pm.lists).blocked.push((ts, txn));
-                        nm.touched.entry(txn).or_default().push(page);
+                        nm.waits.push(&mut pm.blocked, (ts, txn));
+                        nm.touch(txn, page);
                     }
                     WitnessReply::Rejected => {}
                 }
@@ -192,7 +177,7 @@ impl BtoChecker {
                 ..
             } => {
                 let nm = self.node_model(node);
-                let pm = nm.pages.get_or_default(page);
+                let pm = nm.pages.entry(page);
                 if write {
                     out.push(Self::violation(
                         at,
@@ -203,7 +188,7 @@ impl BtoChecker {
                     ));
                     return;
                 }
-                match pm.unblock(txn) {
+                match unblock(&mut nm.waits, pm, txn) {
                     None => out.push(Self::violation(
                         at,
                         txn,
@@ -224,7 +209,7 @@ impl BtoChecker {
                                     r_ts, pm.wts,
                                 ),
                             ));
-                        } else if pm.min_pending_below(r_ts) {
+                        } else if min_pending_below(&nm.waits, pm, r_ts) {
                             out.push(Self::violation(
                                 at,
                                 txn,
@@ -234,7 +219,6 @@ impl BtoChecker {
                             ));
                         }
                         pm.rts = pm.rts.max(r_ts);
-                        nm.spare.settle(&mut pm.lists);
                     }
                 }
             }
@@ -242,8 +226,8 @@ impl BtoChecker {
                 txn, node, page, ..
             } => {
                 let nm = self.node_model(node);
-                let pm = nm.pages.get_or_default(page);
-                match pm.unblock(txn) {
+                let pm = nm.pages.entry(page);
+                match unblock(&mut nm.waits, pm, txn) {
                     None => out.push(Self::violation(
                         at,
                         txn,
@@ -265,7 +249,6 @@ impl BtoChecker {
                                 ),
                             ));
                         }
-                        nm.spare.settle(&mut pm.lists);
                     }
                 }
             }
@@ -277,30 +260,33 @@ impl BtoChecker {
                 ..
             } => {
                 let nm = self.node_model(node);
-                let pm = nm.pages.get_or_default(page);
-                if let Some(lists) = &mut pm.lists {
-                    lists.pending.retain(|&(_, t)| t != txn);
-                }
+                let pm = nm.pages.entry(page);
+                nm.waits.retain(&mut pm.pending, |&(_, t)| t != txn);
                 // Thomas rule at install time: only a newer write becomes
                 // the version; `max` keeps wts monotone like the manager.
                 pm.wts = pm.wts.max(run_ts);
-                nm.spare.settle(&mut pm.lists);
             }
             WitnessEvent::Release { txn, node, .. } => {
-                if let Some(nm) = self.nodes.get_mut(&node) {
-                    for page in nm.touched.remove(&txn).unwrap_or_default() {
+                let Some(nm) = self.nodes.get_mut(node.0) else {
+                    return;
+                };
+                if let Some(mut pages) = nm.txns.remove(&txn) {
+                    for page in nm.touched.iter(pages) {
                         if let Some(pm) = nm.pages.get_mut(page) {
-                            pm.forget(txn);
-                            nm.spare.settle(&mut pm.lists);
+                            nm.waits.retain(&mut pm.pending, |&(_, t)| t != txn);
+                            nm.waits.retain(&mut pm.blocked, |&(_, t)| t != txn);
                         }
                     }
+                    nm.touched.clear(&mut pages);
                 }
             }
             WitnessEvent::NodeCrash { node } => {
                 // The manager is rebuilt from scratch: high-water marks are
                 // node-local soft state and do not survive, and neither does
                 // the node's release index.
-                self.nodes.remove(&node);
+                if let Some(nm) = self.nodes.get_mut(node.0) {
+                    *nm = NodeModel::default();
+                }
             }
             _ => {}
         }
@@ -341,11 +327,14 @@ mod tests {
         }
     }
 
-    /// (pending writes, blocked reads) at a page.
-    fn lens(pm: &PageModel) -> (usize, usize) {
-        pm.lists
-            .as_ref()
-            .map_or((0, 0), |l| (l.pending.len(), l.blocked.len()))
+    /// (pending writes, blocked reads) at a page of node 1 or 2.
+    fn lens(c: &BtoChecker, node: usize, p: u64) -> (usize, usize) {
+        let nm = &c.nodes[node];
+        let pm = nm.pages.get(page(p)).unwrap();
+        (
+            nm.waits.iter(pm.pending).count(),
+            nm.waits.iter(pm.blocked).count(),
+        )
     }
 
     fn feed(c: &mut BtoChecker, evs: &[WitnessEvent]) -> Vec<Violation> {
@@ -372,14 +361,11 @@ mod tests {
             ],
         );
         assert!(out.is_empty(), "{out:?}");
-        let nm = &c.nodes[&NodeId(1)];
-        assert!(!nm.touched.contains_key(&TxnId(10)));
-        let pm = |p| lens(nm.pages.get(page(p)).unwrap());
+        assert!(!c.nodes[1].txns.contains_key(&TxnId(10)));
+        let pm = |p| lens(&c, 1, p);
         assert_eq!(pm(0), (0, 1), "another txn's blocked read stays");
         assert_eq!(pm(1), (0, 0));
         assert_eq!(pm(2), (1, 0), "another txn's pending write stays");
-        // The idle page's lists went back to stock.
-        assert!(nm.pages.get(page(1)).unwrap().lists.is_none());
         // Every formerly pending page now answers a later read at once.
         let out = feed(
             &mut c,
@@ -406,8 +392,7 @@ mod tests {
             ],
         );
         assert!(out.is_empty(), "{out:?}");
-        let pm = c.nodes[&NodeId(2)].pages.get(page(0)).unwrap();
-        assert_eq!(lens(pm), (1, 1));
+        assert_eq!(lens(&c, 2, 0), (1, 1));
     }
 
     #[test]
@@ -422,11 +407,12 @@ mod tests {
             ],
         );
         assert!(out.is_empty(), "{out:?}");
-        assert!(c.nodes.is_empty());
+        assert!(c.nodes[1].pages.get(page(0)).is_none());
+        assert!(c.nodes[1].txns.is_empty());
     }
 
     #[test]
-    fn idle_pages_hand_their_lists_to_the_next_busy_page() {
+    fn waits_reuse_freed_links_and_keep_timestamp_order() {
         use WitnessReply::{Blocked, Granted};
         let install = |txn: u64, p: u64| WitnessEvent::Install {
             txn: TxnId(txn),
@@ -449,42 +435,51 @@ mod tests {
         let out = feed(
             &mut c,
             &[
+                access(12, 1, 0, true, Granted),
                 access(10, 1, 0, true, Granted),
                 access(20, 1, 0, false, Blocked),
                 access(30, 1, 5, false, Granted),
             ],
         );
         assert!(out.is_empty(), "{out:?}");
-        let nm = &c.nodes[&NodeId(1)];
-        assert!(
-            nm.pages.get(page(5)).unwrap().lists.is_none(),
-            "read-only page"
-        );
-        let lists: *const Lists = &**nm.pages.get(page(0)).unwrap().lists.as_ref().unwrap();
-        // The install leaves the blocked read, so the page stays busy until
+        let nm = &c.nodes[1];
+        let pm = nm.pages.get(page(0)).unwrap();
+        let pending: Vec<u64> = nm.waits.iter(pm.pending).map(|(_, t)| t.0).collect();
+        assert_eq!(pending, [10, 12], "pending writes in timestamp order");
+        assert_eq!(lens(&c, 1, 5), (0, 0), "read-only page");
+        // The installs leave the blocked read, so the page stays busy until
         // the read is woken.
-        let out = feed(&mut c, &[install(10, 0), release(10, 1)]);
-        assert!(out.is_empty(), "{out:?}");
-        assert_eq!(
-            lens(c.nodes[&NodeId(1)].pages.get(page(0)).unwrap()),
-            (0, 1)
+        let out = feed(
+            &mut c,
+            &[
+                install(10, 0),
+                release(10, 1),
+                install(12, 0),
+                release(12, 1),
+            ],
         );
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(lens(&c, 1, 0), (0, 1));
         let out = feed(&mut c, &[grant]);
         assert!(out.is_empty(), "{out:?}");
-        let nm = &c.nodes[&NodeId(1)];
+        let nm = &c.nodes[1];
         let pm = nm.pages.get(page(0)).unwrap();
-        assert!(pm.lists.is_none());
+        assert_eq!(lens(&c, 1, 0), (0, 0));
         assert_eq!(
             (pm.rts, pm.wts),
-            (Ts::new(20, TxnId(20)), Ts::new(10, TxnId(10)))
+            (Ts::new(20, TxnId(20)), Ts::new(12, TxnId(12)))
         );
-        assert_eq!(nm.spare.stock(), 1);
-        // The next page to go busy gets the same lists back.
-        let out = feed(&mut c, &[access(40, 1, 7, true, Granted)]);
+        // Three waits were listed at once at most; later ones reuse the
+        // freed links.
+        let out = feed(
+            &mut c,
+            &[
+                access(40, 1, 7, true, Granted),
+                access(41, 1, 8, true, Granted),
+                access(42, 1, 9, true, Granted),
+            ],
+        );
         assert!(out.is_empty(), "{out:?}");
-        let nm = &c.nodes[&NodeId(1)];
-        let reused: *const Lists = &**nm.pages.get(page(7)).unwrap().lists.as_ref().unwrap();
-        assert!(std::ptr::eq(lists, reused));
-        assert_eq!(nm.spare.stock(), 0);
+        assert_eq!(c.nodes[1].waits.capacity(), 3);
     }
 }

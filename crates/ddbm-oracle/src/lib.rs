@@ -41,6 +41,7 @@
 pub mod btocheck;
 pub mod csr;
 mod dense;
+mod lists;
 pub mod locking;
 pub mod phase;
 pub mod replica;

@@ -13,7 +13,19 @@
 //! holds or awaits a lock, so a release visits only those pages. Every event
 //! therefore costs O(pages the transaction touched), however long the run;
 //! only deadlock-victim and re-wound checks walk the node's live lock state.
+//!
+//! # Layout
+//!
+//! Node models sit in a `Vec` indexed by node. A node keeps an entry per
+//! busy page and per transaction with locks there, both dropped when they
+//! go idle; the holders and waiters of every page share one
+//! `Lists` arena, and the pages of every transaction another, so the
+//! model's buffers follow the locks in use and, once they have grown to
+//! the busiest moment, no event allocates. A transaction's entry also
+//! carries its initial-startup timestamp, so a priority check reads it
+//! with the lookup that finds the transaction's locks.
 
+use crate::lists::{List, Lists};
 use crate::violation::{Violation, ViolationKind};
 use ddbm_cc::Ts;
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
@@ -50,12 +62,27 @@ impl LockVariant {
     }
 }
 
-#[derive(Debug, Default)]
-struct PageModel {
-    /// Current holders with their mode (`true` = write).
-    holders: Vec<(TxnId, bool)>,
+/// A lock holder or waiter: the transaction and its mode (`true` = write).
+type Lock = (TxnId, bool);
+
+/// One busy page's locks, as lists in the node's lock arena.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageLocks {
+    /// Current holders.
+    holders: List,
     /// Waiters in arrival order.
-    queue: Vec<(TxnId, bool)>,
+    queue: List,
+}
+
+/// One transaction's locks at a node.
+#[derive(Debug, Clone, Copy)]
+struct TxnLocks {
+    /// Initial-startup timestamp (constant across runs), learned from its
+    /// accesses: the WW/WD priority currency.
+    ts: Ts,
+    /// Pages at which it holds or awaits a lock (a page may repeat), so a
+    /// release visits only those.
+    pages: List,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -68,17 +95,138 @@ struct LastAccess {
 
 #[derive(Debug, Default)]
 struct NodeModel {
-    pages: FxHashMap<PageId, PageModel>,
-    /// Pages at which each transaction holds or awaits a lock (a page may
-    /// repeat), so a release visits only those.
-    touched: FxHashMap<TxnId, Vec<PageId>>,
+    /// Busy pages: those with a holder or a waiter.
+    pages: FxHashMap<PageId, PageLocks>,
+    /// Every page's holders and waiters.
+    locks: Lists<Lock>,
+    /// Transactions holding or awaiting a lock here.
+    txns: FxHashMap<TxnId, TxnLocks>,
+    /// Every transaction's pages.
+    touched: Lists<PageId>,
     /// The most recent access request at this node, for wound context: the
     /// simulator emits wounds directly after the access that caused them.
     last_access: Option<LastAccess>,
 }
 
+impl NodeModel {
+    /// The initial timestamp of `txn`, which holds or awaits a lock here.
+    fn ts(&self, txn: TxnId) -> Option<Ts> {
+        self.txns.get(&txn).map(|t| t.ts)
+    }
+
+    /// The first lock in `locks` that is not `txn`'s, conflicts with
+    /// `mode` and belongs to a transaction older than `than`.
+    fn older_conflict(
+        &self,
+        mut locks: impl Iterator<Item = Lock>,
+        txn: TxnId,
+        mode: bool,
+        than: Ts,
+    ) -> Option<Lock> {
+        locks.find(|&(t, m)| {
+            t != txn && conflicts(mode, m) && self.ts(t).is_some_and(|o| o.older_than(than))
+        })
+    }
+
+    /// Record that `txn` (initial timestamp `ts`) holds or awaits a lock
+    /// on `page`.
+    fn touch(&mut self, txn: TxnId, ts: Ts, page: PageId) {
+        let entry = self.txns.entry(txn).or_insert(TxnLocks {
+            ts,
+            pages: List::EMPTY,
+        });
+        entry.ts = ts;
+        self.touched.push(&mut entry.pages, page);
+    }
+
+    /// Drop every lock `txn` holds or awaits here.
+    fn release(&mut self, txn: TxnId) {
+        let Some(mut entry) = self.txns.remove(&txn) else {
+            return;
+        };
+        for page in self.touched.iter(entry.pages) {
+            if let Some(pm) = self.pages.get_mut(&page) {
+                self.locks.retain(&mut pm.holders, |&(t, _)| t != txn);
+                self.locks.retain(&mut pm.queue, |&(t, _)| t != txn);
+                if pm.holders.is_empty() && pm.queue.is_empty() {
+                    self.pages.remove(&page);
+                }
+            }
+        }
+        self.touched.clear(&mut entry.pages);
+    }
+
+    /// Waits-for edges of the model into `out`, mirroring the lock table's
+    /// definition: each waiter waits for every conflicting holder and every
+    /// conflicting waiter queued ahead of it. `extra` injects a
+    /// hypothetical waiter at a page's queue tail (a rejected requester
+    /// that was never enqueued, reconstructed for cycle checks).
+    fn edges(&self, extra: Option<(PageId, TxnId, bool)>, out: &mut Vec<(TxnId, TxnId)>) {
+        out.clear();
+        for (page, pm) in &self.pages {
+            let tail = extra.filter(|&(p, ..)| p == *page).map(|(_, t, w)| (t, w));
+            let holders = self.locks.iter(pm.holders);
+            let queue = self.locks.iter(pm.queue).chain(tail);
+            for (i, (w, wmode)) in queue.clone().enumerate() {
+                for (h, hmode) in holders.clone() {
+                    if h != w && conflicts(wmode, hmode) {
+                        out.push((w, h));
+                    }
+                }
+                for (q, qmode) in queue.clone().take(i) {
+                    if q != w && conflicts(wmode, qmode) {
+                        out.push((w, q));
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn conflicts(w1: bool, w2: bool) -> bool {
     w1 || w2
+}
+
+/// Reused buffers of the waits-for cycle check.
+#[derive(Debug, Default)]
+struct CycleScratch {
+    edges: Vec<(TxnId, TxnId)>,
+    stack: Vec<TxnId>,
+    seen: Vec<TxnId>,
+}
+
+impl CycleScratch {
+    /// True when `who` lies on a cycle of the node's waits-for graph, with
+    /// `extra` injected as in [`NodeModel::edges`].
+    fn on_cycle(
+        &mut self,
+        nm: &NodeModel,
+        extra: Option<(PageId, TxnId, bool)>,
+        who: TxnId,
+    ) -> bool {
+        nm.edges(extra, &mut self.edges);
+        // Sorted, the edges out of a transaction are one run.
+        self.edges.sort_unstable();
+        self.stack.clear();
+        self.seen.clear();
+        self.stack.push(who);
+        while let Some(n) = self.stack.pop() {
+            let from = self.edges.partition_point(|&(a, _)| a < n);
+            for &(a, m) in &self.edges[from..] {
+                if a != n {
+                    break;
+                }
+                if m == who {
+                    return true;
+                }
+                if !self.seen.contains(&m) {
+                    self.seen.push(m);
+                    self.stack.push(m);
+                }
+            }
+        }
+        false
+    }
 }
 
 /// See module docs.
@@ -88,10 +236,9 @@ pub struct LockChecker {
     /// Strict FIFO grant order (no `lock_barging`). Barging only exists for
     /// the 2PL family; WW/WD lock tables are always strict.
     fifo_strict: bool,
-    nodes: FxHashMap<NodeId, NodeModel>,
-    /// Initial-startup timestamp per transaction (constant across runs),
-    /// learned from access events; the WW/WD priority currency.
-    ts: FxHashMap<TxnId, Ts>,
+    /// Indexed by node id.
+    nodes: Vec<NodeModel>,
+    scratch: CycleScratch,
 }
 
 impl LockChecker {
@@ -102,77 +249,16 @@ impl LockChecker {
         LockChecker {
             variant,
             fifo_strict: !barging_applies,
-            nodes: FxHashMap::default(),
-            ts: FxHashMap::default(),
+            nodes: Vec::new(),
+            scratch: CycleScratch::default(),
         }
     }
 
-    /// Waits-for edges of one node's model, mirroring the lock table's
-    /// definition: each waiter waits for every conflicting holder and every
-    /// conflicting waiter queued ahead of it. `extra` injects a hypothetical
-    /// waiter at a page's queue tail (a rejected requester that was never
-    /// enqueued, reconstructed for cycle checks).
-    fn edges(nm: &NodeModel, extra: Option<(PageId, TxnId, bool)>) -> Vec<(TxnId, TxnId)> {
-        let mut out = Vec::new();
-        for (page, pm) in &nm.pages {
-            let tail = match extra {
-                Some((p, t, w)) if p == *page => Some((t, w)),
-                _ => None,
-            };
-            let queue_len = pm.queue.len() + usize::from(tail.is_some());
-            for i in 0..queue_len {
-                let (w, wmode) = if i < pm.queue.len() {
-                    pm.queue[i]
-                } else {
-                    tail.unwrap()
-                };
-                for &(h, hmode) in &pm.holders {
-                    if h != w && conflicts(wmode, hmode) {
-                        out.push((w, h));
-                    }
-                }
-                for &(q, qmode) in pm.queue.iter().take(i) {
-                    if q != w && conflicts(wmode, qmode) {
-                        out.push((w, q));
-                    }
-                }
-            }
+    fn node(&mut self, node: NodeId) -> &mut NodeModel {
+        if node.0 >= self.nodes.len() {
+            self.nodes.resize_with(node.0 + 1, NodeModel::default);
         }
-        out
-    }
-
-    /// True when `who` lies on a waits-for cycle (reachable from itself).
-    fn on_cycle(edges: &[(TxnId, TxnId)], who: TxnId) -> bool {
-        let mut adj: FxHashMap<TxnId, Vec<TxnId>> = FxHashMap::default();
-        for &(a, b) in edges {
-            adj.entry(a).or_default().push(b);
-        }
-        let mut stack = vec![who];
-        let mut seen: Vec<TxnId> = Vec::new();
-        while let Some(n) = stack.pop() {
-            for &m in adj.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-                if m == who {
-                    return true;
-                }
-                if !seen.contains(&m) {
-                    seen.push(m);
-                    stack.push(m);
-                }
-            }
-        }
-        false
-    }
-
-    fn release(nm: &mut NodeModel, txn: TxnId) {
-        for page in nm.touched.remove(&txn).unwrap_or_default() {
-            if let Some(pm) = nm.pages.get_mut(&page) {
-                pm.holders.retain(|&(t, _)| t != txn);
-                pm.queue.retain(|&(t, _)| t != txn);
-                if pm.holders.is_empty() && pm.queue.is_empty() {
-                    nm.pages.remove(&page);
-                }
-            }
-        }
+        &mut self.nodes[node.0]
     }
 
     fn violation(
@@ -203,16 +289,20 @@ impl LockChecker {
         page: PageId,
         write: bool,
         reply: WitnessReply,
+        my_ts: Ts,
         out: &mut Vec<Violation>,
     ) {
         let variant = self.variant;
         let fifo_strict = self.fifo_strict;
-        let ts = &self.ts;
-        let nm = self.nodes.entry(node).or_default();
+        let nm = &mut self.nodes[node.0];
         match reply {
             WitnessReply::Granted => {
                 let pm = nm.pages.entry(page).or_default();
-                let held = pm.holders.iter().find(|&&(t, _)| t == txn).map(|&(_, w)| w);
+                let held = nm
+                    .locks
+                    .iter(pm.holders)
+                    .find(|&(t, _)| t == txn)
+                    .map(|(_, w)| w);
                 match held {
                     Some(prev) if prev || !write => {
                         // Re-grant of an already sufficient hold: no change.
@@ -221,7 +311,7 @@ impl LockChecker {
                         // Read-to-write upgrade. Simulated workloads never
                         // re-access a page, but mirror the table: the
                         // upgrade conflicts with every *other* holder.
-                        if pm.holders.iter().any(|&(t, _)| t != txn) {
+                        if nm.locks.iter(pm.holders).any(|(t, _)| t != txn) {
                             out.push(Self::violation(
                                 ViolationKind::ConflictingGrant,
                                 at,
@@ -231,17 +321,17 @@ impl LockChecker {
                                 "write upgrade granted beside another holder".into(),
                             ));
                         }
-                        for h in pm.holders.iter_mut() {
+                        nm.locks.for_each_mut(pm.holders, |h| {
                             if h.0 == txn {
                                 h.1 = true;
                             }
-                        }
+                        });
                     }
                     None => {
-                        if let Some(&(other, omode)) = pm
-                            .holders
-                            .iter()
-                            .find(|&&(t, m)| t != txn && conflicts(write, m))
+                        if let Some((other, omode)) = nm
+                            .locks
+                            .iter(pm.holders)
+                            .find(|&(t, m)| t != txn && conflicts(write, m))
                         {
                             out.push(Self::violation(
                                 ViolationKind::ConflictingGrant,
@@ -266,52 +356,46 @@ impl LockChecker {
                                 Some(page),
                                 format!(
                                     "fresh request granted past {} queued waiter(s)",
-                                    pm.queue.len()
+                                    nm.locks.iter(pm.queue).count()
                                 ),
                             ));
                         }
-                        pm.holders.push((txn, write));
-                        nm.touched.entry(txn).or_default().push(page);
+                        nm.locks.push(&mut pm.holders, (txn, write));
+                        nm.touch(txn, my_ts, page);
                     }
                 }
             }
             WitnessReply::Blocked => {
-                if variant == LockVariant::WaitDie {
-                    // Older waits: a blocked requester must have *no*
-                    // conflicting older transaction ahead of it, else the
-                    // manager should have killed it.
-                    if let Some(my_ts) = ts.get(&txn).copied() {
-                        let pm = nm.pages.entry(page).or_default();
-                        let older = pm.holders.iter().chain(pm.queue.iter()).find(|&&(t, m)| {
-                            t != txn
-                                && conflicts(write, m)
-                                && ts.get(&t).is_some_and(|o| o.older_than(my_ts))
-                        });
-                        if let Some(&(other, _)) = older {
-                            out.push(Self::violation(
-                                ViolationKind::WaitDiePriority,
-                                at,
-                                txn,
-                                node,
-                                Some(page),
-                                format!(
-                                    "blocked behind older conflicting txn {} (should have died)",
-                                    other.0
-                                ),
-                            ));
-                        }
+                // Older waits: a blocked requester must have *no*
+                // conflicting older transaction ahead of it, else the
+                // manager should have killed it.
+                let wait_die = variant == LockVariant::WaitDie;
+                if let Some(pm) = nm.pages.get(&page).filter(|_| wait_die) {
+                    let ahead = nm.locks.iter(pm.holders).chain(nm.locks.iter(pm.queue));
+                    if let Some((other, _)) = nm.older_conflict(ahead, txn, write, my_ts) {
+                        out.push(Self::violation(
+                            ViolationKind::WaitDiePriority,
+                            at,
+                            txn,
+                            node,
+                            Some(page),
+                            format!(
+                                "blocked behind older conflicting txn {} (should have died)",
+                                other.0
+                            ),
+                        ));
                     }
                 }
-                nm.pages.entry(page).or_default().queue.push((txn, write));
-                nm.touched.entry(txn).or_default().push(page);
+                let pm = nm.pages.entry(page).or_default();
+                nm.locks.push(&mut pm.queue, (txn, write));
+                nm.touch(txn, my_ts, page);
             }
             WitnessReply::Rejected => {
                 match variant {
                     LockVariant::TwoPl => {
                         // Local detection names the requester as its own
                         // victim only when queueing it would close a cycle.
-                        let edges = Self::edges(nm, Some((page, txn, write)));
-                        if !Self::on_cycle(&edges, txn) {
+                        if !self.scratch.on_cycle(nm, Some((page, txn, write)), txn) {
                             out.push(Self::violation(
                                 ViolationKind::VictimNotOnCycle,
                                 at,
@@ -345,15 +429,9 @@ impl LockChecker {
                     LockVariant::WaitDie => {
                         // Younger dies: there must be a conflicting older
                         // transaction already at the page.
-                        let my_ts = ts.get(&txn).copied();
-                        let sanctioned = my_ts.is_some_and(|mine| {
-                            nm.pages.get(&page).is_some_and(|pm| {
-                                pm.holders.iter().chain(pm.queue.iter()).any(|&(t, m)| {
-                                    t != txn
-                                        && conflicts(write, m)
-                                        && ts.get(&t).is_some_and(|o| o.older_than(mine))
-                                })
-                            })
+                        let sanctioned = nm.pages.get(&page).is_some_and(|pm| {
+                            let present = nm.locks.iter(pm.holders).chain(nm.locks.iter(pm.queue));
+                            nm.older_conflict(present, txn, write, my_ts).is_some()
                         });
                         if !sanctioned {
                             out.push(Self::violation(
@@ -391,8 +469,7 @@ impl LockChecker {
         out: &mut Vec<Violation>,
     ) {
         let variant = self.variant;
-        let ts = &self.ts;
-        let nm = self.nodes.entry(node).or_default();
+        let nm = &self.nodes[node.0];
         match variant {
             LockVariant::TwoPl => {
                 // Detection-time bystander victim: must lie on a waits-for
@@ -403,8 +480,7 @@ impl LockChecker {
                 let extra = nm.last_access.and_then(|la| {
                     (la.reply == WitnessReply::Rejected).then_some((la.page, la.txn, la.write))
                 });
-                let edges = Self::edges(nm, extra);
-                if !Self::on_cycle(&edges, victim) {
+                if !self.scratch.on_cycle(nm, extra, victim) {
                     out.push(Self::violation(
                         ViolationKind::VictimNotOnCycle,
                         at,
@@ -453,10 +529,10 @@ impl LockChecker {
                         }
                         if let Some(la) = nm.last_access.filter(|la| la.txn == req) {
                             let conflicting = nm.pages.get(&la.page).is_some_and(|pm| {
-                                pm.holders
-                                    .iter()
-                                    .chain(pm.queue.iter())
-                                    .any(|&(t, m)| t == victim && conflicts(la.write, m))
+                                nm.locks
+                                    .iter(pm.holders)
+                                    .chain(nm.locks.iter(pm.queue))
+                                    .any(|(t, m)| t == victim && conflicts(la.write, m))
                             });
                             if !conflicting {
                                 out.push(Self::violation(
@@ -475,21 +551,20 @@ impl LockChecker {
                         // Release-time re-wound: some older waiter must
                         // conflict with the victim ahead of it.
                         let sanctioned = nm.pages.values().any(|pm| {
-                            pm.queue.iter().enumerate().any(|(i, &(w, wmode))| {
-                                let w_older =
-                                    ts.get(&w).is_some_and(|wts| wts.older_than(victim_ts));
+                            let queue = nm.locks.iter(pm.queue);
+                            queue.clone().enumerate().any(|(i, (w, wmode))| {
+                                let w_older = nm.ts(w).is_some_and(|wts| wts.older_than(victim_ts));
                                 if w == victim || !w_older {
                                     return false;
                                 }
-                                let victim_holds = pm
-                                    .holders
-                                    .iter()
-                                    .any(|&(t, m)| t == victim && conflicts(wmode, m));
-                                let victim_ahead = pm
-                                    .queue
-                                    .iter()
+                                let victim_holds = nm
+                                    .locks
+                                    .iter(pm.holders)
+                                    .any(|(t, m)| t == victim && conflicts(wmode, m));
+                                let victim_ahead = queue
+                                    .clone()
                                     .take(i)
-                                    .any(|&(t, m)| t == victim && conflicts(wmode, m));
+                                    .any(|(t, m)| t == victim && conflicts(wmode, m));
                                 victim_holds || victim_ahead
                             })
                         });
@@ -521,20 +596,22 @@ impl LockChecker {
                 initial_ts,
                 ..
             } => {
-                self.ts.insert(txn, initial_ts);
-                self.observe_access(at, txn, node, page, write, reply, out);
+                self.node(node);
+                self.observe_access(at, txn, node, page, write, reply, initial_ts, out);
             }
             WitnessEvent::Grant {
                 txn,
                 node,
                 page,
                 write,
+                initial_ts,
                 ..
             } => {
                 let fifo_strict = self.fifo_strict;
-                let nm = self.nodes.entry(node).or_default();
+                let nm = self.node(node);
                 let pm = nm.pages.entry(page).or_default();
-                match pm.queue.iter().position(|&(t, _)| t == txn) {
+                let queued = nm.locks.iter(pm.queue).position(|(t, _)| t == txn);
+                match queued {
                     None => {
                         out.push(Self::violation(
                             ViolationKind::NonFifoGrant,
@@ -556,13 +633,13 @@ impl LockChecker {
                                 format!("granted from queue position {pos} (FIFO head expected)"),
                             ));
                         }
-                        pm.queue.remove(pos);
+                        nm.locks.remove(&mut pm.queue, pos);
                     }
                 }
-                if let Some(&(other, omode)) = pm
-                    .holders
-                    .iter()
-                    .find(|&&(t, m)| t != txn && conflicts(write, m))
+                if let Some((other, omode)) = nm
+                    .locks
+                    .iter(pm.holders)
+                    .find(|&(t, m)| t != txn && conflicts(write, m))
                 {
                     out.push(Self::violation(
                         ViolationKind::ConflictingGrant,
@@ -578,34 +655,33 @@ impl LockChecker {
                         ),
                     ));
                 }
-                if !pm.holders.iter().any(|&(t, _)| t == txn) {
-                    pm.holders.push((txn, write));
-                    nm.touched.entry(txn).or_default().push(page);
+                if !nm.locks.iter(pm.holders).any(|(t, _)| t == txn) {
+                    nm.locks.push(&mut pm.holders, (txn, write));
+                    nm.touch(txn, initial_ts, page);
                 }
             }
             WitnessEvent::Reject {
                 txn, node, page, ..
             } => {
                 let variant = self.variant;
-                let ts = &self.ts;
-                let nm = self.nodes.entry(node).or_default();
-                let pm = nm.pages.entry(page).or_default();
-                let my_pos = pm.queue.iter().position(|&(t, _)| t == txn);
+                let nm = self.node(node);
+                let pm = nm.pages.get(&page).copied().unwrap_or_default();
+                let mine = nm
+                    .locks
+                    .iter(pm.queue)
+                    .enumerate()
+                    .find(|&(_, (t, _))| t == txn);
                 match variant {
                     LockVariant::WaitDie => {
                         // Release-time re-evaluation kills a waiter only if
                         // a conflicting older transaction is still ahead.
-                        let sanctioned = match (my_pos, ts.get(&txn).copied()) {
-                            (Some(pos), Some(mine)) => {
-                                let my_mode = pm.queue[pos].1;
-                                pm.holders
-                                    .iter()
-                                    .chain(pm.queue.iter().take(pos))
-                                    .any(|&(t, m)| {
-                                        t != txn
-                                            && conflicts(my_mode, m)
-                                            && ts.get(&t).is_some_and(|o| o.older_than(mine))
-                                    })
+                        let sanctioned = match (mine, nm.ts(txn)) {
+                            (Some((pos, (_, my_mode))), Some(my_ts)) => {
+                                let ahead = nm
+                                    .locks
+                                    .iter(pm.holders)
+                                    .chain(nm.locks.iter(pm.queue).take(pos));
+                                nm.older_conflict(ahead, txn, my_mode, my_ts).is_some()
                             }
                             _ => false,
                         };
@@ -631,8 +707,9 @@ impl LockChecker {
                         ));
                     }
                 }
-                if let Some(pos) = my_pos {
-                    pm.queue.remove(pos);
+                if let Some((pos, _)) = mine {
+                    let pm = nm.pages.get_mut(&page).expect("the waiter's page is busy");
+                    nm.locks.remove(&mut pm.queue, pos);
                 }
             }
             WitnessEvent::Wound {
@@ -642,7 +719,7 @@ impl LockChecker {
                 requester_initial_ts,
                 node,
             } => {
-                self.ts.insert(victim, victim_initial_ts);
+                self.node(node);
                 self.observe_wound(
                     at,
                     victim,
@@ -654,12 +731,14 @@ impl LockChecker {
                 );
             }
             WitnessEvent::Release { txn, node, .. } => {
-                if let Some(nm) = self.nodes.get_mut(&node) {
-                    Self::release(nm, txn);
+                if let Some(nm) = self.nodes.get_mut(node.0) {
+                    nm.release(txn);
                 }
             }
             WitnessEvent::NodeCrash { node } => {
-                self.nodes.remove(&node);
+                if let Some(nm) = self.nodes.get_mut(node.0) {
+                    *nm = NodeModel::default();
+                }
             }
             _ => {}
         }
@@ -727,11 +806,12 @@ mod tests {
 
     /// The node model's pages, sorted.
     fn state(c: &LockChecker) -> Vec<Row> {
-        let ids = |v: &[(TxnId, bool)]| v.iter().map(|&(t, w)| (t.0, w)).collect();
-        let mut rows: Vec<_> = c.nodes[&N]
+        let nm = &c.nodes[N.0];
+        let ids = |list| nm.locks.iter(list).map(|(t, w): Lock| (t.0, w)).collect();
+        let mut rows: Vec<_> = nm
             .pages
             .iter()
-            .map(|(p, pm)| (p.page, ids(&pm.holders), ids(&pm.queue)))
+            .map(|(p, pm)| (p.page, ids(pm.holders), ids(pm.queue)))
             .collect();
         rows.sort();
         rows
@@ -756,10 +836,30 @@ mod tests {
             state(&c),
             vec![(0, vec![], vec![(2, false)]), (2, vec![(2, false)], vec![])]
         );
-        assert!(!c.nodes[&N].touched.contains_key(&TxnId(1)));
+        assert!(!c.nodes[N.0].txns.contains_key(&TxnId(1)));
         feed(&mut c, &[release(2, N)]);
         assert!(state(&c).is_empty());
-        assert!(c.nodes[&N].touched.is_empty());
+        assert!(c.nodes[N.0].txns.is_empty());
+    }
+
+    #[test]
+    fn released_locks_reuse_their_links() {
+        let mut c = LockChecker::new(LockVariant::TwoPl, false);
+        for txn in 1..=100 {
+            let out = feed(
+                &mut c,
+                &[
+                    access(txn, txn % 7, true, WitnessReply::Granted),
+                    access(txn, (txn + 1) % 7, false, WitnessReply::Granted),
+                    release(txn, N),
+                ],
+            );
+            assert!(out.is_empty(), "{out:?}");
+        }
+        let nm = &c.nodes[N.0];
+        assert!(nm.pages.is_empty() && nm.txns.is_empty());
+        // Two locks were held at once at most.
+        assert_eq!((nm.locks.capacity(), nm.touched.capacity()), (2, 2));
     }
 
     #[test]
@@ -771,7 +871,7 @@ mod tests {
         assert_eq!(state(&c), vec![(3, vec![(1, true)], vec![])]);
         feed(&mut c, &[release(1, N)]);
         assert!(state(&c).is_empty());
-        assert!(c.nodes[&N].touched.is_empty());
+        assert!(c.nodes[N.0].txns.is_empty());
     }
 
     #[test]
@@ -795,7 +895,7 @@ mod tests {
         assert_eq!(state(&c), vec![(0, vec![(1, true)], vec![])]);
         feed(&mut c, &[release(1, N)]);
         assert!(state(&c).is_empty());
-        assert!(c.nodes[&N].touched.is_empty());
+        assert!(c.nodes[N.0].txns.is_empty());
     }
 
     #[test]
@@ -813,6 +913,7 @@ mod tests {
             ],
         );
         assert!(out.is_empty(), "{out:?}");
-        assert!(c.nodes.is_empty());
+        assert!(state(&c).is_empty());
+        assert!(c.nodes.iter().all(|nm| nm.txns.is_empty()));
     }
 }

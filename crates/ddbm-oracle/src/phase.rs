@@ -70,6 +70,7 @@ impl PhaseTracker {
             .is_some_and(|s| s.released.contains(&node))
     }
 
+    /// The record of `(txn, run)`, created empty on first sight.
     fn state(&mut self, txn: TxnId, run: RunId) -> &mut RunState {
         let spare = &mut self.spare;
         self.runs
@@ -77,14 +78,12 @@ impl PhaseTracker {
             .or_insert_with(|| spare.pop().unwrap_or_default())
     }
 
-    /// Drop a run's record, keeping its buffers.
-    fn drop_run(&mut self, txn: TxnId, run: RunId) {
-        if let Some(mut s) = self.runs.remove(&(txn, run)) {
-            s.phase = None;
-            s.released.clear();
-            s.failed_certify.clear();
-            self.spare.push(s);
-        }
+    /// Keep a dropped record's buffers for reuse.
+    fn recycle(&mut self, mut s: RunState) {
+        s.phase = None;
+        s.released.clear();
+        s.failed_certify.clear();
+        self.spare.push(s);
     }
 
     fn check_transition(
@@ -95,11 +94,21 @@ impl PhaseTracker {
         phase: TxnPhase,
         out: &mut Vec<Violation>,
     ) {
-        let prev = self.phase(txn, run);
+        // A restart's `Executing` is the last reader of the aborted run's
+        // record, so it takes the record out.
+        let prior = (phase == TxnPhase::Executing && run > 1)
+            .then(|| self.runs.remove(&(txn, run - 1)))
+            .flatten();
+        let prior_phase = prior.as_ref().and_then(|s| s.phase);
+        if let Some(s) = prior {
+            self.recycle(s);
+        }
+        let state = self.state(txn, run);
+        let prev = state.phase;
+        state.phase = Some(phase);
         let ok = match phase {
             TxnPhase::Executing => {
-                prev.is_none()
-                    && (run == 1 || self.phase(txn, run - 1) == Some(TxnPhase::WaitingRestart))
+                prev.is_none() && (run == 1 || prior_phase == Some(TxnPhase::WaitingRestart))
             }
             TxnPhase::Preparing => prev == Some(TxnPhase::Executing),
             TxnPhase::Committing | TxnPhase::AbortingVote => prev == Some(TxnPhase::Preparing),
@@ -123,16 +132,14 @@ impl PhaseTracker {
                 detail: format!("run {run} entered {phase:?} from {prev:?}"),
             });
         }
-        self.state(txn, run).phase = Some(phase);
-        if phase == TxnPhase::Executing && run > 1 {
-            self.drop_run(txn, run - 1);
-        }
     }
 
     /// Feed one witnessed event through the tracker, reporting phase-level
     /// violations. Call this for *every* event, before the algorithm
     /// checker sees it. `faults` relaxes the certify→commit check, whose
     /// bookkeeping a crash legitimately destroys.
+    ///
+    /// Each event fetches its run's record once.
     pub fn observe(
         &mut self,
         at: SimTime,
@@ -155,7 +162,8 @@ impl PhaseTracker {
                 // Cohorts issue requests only while executing; an abort
                 // decided at the coordinator may still be in flight toward
                 // the node, so Aborting is legitimate too.
-                let phase = self.phase(txn, run);
+                let state = self.runs.get(&(txn, run));
+                let phase = state.and_then(|s| s.phase);
                 if !matches!(phase, Some(TxnPhase::Executing) | Some(TxnPhase::Aborting)) {
                     out.push(Violation {
                         kind: ViolationKind::GrantOutsidePhase,
@@ -166,7 +174,7 @@ impl PhaseTracker {
                         detail: format!("access request ({reply:?}) while in {phase:?}"),
                     });
                 }
-                if self.is_released(txn, run, node) {
+                if state.is_some_and(|s| s.released.contains(&node)) {
                     out.push(Violation {
                         kind: ViolationKind::GrantAfterRelease,
                         at,
@@ -188,7 +196,8 @@ impl PhaseTracker {
                 // decided to abort it (the wake is dropped downstream), so
                 // Aborting grants are benign; anything at or past the
                 // commit point is not.
-                let phase = self.phase(txn, run);
+                let state = self.runs.get(&(txn, run));
+                let phase = state.and_then(|s| s.phase);
                 if !matches!(phase, Some(TxnPhase::Executing) | Some(TxnPhase::Aborting)) {
                     out.push(Violation {
                         kind: ViolationKind::GrantOutsidePhase,
@@ -199,7 +208,7 @@ impl PhaseTracker {
                         detail: format!("lock granted while in {phase:?}"),
                     });
                 }
-                if self.is_released(txn, run, node) {
+                if state.is_some_and(|s| s.released.contains(&node)) {
                     out.push(Violation {
                         kind: ViolationKind::GrantAfterRelease,
                         at,
@@ -224,10 +233,12 @@ impl PhaseTracker {
                 node,
                 commit,
             } => {
-                if self.is_released(txn, run, node) {
+                let state = self.state(txn, run);
+                if state.released.contains(&node) {
                     return; // duplicate release: first one was checked
                 }
-                let phase = self.phase(txn, run);
+                state.released.push(node);
+                let phase = state.phase;
                 let ok = if commit {
                     // The two-phase/strictness rule: a commit release is
                     // legal only after the coordinator's commit point.
@@ -251,10 +262,11 @@ impl PhaseTracker {
                         ),
                     });
                 }
-                self.state(txn, run).released.push(node);
             }
             WitnessEvent::Committed { txn, run, .. } => {
-                let phase = self.phase(txn, run);
+                // The run's last event: its record goes.
+                let state = self.runs.remove(&(txn, run));
+                let phase = state.as_ref().and_then(|s| s.phase);
                 if phase != Some(TxnPhase::Committing) {
                     out.push(Violation {
                         kind: ViolationKind::PhaseOrder,
@@ -265,7 +277,7 @@ impl PhaseTracker {
                         detail: format!("committed from {phase:?} (never reached Committing)"),
                     });
                 }
-                if let Some(s) = self.runs.get(&(txn, run)) {
+                if let Some(s) = state {
                     for &(node, crashes_then) in &s.failed_certify {
                         let crashes_now = self.crash_counts.get(&node).copied().unwrap_or(0);
                         // A crash rebuilds the manager and the cohort is
@@ -281,8 +293,8 @@ impl PhaseTracker {
                             });
                         }
                     }
+                    self.recycle(s);
                 }
-                self.drop_run(txn, run);
             }
             WitnessEvent::NodeCrash { node } => {
                 *self.crash_counts.entry(node).or_insert(0) += 1;

@@ -15,20 +15,30 @@
 //! replicas), which this stream-level witness cannot distinguish from the
 //! defect.
 
+use crate::lists::{List, Lists};
 use crate::violation::{Violation, ViolationKind};
 use crate::WitnessEvent;
 use ddbm_config::{NodeId, PageId, ReplicaControl, ReplicationParams, TxnId};
 use ddbm_core::protocol::RunId;
-use denet::{FxHashMap, FxHashSet, SimTime};
+use denet::{FxHashMap, SimTime};
 
 type Run = (TxnId, RunId);
 
 /// Counts distinct install nodes per (run, page) and flags committed runs
 /// whose write sets fall short of the replica control's requirement.
+///
+/// Each run in flight keeps one list of the `(page, node)` copies it
+/// installed, in an arena shared by all runs; at the run's `Committed`
+/// event the list is sorted and deduplicated in a reused buffer and its
+/// links go back to the arena, so the checker's buffers follow the runs
+/// committing at once and, once grown, no event allocates.
 #[derive(Debug)]
 pub struct ReplicaChecker {
-    /// Distinct nodes at which each run installed each page.
-    installs: FxHashMap<Run, FxHashMap<PageId, FxHashSet<NodeId>>>,
+    /// The copies each run in flight installed (a copy may repeat).
+    installs: FxHashMap<Run, List>,
+    copies: Lists<(PageId, NodeId)>,
+    /// Scratch: one committed run's copies, sorted.
+    sorted: Vec<(PageId, NodeId)>,
     /// Replicas every committed write must reach.
     required: usize,
 }
@@ -43,6 +53,8 @@ impl ReplicaChecker {
         };
         ReplicaChecker {
             installs: FxHashMap::default(),
+            copies: Lists::default(),
+            sorted: Vec::new(),
             required,
         }
     }
@@ -57,38 +69,37 @@ impl ReplicaChecker {
                 page,
                 ..
             } => {
-                self.installs
-                    .entry((txn, run))
-                    .or_default()
-                    .entry(page)
-                    .or_default()
-                    .insert(node);
+                let list = self.installs.entry((txn, run)).or_default();
+                self.copies.push(list, (page, node));
             }
             WitnessEvent::Committed { txn, run, .. } => {
                 // Installs are only counted up to the run's commit, so its
                 // entry can go: the map holds only runs still in flight.
-                let Some(pages) = self.installs.remove(&(txn, run)) else {
+                let Some(mut list) = self.installs.remove(&(txn, run)) else {
                     return; // read-only transaction
                 };
-                let mut short: Vec<(PageId, usize)> = pages
-                    .iter()
-                    .filter(|(_, nodes)| nodes.len() < self.required)
-                    .map(|(&p, nodes)| (p, nodes.len()))
-                    .collect();
-                short.sort_by_key(|(p, _)| (p.file.0, p.page));
-                for (page, got) in short {
-                    out.push(Violation {
-                        kind: ViolationKind::UnderReplicatedWrite,
-                        at,
-                        txn: Some(txn),
-                        node: None,
-                        page: Some(page),
-                        detail: format!(
-                            "committed write installed at {got} replica(s), \
-                             replica control requires {}",
-                            self.required
-                        ),
-                    });
+                self.sorted.clear();
+                self.sorted.extend(self.copies.iter(list));
+                self.copies.clear(&mut list);
+                self.sorted.sort_unstable();
+                self.sorted.dedup();
+                // One run of equal pages per written page, in page order.
+                for copies in self.sorted.chunk_by(|a, b| a.0 == b.0) {
+                    let got = copies.len();
+                    if got < self.required {
+                        out.push(Violation {
+                            kind: ViolationKind::UnderReplicatedWrite,
+                            at,
+                            txn: Some(txn),
+                            node: None,
+                            page: Some(copies[0].0),
+                            detail: format!(
+                                "committed write installed at {got} replica(s), \
+                                 replica control requires {}",
+                                self.required
+                            ),
+                        });
+                    }
                 }
             }
             _ => {}
@@ -152,6 +163,37 @@ mod tests {
         assert_eq!(out[0].kind, ViolationKind::UnderReplicatedWrite);
         assert_eq!(out[0].page, Some(page(4)));
         assert!(out[0].detail.contains("2 replica(s)"));
+    }
+
+    #[test]
+    fn repeated_installs_count_once_and_short_pages_report_in_page_order() {
+        let mut c = ReplicaChecker::new(&ReplicationParams::rowa(3));
+        let mut out = Vec::new();
+        for (node, p) in [
+            (2, 9),
+            (1, 4),
+            (1, 4),
+            (2, 4),
+            (3, 1),
+            (2, 1),
+            (1, 1),
+            (2, 9),
+        ] {
+            c.observe(SimTime(1), &install(7, node, p), &mut out);
+        }
+        c.observe(SimTime(2), &committed(7), &mut out);
+        let short: Vec<_> = out.iter().map(|v| (v.page, v.detail.clone())).collect();
+        assert_eq!(short.len(), 2, "{out:?}");
+        assert_eq!(short[0].0, Some(page(4)));
+        assert!(short[0].1.contains("2 replica(s)"));
+        assert_eq!(short[1].0, Some(page(9)));
+        assert!(short[1].1.contains("1 replica(s)"));
+        // The run's list went back: a second run starts from nothing.
+        out.clear();
+        c.observe(SimTime(3), &install(8, 1, 4), &mut out);
+        c.observe(SimTime(4), &committed(8), &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(out[0].detail.contains("1 replica(s)"));
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! A run's reads and installs live in two places over its life:
 //! * **while the run is live**, its reads (with the full version read, for
 //!   the quorum-read collapse) and its deduplicated installed pages sit in
-//!   a pending entry;
+//!   two lists of a pending entry, whose links every live run shares in two
+//!   arenas;
 //! * **at its `Committed` event** they move into two flat logs, reads as
 //!   `(reader, page, writer)` and installs as `(page, writer)`, 12 and 8
-//!   bytes an entry, and the pending entry's buffers are reused.
+//!   bytes an entry, and the lists' links go back to the arenas.
 //!
 //! When the coordinator aborts a run (`Aborting` or `AbortingVote`), its
 //! pending entry is dropped and later reads by it are ignored: an aborted
@@ -42,6 +43,7 @@
 //! position) groups each page's writers.
 
 use crate::dense::{copy_key, copy_page, DensePages, PageIx};
+use crate::lists::{List, Lists};
 use ddbm_cc::Ts;
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
@@ -136,16 +138,22 @@ enum Fate {
     Aborted,
 }
 
+/// A live run's read: the page and the version read (`None` = initial).
+type Read = (PageIx, Option<Version>);
+
 /// What a live run has done so far.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct Pending {
-    /// (page, version read; `None` = initial). A replicated (quorum) read
+    /// Its reads, in [`VsrCollector::reads`]. A replicated (quorum) read
     /// observes several replicas and returns the newest version among
     /// them, so repeat observations of one page keep only the newest.
-    reads: Vec<(PageIx, Option<Version>)>,
-    /// Installed pages, deduplicated: replicated installs repeat the page
-    /// once per written replica.
-    installs: Vec<PageIx>,
+    reads: List,
+    /// Bit `page % 64` is set for every page in `reads`: a clear bit
+    /// proves a page unread without walking the list.
+    read_pages: u64,
+    /// Installed pages, deduplicated, in [`VsrCollector::installs`]:
+    /// replicated installs repeat the page once per written replica.
+    installs: List,
     /// Stream position of the first install (`0` = none), and the
     /// timestamps of the latest: the order of a run truncated mid-commit.
     first_install: u64,
@@ -171,8 +179,10 @@ pub struct VsrCollector {
     current: FxHashMap<u64, Version>,
     /// Reads and installs of runs not yet committed.
     live: FxHashMap<RunIx, Pending>,
-    /// Emptied pending entries, kept for their buffers.
-    spare: Vec<Pending>,
+    /// The live runs' reads.
+    reads: Lists<Read>,
+    /// The live runs' installed pages.
+    installs: Lists<PageIx>,
     /// Reads-from of committed runs: (reader, page, writer or `NONE`).
     read_log: Vec<(RunIx, PageIx, RunIx)>,
     /// Pages installed by committed runs: (page, writer).
@@ -191,7 +201,8 @@ impl VsrCollector {
             committed: Vec::new(),
             current: FxHashMap::default(),
             live: FxHashMap::default(),
-            spare: Vec::new(),
+            reads: Lists::default(),
+            installs: Lists::default(),
             read_log: Vec::new(),
             install_log: Vec::new(),
             seq: 0,
@@ -211,37 +222,29 @@ impl VsrCollector {
         id
     }
 
-    fn pending(&mut self, id: RunIx) -> &mut Pending {
-        let spare = &mut self.spare;
-        self.live
-            .entry(id)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-    }
-
-    /// Drop the run's pending entry, keeping its buffers.
+    /// Drop the run's pending entry.
     fn discard(&mut self, id: RunIx) {
         if let Some(p) = self.live.remove(&id) {
             self.recycle(p);
         }
     }
 
+    /// Hand a dropped entry's links back to the arenas.
     fn recycle(&mut self, mut p: Pending) {
-        p.reads.clear();
-        p.installs.clear();
-        p.first_install = 0;
-        self.spare.push(p);
+        self.reads.clear(&mut p.reads);
+        self.installs.clear(&mut p.installs);
     }
 
     /// Move the run's pending reads and installs into the flat logs.
     fn flush(&mut self, id: RunIx) {
         if let Some(p) = self.live.remove(&id) {
             self.read_log.extend(
-                p.reads
-                    .iter()
-                    .map(|&(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
+                self.reads
+                    .iter(p.reads)
+                    .map(|(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
             );
             self.install_log
-                .extend(p.installs.iter().map(|&page| (page, id)));
+                .extend(self.installs.iter(p.installs).map(|page| (page, id)));
             self.recycle(p);
         }
     }
@@ -253,12 +256,21 @@ impl VsrCollector {
         }
         let page = self.pages.ix(page);
         let obs = self.current.get(&copy_key(node, page)).copied();
-        let list = &mut self.pending(id).reads;
+        let pending = self.live.entry(id).or_default();
+        let bit = 1u64 << (page % 64);
+        let seen = pending.read_pages & bit != 0;
+        pending.read_pages |= bit;
+        let list = &mut pending.reads;
         // One-copy collapse: a quorum read touches several replicas and
         // returns the newest version it saw, so a repeat observation of the
         // same page by the same run only replaces a strictly older one.
         // Single-copy runs never observe a page twice per run.
-        match list.iter_mut().find(|(p, _)| *p == page) {
+        let found = if seen {
+            self.reads.find_mut(*list, |(p, _)| *p == page)
+        } else {
+            None
+        };
+        match found {
             Some((_, existing)) => {
                 let better = match (&existing, &obs) {
                     (None, Some(_)) => true,
@@ -269,7 +281,7 @@ impl VsrCollector {
                     *existing = obs;
                 }
             }
-            None => list.push((page, obs)),
+            None => self.reads.push(list, (page, obs)),
         }
     }
 
@@ -327,14 +339,14 @@ impl VsrCollector {
                     self.current.insert(slot, candidate);
                 }
                 let seq = self.seq;
-                let p = self.pending(id);
+                let p = self.live.entry(id).or_default();
                 if p.first_install == 0 {
                     p.first_install = seq;
                 }
                 p.run_ts = run_ts;
                 p.commit_ts = commit_ts;
-                if !p.installs.contains(&page) {
-                    p.installs.push(page);
+                if !self.installs.iter(p.installs).any(|p| p == page) {
+                    self.installs.push(&mut p.installs, page);
                 }
             }
             WitnessEvent::Committed {

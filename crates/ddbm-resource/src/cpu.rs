@@ -90,15 +90,23 @@ impl PartialOrd for PsEntry {
     }
 }
 
+impl PsEntry {
+    /// `(finish, seq)` as one integer: the tag's bits above the sequence.
+    /// Finish tags are positive and finite, and for such floats the bit
+    /// pattern orders exactly as the value does, so one integer compare
+    /// replaces `f64::total_cmp` and its tie-break.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.finish.to_bits()) << 64) | u128::from(self.seq)
+    }
+}
+
 impl Ord for PsEntry {
     /// Reversed `(finish, seq)`, so the max-heap's top is the earliest
     /// finish tag, FIFO within a tag.
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .finish
-            .total_cmp(&self.finish)
-            .then(other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -300,11 +308,12 @@ impl<T> Cpu<T> {
                 (self.tags.len() - 1) as u32
             }
         };
-        self.heap.push(PsEntry {
-            finish: self.v + instructions,
-            seq,
-            slot,
-        });
+        let finish = self.v + instructions;
+        debug_assert!(
+            finish.is_finite() && finish.is_sign_positive(),
+            "finish tag {finish} is not a positive finite float"
+        );
+        self.heap.push(PsEntry { finish, seq, slot });
         self.busy.set_busy(now, true);
         None
     }
@@ -608,6 +617,31 @@ mod tests {
             "heap grew to capacity {} for 1 concurrent job",
             cpu.heap.capacity()
         );
+    }
+
+    mod key_order {
+        use super::PsEntry;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The integer key orders entries exactly as `f64::total_cmp`
+            /// on the finish tag followed by the arrival sequence, for the
+            /// non-negative finite tags a processor-shared job carries,
+            /// from subnormal to huge, with ties forced half the time.
+            #[test]
+            fn integer_key_orders_as_total_cmp_then_seq(
+                a in (0.0f64..1e15, 0u64..4),
+                b in (0.0f64..1e15, 0u64..4),
+                scale in prop_oneof![Just(1.0f64), Just(1e-310), Just(1e290)],
+                tie in any::<bool>(),
+            ) {
+                let entry = |finish: f64, seq| PsEntry { finish: finish * scale, seq, slot: 0 };
+                let x = entry(a.0, a.1);
+                let y = entry(if tie { a.0 } else { b.0 }, b.1);
+                let by_float = y.finish.total_cmp(&x.finish).then(y.seq.cmp(&x.seq));
+                prop_assert_eq!(x.cmp(&y), by_float);
+            }
+        }
     }
 
     #[test]
