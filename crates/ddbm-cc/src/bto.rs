@@ -18,65 +18,48 @@
 //! [`TxnMeta`]); with its original timestamp a restarted transaction would
 //! find the same accesses out of order and abort forever.
 
-use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
+use crate::common::{push_item, remove_item, AccessResponse, ReleaseResponse, Ts, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageBuffers, PageId, PageMap, Spares, TxnId};
+use ddbm_config::{Algorithm, PageId, PageTable, TxnId};
+use denet::{FxHashMap, List, Lists};
 
-#[derive(Debug, Default)]
+/// A waiting access: its timestamp and transaction.
+type Wait = (Ts, TxnId);
+
+#[derive(Debug, Default, Clone, Copy)]
 struct PageState {
     rts: Ts,
     wts: Ts,
-    /// The page's waiting accesses, boxed: `None` while both lists are
-    /// empty, which is most pages most of the time.
-    lists: Option<Box<Lists>>,
-}
-
-#[derive(Debug)]
-struct Lists {
-    /// Granted-but-uncommitted writes, kept sorted by timestamp.
-    pending_writes: Vec<(Ts, TxnId)>,
+    /// Granted-but-uncommitted writes, sorted by timestamp.
+    pending: List,
     /// Reads blocked behind smaller-timestamped pending writes, FIFO.
-    blocked_reads: Vec<(Ts, TxnId)>,
-}
-
-impl Lists {
-    fn min_pending_below(&self, ts: Ts) -> bool {
-        // `pending_writes` is kept sorted by timestamp, so the smallest is
-        // the front.
-        self.pending_writes.first().is_some_and(|(w, _)| *w < ts)
-    }
-}
-
-impl PageBuffers for Lists {
-    /// Room for the first pending writes; reads block only under
-    /// contention.
-    fn stocked() -> Self {
-        Lists {
-            pending_writes: Vec::with_capacity(4),
-            blocked_reads: Vec::new(),
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending_writes.is_empty() && self.blocked_reads.is_empty()
-    }
+    blocked: List,
 }
 
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct BasicTimestampOrdering {
     /// Per-page state. `rts`/`wts` are high-water marks and stay once a
-    /// page is touched; its lists go back to `spare` when both empty.
-    pages: PageMap<PageState>,
-    /// Lists of pages that went idle, buffers kept, for the next page that
-    /// needs one.
-    spare: Spares<Lists>,
-    /// Pages each transaction has pending writes on, with the write ts.
-    txn_writes: TxnLists<(PageId, Ts)>,
+    /// page is touched; its lists are empty while no access waits there.
+    pages: PageTable<PageState>,
+    /// Every page's pending writes and blocked reads.
+    waits: Lists<Wait>,
+    /// Pages each transaction has pending writes on.
+    txn_writes: FxHashMap<TxnId, List>,
     /// Pages each transaction has a blocked read on.
-    txn_blocked: TxnLists<PageId>,
+    txn_blocked: FxHashMap<TxnId, List>,
+    /// The pages of `txn_writes` and `txn_blocked`.
+    txn_pages: Lists<PageId>,
     /// Scratch for the pages a finishing transaction touched.
     touched_scratch: Vec<PageId>,
+    /// The most accesses one transaction makes here (see `preallocate`).
+    max_txn_accesses: usize,
+}
+
+/// True when `pending` holds a write older than `ts` (it is sorted, so the
+/// smallest is the front).
+fn min_pending_below(waits: &Lists<Wait>, pending: List, ts: Ts) -> bool {
+    waits.iter(pending).next().is_some_and(|(w, _)| w < ts)
 }
 
 impl BasicTimestampOrdering {
@@ -91,58 +74,58 @@ impl BasicTimestampOrdering {
         let Some(state) = self.pages.get_mut(page) else {
             return;
         };
-        let Some(lists) = &mut state.lists else {
-            return;
-        };
-        let mut i = 0;
-        while i < lists.blocked_reads.len() {
-            let (r_ts, r_txn) = lists.blocked_reads[i];
-            if r_ts < state.wts {
+        let (wts, rts) = (state.wts, &mut state.rts);
+        // The pending writes stay put while the reads wake.
+        let min_pending = self.waits.iter(state.pending).next().map(|(w, _)| w);
+        let (txn_blocked, txn_pages) = (&mut self.txn_blocked, &mut self.txn_pages);
+        self.waits.retain(&mut state.blocked, |&(r_ts, r_txn)| {
+            let outcome = if r_ts < wts {
                 // A larger-timestamped write committed while the read was
                 // blocked: the read is now out of order and must abort.
-                lists.blocked_reads.remove(i);
-                self.txn_blocked.remove_item(r_txn, &page);
-                out.rejected.push((r_txn, page));
-            } else if !lists.min_pending_below(r_ts) {
-                lists.blocked_reads.remove(i);
-                self.txn_blocked.remove_item(r_txn, &page);
-                state.rts = state.rts.max(r_ts);
-                out.granted.push((r_txn, page));
+                &mut out.rejected
+            } else if min_pending.is_none_or(|w| w >= r_ts) {
+                *rts = (*rts).max(r_ts);
+                &mut out.granted
             } else {
-                i += 1;
-            }
-        }
-        self.spare.settle(&mut state.lists);
+                return true;
+            };
+            outcome.push((r_txn, page));
+            remove_item(txn_blocked, txn_pages, r_txn, page);
+            false
+        });
     }
 
     fn finish(&mut self, txn: TxnId, install: bool) -> ReleaseResponse {
+        // Room for every writer listed to have its bound of pending writes.
+        let room = self.txn_writes.len() * self.max_txn_accesses;
+        self.waits.reserve_links(room);
+        self.txn_pages.reserve_links(room);
         let mut out = ReleaseResponse::default();
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        for &(page, w_ts) in self.txn_writes.get(txn) {
-            if let Some(state) = self.pages.get_mut(page) {
-                if let Some(lists) = &mut state.lists {
-                    lists.pending_writes.retain(|(_, t)| *t != txn);
-                }
-                if install && w_ts > state.wts {
+        if let Some(mut writes) = self.txn_writes.remove(&txn) {
+            for page in self.txn_pages.iter(writes) {
+                if let Some(state) = self.pages.get_mut(page) {
+                    // One pending write per listed page.
+                    let write = self.waits.remove(&mut state.pending, |&(_, t)| t == txn);
                     // Thomas write rule at install time: only a newer
                     // write becomes the current version.
-                    state.wts = w_ts;
+                    if let Some((w_ts, _)) = write.filter(|&(w, _)| install && w > state.wts) {
+                        state.wts = w_ts;
+                    }
+                    touched.push(page);
                 }
-                touched.push(page);
             }
+            self.txn_pages.clear(&mut writes);
         }
-        self.txn_writes.remove(txn);
-        for &page in self.txn_blocked.get(txn) {
-            if let Some(state) = self.pages.get_mut(page) {
-                if let Some(lists) = &mut state.lists {
-                    lists.blocked_reads.retain(|(_, t)| *t != txn);
+        if let Some(mut blocked) = self.txn_blocked.remove(&txn) {
+            for page in self.txn_pages.iter(blocked) {
+                if let Some(state) = self.pages.get_mut(page) {
+                    self.waits.remove(&mut state.blocked, |&(_, t)| t == txn);
                 }
-                self.spare.settle(&mut state.lists);
             }
+            self.txn_pages.clear(&mut blocked);
         }
-        self.txn_blocked.remove(txn);
-        // Waking also settles every page this transaction wrote.
         for page in touched.drain(..) {
             self.wake_reads(page, &mut out);
         }
@@ -156,7 +139,7 @@ impl CcManager for BasicTimestampOrdering {
         let ts = txn.run_ts;
         // Page entries are kept even when quiescent: rts/wts are high-water
         // marks that must survive.
-        let state = self.pages.get_or_default(page);
+        let state = self.pages.entry(page);
         if write {
             if ts < state.rts {
                 // A later read already saw the previous version.
@@ -168,26 +151,18 @@ impl CcManager for BasicTimestampOrdering {
                 // it cannot block any reader).
                 return AccessResponse::granted();
             }
-            let pending = &mut self.spare.fill(&mut state.lists).pending_writes;
-            let pos = pending.partition_point(|(w, _)| *w < ts);
-            pending.insert(pos, (ts, txn.id));
-            self.txn_writes.push(txn.id, (page, ts));
+            self.waits
+                .insert(&mut state.pending, (ts, txn.id), |&(w, _)| w >= ts);
+            push_item(&mut self.txn_writes, &mut self.txn_pages, txn.id, page);
             AccessResponse::granted()
         } else {
             if ts < state.wts {
                 // The version this read should see has been overwritten.
                 return AccessResponse::rejected();
             }
-            if state
-                .lists
-                .as_ref()
-                .is_some_and(|l| l.min_pending_below(ts))
-            {
-                self.spare
-                    .fill(&mut state.lists)
-                    .blocked_reads
-                    .push((ts, txn.id));
-                self.txn_blocked.push(txn.id, page);
+            if min_pending_below(&self.waits, state.pending, ts) {
+                self.waits.push(&mut state.blocked, (ts, txn.id));
+                push_item(&mut self.txn_blocked, &mut self.txn_pages, txn.id, page);
                 return AccessResponse::blocked();
             }
             state.rts = state.rts.max(ts);
@@ -196,10 +171,8 @@ impl CcManager for BasicTimestampOrdering {
     }
 
     fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
-        self.txn_writes.set_capacity(max_txn_accesses);
-        self.txn_blocked.set_capacity(max_txn_accesses);
+        self.max_txn_accesses = max_txn_accesses;
         self.touched_scratch.reserve(max_txn_accesses);
-        self.spare.set_batch(max_txn_accesses);
     }
 
     fn certify(&mut self, _txn: &TxnMeta, _commit_ts: Ts) -> bool {
@@ -391,39 +364,48 @@ mod tests {
         );
     }
 
+    /// (pending writes, blocked reads) at `p`.
+    fn lens(m: &BasicTimestampOrdering, p: u64) -> (usize, usize) {
+        let state = m.pages.get(page(p)).unwrap();
+        (
+            m.waits.iter(state.pending).count(),
+            m.waits.iter(state.blocked).count(),
+        )
+    }
+
     #[test]
-    fn idle_pages_keep_no_lists_and_reuse_a_spare() {
+    fn idle_pages_free_every_link() {
         let mut m = BasicTimestampOrdering::new();
         m.request_access(&meta_ts(1, 10), page(1), true); // pending @10
         m.request_access(&meta_ts(2, 20), page(1), false); // blocked
         m.request_access(&meta_ts(3, 30), page(2), false); // granted
-        assert!(m.pages.get(page(2)).unwrap().lists.is_none());
-        let lists = m.pages.get(page(1)).unwrap().lists.as_deref().unwrap();
-        let (lists, pending): (*const Lists, _) = (lists, lists.pending_writes.as_ptr());
+        assert_eq!((lens(&m, 1), lens(&m, 2)), ((1, 1), (0, 0)));
         // The commit installs wts = 10 and wakes the read: page 1 goes idle
         // and keeps only its timestamps.
         assert_eq!(m.commit(TxnId(1)).granted, vec![(TxnId(2), page(1))]);
         let state = m.pages.get(page(1)).unwrap();
-        assert!(state.lists.is_none());
+        assert_eq!(lens(&m, 1), (0, 0));
         assert_eq!(
             (state.wts, state.rts),
             (Ts::new(10, TxnId(1)), Ts::new(20, TxnId(2)))
         );
-        assert_eq!(m.spare.stock(), 1);
-        // The next page to need lists takes that spare, buffers and all.
-        m.request_access(&meta_ts(4, 40), page(3), true);
-        let reused = m.pages.get(page(3)).unwrap().lists.as_deref().unwrap();
-        assert!(std::ptr::eq(reused, lists));
-        assert_eq!(reused.pending_writes.as_ptr(), pending);
-        assert_eq!(m.spare.stock(), 0);
+        assert_eq!(m.waits.listed(), 0);
+        assert!(m.txn_writes.is_empty() && m.txn_blocked.is_empty());
         // A reader's abort withdraws its blocked read; the page stays
-        // active until the write it waited on aborts too.
+        // busy until the write it waited on aborts too.
+        m.request_access(&meta_ts(4, 40), page(3), true);
         m.request_access(&meta_ts(5, 50), page(3), false); // blocked
         assert!(m.abort(TxnId(5)).is_empty());
-        assert!(m.pages.get(page(3)).unwrap().lists.is_some());
+        assert_eq!(lens(&m, 3), (1, 0));
         assert!(m.abort(TxnId(4)).is_empty());
-        assert!(m.pages.get(page(3)).unwrap().lists.is_none());
-        assert_eq!(m.spare.stock(), 1);
+        // No busy page is left, and every link is free for the next.
+        assert!(m
+            .pages
+            .iter()
+            .all(|(_, s)| s.pending.is_empty() && s.blocked.is_empty()));
+        assert_eq!((m.waits.listed(), m.txn_pages.listed()), (0, 0));
+        assert!(m.txn_writes.is_empty() && m.txn_blocked.is_empty());
+        assert_eq!(m.waits.capacity(), 2, "the waits reused freed links");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Types shared by all concurrency control managers.
 
 use ddbm_config::{PageId, TxnId};
-use denet::FxHashMap;
+use denet::{FxHashMap, List, Lists};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -156,88 +156,30 @@ impl LockMode {
     }
 }
 
-/// Per-transaction lists (pages locked, pending writes, recorded reads, ...)
-/// with recycled buffers. Every commit and abort drops its transaction's
-/// lists, so reusing their buffers keeps the request path off the
-/// allocator.
-#[derive(Debug)]
-pub(crate) struct TxnLists<T> {
-    lists: FxHashMap<TxnId, Vec<T>>,
-    /// Emptied buffers, capacity retained.
-    spare: Vec<Vec<T>>,
-    /// Capacity floor: the most items one transaction lists here (set from
-    /// [`CcManager::preallocate`](crate::manager::CcManager::preallocate)).
-    /// Growing each new list to it, instead of letting recycled buffers
-    /// creep up by doubling, makes the steady state allocation-free.
-    capacity: usize,
+/// Append `item` to `txn`'s list in `lists`, whose items live in `items`:
+/// the per-transaction lists of a manager (pages locked, pending writes,
+/// recorded accesses) are one map of lists over one arena.
+pub(crate) fn push_item<T: Copy>(
+    lists: &mut FxHashMap<TxnId, List>,
+    items: &mut Lists<T>,
+    txn: TxnId,
+    item: T,
+) {
+    items.push(lists.entry(txn).or_default(), item);
 }
 
-impl<T> Default for TxnLists<T> {
-    fn default() -> Self {
-        TxnLists {
-            lists: FxHashMap::default(),
-            spare: Vec::new(),
-            capacity: 0,
-        }
-    }
-}
-
-impl<T> TxnLists<T> {
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-    }
-
-    /// Append `item` to `txn`'s list, starting one from a spare buffer.
-    pub(crate) fn push(&mut self, txn: TxnId, item: T) {
-        let (spare, capacity) = (&mut self.spare, self.capacity);
-        let out = self.lists.len() + 1;
-        self.lists
-            .entry(txn)
-            .or_insert_with(|| {
-                let mut list = spare.pop().unwrap_or_else(|| {
-                    // A new buffer: make room for every buffer out to come
-                    // back without regrowing the stock.
-                    spare.reserve(out);
-                    Vec::new()
-                });
-                list.reserve(capacity);
-                list
-            })
-            .push(item);
-    }
-
-    /// `txn`'s list in insertion order (empty if it has none).
-    pub(crate) fn get(&self, txn: TxnId) -> &[T] {
-        self.lists.get(&txn).map_or(&[], Vec::as_slice)
-    }
-
-    pub(crate) fn contains(&self, txn: TxnId) -> bool {
-        self.lists.contains_key(&txn)
-    }
-
-    /// Transactions with a non-empty list.
-    pub(crate) fn len(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Drop `txn`'s list, keeping its buffer.
-    pub(crate) fn remove(&mut self, txn: TxnId) {
-        if let Some(mut list) = self.lists.remove(&txn) {
-            list.clear();
-            self.spare.push(list);
-        }
-    }
-
-    /// Delete every `item` from `txn`'s list, dropping the list once empty.
-    pub(crate) fn remove_item(&mut self, txn: TxnId, item: &T)
-    where
-        T: PartialEq,
-    {
-        if let Some(list) = self.lists.get_mut(&txn) {
-            list.retain(|x| x != item);
-            if list.is_empty() {
-                self.remove(txn);
-            }
+/// Delete every `item` from `txn`'s list in `lists`, dropping the list
+/// once empty.
+pub(crate) fn remove_item<T: Copy + PartialEq>(
+    lists: &mut FxHashMap<TxnId, List>,
+    items: &mut Lists<T>,
+    txn: TxnId,
+    item: T,
+) {
+    if let Some(list) = lists.get_mut(&txn) {
+        items.retain(list, |&x| x != item);
+        if list.is_empty() {
+            lists.remove(&txn);
         }
     }
 }
@@ -282,35 +224,5 @@ mod tests {
         assert_eq!(a.granted.len(), 1);
         assert_eq!(a.must_abort, vec![TxnId(2)]);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn txn_lists_keep_insertion_order() {
-        let mut l: TxnLists<u32> = TxnLists::default();
-        for x in [5, 1, 9, 1] {
-            l.push(TxnId(1), x);
-        }
-        l.push(TxnId(2), 0);
-        assert_eq!(l.get(TxnId(1)), &[5, 1, 9, 1]);
-        assert_eq!(l.get(TxnId(3)), &[] as &[u32]);
-        l.remove_item(TxnId(1), &1);
-        assert_eq!(l.get(TxnId(1)), &[5, 9]);
-        assert_eq!(l.len(), 2);
-    }
-
-    #[test]
-    fn txn_lists_recycle_the_buffer_of_an_emptied_list() {
-        let mut l: TxnLists<u32> = TxnLists::default();
-        l.set_capacity(8);
-        l.push(TxnId(1), 4);
-        let buffer = l.get(TxnId(1)).as_ptr();
-        l.remove_item(TxnId(1), &4);
-        assert!(!l.contains(TxnId(1)));
-        assert_eq!(l.spare.len(), 1);
-        assert!(l.spare[0].is_empty() && l.spare[0].capacity() >= 8);
-        // The next new list reuses it.
-        l.push(TxnId(2), 6);
-        assert!(l.spare.is_empty());
-        assert_eq!(l.get(TxnId(2)).as_ptr(), buffer);
     }
 }

@@ -5,10 +5,18 @@
 //! join a FIFO queue, except lock *upgrades* (read → write by the holder),
 //! which queue ahead of ordinary waiters. On every release the longest
 //! grantable prefix of the queue is granted.
+//!
+//! Each page keeps one list of lock requests, holders ahead of waiters,
+//! every entry tagged held, waiting or upgrading; a page's slot in the
+//! table is just that list's head and tail, one word. The lists of every
+//! page share one `Lists` arena, and the pages each transaction holds or
+//! awaits share another, so the table's buffers follow the locks in use
+//! and, once grown to the busiest moment, no request allocates.
 
-use crate::common::{LockMode, TxnLists};
-use ddbm_config::{PageBuffers, PageId, PageMap, Spares, TxnId};
-use std::collections::{BTreeSet, VecDeque};
+use crate::common::{push_item, remove_item, LockMode};
+use ddbm_config::{PageId, PageTable, TxnId};
+use denet::{FxHashMap, List, Lists};
+use std::collections::BTreeSet;
 
 /// Outcome of a lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,71 +27,86 @@ pub enum LockOutcome {
     Queued,
 }
 
+/// Where a lock request stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WaitReq {
+enum State {
+    /// Granted.
+    Held,
+    /// Queued.
+    Waiting,
+    /// Queued by a read holder converting its lock to a write lock (its
+    /// read lock is a separate, held entry).
+    Upgrading,
+}
+
+/// One entry of a page's list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lock {
     txn: TxnId,
     mode: LockMode,
-    /// True when the transaction already holds a read lock on the page and
-    /// is converting it to a write lock.
-    is_upgrade: bool,
+    state: State,
 }
 
-#[derive(Debug)]
-struct PageLock {
-    holders: Vec<(TxnId, LockMode)>,
-    queue: VecDeque<WaitReq>,
-}
-
-impl PageBuffers for PageLock {
-    /// Room for the first holders; the queue grows only under contention.
-    fn stocked() -> Self {
-        PageLock {
-            holders: Vec::with_capacity(4),
-            queue: VecDeque::new(),
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.holders.is_empty() && self.queue.is_empty()
+impl Lock {
+    fn waits(&self) -> bool {
+        self.state != State::Held
     }
 }
 
-impl PageLock {
-    fn can_grant(&self, req: &WaitReq) -> bool {
-        if req.is_upgrade {
-            // An upgrade is grantable only when the upgrader is the sole holder.
-            self.holders.len() == 1 && self.holders[0].0 == req.txn
-        } else {
-            self.holders
-                .iter()
-                .all(|(_, held)| held.compatible(req.mode))
-        }
-    }
+/// The holders of a page, in grant order.
+fn holders(locks: &Lists<Lock>, page: List) -> impl Iterator<Item = Lock> + Clone + '_ {
+    locks.iter(page).take_while(|l| !l.waits())
+}
 
-    fn grant(&mut self, req: WaitReq) {
-        if req.is_upgrade {
-            debug_assert_eq!(self.holders.len(), 1);
-            debug_assert_eq!(self.holders[0].0, req.txn);
-            self.holders[0].1 = LockMode::Write;
-        } else {
-            self.holders.push((req.txn, req.mode));
-        }
+/// The queue of a page: upgrades, then ordinary waiters in arrival order.
+fn queue(locks: &Lists<Lock>, page: List) -> impl Iterator<Item = Lock> + Clone + '_ {
+    locks.iter(page).skip_while(|l| !l.waits())
+}
+
+/// True when a request waits on the page (waiters come last).
+fn has_queue(locks: &Lists<Lock>, page: List) -> bool {
+    locks.last(page).is_some_and(|l| l.waits())
+}
+
+fn can_grant(locks: &Lists<Lock>, page: List, req: Lock) -> bool {
+    if req.state == State::Upgrading {
+        // An upgrade is grantable only when the upgrader is the sole holder.
+        let mut held = holders(locks, page);
+        held.next().is_some_and(|h| h.txn == req.txn) && held.next().is_none()
+    } else {
+        holders(locks, page).all(|h| h.mode.compatible(req.mode))
+    }
+}
+
+/// Grant `req` (taken out of the queue, or never queued): an upgrade
+/// strengthens its holder's lock, any other request becomes the last
+/// holder.
+fn grant(locks: &mut Lists<Lock>, page: &mut List, req: Lock) {
+    if req.state == State::Upgrading {
+        let held = locks.find_mut(*page, |l| l.txn == req.txn && !l.waits());
+        held.expect("the upgrader holds a read lock").mode = LockMode::Write;
+    } else {
+        let held = Lock {
+            state: State::Held,
+            ..req
+        };
+        locks.insert(page, held, Lock::waits);
     }
 }
 
 /// The lock table for the pages stored at one node.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    /// Lock state of every page with a holder or a waiter, one word per
-    /// page slot. A page that goes idle gives its lock back to `spare`.
-    pages: PageMap<Box<PageLock>>,
-    /// Locks of pages that went idle, buffers kept, for the next page to
-    /// be locked.
-    spare: Spares<PageLock>,
+    /// Each page's lock list, holders first; empty when the page is idle.
+    pages: PageTable<List>,
+    /// Every page's lock entries.
+    locks: Lists<Lock>,
     /// Pages each transaction holds locks on (for O(1) release).
-    held: TxnLists<PageId>,
+    held: FxHashMap<TxnId, List>,
     /// Pages each transaction is queued on.
-    waiting: TxnLists<PageId>,
+    waiting: FxHashMap<TxnId, List>,
+    /// The pages of `held` and `waiting`.
+    txn_pages: Lists<PageId>,
     /// Pages whose queue is non-empty, kept sorted. [`waits_for_edges_into`]
     /// (called on *every* blocked request under 2PL local detection) walks
     /// only these instead of collecting and sorting every held page —
@@ -102,6 +125,9 @@ pub struct LockTable {
     ///
     /// [`release_all`]: LockTable::release_all
     touched_scratch: Vec<PageId>,
+    /// The most pages one transaction locks here (see
+    /// [`preallocate`](LockTable::preallocate)).
+    max_txn_accesses: usize,
 }
 
 impl LockTable {
@@ -118,16 +144,15 @@ impl LockTable {
         }
     }
 
-    /// Pre-size the per-transaction state for transactions locking at most
-    /// `max_txn_accesses` pages here (see
-    /// [`CcManager::preallocate`](crate::manager::CcManager::preallocate)).
-    /// Page locks need no pre-sizing: they are taken from the spares when a
-    /// page is first locked and returned when it goes idle.
+    /// Size the table for transactions locking at most `max_txn_accesses`
+    /// pages here (see
+    /// [`CcManager::preallocate`](crate::manager::CcManager::preallocate)):
+    /// every release keeps room in the arenas for that many locks per
+    /// transaction listed, so they grow at a new high-water of
+    /// transactions, not at every new high-water of locks.
     pub fn preallocate(&mut self, max_txn_accesses: usize) {
-        self.held.set_capacity(max_txn_accesses);
-        self.waiting.set_capacity(max_txn_accesses);
+        self.max_txn_accesses = max_txn_accesses;
         self.touched_scratch.reserve(2 * max_txn_accesses);
-        self.spare.set_batch(max_txn_accesses);
     }
 
     /// Request a `mode` lock on `page` for `txn`.
@@ -136,54 +161,46 @@ impl LockTable {
     /// `Granted` (upgrading read → write when needed, possibly by queueing an
     /// upgrade request, in which case `Queued` is returned).
     pub fn request(&mut self, txn: TxnId, page: PageId, mode: LockMode) -> LockOutcome {
-        let lock = self.pages.get_or_insert_with(page, || self.spare.take());
+        let list = self.pages.entry(page);
         // Re-requesting while already queued is idempotent (strengthening a
         // queued read to a write upgrades the queued request in place).
-        if let Some(queued) = lock.queue.iter_mut().find(|w| w.txn == txn) {
+        if let Some(queued) = self.locks.find_mut(*list, |l| l.txn == txn && l.waits()) {
             if mode == LockMode::Write {
                 queued.mode = LockMode::Write;
             }
             return LockOutcome::Queued;
         }
-        let held_mode = lock
-            .holders
-            .iter()
-            .find(|(t, _)| *t == txn)
-            .map(|(_, m)| *m);
-        let req = match held_mode {
+        let held_mode = holders(&self.locks, *list)
+            .find(|l| l.txn == txn)
+            .map(|l| l.mode);
+        // What is left is a first request, or a held read asking to write.
+        let state = match held_mode {
             Some(LockMode::Write) => return LockOutcome::Granted,
             Some(LockMode::Read) if mode == LockMode::Read => return LockOutcome::Granted,
-            Some(LockMode::Read) => WaitReq {
-                txn,
-                mode: LockMode::Write,
-                is_upgrade: true,
-            },
-            None => WaitReq {
-                txn,
-                mode,
-                is_upgrade: false,
-            },
+            Some(LockMode::Read) => State::Upgrading,
+            None => State::Waiting,
         };
+        let upgrade = state == State::Upgrading;
+        let req = Lock { txn, mode, state };
         // Ordinary requests respect the queue unless barging is enabled;
         // upgrades always bypass it but queue ahead of ordinary waiters.
-        let grantable =
-            lock.can_grant(&req) && (req.is_upgrade || lock.queue.is_empty() || self.barging);
+        let grantable = can_grant(&self.locks, *list, req)
+            && (upgrade || self.barging || !has_queue(&self.locks, *list));
         if grantable {
-            lock.grant(req);
-            if !req.is_upgrade {
-                self.held.push(txn, page);
+            grant(&mut self.locks, list, req);
+            if !upgrade {
+                push_item(&mut self.held, &mut self.txn_pages, txn, page);
             }
             LockOutcome::Granted
         } else {
-            if req.is_upgrade {
+            if upgrade {
                 // Ahead of ordinary waiters, behind earlier upgrades.
-                let pos = lock.queue.iter().take_while(|w| w.is_upgrade).count();
-                lock.queue.insert(pos, req);
+                self.locks.insert(list, req, |l| l.state == State::Waiting);
             } else {
-                lock.queue.push_back(req);
+                self.locks.push(list, req);
             }
             self.queued.insert(page);
-            self.waiting.push(txn, page);
+            push_item(&mut self.waiting, &mut self.txn_pages, txn, page);
             LockOutcome::Queued
         }
     }
@@ -191,27 +208,30 @@ impl LockTable {
     /// Release everything `txn` holds or waits for. Returns the requests
     /// granted as a consequence, in grant order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, PageId)> {
+        // Room for every holder listed to lock its bound of pages.
+        let room = self.held.len() * self.max_txn_accesses;
+        self.locks.reserve_links(room);
+        self.txn_pages.reserve_links(room);
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
-        for &page in self.held.get(txn) {
-            if let Some(lock) = self.pages.get_mut(page) {
-                lock.holders.retain(|(t, _)| *t != txn);
-                touched.push(page);
+        // A transaction has at most one held and one queued entry a page.
+        for (lists, waits) in [(&mut self.held, false), (&mut self.waiting, true)] {
+            if let Some(mut pages) = lists.remove(&txn) {
+                for page in self.txn_pages.iter(pages) {
+                    if let Some(list) = self.pages.get_mut(page) {
+                        self.locks
+                            .remove(list, |l| l.txn == txn && l.waits() == waits);
+                        touched.push(page);
+                    }
+                }
+                self.txn_pages.clear(&mut pages);
             }
         }
-        self.held.remove(txn);
-        for &page in self.waiting.get(txn) {
-            if let Some(lock) = self.pages.get_mut(page) {
-                lock.queue.retain(|w| w.txn != txn);
-                touched.push(page);
-            }
-        }
-        self.waiting.remove(txn);
         touched.sort_unstable();
         touched.dedup();
         let mut granted = Vec::new();
         for &page in &touched {
-            granted.extend(self.grant_from_queue(page));
+            self.grant_from_queue(page, &mut granted);
         }
         self.touched_scratch = touched;
         granted
@@ -222,53 +242,53 @@ impl LockTable {
     /// abort protocol completes). Returns requests granted because the
     /// withdrawal unclogged the queue.
     pub fn cancel_wait(&mut self, txn: TxnId, page: PageId) -> Vec<(TxnId, PageId)> {
-        if let Some(lock) = self.pages.get_mut(page) {
-            lock.queue.retain(|w| w.txn != txn);
+        if let Some(list) = self.pages.get_mut(page) {
+            self.locks.remove(list, |l| l.txn == txn && l.waits());
         }
-        self.waiting.remove_item(txn, &page);
-        self.grant_from_queue(page)
+        remove_item(&mut self.waiting, &mut self.txn_pages, txn, page);
+        let mut granted = Vec::new();
+        self.grant_from_queue(page, &mut granted);
+        granted
     }
 
-    /// Grant from `page`'s queue: the longest grantable prefix under strict
-    /// FIFO, or every grantable request under barging.
-    fn grant_from_queue(&mut self, page: PageId) -> Vec<(TxnId, PageId)> {
-        let mut granted = Vec::new();
-        let Some(lock) = self.pages.get_mut(page) else {
-            return granted;
+    /// Grant from `page`'s queue, appending to `granted`: the longest
+    /// grantable prefix under strict FIFO, or every grantable request under
+    /// barging.
+    fn grant_from_queue(&mut self, page: PageId, granted: &mut Vec<(TxnId, PageId)>) {
+        let Some(list) = self.pages.get_mut(page) else {
+            return;
         };
         let mut scan = 0usize;
-        while let Some(&head) = lock.queue.get(scan) {
-            if !lock.can_grant(&head) {
+        loop {
+            let Some(head) = queue(&self.locks, *list).nth(scan) else {
+                break;
+            };
+            if !can_grant(&self.locks, *list, head) {
                 if self.barging {
                     scan += 1;
                     continue;
                 }
                 break;
             }
-            lock.queue.remove(scan);
-            lock.grant(head);
-            if !head.is_upgrade {
-                self.held.push(head.txn, page);
+            self.locks.remove(list, |l| l.txn == head.txn && l.waits());
+            grant(&mut self.locks, list, head);
+            if head.state != State::Upgrading {
+                push_item(&mut self.held, &mut self.txn_pages, head.txn, page);
             }
-            self.waiting.remove_item(head.txn, &page);
+            remove_item(&mut self.waiting, &mut self.txn_pages, head.txn, page);
             granted.push((head.txn, page));
         }
-        if lock.queue.is_empty() {
+        if !has_queue(&self.locks, *list) {
             self.queued.remove(&page);
-            if lock.holders.is_empty() {
-                let lock = self.pages.remove(page).expect("the page is locked");
-                self.spare.put(lock);
-            }
         }
-        granted
     }
 
     /// Current holders of `page`.
     pub fn holders(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
-        self.pages
-            .get(page)
-            .map(|l| l.holders.clone())
-            .unwrap_or_default()
+        let list = self.pages.get(page).copied().unwrap_or_default();
+        holders(&self.locks, list)
+            .map(|l| (l.txn, l.mode))
+            .collect()
     }
 
     /// The conflict relation on `page`: a `(waiter, blocker)` pair for every
@@ -286,20 +306,19 @@ impl LockTable {
     /// compiles to plain nested loops, while stepping it with `next` (as a
     /// `for` loop or `Vec::extend` does) is several times slower.
     pub fn wait_pairs(&self, page: PageId) -> impl Iterator<Item = (TxnId, TxnId)> + '_ {
-        self.pages.get(page).into_iter().flat_map(|lock| {
-            lock.queue.iter().enumerate().flat_map(move |(i, w)| {
-                let holders = lock
-                    .holders
-                    .iter()
-                    .filter(move |(t, held)| *t != w.txn && !held.compatible(w.mode))
-                    .map(|(t, _)| *t);
-                let ahead = lock
-                    .queue
-                    .range(..i)
-                    .filter(move |a| !a.mode.compatible(w.mode))
-                    .map(|a| a.txn);
-                holders.chain(ahead).map(move |blocker| (w.txn, blocker))
-            })
+        let list = self.pages.get(page).copied().unwrap_or_default();
+        let (held, queue) = (holders(&self.locks, list), queue(&self.locks, list));
+        queue.clone().enumerate().flat_map(move |(i, w)| {
+            let held = held
+                .clone()
+                .filter(move |h| h.txn != w.txn && !h.mode.compatible(w.mode))
+                .map(|h| h.txn);
+            let ahead = queue
+                .clone()
+                .take(i)
+                .filter(move |a| !a.mode.compatible(w.mode))
+                .map(|a| a.txn);
+            held.chain(ahead).map(move |blocker| (w.txn, blocker))
         })
     }
 
@@ -322,34 +341,32 @@ impl LockTable {
         self.queued.iter().copied().collect()
     }
 
-    /// Recompute the queued-page set by scanning every page entry — the
+    /// Recompute the queued-page set by scanning every page slot — the
     /// O(pages) reference implementation of
     /// [`queued_pages`](LockTable::queued_pages), for consistency tests.
     pub fn scan_queued_pages(&self) -> Vec<PageId> {
         self.pages
             .iter()
-            .filter(|(_, lock)| !lock.queue.is_empty())
+            .filter(|&(_, &list)| has_queue(&self.locks, list))
             .map(|(page, _)| page)
             .collect()
     }
 
     /// The pages on which `txn` is currently queued.
     pub fn wait_pages(&self, txn: TxnId) -> Vec<PageId> {
-        self.waiting.get(txn).to_vec()
+        self.waiting
+            .get(&txn)
+            .map_or_else(Vec::new, |&l| self.txn_pages.iter(l).collect())
     }
 
     /// True if `txn` holds or awaits any lock.
     pub fn involves(&self, txn: TxnId) -> bool {
-        self.held.contains(txn) || self.waiting.contains(txn)
+        self.held.contains_key(&txn) || self.waiting.contains_key(&txn)
     }
 
-    /// Number of pages with a holder or a waiter (tests/diagnostics). Idle
-    /// pages keep no entry, so this counts the entries.
+    /// Number of pages with a holder or a waiter (tests/diagnostics).
     pub fn active_pages(&self) -> usize {
-        self.pages
-            .iter()
-            .inspect(|(_, lock)| debug_assert!(!lock.is_idle()))
-            .count()
+        self.pages.iter().filter(|(_, l)| !l.is_empty()).count()
     }
 
     /// Number of transactions currently holding at least one lock here.
@@ -570,33 +587,58 @@ mod tests {
     }
 
     #[test]
-    fn idle_pages_keep_no_lock_and_reuse_a_spare() {
+    fn idle_pages_free_every_link() {
         let mut lt = LockTable::new();
         lt.request(TxnId(1), page(1), LockMode::Write);
         lt.request(TxnId(2), page(1), LockMode::Read); // queued
         lt.request(TxnId(1), page(2), LockMode::Read);
-        let lock: *const PageLock = &**lt.pages.get(page(1)).unwrap();
-        let holders = lt.pages.get(page(1)).unwrap().holders.as_ptr();
-        // T1's release grants T2: page 1 stays locked, page 2 goes idle.
-        lt.release_all(TxnId(1));
-        assert!(lt.pages.get(page(1)).is_some());
-        assert!(lt.pages.get(page(2)).is_none());
-        assert_eq!(lt.spare.stock(), 1);
+        lt.request(TxnId(2), page(2), LockMode::Read);
+        lt.request(TxnId(2), page(2), LockMode::Write); // upgrade, queued
+                                                        // T1's release grants T2 both: page 1's read and page 2's upgrade.
+        assert_eq!(
+            lt.release_all(TxnId(1)),
+            vec![(TxnId(2), page(1)), (TxnId(2), page(2))]
+        );
+        assert_eq!(lt.holders(page(2)), vec![(TxnId(2), LockMode::Write)]);
+        assert_eq!((lt.locks.listed(), lt.txn_pages.listed()), (2, 2));
         lt.release_all(TxnId(2));
-        assert_eq!(lt.pages.iter().count(), 0);
-        assert_eq!(lt.spare.stock(), 2);
-        // The next page locked takes the last lock returned, buffers and
-        // all: page 1's, with its holder and queue capacity.
+        // No busy page is left, and every link is free for the next.
+        assert_eq!(lt.active_pages(), 0);
+        assert_eq!((lt.locks.listed(), lt.txn_pages.listed()), (0, 0));
+        assert!(lt.held.is_empty() && lt.waiting.is_empty());
+        let links = (lt.locks.capacity(), lt.txn_pages.capacity());
         lt.request(TxnId(3), page(7), LockMode::Write);
         lt.request(TxnId(4), page(7), LockMode::Write);
-        let reused = lt.pages.get(page(7)).unwrap();
-        assert!(std::ptr::eq(&**reused, lock));
-        assert_eq!(reused.holders.as_ptr(), holders);
-        assert_eq!(lt.spare.stock(), 1);
         assert_eq!(lt.release_all(TxnId(3)), vec![(TxnId(4), page(7))]);
         lt.release_all(TxnId(4));
-        assert_eq!(lt.spare.stock(), 2);
         assert_eq!(lt.active_pages(), 0);
+        assert_eq!((lt.locks.capacity(), lt.txn_pages.capacity()), links);
+    }
+
+    #[test]
+    fn barging_grant_joins_the_holders_ahead_of_the_queue() {
+        let mut lt = LockTable::with_barging();
+        lt.request(TxnId(1), page(1), LockMode::Read);
+        lt.request(TxnId(2), page(1), LockMode::Write); // queued
+        assert_eq!(
+            lt.request(TxnId(3), page(1), LockMode::Read),
+            LockOutcome::Granted
+        );
+        lt.request(TxnId(4), page(1), LockMode::Write); // queued
+        lt.request(TxnId(5), page(1), LockMode::Read); // barges
+        assert_eq!(
+            lt.holders(page(1)),
+            vec![
+                (TxnId(1), LockMode::Read),
+                (TxnId(3), LockMode::Read),
+                (TxnId(5), LockMode::Read)
+            ]
+        );
+        let pairs: Vec<(u64, u64)> = lt.wait_pairs(page(1)).map(|(w, b)| (w.0, b.0)).collect();
+        assert_eq!(
+            pairs,
+            [(2, 1), (2, 3), (2, 5), (4, 1), (4, 3), (4, 5), (4, 2)]
+        );
     }
 
     #[test]

@@ -37,11 +37,12 @@ pub trait CcManager: Send {
     /// replicas included, times `max_pages_per_file` (12 in 8-way
     /// declustering), not the whole-transaction
     /// `Config::max_txn_accesses`. Called once at node construction (and
-    /// again on crash recovery, which rebuilds the manager): growing pooled
-    /// per-transaction buffers to their bound up front keeps steady-state
-    /// accesses off the allocator (see `tests/alloc_steady_state.rs`).
-    /// Per-page state needs no pre-sizing: it grows on first touch, and a
-    /// page's lists go back to a spare list when the page goes idle.
+    /// again on crash recovery, which rebuilds the manager). The managers
+    /// keep room in their list arenas for that many items per transaction
+    /// listed, so steady-state accesses stay off the allocator (see
+    /// `tests/alloc_steady_state.rs`). Per-page state needs no pre-sizing:
+    /// it grows on first touch, and a page's list links go back to the
+    /// arena when the page goes idle.
     ///
     /// `num_pages` is unused. It stays only because the frozen benchmark
     /// harness (`perfbench`) calls this method with it.

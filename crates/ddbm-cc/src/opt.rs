@@ -20,58 +20,48 @@
 //! (installing `rts`/`wts`, the latter under the Thomas write rule) or
 //! aborts (discarding them).
 
-use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnLists, TxnMeta};
+use crate::common::{push_item, AccessResponse, ReleaseResponse, Ts, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageBuffers, PageId, PageMap, Spares, TxnId};
-use denet::FxHashMap;
+use ddbm_config::{Algorithm, PageId, PageTable, TxnId};
+use denet::{FxHashMap, List, Lists};
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct PageState {
     /// Largest commit timestamp of any committed read.
     rts: Ts,
     /// Commit timestamp of the current committed version.
     wts: Ts,
-    /// The page's certified, uncommitted accesses, boxed: `None` while
-    /// there are none, which is most pages most of the time.
-    certified: Option<Box<Certified>>,
-}
-
-#[derive(Debug)]
-struct Certified {
     /// Locally certified, uncommitted reads: (txn, commit ts).
-    reads: Vec<(TxnId, Ts)>,
+    reads: List,
     /// Locally certified, uncommitted writes: (txn, commit ts).
-    writes: Vec<(TxnId, Ts)>,
+    writes: List,
 }
 
-impl PageBuffers for Certified {
-    fn stocked() -> Self {
-        Certified {
-            reads: Vec::with_capacity(4),
-            writes: Vec::with_capacity(4),
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
-    }
+/// A recorded access: the page, the version read (for a read), and
+/// whether it writes.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    page: PageId,
+    version: Ts,
+    write: bool,
 }
 
 /// See module docs.
 #[derive(Debug, Default)]
 pub struct OptimisticCertification {
     /// Per-page state. `rts`/`wts` stay once a page is touched; its
-    /// certified lists go back to `spare` when both empty.
-    pages: PageMap<PageState>,
-    /// Certified lists of pages that went idle, buffers kept, for the next
-    /// page that certifies an access.
-    spare: Spares<Certified>,
-    /// Uncertified recorded reads: page → version that was read.
-    reads: TxnLists<(PageId, Ts)>,
-    /// Uncertified recorded writes.
-    writes: TxnLists<PageId>,
+    /// certified lists are empty while no certified access is pending.
+    pages: PageTable<PageState>,
+    /// Every page's certified accesses.
+    certs: Lists<(TxnId, Ts)>,
+    /// The recorded accesses of each transaction, in request order.
+    txn_accesses: FxHashMap<TxnId, List>,
+    /// The items of `txn_accesses`.
+    accesses: Lists<Access>,
     /// Commit timestamps of locally certified transactions.
     certified: FxHashMap<TxnId, Ts>,
+    /// The most accesses one transaction makes here (see `preallocate`).
+    max_txn_accesses: usize,
 }
 
 impl OptimisticCertification {
@@ -83,30 +73,29 @@ impl OptimisticCertification {
     /// Withdraw `txn`'s registrations; with a `commit_ts`, install its
     /// reads (`rts`) and writes (`wts`, under the Thomas write rule) first.
     fn finish(&mut self, txn: TxnId, commit_ts: Option<Ts>) {
-        for &(page, _) in self.reads.get(txn) {
-            if let Some(state) = self.pages.get_mut(page) {
-                if let Some(c) = &mut state.certified {
-                    c.reads.retain(|(t, _)| *t != txn);
-                }
-                if let Some(ts) = commit_ts {
-                    state.rts = state.rts.max(ts);
-                }
-                self.spare.settle(&mut state.certified);
+        // Room for every transaction listed to record its bound of
+        // accesses, and for every certified one to register them.
+        let m = self.max_txn_accesses;
+        self.accesses.reserve_links(self.txn_accesses.len() * m);
+        self.certs.reserve_links(self.certified.len() * m);
+        let Some(mut list) = self.txn_accesses.remove(&txn) else {
+            return;
+        };
+        for access in self.accesses.iter(list) {
+            let Some(state) = self.pages.get_mut(access.page) else {
+                continue;
+            };
+            let (certs, mark) = if access.write {
+                (&mut state.writes, &mut state.wts)
+            } else {
+                (&mut state.reads, &mut state.rts)
+            };
+            self.certs.retain(certs, |&(t, _)| t != txn);
+            if let Some(ts) = commit_ts {
+                *mark = (*mark).max(ts);
             }
         }
-        for &page in self.writes.get(txn) {
-            if let Some(state) = self.pages.get_mut(page) {
-                if let Some(c) = &mut state.certified {
-                    c.writes.retain(|(t, _)| *t != txn);
-                }
-                if let Some(ts) = commit_ts {
-                    state.wts = state.wts.max(ts);
-                }
-                self.spare.settle(&mut state.certified);
-            }
-        }
-        self.reads.remove(txn);
-        self.writes.remove(txn);
+        self.accesses.clear(&mut list);
     }
 }
 
@@ -114,70 +103,51 @@ impl CcManager for OptimisticCertification {
     fn request_access(&mut self, txn: &TxnMeta, page: PageId, write: bool) -> AccessResponse {
         // "A concurrency control request ... is always granted in the case
         // of the OPT algorithm" (paper §3.3).
-        let state = self.pages.get_or_default(page);
-        if write {
-            self.writes.push(txn.id, page);
-        } else {
-            self.reads.push(txn.id, (page, state.wts));
-        }
+        let version = self.pages.entry(page).wts;
+        let access = Access {
+            page,
+            version,
+            write,
+        };
+        push_item(&mut self.txn_accesses, &mut self.accesses, txn.id, access);
         AccessResponse::granted()
     }
 
     fn preallocate(&mut self, _num_pages: usize, max_txn_accesses: usize) {
-        self.reads.set_capacity(max_txn_accesses);
-        self.writes.set_capacity(max_txn_accesses);
-        self.spare.set_batch(max_txn_accesses);
+        self.max_txn_accesses = max_txn_accesses;
     }
 
     fn certify(&mut self, txn: &TxnMeta, commit_ts: Ts) -> bool {
-        // `reads`/`writes` and `pages` are disjoint fields, so the lists stay
-        // borrowed while `pages` is updated.
-        let reads = self.reads.get(txn.id);
-        let writes = self.writes.get(txn.id);
-        let mut ok = true;
-        for &(page, version) in reads {
-            let state = self.pages.get_or_default(page);
-            if state.wts != version {
-                ok = false; // the version read is no longer current
-                break;
+        let list = self.txn_accesses.get(&txn.id).copied().unwrap_or_default();
+        let others = |&(t, _): &(TxnId, Ts)| t != txn.id;
+        let ok = self.accesses.iter(list).all(|a| {
+            let state = self.pages.get(a.page).copied().unwrap_or_default();
+            if a.write {
+                // No later read may have committed or be locally
+                // certified.
+                state.rts <= commit_ts
+                    && !self
+                        .certs
+                        .iter(state.reads)
+                        .any(|c| others(&c) && c.1 > commit_ts)
+            } else {
+                // The version read must still be current, with no
+                // certified (necessarily newer) write pending on it.
+                state.wts == a.version && !self.certs.iter(state.writes).any(|c| others(&c))
             }
-            let certified = state.certified.as_deref();
-            if certified.is_some_and(|c| c.writes.iter().any(|(t, _)| *t != txn.id)) {
-                ok = false; // a certified (necessarily newer) write is pending
-                break;
-            }
-        }
-        if ok {
-            for &page in writes {
-                let state = self.pages.get_or_default(page);
-                if state.rts > commit_ts {
-                    ok = false; // a later read already committed
-                    break;
-                }
-                let certified = state.certified.as_deref();
-                if certified.is_some_and(|c| {
-                    c.reads
-                        .iter()
-                        .any(|(t, ts)| *t != txn.id && *ts > commit_ts)
-                }) {
-                    ok = false; // a later read is locally certified
-                    break;
-                }
-            }
-        }
+        });
         if !ok {
             return false;
         }
         // Register the certified accesses; they hold until phase 2.
-        for &(page, _) in reads {
-            let state = self.pages.get_or_default(page);
-            let certified = self.spare.fill(&mut state.certified);
-            certified.reads.push((txn.id, commit_ts));
-        }
-        for &page in writes {
-            let state = self.pages.get_or_default(page);
-            let certified = self.spare.fill(&mut state.certified);
-            certified.writes.push((txn.id, commit_ts));
+        for a in self.accesses.iter(list) {
+            let state = self.pages.entry(a.page);
+            let certs = if a.write {
+                &mut state.writes
+            } else {
+                &mut state.reads
+            };
+            self.certs.push(certs, (txn.id, commit_ts));
         }
         self.certified.insert(txn.id, commit_ts);
         true
@@ -341,34 +311,38 @@ mod tests {
         m.commit(TxnId(2));
     }
 
+    /// True when no page has a certified access pending.
+    fn idle(m: &OptimisticCertification) -> bool {
+        m.pages
+            .iter()
+            .all(|(_, s)| s.reads.is_empty() && s.writes.is_empty())
+    }
+
     #[test]
-    fn idle_pages_keep_no_lists_and_reuse_a_spare() {
+    fn idle_pages_free_every_link() {
         let mut m = OptimisticCertification::new();
         m.request_access(&meta(1), page(1), false);
         m.request_access(&meta(1), page(1), true);
         m.request_access(&meta(2), page(2), true);
         // Recorded but uncertified accesses hold no page lists.
-        assert!(m.pages.iter().all(|(_, s)| s.certified.is_none()));
+        assert!(idle(&m));
         assert!(m.certify(&meta(1), cts(10)));
         assert!(m.certify(&meta(2), cts(20)));
-        let lists = m.pages.get(page(1)).unwrap().certified.as_deref().unwrap();
-        let (lists, reads): (*const Certified, _) = (lists, lists.reads.as_ptr());
+        assert_eq!(m.certs.listed(), 3);
         m.commit(TxnId(1));
         let state = m.pages.get(page(1)).unwrap();
-        assert!(state.certified.is_none());
+        assert!(state.reads.is_empty() && state.writes.is_empty());
         assert_eq!((state.rts, state.wts), (cts(10), cts(10)));
-        assert_eq!(m.spare.stock(), 1);
-        // Page 3's first certified access takes page 1's lists.
+        // Page 3's first certified access reuses a freed link.
         m.request_access(&meta(3), page(3), false);
         assert!(m.certify(&meta(3), cts(30)));
-        let reused = m.pages.get(page(3)).unwrap().certified.as_deref().unwrap();
-        assert!(std::ptr::eq(reused, lists));
-        assert_eq!(reused.reads.as_ptr(), reads);
-        assert_eq!(m.spare.stock(), 0);
+        assert_eq!((m.certs.listed(), m.certs.capacity()), (2, 3));
         m.abort(TxnId(2));
         m.abort(TxnId(3));
-        assert!(m.pages.iter().all(|(_, s)| s.certified.is_none()));
-        assert_eq!(m.spare.stock(), 2);
+        // No busy page is left, and every link is free for the next.
+        assert!(idle(&m));
+        assert_eq!((m.certs.listed(), m.accesses.listed()), (0, 0));
+        assert!(m.txn_accesses.is_empty() && m.certified.is_empty());
     }
 
     #[test]

@@ -31,6 +31,10 @@ pub struct CcRules {
     /// May demand the abort of transactions other than the requester
     /// (wound-wait wounds, 2PL local deadlock victims).
     pub wounds: bool,
+    /// Rejections and demanded aborts come from waits-for cycle detection
+    /// (2PL), so the transactions they abort are deadlock victims rather
+    /// than wounds or timestamp-order deaths.
+    pub detects_deadlocks: bool,
     /// Commit-time certification can vote no. Only OPT validates at
     /// commit; every other manager certifies unconditionally.
     pub certification_can_fail: bool,
@@ -52,6 +56,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: true, // local detection picks the requester
             rejects_waiters: false,
             wounds: true, // local detection picks another cycle member
+            detects_deadlocks: true,
             certification_can_fail: false,
             lock_queue: true,
             strict_two_phase: true,
@@ -62,6 +67,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: false, // timeouts abort via the coordinator
             rejects_waiters: false,
             wounds: false,
+            detects_deadlocks: false,
             certification_can_fail: false,
             lock_queue: true,
             strict_two_phase: true,
@@ -72,6 +78,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: false, // the requester always waits or wins
             rejects_waiters: false,
             wounds: true,
+            detects_deadlocks: false,
             certification_can_fail: false,
             lock_queue: true,
             strict_two_phase: true,
@@ -82,6 +89,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: true, // younger requesters die
             rejects_waiters: true,   // grant reorders re-apply the rule
             wounds: false,
+            detects_deadlocks: false,
             certification_can_fail: false,
             lock_queue: true,
             strict_two_phase: true,
@@ -92,6 +100,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: true,
             rejects_waiters: true, // a newer install overtakes a blocked read
             wounds: false,
+            detects_deadlocks: false,
             certification_can_fail: false,
             lock_queue: false,
             strict_two_phase: false,
@@ -102,6 +111,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: false,
             rejects_waiters: false,
             wounds: false,
+            detects_deadlocks: false,
             certification_can_fail: true,
             lock_queue: false,
             strict_two_phase: false,
@@ -112,6 +122,7 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             rejects_requester: false,
             rejects_waiters: false,
             wounds: false,
+            detects_deadlocks: false,
             certification_can_fail: false,
             lock_queue: false,
             strict_two_phase: false,
@@ -151,6 +162,15 @@ mod tests {
         ] {
             let r = rules_of(algo);
             assert!(r.lock_queue && r.strict_two_phase && r.blocks);
+        }
+    }
+
+    #[test]
+    fn only_2pl_aborts_deadlock_victims() {
+        for algo in Algorithm::EXTENDED {
+            let r = rules_of(algo);
+            assert_eq!(r.detects_deadlocks, algo == Algorithm::TwoPhaseLocking);
+            assert!(!r.detects_deadlocks || (r.rejects_requester && r.wounds));
         }
     }
 

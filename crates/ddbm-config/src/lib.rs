@@ -25,7 +25,7 @@ pub mod trace;
 pub use config::{Config, ConfigError};
 pub use fault::{CrashWindow, FaultParams, FaultPlan, StallWindow};
 pub use ids::{FileId, NodeId, PageId, TerminalId, TxnId};
-pub use pages::{PageBuffers, PageMap, Spares};
+pub use pages::PageTable;
 pub use params::{
     Algorithm, DatabaseParams, ExecPattern, SimControl, SystemParams, WorkloadParams,
 };

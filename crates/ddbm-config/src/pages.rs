@@ -1,183 +1,121 @@
-//! Dense per-page state: [`PageMap`], and the [`Spares`] stock that lends
-//! busy pages their buffers.
+//! Dense per-page state: [`PageTable`].
 //!
-//! The concurrency control managers keep one entry per page they touch. Keeping that entry small — a few scalars
-//! inline, lists boxed only while the page is busy — is what makes their
-//! memory follow the pages in use rather than every page ever touched.
+//! The concurrency control managers and the oracle's reference models of
+//! them keep one slot per page they touch. Keeping that slot small — a few
+//! scalars and the heads of its lists, the lists themselves in a shared
+//! `denet::Lists` arena — is what makes their memory follow the pages in
+//! use rather than every page ever touched.
 
 use crate::ids::{FileId, PageId};
 
-/// Per-page state, stored densely as `files[file][page]`.
+/// No row yet for a file.
+const NO_ROW: u32 = u32::MAX;
+
+/// Per-page values in one flat table: a row of `width` slots per file, the
+/// rows in order of their files' first touch, every slot starting as
+/// `T::default()`.
 ///
-/// Pages are numbered from 0 within each file, so a row per file indexed by
-/// page number needs no hashing. A file's row grows when a page past its
-/// end is first touched, to that page and by at least an eighth (so under
-/// an eighth of a row is spare), and an entry stays in place until
-/// [`remove`](PageMap::remove)d. Iteration runs in [`PageId`] order.
+/// Every file of a database has the same number of pages, so once the
+/// first rows have seen their highest page, each new file's row fits the
+/// width: a new file costs no allocation of its own, only a share of the
+/// table's growth, which adds four rows or an eighth, whichever is more. A
+/// node's table holds rows only for the files the node serves.
 #[derive(Debug, Clone)]
-pub struct PageMap<T> {
-    files: Vec<Vec<Option<T>>>,
+pub struct PageTable<T> {
+    /// Row of each file, or `NO_ROW`.
+    rows: Vec<u32>,
+    slots: Vec<T>,
+    width: usize,
 }
 
-impl<T> Default for PageMap<T> {
+impl<T> Default for PageTable<T> {
     fn default() -> Self {
-        PageMap { files: Vec::new() }
+        PageTable {
+            rows: Vec::new(),
+            slots: Vec::new(),
+            width: 0,
+        }
     }
 }
 
-impl<T> PageMap<T> {
-    /// An empty map.
-    pub fn new() -> PageMap<T> {
-        PageMap::default()
+impl<T: Default + Copy> PageTable<T> {
+    /// The slot of `page`, if its row exists.
+    fn at(&self, page: PageId) -> Option<usize> {
+        let row = *self.rows.get(page.file.0)?;
+        let slot = usize::try_from(page.page).ok()?;
+        (row != NO_ROW && slot < self.width).then(|| row as usize * self.width + slot)
     }
 
-    /// The entry for `page`, or `None` if it was never touched.
+    /// The value of `page`, or `None` if no page of its file was touched
+    /// (a touched file's untouched pages read `T::default()`).
     pub fn get(&self, page: PageId) -> Option<&T> {
-        self.files.get(page.file.0)?.get(slot(page))?.as_ref()
+        self.at(page).map(|at| &self.slots[at])
     }
 
-    /// The entry for `page`, mutably, or `None` if it was never touched.
+    /// The value of `page`, mutably, as [`get`](Self::get).
     pub fn get_mut(&mut self, page: PageId) -> Option<&mut T> {
-        self.files
-            .get_mut(page.file.0)?
-            .get_mut(slot(page))?
-            .as_mut()
+        self.at(page).map(|at| &mut self.slots[at])
     }
 
-    /// The entry for `page`, created by `make` on first touch.
-    pub fn get_or_insert_with(&mut self, page: PageId, make: impl FnOnce() -> T) -> &mut T {
+    /// The value of `page`, making room for it first.
+    pub fn entry(&mut self, page: PageId) -> &mut T {
+        let slot = usize::try_from(page.page).expect("page numbers fit in usize");
+        if slot >= self.width {
+            self.widen(slot + 1);
+        }
         let file = page.file.0;
-        if file >= self.files.len() {
-            self.files.resize_with(file + 1, Vec::new);
+        if file >= self.rows.len() {
+            self.rows.resize(file + 1, NO_ROW);
         }
-        let row = &mut self.files[file];
-        let i = slot(page);
-        if i >= row.len() {
-            // Doubling would leave up to half of a row as never-used
-            // capacity; growing only exactly to the page would copy the
-            // row on every new highest page, quadratic when pages are first
-            // touched in ascending order. An eighth at least keeps that
-            // amortized O(1).
-            if i >= row.capacity() {
-                let want = (i + 1).max(row.capacity() + row.capacity() / 8);
-                row.reserve_exact(want - row.len());
+        if self.rows[file] == NO_ROW {
+            let rows = self.slots.len() / self.width;
+            self.rows[file] = u32::try_from(rows).expect("fewer than 2^32 files");
+            if self.slots.capacity() - self.slots.len() < self.width {
+                self.slots.reserve_exact((rows / 8).max(4) * self.width);
             }
-            row.resize_with(i + 1, || None);
+            self.slots
+                .resize_with(self.slots.len() + self.width, T::default);
         }
-        row[i].get_or_insert_with(make)
+        let at = self.rows[file] as usize * self.width + slot;
+        &mut self.slots[at]
     }
 
-    /// Take `page`'s entry out, leaving the page untouched again (its row
-    /// keeps its length). `None` if the page has no entry.
-    pub fn remove(&mut self, page: PageId) -> Option<T> {
-        self.files.get_mut(page.file.0)?.get_mut(slot(page))?.take()
-    }
-
-    /// The entry for `page`, created as `T::default()` on first touch.
-    pub fn get_or_default(&mut self, page: PageId) -> &mut T
-    where
-        T: Default,
-    {
-        self.get_or_insert_with(page, T::default)
-    }
-
-    /// Every entry, in [`PageId`] order.
+    /// Every slot of every touched file, in [`PageId`] order, untouched
+    /// pages of those files included (they read `T::default()`).
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &T)> + '_ {
-        self.files.iter().enumerate().flat_map(|(file, row)| {
-            row.iter().enumerate().filter_map(move |(page, entry)| {
-                let page = PageId {
-                    file: FileId(file),
-                    page: page as u64,
-                };
-                entry.as_ref().map(|value| (page, value))
+        let width = self.width;
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, &row)| row != NO_ROW)
+            .flat_map(move |(file, &row)| {
+                let start = row as usize * width;
+                self.slots[start..start + width]
+                    .iter()
+                    .enumerate()
+                    .map(move |(page, value)| {
+                        let page = PageId {
+                            file: FileId(file),
+                            page: page as u64,
+                        };
+                        (page, value)
+                    })
             })
-        })
     }
-}
 
-fn slot(page: PageId) -> usize {
-    usize::try_from(page.page).expect("page numbers fit in usize")
-}
-
-/// A page's buffers that it needs only while busy: a lock's holders and
-/// queue, BTO's pending and blocked lists, and OPT's certified lists.
-pub trait PageBuffers {
-    /// Fresh buffers with the capacity a first use needs.
-    fn stocked() -> Self;
-    /// True when every list is empty, so the page no longer needs them.
-    fn is_idle(&self) -> bool;
-}
-
-/// The buffers of idle pages, kept for the next page to go busy, so the
-/// buffers a manager holds follow its busy pages, not every page it ever
-/// touched.
-///
-/// When the stock runs dry it is refilled with as many buffers as are out
-/// (at least one transaction's worth), each with its first-use capacity:
-/// the stock doubles like a `Vec`, so a rising number of busy pages costs
-/// a logarithmic number of allocation rounds and the steady state none.
-#[derive(Debug)]
-pub struct Spares<T> {
-    free: Vec<Box<T>>,
-    /// Buffers handed out and not yet returned.
-    out: usize,
-    /// The smallest refill: the most pages one transaction makes busy here.
-    batch: usize,
-}
-
-impl<T> Default for Spares<T> {
-    fn default() -> Self {
-        Spares {
-            free: Vec::new(),
-            out: 0,
-            batch: 0,
+    /// Re-lay the table with rows of at least `min` slots, and an eighth
+    /// more than before, so a run of ever higher pages regrows it only a
+    /// logarithmic number of times.
+    fn widen(&mut self, min: usize) {
+        let (old, width) = (self.width, min.max(self.width + self.width / 8));
+        let rows = self.slots.len().checked_div(old).unwrap_or(0);
+        let mut slots = Vec::with_capacity(rows * width);
+        for row in 0..rows {
+            slots.extend_from_slice(&self.slots[row * old..(row + 1) * old]);
+            slots.resize((row + 1) * width, T::default());
         }
-    }
-}
-
-impl<T: PageBuffers> Spares<T> {
-    /// Set the smallest refill: the most pages one transaction makes busy
-    /// at once.
-    pub fn set_batch(&mut self, batch: usize) {
-        self.batch = batch;
-    }
-
-    /// Idle buffers in stock.
-    pub fn stock(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Buffers for a page going busy.
-    pub fn take(&mut self) -> Box<T> {
-        if self.free.is_empty() {
-            let refill = self.out.max(self.batch).max(1);
-            // Room for every buffer to come back without regrowing.
-            self.free.reserve_exact(self.out + refill);
-            self.free
-                .extend(std::iter::repeat_with(|| Box::new(T::stocked())).take(refill));
-        }
-        self.out += 1;
-        self.free.pop().expect("stocked above")
-    }
-
-    /// The buffers in `slot`, taken from stock if it has none.
-    pub fn fill<'a>(&mut self, slot: &'a mut Option<Box<T>>) -> &'a mut T {
-        slot.get_or_insert_with(|| self.take())
-    }
-
-    /// Return idle `buffers` to stock.
-    pub fn put(&mut self, buffers: Box<T>) {
-        debug_assert!(buffers.is_idle(), "only an idle page's buffers return");
-        debug_assert!(self.out > 0, "returned more buffers than taken");
-        self.out -= 1;
-        self.free.push(buffers);
-    }
-
-    /// Return `slot`'s buffers to stock once they are idle.
-    pub fn settle(&mut self, slot: &mut Option<Box<T>>) {
-        if slot.as_deref().is_some_and(T::is_idle) {
-            self.put(slot.take().expect("checked above"));
-        }
+        self.slots = slots;
+        self.width = width;
     }
 }
 
@@ -193,127 +131,48 @@ mod tests {
     }
 
     #[test]
-    fn page_map_untouched_page_reads_none() {
-        let mut m: PageMap<u32> = PageMap::new();
-        assert_eq!(m.get(pid(0, 0)), None);
-        *m.get_or_default(pid(2, 5)) = 7;
-        // Same row, other file, and past the end of the row: all untouched.
-        assert_eq!(m.get(pid(2, 4)), None);
-        assert_eq!(m.get(pid(1, 5)), None);
-        assert_eq!(m.get(pid(2, 6)), None);
-        assert_eq!(m.get_mut(pid(3, 0)), None);
-        assert_eq!(m.get(pid(2, 5)), Some(&7));
-    }
-
-    #[test]
-    fn page_map_growing_a_row_keeps_earlier_entries() {
-        let mut m: PageMap<u64> = PageMap::new();
-        for page in [3, 0, 40, 7, 1000] {
-            *m.get_or_insert_with(pid(1, page), || page * 10) += 1;
-        }
-        for page in [3, 0, 40, 7, 1000] {
-            assert_eq!(m.get(pid(1, page)), Some(&(page * 10 + 1)));
-        }
-        // A touched entry is not rebuilt.
-        assert_eq!(*m.get_or_insert_with(pid(1, 3), || 0), 31);
-    }
-
-    #[test]
-    fn page_map_iterates_in_page_id_order_across_files_with_gaps() {
-        let mut m: PageMap<()> = PageMap::new();
-        let pages = [pid(4, 2), pid(0, 9), pid(4, 0), pid(2, 3), pid(0, 1)];
-        for &p in &pages {
-            m.get_or_default(p);
-        }
-        let mut sorted = pages.to_vec();
-        sorted.sort();
-        let seen: Vec<PageId> = m.iter().map(|(p, _)| p).collect();
-        assert_eq!(seen, sorted);
-    }
-
-    #[test]
-    fn page_map_rows_grow_to_the_touched_page_by_at_least_an_eighth() {
-        let mut m: PageMap<u8> = PageMap::new();
-        for page in [5, 2, 9, 30] {
-            m.get_or_default(pid(0, page));
-        }
-        assert_eq!(m.files[0].capacity(), 31);
-        // Ascending first touches: few regrowths, under an eighth spare.
-        let mut growths = 0;
-        for page in 0..1000 {
-            let capacity = m.files.get(1).map_or(0, Vec::capacity);
-            m.get_or_default(pid(1, page));
-            growths += usize::from(m.files[1].capacity() != capacity);
-        }
-        assert!(growths <= 60, "{growths} regrowths");
-        assert!(m.files[1].capacity() <= 1000 + 1000 / 8);
-    }
-
-    #[test]
-    fn page_map_remove_then_reinsert_keeps_page_id_order() {
-        let mut m: PageMap<u64> = PageMap::new();
-        let pages = [pid(1, 4), pid(0, 2), pid(1, 0), pid(0, 7)];
-        for &p in &pages {
-            *m.get_or_default(p) = p.page;
-        }
-        assert_eq!(m.remove(pid(0, 2)), Some(2));
-        assert_eq!(m.remove(pid(0, 2)), None);
-        assert_eq!(m.remove(pid(5, 0)), None);
-        assert_eq!(m.get(pid(0, 2)), None);
-        let seen: Vec<PageId> = m.iter().map(|(p, _)| p).collect();
-        assert_eq!(seen, [pid(0, 7), pid(1, 0), pid(1, 4)]);
-        // Reinserted, the page reads its new value and takes its old place.
-        *m.get_or_default(pid(0, 2)) = 20;
-        assert_eq!(m.remove(pid(1, 0)), Some(0));
-        *m.get_or_default(pid(1, 0)) = 10;
-        let seen: Vec<(PageId, u64)> = m.iter().map(|(p, &v)| (p, v)).collect();
+    fn rows_follow_the_files_touched() {
+        let mut t: PageTable<u64> = PageTable::default();
+        assert_eq!(t.get(pid(3, 0)), None);
+        *t.entry(pid(3, 4)) = 34;
+        *t.entry(pid(9, 1)) = 91;
+        // Only files 3 and 9 have rows; a touched file's other pages read
+        // the default, pages past the width nothing.
+        assert_eq!(t.slots.len(), 2 * t.width);
+        assert_eq!(t.get(pid(3, 1)), Some(&0));
+        assert_eq!(t.get(pid(5, 1)), None);
+        assert_eq!(t.get(pid(3, 99)), None);
+        *t.entry(pid(9, 50)) += 5;
+        *t.get_mut(pid(3, 4)).unwrap() += 1;
         assert_eq!(
-            seen,
-            [
-                (pid(0, 2), 20),
-                (pid(0, 7), 7),
-                (pid(1, 0), 10),
-                (pid(1, 4), 4)
-            ]
+            [pid(3, 4), pid(9, 1), pid(9, 50)].map(|p| t.get(p).copied()),
+            [Some(35), Some(91), Some(5)]
         );
-    }
-
-    impl PageBuffers for Vec<u32> {
-        fn stocked() -> Self {
-            Vec::with_capacity(4)
-        }
-        fn is_idle(&self) -> bool {
-            self.is_empty()
-        }
+        // Iteration: file 3's row, then file 9's, each in page order,
+        // although file 9's row was laid out second.
+        let set: Vec<(PageId, u64)> = t
+            .iter()
+            .filter(|&(_, &v)| v != 0)
+            .map(|(p, &v)| (p, v))
+            .collect();
+        assert_eq!(set, [(pid(3, 4), 35), (pid(9, 1), 91), (pid(9, 50), 5)]);
+        assert_eq!(t.iter().count(), 2 * t.width);
     }
 
     #[test]
-    fn spares_double_when_dry_and_hand_back_the_last_returned() {
-        let mut s: Spares<Vec<u32>> = Spares::default();
-        s.set_batch(2);
-        let mut out: Vec<Box<Vec<u32>>> = Vec::new();
-        // Refills: the batch (2), then as many as are out (2, then 4).
-        for (taken, stock) in [(1, 1), (2, 0), (3, 1), (4, 0), (5, 3)] {
-            out.push(s.take());
-            assert_eq!((out.len(), s.stock()), (taken, stock));
+    fn equal_files_share_one_width() {
+        let mut t: PageTable<u32> = PageTable::default();
+        for page in (0..30).rev() {
+            *t.entry(pid(0, page)) = 1;
         }
-        assert!(out.iter().all(|b| b.is_empty() && b.capacity() == 4));
-        let last: *const Vec<u32> = &*out[4];
-        let capacity = s.free.capacity();
-        for b in out.drain(..) {
-            s.put(b);
+        let width = t.width;
+        for file in (1..64).rev() {
+            for page in 0..30 {
+                *t.entry(pid(file, page)) = 1;
+            }
         }
-        assert_eq!(s.stock(), 8);
-        assert_eq!(s.free.capacity(), capacity, "returns never regrow");
-        assert!(std::ptr::eq(&*s.take(), last));
-        // `settle` returns a slot's buffers only once idle.
-        let mut slot = Some(s.take());
-        slot.as_mut().unwrap().push(1);
-        s.settle(&mut slot);
-        assert!(slot.is_some());
-        slot.as_mut().unwrap().clear();
-        s.settle(&mut slot);
-        assert!(slot.is_none());
-        assert_eq!(s.fill(&mut slot).capacity(), 4);
+        assert_eq!(t.width, width);
+        assert_eq!(t.slots.len(), 64 * width);
+        assert!(t.slots.capacity() <= 64 * width + 64 * width / 8);
     }
 }

@@ -11,7 +11,9 @@ use serde::{Deserialize, Serialize};
 /// fields always equals the aggregate abort counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AbortBreakdown {
-    /// Snoop-detected deadlock victims (2PL).
+    /// 2PL deadlock victims: chosen by a node's local detection when a
+    /// request blocks (the requester or another cycle member), or by the
+    /// Snoop's global detection.
     #[serde(default)]
     pub deadlock: u64,
     /// Wound-wait wounds.

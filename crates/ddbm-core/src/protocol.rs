@@ -23,7 +23,8 @@ pub type CohortIdx = usize;
 /// timeout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortCause {
-    /// 2PL: chosen as a victim by the Snoop global deadlock detector.
+    /// 2PL: a deadlock victim, chosen by a node's local detection or by the
+    /// Snoop global deadlock detector.
     Deadlock,
     /// Wound-wait: wounded by an older transaction.
     Wound,

@@ -6,7 +6,7 @@ use super::Simulator;
 use crate::protocol::{AbortCause, CohortIdx, CpuJob, DiskJob, Event, MsgKind, RunId};
 use crate::txn::TxnPhase;
 use crate::witness::{WitnessEvent, WitnessReply};
-use ddbm_cc::{AccessReply, ReleaseResponse, Ts};
+use ddbm_cc::{rules_of, AccessReply, ReleaseResponse, Ts};
 use ddbm_config::{Algorithm, NodeId, TxnId};
 use denet::SimTime;
 
@@ -175,7 +175,10 @@ impl Simulator {
                 }
             }
             // The requester must abort: tell the coordinator.
-            AccessReply::Rejected => self.request_abort(now, node, id, run, AbortCause::Timestamp),
+            AccessReply::Rejected => {
+                let cause = self.cc_abort_cause(false);
+                self.request_abort(now, node, id, run, cause);
+            }
         }
         self.apply_release(now, node, side, Some((id, meta.initial_ts)));
     }
@@ -203,6 +206,21 @@ impl Simulator {
         }
         let node = txn.template.cohorts[cohort].node;
         self.request_abort(now, node, id, run, AbortCause::LockTimeout);
+    }
+
+    /// The cause of an abort the CC manager demanded: of a rejected
+    /// transaction, or (`victim`) of another one. Read from the algorithm's
+    /// rules: 2PL's are deadlock victims either way; otherwise a victim is
+    /// wounded, and a rejection keeps timestamp order (wait-die deaths, BTO
+    /// too-late accesses).
+    fn cc_abort_cause(&self, victim: bool) -> AbortCause {
+        if rules_of(self.config.algorithm).detects_deadlocks {
+            AbortCause::Deadlock
+        } else if victim {
+            AbortCause::Wound
+        } else {
+            AbortCause::Timestamp
+        }
     }
 
     /// Tell the coordinator, from `node`, that run `run` of `id` must abort.
@@ -365,7 +383,8 @@ impl Simulator {
                     page,
                 });
             }
-            self.request_abort(now, node, id, run, AbortCause::Timestamp);
+            let cause = self.cc_abort_cause(false);
+            self.request_abort(now, node, id, run, cause);
         }
         for id in rel.must_abort {
             let Some(txn) = self.txns.get(id) else {
@@ -381,7 +400,8 @@ impl Simulator {
                     node,
                 });
             }
-            self.request_abort(now, node, id, run, AbortCause::Wound);
+            let cause = self.cc_abort_cause(true);
+            self.request_abort(now, node, id, run, cause);
         }
     }
 

@@ -19,18 +19,16 @@
 //! waiting, not the pages ever written, and once the arenas have grown to
 //! the busiest moment no event allocates.
 
-use crate::dense::PageTable;
-use crate::lists::{List, Lists};
 use crate::violation::{Violation, ViolationKind};
 use ddbm_cc::Ts;
-use ddbm_config::{NodeId, PageId, TxnId};
+use ddbm_config::{NodeId, PageId, PageTable, TxnId};
 use ddbm_core::{WitnessEvent, WitnessReply};
-use denet::{FxHashMap, SimTime};
+use denet::{FxHashMap, List, Lists, SimTime};
 
 /// A waiting access: its timestamp and transaction.
 type Wait = (Ts, TxnId);
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct PageModel {
     rts: Ts,
     wts: Ts,
@@ -66,8 +64,8 @@ fn min_pending_below(waits: &Lists<Wait>, pm: &PageModel, ts: Ts) -> bool {
 
 /// Remove `txn`'s blocked read at `pm`, returning its timestamp.
 fn unblock(waits: &mut Lists<Wait>, pm: &mut PageModel, txn: TxnId) -> Option<Ts> {
-    let pos = waits.iter(pm.blocked).position(|(_, t)| t == txn)?;
-    Some(waits.remove(&mut pm.blocked, pos).0)
+    let (ts, _) = waits.remove(&mut pm.blocked, |&(_, t)| t == txn)?;
+    Some(ts)
 }
 
 /// See module docs.

@@ -21,10 +21,9 @@
 //!
 //! Runs get dense `u32` ids, and each copy is keyed by one word, its node
 //! and dense page id packed as the view checker packs them, so a copy's
-//! entry is two ids: its installer and the head of its readers list. The
-//! readers of every copy share one arena of `(run, next)` links, newest
-//! first; an install drains its copy's list, oldest reader first, and
-//! hands the links back for reuse.
+//! entry is its installer's id and its readers list. The readers lists of
+//! every copy share one `denet::Lists` arena; an install walks its copy's
+//! list, oldest reader first, and hands the links back for reuse.
 //!
 //! Under strict locking a run decides while it holds all its locks, and a
 //! conflicting run acquires its lock only after the release that follows,
@@ -43,7 +42,7 @@ use ddbm_cc::find_cycle;
 use ddbm_config::TxnId;
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent, WitnessReply};
-use denet::FxHashMap;
+use denet::{FxHashMap, List, Lists};
 
 /// One execution of a transaction.
 type Run = (TxnId, RunId);
@@ -51,7 +50,7 @@ type Run = (TxnId, RunId);
 /// The decision rank of a run that has not decided to commit.
 const UNDECIDED: u32 = u32::MAX;
 
-/// No run, or the end of a readers list.
+/// No run.
 const NONE: u32 = u32::MAX;
 
 /// What later operations on one page copy conflict with. Runs are dense
@@ -60,72 +59,16 @@ const NONE: u32 = u32::MAX;
 struct CopyState {
     /// The run whose write the copy holds, or `NONE`.
     installer: u32,
-    /// The newest link of the runs that read the copy since that install,
-    /// in [`ConflictChecker::readers`], or `NONE`.
-    readers: u32,
+    /// The runs that read the copy since that install, oldest first, in
+    /// [`ConflictChecker::readers`].
+    readers: List,
 }
 
 impl CopyState {
     const UNTOUCHED: CopyState = CopyState {
         installer: NONE,
-        readers: NONE,
+        readers: List::EMPTY,
     };
-}
-
-/// The readers lists of every copy in one arena of `(run, next)` links,
-/// each list newest first and ended by `NONE`. Drained lists' links are
-/// chained for reuse, so the arena holds no more links than the most
-/// readers listed at once.
-#[derive(Debug)]
-struct ReaderLists {
-    links: Vec<(u32, u32)>,
-    /// The first unused link, or `NONE`.
-    free: u32,
-}
-
-impl Default for ReaderLists {
-    fn default() -> Self {
-        ReaderLists {
-            links: Vec::new(),
-            free: NONE,
-        }
-    }
-}
-
-impl ReaderLists {
-    /// The run at the head of the list starting at `head`.
-    fn newest(&self, head: u32) -> Option<u32> {
-        (head != NONE).then(|| self.links[head as usize].0)
-    }
-
-    /// Put `run` in front of the list starting at `head`; returns the new
-    /// head.
-    fn push(&mut self, head: u32, run: u32) -> u32 {
-        if self.free == NONE {
-            self.links.push((run, head));
-            return self.links.len() as u32 - 1;
-        }
-        let at = self.free;
-        self.free = self.links[at as usize].1;
-        self.links[at as usize] = (run, head);
-        at
-    }
-
-    /// Empty the list starting at `head` into `out`, newest first, and free
-    /// its links.
-    fn drain(&mut self, head: u32, out: &mut Vec<u32>) {
-        let mut at = head;
-        while at != NONE {
-            let (run, next) = self.links[at as usize];
-            out.push(run);
-            if next == NONE {
-                // The whole list goes back at once.
-                self.links[at as usize].1 = self.free;
-                self.free = head;
-            }
-            at = next;
-        }
-    }
 }
 
 /// See module docs.
@@ -141,9 +84,8 @@ pub struct ConflictChecker {
     pages: DensePages,
     /// Keyed by [`copy_key`].
     copies: FxHashMap<u64, CopyState>,
-    readers: ReaderLists,
-    /// Scratch: a drained readers list, newest first.
-    drained: Vec<u32>,
+    /// Every copy's readers.
+    readers: Lists<u32>,
     /// Precedence edges between runs, committed or not. A run pair can
     /// repeat (one edge per page copy they conflict on); [`push_edge`]
     /// drops the repeats whenever the list fills.
@@ -219,8 +161,8 @@ impl ConflictChecker {
                 if copy.installer != NONE && self.runs[copy.installer as usize].0 != txn {
                     push_edge(&mut self.edges, (copy.installer, reader));
                 }
-                if self.readers.newest(copy.readers) != Some(reader) {
-                    copy.readers = self.readers.push(copy.readers, reader);
+                if self.readers.last(copy.readers) != Some(reader) {
+                    self.readers.push(&mut copy.readers, reader);
                 }
             }
             WitnessEvent::Install {
@@ -234,18 +176,16 @@ impl ConflictChecker {
                 let key = copy_key(node, self.pages.ix(page));
                 let copy = self.copies.entry(key).or_insert(CopyState::UNTOUCHED);
                 let earlier = std::mem::replace(&mut copy.installer, writer);
-                let head = std::mem::replace(&mut copy.readers, NONE);
-                self.drained.clear();
-                self.readers.drain(head, &mut self.drained);
                 let runs = &self.runs;
                 for r in Some(earlier)
                     .filter(|&w| w != NONE)
                     .into_iter()
-                    .chain(self.drained.iter().rev().copied())
+                    .chain(self.readers.iter(copy.readers))
                     .filter(|&r| runs[r as usize].0 != txn)
                 {
                     push_edge(&mut self.edges, (r, writer));
                 }
+                self.readers.clear(&mut copy.readers);
             }
             WitnessEvent::Phase {
                 txn,
@@ -595,7 +535,7 @@ mod tests {
         ] {
             c.observe(&ev);
         }
-        assert_eq!(c.readers.links.len(), 5);
+        assert_eq!(c.readers.capacity(), 5);
         c.observe(&install(3, 1, 1));
         let edges = |c: &ConflictChecker, from: usize| -> Vec<(u64, u64)> {
             let t = |r: u32| c.runs[r as usize].0 .0;
@@ -610,7 +550,7 @@ mod tests {
         for txn in 4..8 {
             c.observe(&read(txn, 1, 1));
         }
-        assert_eq!(c.readers.links.len(), 5, "the arena did not grow");
+        assert_eq!(c.readers.capacity(), 5, "the arena did not grow");
         c.observe(&install(8, 1, 2));
         assert_eq!(edges(&c, 3), [(3, 4), (3, 5), (3, 6), (3, 7), (2, 8)]);
     }

@@ -41,7 +41,6 @@
 pub mod btocheck;
 pub mod csr;
 mod dense;
-mod lists;
 pub mod locking;
 pub mod phase;
 pub mod replica;

@@ -25,12 +25,11 @@
 //! carries its initial-startup timestamp, so a priority check reads it
 //! with the lookup that finds the transaction's locks.
 
-use crate::lists::{List, Lists};
 use crate::violation::{Violation, ViolationKind};
 use ddbm_cc::Ts;
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::{WitnessEvent, WitnessReply};
-use denet::{FxHashMap, SimTime};
+use denet::{FxHashMap, List, Lists, SimTime};
 
 /// Which locking algorithm's rules to enforce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -633,7 +632,7 @@ impl LockChecker {
                                 format!("granted from queue position {pos} (FIFO head expected)"),
                             ));
                         }
-                        nm.locks.remove(&mut pm.queue, pos);
+                        nm.locks.remove(&mut pm.queue, |&(t, _)| t == txn);
                     }
                 }
                 if let Some((other, omode)) = nm
@@ -707,9 +706,9 @@ impl LockChecker {
                         ));
                     }
                 }
-                if let Some((pos, _)) = mine {
+                if mine.is_some() {
                     let pm = nm.pages.get_mut(&page).expect("the waiter's page is busy");
-                    nm.locks.remove(&mut pm.queue, pos);
+                    nm.locks.remove(&mut pm.queue, |&(t, _)| t == txn);
                 }
             }
             WitnessEvent::Wound {

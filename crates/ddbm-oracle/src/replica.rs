@@ -15,12 +15,11 @@
 //! replicas), which this stream-level witness cannot distinguish from the
 //! defect.
 
-use crate::lists::{List, Lists};
 use crate::violation::{Violation, ViolationKind};
 use crate::WitnessEvent;
 use ddbm_config::{NodeId, PageId, ReplicaControl, ReplicationParams, TxnId};
 use ddbm_core::protocol::RunId;
-use denet::{FxHashMap, SimTime};
+use denet::{FxHashMap, List, Lists, SimTime};
 
 type Run = (TxnId, RunId);
 

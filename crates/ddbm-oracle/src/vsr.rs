@@ -25,7 +25,8 @@
 //! * **while the run is live**, its reads (with the full version read, for
 //!   the quorum-read collapse) and its deduplicated installed pages sit in
 //!   two lists of a pending entry, whose links every live run shares in two
-//!   arenas;
+//!   `denet::Lists` arenas (the list arena of the CC managers and the other
+//!   checkers);
 //! * **at its `Committed` event** they move into two flat logs, reads as
 //!   `(reader, page, writer)` and installs as `(page, writer)`, 12 and 8
 //!   bytes an entry, and the lists' links go back to the arenas.
@@ -43,12 +44,11 @@
 //! position) groups each page's writers.
 
 use crate::dense::{copy_key, copy_page, DensePages, PageIx};
-use crate::lists::{List, Lists};
 use ddbm_cc::Ts;
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent};
-use denet::FxHashMap;
+use denet::{FxHashMap, List, Lists};
 
 /// A dense run id, or a position in the candidate serial order.
 type RunIx = u32;

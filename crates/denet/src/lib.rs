@@ -11,7 +11,9 @@
 //! * named, reproducible random streams ([`SimRng`]) with the distributions
 //!   the model needs (exponential, uniform, Bernoulli, distinct sampling),
 //! * output-analysis collectors ([`Tally`], [`LogHistogram`], [`BusyTracker`],
-//!   [`BatchMeans`]) with warmup-reset support.
+//!   [`BatchMeans`]) with warmup-reset support,
+//! * the containers the models share: [`FxHashMap`] and the [`Lists`]
+//!   arena of many short lists.
 //!
 //! The engine is intentionally minimal: model components (CPUs, disks, the
 //! transaction manager, ...) live in the `ddbm-*` crates and drive the
@@ -19,6 +21,7 @@
 
 pub mod calendar;
 pub mod fxhash;
+pub mod lists;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -27,6 +30,7 @@ pub mod witness;
 
 pub use calendar::{EventCalendar, Fired, SlotId};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use lists::{List, Lists};
 pub use rng::SimRng;
 pub use stats::{BatchMeans, BusyTracker, LogHistogram, Tally};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation engine.
 
-use denet::{EventCalendar, Fired, LogHistogram, SimDuration, SimRng, SimTime, Tally};
+use denet::{EventCalendar, Fired, List, Lists, LogHistogram, SimDuration, SimRng, SimTime, Tally};
 use proptest::prelude::*;
 
 /// One step of a calendar/reference interleaving. Delays are relative to the
@@ -316,5 +316,88 @@ proptest! {
         prop_assert_eq!(ha.p50(), combined.p50());
         prop_assert_eq!(ha.p95(), combined.p95());
         prop_assert_eq!(ha.p99(), combined.p99());
+    }
+}
+
+/// One step of a [`Lists`] arena against a `Vec<Vec<u32>>` model. Lists
+/// are picked by index; values are small so predicates hit and miss.
+#[derive(Debug, Clone)]
+enum ListOp {
+    Push(usize, u32),
+    /// Insert before the first item at least the value (a sorted insert
+    /// into a sorted list, anywhere into another).
+    Insert(usize, u32),
+    /// Keep the items not divisible by the divisor.
+    Retain(usize, u32),
+    /// Remove the first item at least the value.
+    Remove(usize, u32),
+    Clear(usize),
+    /// Add 100 to the first item equal to the value.
+    FindMut(usize, u32),
+}
+
+fn list_op_strategy() -> impl Strategy<Value = ListOp> {
+    prop_oneof![
+        4 => ((0usize..4), (0u32..20)).prop_map(|(l, x)| ListOp::Push(l, x)),
+        3 => ((0usize..4), (0u32..20)).prop_map(|(l, x)| ListOp::Insert(l, x)),
+        1 => ((0usize..4), (2u32..5)).prop_map(|(l, d)| ListOp::Retain(l, d)),
+        2 => ((0usize..4), (0u32..20)).prop_map(|(l, x)| ListOp::Remove(l, x)),
+        1 => (0usize..4).prop_map(ListOp::Clear),
+        1 => ((0usize..4), (0u32..20)).prop_map(|(l, x)| ListOp::FindMut(l, x)),
+    ]
+}
+
+proptest! {
+    /// Every list of the arena holds what a `Vec` per list would, after
+    /// every operation, and the arena never holds more links than the most
+    /// items listed at once.
+    #[test]
+    fn lists_match_a_vec_per_list(ops in prop::collection::vec(list_op_strategy(), 1..200)) {
+        let mut arena: Lists<u32> = Lists::default();
+        let mut lists = [List::EMPTY; 4];
+        let mut model: Vec<Vec<u32>> = vec![Vec::new(); 4];
+        let mut most = 0;
+        for op in ops {
+            match op {
+                ListOp::Push(l, x) => {
+                    arena.push(&mut lists[l], x);
+                    model[l].push(x);
+                }
+                ListOp::Insert(l, x) => {
+                    arena.insert(&mut lists[l], x, |&y| y >= x);
+                    let at = model[l].iter().position(|&y| y >= x).unwrap_or(model[l].len());
+                    model[l].insert(at, x);
+                }
+                ListOp::Retain(l, d) => {
+                    arena.retain(&mut lists[l], |&y| y % d != 0);
+                    model[l].retain(|&y| y % d != 0);
+                }
+                ListOp::Remove(l, x) => {
+                    let want = model[l].iter().position(|&y| y >= x).map(|at| model[l].remove(at));
+                    prop_assert_eq!(arena.remove(&mut lists[l], |&y| y >= x), want);
+                }
+                ListOp::Clear(l) => {
+                    arena.clear(&mut lists[l]);
+                    model[l].clear();
+                }
+                ListOp::FindMut(l, x) => {
+                    if let Some(y) = arena.find_mut(lists[l], |&y| y == x) {
+                        *y += 100;
+                    }
+                    if let Some(y) = model[l].iter_mut().find(|y| **y == x) {
+                        *y += 100;
+                    }
+                }
+            }
+            let listed: usize = model.iter().map(Vec::len).sum();
+            most = most.max(listed);
+            for (list, want) in lists.iter().zip(&model) {
+                prop_assert_eq!(&arena.iter(*list).collect::<Vec<_>>(), want);
+                prop_assert_eq!(list.is_empty(), want.is_empty());
+                prop_assert_eq!(arena.last(*list), want.last().copied());
+            }
+            prop_assert_eq!(arena.listed(), listed);
+            prop_assert!(arena.capacity() <= most, "{} links for at most {} items", arena.capacity(), most);
+        }
     }
 }

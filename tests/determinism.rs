@@ -252,7 +252,7 @@ const GOLDEN_TABLE: &[GoldenRow] = &[
             shrunk(Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 0.0))
         },
         covers: |r| r.aborts_by_cause.deadlock,
-        digest: "commits=50 aborts=7 causes=[5 0 2 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x403fb25c24562ead rt=0x3fe0fca2ff54a494",
+        digest: "commits=50 aborts=7 causes=[7 0 0 0 0 0 0 0] faults=[0 0 0 0 0 0 0] thr=0x403fb25c24562ead rt=0x3fe0fca2ff54a494",
     },
     GoldenRow {
         name: "2pl_t",
@@ -311,7 +311,7 @@ const GOLDEN_TABLE: &[GoldenRow] = &[
                 .min(f.msgs_to_down_node)
                 .min(f.disk_stalls)
         },
-        digest: "commits=50 aborts=65 causes=[4 2 0 0 0 59 0 0] faults=[4 4 2 106 122 20 4] thr=0x4012c32b412efae1 rt=0x3ffb6548a6fd4d52",
+        digest: "commits=50 aborts=65 causes=[6 0 0 0 0 59 0 0] faults=[4 4 2 106 122 20 4] thr=0x4012c32b412efae1 rt=0x3ffb6548a6fd4d52",
     },
     GoldenRow {
         name: "quorum3",
