@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ddbm_cc::{make_manager, LockMode, LockTable, Ts, TxnMeta};
 use ddbm_config::{Algorithm, Config, FileId, PageId, ReplicationParams, TxnId};
-use ddbm_core::{run_config, run_oracle, TestHooks};
+use ddbm_core::{run_config, run_oracle, run_traced, TestHooks};
 use ddbm_experiments::oracle::oracle_config;
 use ddbm_oracle::{check_options_for, check_stream};
 use ddbm_resource::Cpu;
@@ -290,26 +290,30 @@ fn messages(c: &mut Criterion) {
 }
 
 /// Observability overhead: the same 2PL whole-simulation run with phase
-/// statistics and event tracing enabled. Compare against
-/// `simulation_240_commits/2PL` — the gap is the tracing cost, and the
-/// untraced group must stay on its committed baseline (the disabled path is
-/// branch-only).
+/// statistics on (`2PL-phases`), and through `run_traced`, which also
+/// records the event trace and returns it sealed (`2PL-full`). Compare
+/// against `simulation_240_commits/2PL` — the gap is the tracing cost, and
+/// the untraced group must stay on its committed baseline (the disabled
+/// path is branch-only).
 fn whole_sim_traced(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation_240_commits_traced");
     group.sample_size(10);
-    for (name, phase_stats, events) in [("2PL-phases", true, false), ("2PL-full", true, true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &name, |b, _| {
-            let mut config = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 4.0);
-            config.control.warmup_commits = 40;
-            config.control.measure_commits = 200;
-            config.trace.phase_stats = phase_stats;
-            config.trace.events = events;
-            b.iter(|| {
-                let r = run_config(black_box(config.clone())).expect("valid");
-                black_box(r.commits)
-            })
-        });
-    }
+    let mut config = Config::paper(Algorithm::TwoPhaseLocking, 8, 8, 4.0);
+    config.control.warmup_commits = 40;
+    config.control.measure_commits = 200;
+    config.trace.phase_stats = true;
+    group.bench_function("2PL-phases", |b| {
+        b.iter(|| {
+            let r = run_config(black_box(config.clone())).expect("valid");
+            black_box(r.commits)
+        })
+    });
+    group.bench_function("2PL-full", |b| {
+        b.iter(|| {
+            let (r, trace) = run_traced(black_box(config.clone())).expect("valid");
+            black_box((r.commits, trace.events.len()))
+        })
+    });
     group.finish();
 }
 

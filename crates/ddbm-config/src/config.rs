@@ -226,11 +226,6 @@ impl Config {
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.system.num_nodes()).map(NodeId)
     }
-
-    /// All processing-node ids.
-    pub fn proc_node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (1..self.system.num_nodes()).map(NodeId)
-    }
 }
 
 #[cfg(test)]

@@ -269,11 +269,6 @@ impl WorkloadParams {
             exec_pattern: ExecPattern::Parallel,
         }
     }
-
-    /// Terminals per relation group (paper: 128 / 8 = 16).
-    pub fn terminals_per_group(&self, num_relations: usize) -> usize {
-        self.num_terminals / num_relations
-    }
 }
 
 /// Run-length control for one simulation run. Not a paper parameter; chosen
@@ -348,7 +343,6 @@ mod tests {
     fn workload_defaults_match_table4() {
         let w = WorkloadParams::paper_defaults(12.0);
         assert_eq!(w.num_terminals, 128);
-        assert_eq!(w.terminals_per_group(8), 16);
         assert_eq!(w.mean_pages_per_file, 8);
         assert_eq!((w.min_pages_per_file, w.max_pages_per_file), (4, 12));
         assert!((w.write_prob - 0.25).abs() < 1e-12);

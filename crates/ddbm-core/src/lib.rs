@@ -47,7 +47,7 @@ pub use protocol::AbortCause;
 pub use simulator::{
     run_config, run_oracle, run_traced, run_witnessed, OracleRecording, Simulator, TestHooks,
 };
-pub use trace::{PhaseSpan, TraceEvent, TraceLog, Tracer, TxnTrace};
+pub use trace::{PhaseSpan, TraceEvent, TraceLog, TxnTrace};
 pub use txn::{PhaseBucket, TxnPhase};
 pub use witness::{WitnessEvent, WitnessReply, WitnessSink, WitnessStream};
 pub use workload::{generate_template, Access, CohortSpec, TxnTemplate};

@@ -5,12 +5,14 @@
 //! decision — exactly once, through one [`Observer`] method, and the
 //! observer fans it out to whichever consumers the run installed:
 //!
-//! * the [`Tracer`] ring (`trace.events`), for Chrome-trace / JSONL export;
-//! * the [`PhaseCollector`] (`trace.phase_stats`), which keeps its own
+//! * the [`PhaseCollector`] (`trace.phase_stats`, the one consumer a config
+//!   turns on, because its output reaches the report), which keeps its own
 //!   per-transaction bucket clocks, so the simulator never applies the
 //!   phase-bucket partition itself;
-//! * a [`WitnessSink`] (`trace.witness`, or the sink a run driver
-//!   installs), for the `ddbm-oracle` checkers.
+//! * the [`Tracer`], installed by `run_traced`, for Chrome-trace / JSONL
+//!   export;
+//! * a [`WitnessSink`], installed by `run_oracle` or `run_witnessed`, for
+//!   the `ddbm-oracle` checkers.
 //!
 //! The simulator holds the observer as an `Option<Box<Observer>>` that is
 //! `None` unless something is being collected, so the disabled path costs
@@ -22,40 +24,22 @@ use crate::trace::{TraceEvent, TraceLog, Tracer};
 use crate::txn::TxnPhase;
 use crate::witness::{WitnessEvent, WitnessSink};
 use ddbm_cc::{LockStats, Ts};
-use ddbm_config::{NodeId, TraceConfig, TxnId};
-use denet::{SimDuration, SimTime, WitnessLog};
+use ddbm_config::{NodeId, TxnId};
+use denet::{SimDuration, SimTime};
 
-/// Ring capacity of the event tracer, in events.
-const EVENT_CAPACITY: usize = 1 << 20;
-
-/// Capacity of the witness log a run records into, in events.
-pub(crate) const WITNESS_CAPACITY: usize = 1 << 22;
+/// The recorders a run entry point installs, handed back after the run:
+/// the sealed event trace and the witness consumer.
+pub(crate) type Recorders = (Option<TraceLog>, Option<Box<dyn WitnessSink>>);
 
 /// The consumers of one run's probe events (see the module docs).
+#[derive(Default)]
 pub(crate) struct Observer {
-    tracer: Option<Tracer>,
-    phases: Option<PhaseCollector>,
-    witness: Option<Box<dyn WitnessSink>>,
+    pub(crate) phases: Option<PhaseCollector>,
+    pub(crate) tracer: Option<Tracer>,
+    pub(crate) witness: Option<Box<dyn WitnessSink>>,
 }
 
 impl Observer {
-    /// The consumers `trace` enables, on a `num_nodes`-node machine. The
-    /// witness consumer is a [`WitnessLog`] of [`WITNESS_CAPACITY`] events.
-    pub(crate) fn new(trace: &TraceConfig, num_nodes: usize) -> Observer {
-        Observer {
-            tracer: trace.events.then(|| Tracer::new(EVENT_CAPACITY, num_nodes)),
-            phases: trace.phase_stats.then(PhaseCollector::new),
-            witness: trace.witness.then(|| {
-                Box::new(WitnessLog::<WitnessEvent>::new(WITNESS_CAPACITY)) as Box<dyn WitnessSink>
-            }),
-        }
-    }
-
-    /// Replace the witness consumer with `sink`.
-    pub(crate) fn install_witness(&mut self, sink: Box<dyn WitnessSink>) {
-        self.witness = Some(sink);
-    }
-
     /// Run `run` of `txn` entered `phase`.
     #[inline]
     pub(crate) fn phase(&mut self, at: SimTime, txn: TxnId, run: RunId, phase: TxnPhase) {
@@ -208,13 +192,8 @@ impl Observer {
         self.phases.as_ref().map(PhaseCollector::breakdown)
     }
 
-    /// The event trace sealed at `end`, when tracing.
-    pub(crate) fn into_trace(self, end: SimTime) -> Option<TraceLog> {
-        self.tracer.map(|t| t.finish(end))
-    }
-
-    /// The witness consumer, handed back after the run.
-    pub(crate) fn into_witness(self) -> Option<Box<dyn WitnessSink>> {
-        self.witness
+    /// The installed recorders, the event trace sealed at `end`.
+    pub(crate) fn into_recorders(self, end: SimTime) -> Recorders {
+        (self.tracer.map(|t| t.finish(end)), self.witness)
     }
 }

@@ -33,18 +33,18 @@ mod resources;
 mod routing;
 mod snoop;
 
-use crate::metrics::{MetricsCollector, RunReport};
-use crate::observe::{Observer, WITNESS_CAPACITY};
+use crate::metrics::{MetricsCollector, PhaseCollector, RunReport};
+use crate::observe::{Observer, Recorders};
 use crate::protocol::{CpuJob, DiskJob, Event, Message};
 use crate::store::TxnStore;
-use crate::trace::TraceLog;
+use crate::trace::{TraceLog, Tracer};
 use crate::txn::CohortRun;
-use crate::witness::{WitnessSink, WitnessStream};
+use crate::witness::{WitnessEvent, WitnessSink, WitnessStream};
 use crate::workload::{RouteScratch, TxnTemplate};
 use ddbm_cc::{make_manager_with, CcManager};
 use ddbm_config::{Config, ConfigError, FaultPlan, NodeId, PageId, Placement, TxnId};
 use ddbm_resource::{Cpu, DiskArray, LruPool};
-use denet::{EventCalendar, Fired, SimDuration, SimRng, SimTime, SlotId, WitnessLog};
+use denet::{EventCalendar, EventLog, Fired, Keep, SimDuration, SimRng, SimTime, SlotId};
 use pool::Pool;
 use snoop::SnoopState;
 use std::any::Any;
@@ -141,12 +141,6 @@ pub struct TestHooks {
     pub skip_replica_write: bool,
 }
 
-/// A fixed transaction script for oracle replay (see [`run_oracle`]).
-struct ScriptedWorkload {
-    templates: Vec<TxnTemplate>,
-    next: usize,
-}
-
 /// See module docs.
 pub struct Simulator {
     config: Config,
@@ -219,16 +213,17 @@ pub struct Simulator {
     /// single-copy runs.
     read_rr: u64,
     /// The observer every probe event goes through (see [`Observer`]),
-    /// present only when `config.trace.any()` holds or a run driver has
-    /// installed a witness sink. Every probe site is one branch on it, so
-    /// the unobserved simulation stays bit-identical and branch-only.
+    /// present only when `config.trace.phase_stats` holds or a run entry
+    /// point has installed a recorder. Every probe site is one branch on
+    /// it, so the unobserved simulation stays bit-identical and
+    /// branch-only.
     obs: Option<Box<Observer>>,
     /// Test-only failure hooks (see [`TestHooks`]); all-off in normal runs.
     hooks: TestHooks,
-    /// Oracle replay: when set, terminals submit these templates in order
-    /// instead of drawing fresh ones from the workload stream, and stop
-    /// admitting once the script is exhausted.
-    script: Option<ScriptedWorkload>,
+    /// Oracle replay (see [`run_oracle`]): when set, terminals submit these
+    /// templates in order instead of drawing fresh ones from the workload
+    /// stream, and stop admitting once the script is exhausted.
+    script: Option<std::vec::IntoIter<TxnTemplate>>,
     /// Oracle capture: when set, every generated template is recorded in
     /// submission order so a failing workload can be replayed and shrunk.
     template_log: Option<Vec<TxnTemplate>>,
@@ -286,10 +281,12 @@ impl Simulator {
                 }
             })
             .collect();
-        let obs = config
-            .trace
-            .any()
-            .then(|| Box::new(Observer::new(&config.trace, config.system.num_nodes())));
+        let obs = config.trace.phase_stats.then(|| {
+            Box::new(Observer {
+                phases: Some(PhaseCollector::new()),
+                ..Observer::default()
+            })
+        });
         let snoop = SnoopState::for_algorithm(config.algorithm);
         let cohort_groups = (0..config.database.num_relations)
             .map(|rel| placement.cohort_groups(rel))
@@ -348,25 +345,18 @@ impl Simulator {
 
     /// Run to completion and report.
     pub fn run(mut self) -> RunReport {
-        self.run_observed(None, false).0
+        self.run_to_end(false)
     }
 
-    /// The driver behind every run entry point: install `sink` as the
-    /// observer's witness consumer (building the observer if the config
-    /// enabled none), seed, drive to the end (then, with `drain`, keep going
-    /// until every live transaction has finished), report, and hand back the
-    /// observer.
-    fn run_observed(
-        &mut self,
-        sink: Option<Box<dyn WitnessSink>>,
-        drain: bool,
-    ) -> (RunReport, Option<Box<Observer>>) {
-        if let Some(sink) = sink {
-            let num_nodes = self.nodes.len();
-            self.obs
-                .get_or_insert_with(|| Box::new(Observer::new(&self.config.trace, num_nodes)))
-                .install_witness(sink);
-        }
+    /// The observer, built here when phase statistics did not build it: the
+    /// run entry points install the recorders they return in it.
+    fn observer(&mut self) -> &mut Observer {
+        self.obs.get_or_insert_with(Box::default)
+    }
+
+    /// Seed, drive to the end (then, with `drain`, keep going until every
+    /// live transaction has finished), and report.
+    fn run_to_end(&mut self, drain: bool) -> RunReport {
         self.seed();
         self.drive(|sim| sim.finished);
         if drain {
@@ -377,7 +367,7 @@ impl Simulator {
             self.draining = true;
             self.drive(|sim| sim.txns.is_empty());
         }
-        (self.report(self.calendar.now()), self.obs.take())
+        self.report(self.calendar.now())
     }
 
     /// Schedule the initial events: every terminal starts thinking, and the
@@ -581,16 +571,15 @@ pub fn run_config(config: Config) -> Result<RunReport, ConfigError> {
     Ok(Simulator::new(config)?.run())
 }
 
-/// Run with event tracing and phase statistics forced on; returns the
-/// report together with the sealed [`TraceLog`], ready for export as
-/// Chrome-trace JSON or JSONL.
+/// Run with phase statistics forced on and an event tracer installed;
+/// returns the report together with the sealed [`TraceLog`], ready for
+/// export as Chrome-trace JSON or JSONL.
 pub fn run_traced(mut config: Config) -> Result<(RunReport, TraceLog), ConfigError> {
-    config.trace.events = true;
     config.trace.phase_stats = true;
-    let mut sim = Simulator::new(config)?;
-    let (report, obs) = sim.run_observed(None, false);
-    let trace = obs.and_then(|o| o.into_trace(sim.calendar.now()));
-    Ok((report, trace.expect("tracing was enabled")))
+    let (recording, (trace, _)) = run_observed(config, false, |sim| {
+        sim.observer().tracer = Some(Tracer::new(sim.nodes.len()));
+    })?;
+    Ok((recording.report, trace.expect("the tracer was installed")))
 }
 
 /// Everything the `ddbm-oracle` invariant checkers need from one
@@ -618,25 +607,36 @@ pub struct OracleRecording {
     pub truncated: bool,
 }
 
-/// Oracle entry point: [`run_witnessed`] into a [`WitnessLog`] of 2^22
-/// events, returned as the recording's stream, with every submitted
-/// template recorded alongside it.
+/// Most events the witness log of [`run_oracle`] retains; past it the
+/// stream is cut and the overflow counted.
+const WITNESS_CAPACITY: usize = 1 << 22;
+
+/// Oracle entry point: [`run_witnessed`] into an [`EventLog`] that keeps
+/// the first 2^22 events, returned as the recording's stream, with every
+/// submitted template recorded alongside it.
 pub fn run_oracle(
     config: Config,
     script: Option<Vec<TxnTemplate>>,
     hooks: TestHooks,
 ) -> Result<OracleRecording, ConfigError> {
-    let log = WitnessLog::new(WITNESS_CAPACITY);
-    let (mut recording, log) = run_with_sink(config, script, hooks, false, log, true)?;
-    (recording.witness, recording.witness_overflow) = log.into_parts();
+    let (mut recording, (_, log)) = run_observed(config, false, |sim| {
+        sim.hooks = hooks;
+        sim.script = script.map(Vec::into_iter);
+        sim.template_log = Some(Vec::new());
+        let log = EventLog::<WitnessEvent>::new(WITNESS_CAPACITY, Keep::Oldest);
+        sim.observer().witness = Some(Box::new(log));
+    })?;
+    (recording.witness, recording.witness_overflow) =
+        sink_of::<EventLog<WitnessEvent>>(log).into_parts();
     Ok(recording)
 }
 
-/// Run with witness emission forced on, feeding every event to `sink` as
-/// it happens, and hand the sink back with the recording (whose `witness`
-/// and `templates` stay empty). Optionally replays a fixed transaction `script`
-/// (terminals consume its templates in order and stop admitting when it
-/// runs dry) and injects a deliberate [`TestHooks`] protocol defect.
+/// Run with `sink` installed as the witness consumer, feeding it every
+/// event as it happens, and hand the sink back with the recording (whose
+/// `witness` and `templates` stay empty). Optionally replays a fixed
+/// transaction `script` (terminals consume its templates in order and stop
+/// admitting when it runs dry) and injects a deliberate [`TestHooks`]
+/// protocol defect.
 ///
 /// With `drain`, the run does not stop at its commit target: admissions
 /// shut off and the event loop keeps going until every in-flight
@@ -650,30 +650,30 @@ pub fn run_witnessed<S: WitnessSink>(
     drain: bool,
     sink: S,
 ) -> Result<(OracleRecording, S), ConfigError> {
-    run_with_sink(config, script, hooks, drain, sink, false)
+    let (recording, (_, sink)) = run_observed(config, drain, |sim| {
+        sim.hooks = hooks;
+        sim.script = script.map(Vec::into_iter);
+        sim.observer().witness = Some(Box::new(sink));
+    })?;
+    Ok((recording, sink_of(sink)))
 }
 
-/// [`run_witnessed`], recording the submitted templates when
-/// `record_templates` holds.
-fn run_with_sink<S: WitnessSink>(
+/// The one driver behind the entry points that return what they observed
+/// ([`run_traced`], [`run_oracle`], [`run_witnessed`]): build the
+/// simulator for `config`, let `install` set up the recorders the entry
+/// point returns (and the script it replays and the defects it injects),
+/// run to the end (with `drain`, until every live transaction has
+/// finished), and hand back the recording with the installed recorders.
+fn run_observed(
     config: Config,
-    script: Option<Vec<TxnTemplate>>,
-    hooks: TestHooks,
     drain: bool,
-    sink: S,
-    record_templates: bool,
-) -> Result<(OracleRecording, S), ConfigError> {
+    install: impl FnOnce(&mut Simulator),
+) -> Result<(OracleRecording, Recorders), ConfigError> {
     let mut sim = Simulator::new(config)?;
-    sim.hooks = hooks;
-    sim.template_log = record_templates.then(Vec::new);
-    if let Some(templates) = script {
-        sim.script = Some(ScriptedWorkload { templates, next: 0 });
-    }
-    let (report, obs) = sim.run_observed(Some(Box::new(sink)), drain);
-    let sink: Box<dyn Any> = obs
-        .and_then(|o| o.into_witness())
-        .expect("the sink was installed");
-    let sink = *sink.downcast::<S>().expect("the sink keeps its type");
+    install(&mut sim);
+    let report = sim.run_to_end(drain);
+    let end = sim.calendar.now();
+    let recorders = sim.obs.take().unwrap_or_default().into_recorders(end);
     let recording = OracleRecording {
         report,
         witness: WitnessStream::new(),
@@ -681,5 +681,11 @@ fn run_with_sink<S: WitnessSink>(
         templates: sim.template_log.take().unwrap_or_default(),
         truncated: sim.truncated,
     };
-    Ok((recording, sink))
+    Ok((recording, recorders))
+}
+
+/// The witness sink a run handed back, as the type it was installed as.
+fn sink_of<S: WitnessSink>(sink: Option<Box<dyn WitnessSink>>) -> S {
+    let sink: Box<dyn Any> = sink.expect("the sink was installed");
+    *sink.downcast::<S>().expect("the sink keeps its type")
 }

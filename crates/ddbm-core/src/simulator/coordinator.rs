@@ -24,11 +24,9 @@ impl Simulator {
             // script runs dry the terminal simply stops submitting. Scripted
             // templates are already physical (replica routing baked in at
             // recording time), so they are never re-materialized.
-            let Some(t) = script.templates.get(script.next) else {
+            let Some(t) = script.next() else {
                 return;
             };
-            script.next += 1;
-            let t = t.clone();
             (self.pooled_template(t), None, false)
         } else {
             let relation = self.config.relation_of_terminal(terminal);

@@ -1,7 +1,7 @@
 //! The simulator's event trace: recording, reconstruction, and export.
 //!
-//! When `trace.events` is enabled the simulator's observer records
-//! [`TraceEvent`]s into a preallocated [`TraceRing`] at every phase
+//! In a `run_traced` run the simulator's observer records [`TraceEvent`]s
+//! into an [`EventLog`] that keeps the newest 2^20 events, at every phase
 //! boundary, lock-wait edge, message send/arrival, and resource busy/idle
 //! transition. [`TraceLog`] post-processes the raw stream:
 //! [`TraceLog::txn_traces`] replays it into per-transaction [`PhaseSpan`]
@@ -18,7 +18,7 @@
 
 use crate::txn::{PhaseBucket, TxnPhase};
 use ddbm_config::{NodeId, TxnId};
-use denet::{FxHashMap, SimTime, TraceRing};
+use denet::{EventLog, FxHashMap, Keep, SimTime};
 use std::io::{self, Write};
 
 use crate::protocol::RunId;
@@ -98,11 +98,13 @@ pub enum TraceEvent {
     },
 }
 
-/// The live recorder the simulator's observer owns while `trace.events` is
-/// on.
+/// Most events a trace retains; past it the oldest are overwritten.
+const EVENT_CAPACITY: usize = 1 << 20;
+
+/// The live recorder `run_traced` installs in the simulator's observer.
 #[derive(Debug)]
-pub struct Tracer {
-    ring: TraceRing<TraceEvent>,
+pub(crate) struct Tracer {
+    log: EventLog<TraceEvent>,
     /// Last recorded CPU busy state per node, for transition dedup.
     cpu_busy: Vec<bool>,
     /// Last recorded disk busy state per node, for transition dedup.
@@ -110,10 +112,10 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer for a `num_nodes`-node machine retaining `capacity` events.
-    pub fn new(capacity: usize, num_nodes: usize) -> Tracer {
+    /// A tracer for a `num_nodes`-node machine.
+    pub(crate) fn new(num_nodes: usize) -> Tracer {
         Tracer {
-            ring: TraceRing::new(capacity),
+            log: EventLog::new(EVENT_CAPACITY, Keep::Newest),
             cpu_busy: vec![false; num_nodes],
             disk_busy: vec![false; num_nodes],
         }
@@ -121,31 +123,31 @@ impl Tracer {
 
     /// Record one event.
     #[inline]
-    pub fn push(&mut self, at: SimTime, event: TraceEvent) {
-        self.ring.push(at, event);
+    pub(crate) fn push(&mut self, at: SimTime, event: TraceEvent) {
+        self.log.push(at, event);
     }
 
     /// Record a CPU busy-state sample; only transitions are retained.
     #[inline]
-    pub fn note_cpu(&mut self, at: SimTime, node: NodeId, busy: bool) {
+    pub(crate) fn note_cpu(&mut self, at: SimTime, node: NodeId, busy: bool) {
         if self.cpu_busy[node.0] != busy {
             self.cpu_busy[node.0] = busy;
-            self.ring.push(at, TraceEvent::CpuBusy { node, busy });
+            self.log.push(at, TraceEvent::CpuBusy { node, busy });
         }
     }
 
     /// Record a disk busy-state sample; only transitions are retained.
     #[inline]
-    pub fn note_disk(&mut self, at: SimTime, node: NodeId, busy: bool) {
+    pub(crate) fn note_disk(&mut self, at: SimTime, node: NodeId, busy: bool) {
         if self.disk_busy[node.0] != busy {
             self.disk_busy[node.0] = busy;
-            self.ring.push(at, TraceEvent::DiskBusy { node, busy });
+            self.log.push(at, TraceEvent::DiskBusy { node, busy });
         }
     }
 
     /// Seal the recording at simulation end time `end`.
-    pub fn finish(self, end: SimTime) -> TraceLog {
-        let (events, dropped) = self.ring.into_ordered();
+    pub(crate) fn finish(self, end: SimTime) -> TraceLog {
+        let (events, dropped) = self.log.into_parts();
         TraceLog {
             events,
             dropped,
@@ -170,7 +172,7 @@ pub struct PhaseSpan {
 pub struct TxnTrace {
     /// The transaction.
     pub txn: TxnId,
-    /// First observed event (submission, when the ring did not wrap).
+    /// First observed event (submission, when the log did not wrap).
     pub submitted: SimTime,
     /// Commit instant, or `None` if the transaction was still live at trace
     /// end (its last span is closed at the trace end instead).
@@ -185,7 +187,7 @@ pub struct TxnTrace {
 pub struct TraceLog {
     /// Retained events, oldest first.
     pub events: Vec<(SimTime, TraceEvent)>,
-    /// Events overwritten because the ring filled (0 means the trace is
+    /// Events overwritten because the log filled (0 means the trace is
     /// complete; nonzero means early timelines are partial).
     pub dropped: u64,
     /// Simulation time when the trace was sealed.
@@ -567,7 +569,7 @@ mod tests {
 
     #[test]
     fn tracer_dedups_resource_transitions() {
-        let mut tr = Tracer::new(64, 2);
+        let mut tr = Tracer::new(2);
         tr.note_cpu(SimTime(1), NodeId(0), true);
         tr.note_cpu(SimTime(2), NodeId(0), true); // duplicate: dropped
         tr.note_cpu(SimTime(3), NodeId(0), false);

@@ -1,19 +1,19 @@
 //! The protocol witness stream: the raw material for the `ddbm-oracle`
 //! invariant checkers.
 //!
-//! When `TraceConfig::witness` is on, or a run driver installs a sink, the
-//! simulator's observer feeds every externally observable
-//! concurrency-control decision — grants, blocks, rejections, wounds,
-//! certifications, lock releases, write installs, coordinator phase
-//! transitions, and node crashes — into a [`WitnessSink`]: a lossless
-//! [`denet::WitnessLog`] of 2^22 events, or an online checker that consumes
-//! each event as it is emitted. Phase transitions and commits reach the
-//! sink through the same observer calls that feed the event trace and the
-//! phase statistics, so each is emitted once. A checker runs the stream through an independent model of
-//! the algorithm's rules (strictness and the two-phase rule for the locking
-//! family, wound/wait priority for WW/WD, timestamp order for BTO, backward
-//! validation for OPT) and reports any event the protocol should not have
-//! produced.
+//! In a `run_oracle` or `run_witnessed` run the simulator's observer feeds
+//! every externally observable concurrency-control decision — grants,
+//! blocks, rejections, wounds, certifications, lock releases, write
+//! installs, coordinator phase transitions, and node crashes — into the
+//! [`WitnessSink`] that entry point installed: an [`EventLog`] that keeps
+//! the first 2^22 events, or an online checker that consumes each event as
+//! it is emitted. Phase transitions and commits reach the sink through the
+//! same observer calls that feed the event trace and the phase statistics,
+//! so each is emitted once. A checker runs the stream through an
+//! independent model of the algorithm's rules (strictness and the
+//! two-phase rule for the locking family, wound/wait priority for WW/WD,
+//! timestamp order for BTO, backward validation for OPT) and reports any
+//! event the protocol should not have produced.
 //!
 //! Like the rest of the observability subsystem, witness recording is
 //! branch-only when off: the unobserved simulator takes no witness branch,
@@ -24,7 +24,7 @@ use crate::protocol::RunId;
 use crate::txn::TxnPhase;
 use ddbm_cc::Ts;
 use ddbm_config::{NodeId, PageId, TxnId};
-use denet::{SimTime, WitnessLog};
+use denet::{EventLog, SimTime};
 use std::any::Any;
 
 /// The CC manager's reply to an access request, as witnessed.
@@ -180,7 +180,7 @@ pub enum WitnessEvent {
 pub type WitnessStream = Vec<(SimTime, WitnessEvent)>;
 
 /// A consumer of the witness stream, fed each event as the simulator emits
-/// it. A [`WitnessLog`] records the stream for later replay; an online
+/// it. An [`EventLog`] records the stream for later replay; an online
 /// checker (the `ddbm-oracle` `Oracle`) consumes it without storing it.
 ///
 /// `Any` lets a run driver hand the concrete sink back after the run.
@@ -189,9 +189,9 @@ pub trait WitnessSink: Any {
     fn push(&mut self, at: SimTime, event: WitnessEvent);
 }
 
-impl WitnessSink for WitnessLog<WitnessEvent> {
+impl WitnessSink for EventLog<WitnessEvent> {
     #[inline]
     fn push(&mut self, at: SimTime, event: WitnessEvent) {
-        WitnessLog::push(self, at, event);
+        EventLog::push(self, at, event);
     }
 }

@@ -1,11 +1,11 @@
 //! Serde round-trips for the report types: every struct the harness writes
 //! to JSON must deserialize back to an equal value, including the awkward
-//! corners — empty `Tally` sentinels (±inf min/max), absent optional
-//! fields, and reports populated by a real faulty run.
+//! corners — absent optional fields, retired config keys, and reports
+//! populated by a real faulty run.
 
 use ddbm_config::{Algorithm, Config};
 use ddbm_core::{run_config, AbortBreakdown, FaultStats, RunReport};
-use denet::{SimDuration, Tally};
+use denet::SimDuration;
 
 fn roundtrip<T>(v: &T) -> T
 where
@@ -47,38 +47,6 @@ fn fault_stats_roundtrip() {
     };
     assert_eq!(roundtrip(&f), f);
     assert_eq!(roundtrip(&FaultStats::default()), FaultStats::default());
-}
-
-#[test]
-fn empty_tally_survives_the_trip() {
-    // An empty tally holds min = +inf / max = -inf sentinels, which JSON
-    // cannot represent; the manual serde impl must rebuild them.
-    let t: Tally = roundtrip(&Tally::new());
-    assert_eq!(t.count(), 0);
-    assert_eq!(t.min(), None);
-    assert_eq!(t.max(), None);
-    // Recording into a round-tripped empty tally behaves like a fresh one.
-    let mut fresh = Tally::new();
-    let mut tripped = t;
-    fresh.record(3.5);
-    tripped.record(3.5);
-    assert_eq!(fresh.min(), tripped.min());
-    assert_eq!(fresh.max(), tripped.max());
-    assert_eq!(fresh.mean(), tripped.mean());
-}
-
-#[test]
-fn populated_tally_roundtrips_exactly() {
-    let mut t = Tally::new();
-    for x in [0.25, -1.5, 7.0, 3.125] {
-        t.record(x);
-    }
-    let r: Tally = roundtrip(&t);
-    assert_eq!(r.count(), t.count());
-    assert_eq!(r.mean(), t.mean());
-    assert_eq!(r.variance(), t.variance());
-    assert_eq!(r.min(), t.min());
-    assert_eq!(r.max(), t.max());
 }
 
 /// A real report from a small faulty run with phase stats on: the abort
@@ -140,10 +108,10 @@ fn missing_extension_fields_default() {
     assert_eq!(r.response_time_ci95, 0.0);
 }
 
-/// A config document written before the trace capacity knobs were retired
-/// (every older `.repro.json` carries `event_capacity` and
-/// `witness_capacity`) still loads, to the same `Config`: unknown keys are
-/// ignored.
+/// A config document written before the trace capacity knobs and the
+/// `events` knob were retired (older `.repro.json` files carry
+/// `event_capacity`, `witness_capacity` and `events`) still loads, to the
+/// same `Config`: unknown keys are ignored.
 #[test]
 fn retired_trace_capacity_keys_are_ignored() {
     let mut c = Config::paper(Algorithm::WoundWait, 4, 4, 1.0);
@@ -151,7 +119,7 @@ fn retired_trace_capacity_keys_are_ignored() {
     let json = serde_json::to_string(&c).expect("serializes");
     let with_retired = json.replacen(
         "\"trace\":{",
-        "\"trace\":{\"event_capacity\":4096,\"witness_capacity\":0,",
+        "\"trace\":{\"event_capacity\":4096,\"witness_capacity\":0,\"events\":true,",
         1,
     );
     assert_ne!(with_retired, json, "the trace object is present");

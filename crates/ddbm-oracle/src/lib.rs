@@ -2,9 +2,10 @@
 #![forbid(unsafe_code)]
 //! `ddbm-oracle` — the differential verification oracle for the simulator.
 //!
-//! The simulator, run with `trace.witness` on, emits a totally ordered
-//! stream of every externally observable concurrency-control decision into
-//! a [`WitnessSink`]. This crate's [`Oracle`] is such a sink: it runs each
+//! The simulator, run through [`ddbm_core::run_witnessed`] or
+//! [`ddbm_core::run_oracle`], emits a totally ordered stream of every
+//! externally observable concurrency-control decision into the
+//! [`WitnessSink`] that entry point installs. This crate's [`Oracle`] is such a sink: it runs each
 //! event through independent reference models of the protocol rules as the
 //! simulator emits it, and reports every event the algorithm should not
 //! have produced. [`run_and_check`] checks a run this way without storing

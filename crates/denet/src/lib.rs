@@ -12,27 +12,25 @@
 //!   the model needs (exponential, uniform, Bernoulli, distinct sampling),
 //! * output-analysis collectors ([`Tally`], [`LogHistogram`], [`BusyTracker`],
 //!   [`BatchMeans`]) with warmup-reset support,
-//! * the containers the models share: [`FxHashMap`] and the [`Lists`]
-//!   arena of many short lists.
+//! * the containers the models share: [`FxHashMap`], the [`Lists`]
+//!   arena of many short lists, and the [`EventLog`] recorder.
 //!
 //! The engine is intentionally minimal: model components (CPUs, disks, the
 //! transaction manager, ...) live in the `ddbm-*` crates and drive the
 //! calendar directly, which keeps the hot event loop free of dynamic dispatch.
 
 pub mod calendar;
+pub mod event_log;
 pub mod fxhash;
 pub mod lists;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
-pub mod witness;
 
 pub use calendar::{EventCalendar, Fired, SlotId};
+pub use event_log::{EventLog, Keep};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lists::{List, Lists};
 pub use rng::SimRng;
 pub use stats::{BatchMeans, BusyTracker, LogHistogram, Tally};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
-pub use trace::TraceRing;
-pub use witness::WitnessLog;

@@ -192,22 +192,6 @@ impl SimRng {
             displaced[i] = (j, vi);
         }
     }
-
-    /// Choose an index according to a discrete probability vector.
-    ///
-    /// `probs` need not be normalized; only ratios matter.
-    pub fn weighted_index(&mut self, probs: &[f64]) -> usize {
-        let total: f64 = probs.iter().sum();
-        assert!(total > 0.0, "weighted_index needs a positive total weight");
-        let mut x = self.unit_f64() * total;
-        for (i, p) in probs.iter().enumerate() {
-            if x < *p {
-                return i;
-            }
-            x -= *p;
-        }
-        probs.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -344,18 +328,5 @@ mod tests {
         let cap = buf.capacity();
         b.sample_distinct_into(100, 8, &mut buf);
         assert_eq!(buf.capacity(), cap, "reused buffer must not reallocate");
-    }
-
-    #[test]
-    fn weighted_index_follows_weights() {
-        let mut r = SimRng::from_seed(13);
-        let w = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[r.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
     }
 }

@@ -13,52 +13,6 @@ pub struct Tally {
     max: f64,
 }
 
-// Manual serde impls: an empty tally holds `min: +inf` / `max: -inf`
-// sentinels, and non-finite floats are not representable in JSON (serde_json
-// turns them into `null`, which does not deserialize back into `f64`). The
-// empty state therefore serializes `min`/`max` as a defined finite `0.0`,
-// and deserializing any `count == 0` tally rebuilds `Tally::new()` so the
-// sentinels survive a round trip.
-impl Serialize for Tally {
-    fn to_value(&self) -> serde::Value {
-        let (min, max) = if self.count == 0 {
-            (0.0, 0.0)
-        } else {
-            (self.min, self.max)
-        };
-        serde::Value::Object(vec![
-            ("count".to_string(), self.count.to_value()),
-            ("mean".to_string(), self.mean.to_value()),
-            ("m2".to_string(), self.m2.to_value()),
-            ("min".to_string(), min.to_value()),
-            ("max".to_string(), max.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Tally {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::expected("object", v))?;
-        let field = |name: &str| {
-            serde::find_field(obj, name)
-                .ok_or_else(|| serde::DeError(format!("missing field `{name}` in Tally")))
-        };
-        let count = u64::from_value(field("count")?)?;
-        if count == 0 {
-            return Ok(Tally::new());
-        }
-        Ok(Tally {
-            count,
-            mean: f64::from_value(field("mean")?)?,
-            m2: f64::from_value(field("m2")?)?,
-            min: f64::from_value(field("min")?)?,
-            max: f64::from_value(field("max")?)?,
-        })
-    }
-}
-
 impl Tally {
     /// Create a new instance.
     pub fn new() -> Tally {
@@ -415,46 +369,6 @@ mod tests {
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
-    /// Regression: an untouched tally used to serialize its `±inf` min/max
-    /// sentinels, which JSON renders as `null` and which then failed to
-    /// deserialize. Empty tallies must round-trip through JSON losslessly.
-    #[test]
-    fn empty_tally_round_trips_through_json() {
-        let empty = Tally::new();
-        let json = serde_json::to_string(&empty).expect("serializes");
-        assert!(
-            !json.contains("null"),
-            "empty tally leaked a non-finite value: {json}"
-        );
-        let back: Tally = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back.count(), 0);
-        assert_eq!(back.min(), None);
-        assert_eq!(back.max(), None);
-        // The sentinels are restored: recording after a round trip behaves
-        // exactly like recording into a fresh tally.
-        let mut back = back;
-        back.record(5.0);
-        assert_eq!(back.min(), Some(5.0));
-        assert_eq!(back.max(), Some(5.0));
-        // A default-constructed (all-zero) tally is also empty and must
-        // serialize identically.
-        let json_default = serde_json::to_string(&Tally::default()).expect("serializes");
-        assert_eq!(json, json_default);
-    }
-
-    #[test]
-    fn non_empty_tally_round_trips_through_json() {
-        let mut t = Tally::new();
-        [1.5, -2.0, 7.25].iter().for_each(|&x| t.record(x));
-        let json = serde_json::to_string(&t).expect("serializes");
-        let back: Tally = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back.count(), t.count());
-        assert_eq!(back.mean().to_bits(), t.mean().to_bits());
-        assert_eq!(back.variance().to_bits(), t.variance().to_bits());
-        assert_eq!(back.min(), t.min());
-        assert_eq!(back.max(), t.max());
-    }
-
     /// Merging with an empty side must not disturb count/mean/min/max
     /// (an empty side's `±inf` sentinels must never leak into the result).
     #[test]
@@ -478,11 +392,11 @@ mod tests {
         assert_eq!(empty.min(), snapshot.min());
         assert_eq!(empty.max(), snapshot.max());
 
-        // Empty ← empty stays empty (and still serializes finitely).
+        // Empty ← empty stays empty.
         let mut both = Tally::new();
         both.merge(&Tally::new());
         assert_eq!(both.count(), 0);
-        assert!(!serde_json::to_string(&both).unwrap().contains("null"));
+        assert_eq!(both.min(), None);
     }
 
     #[test]

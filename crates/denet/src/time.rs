@@ -42,12 +42,6 @@ impl SimTime {
         SimDuration(self.0 - earlier.0)
     }
 
-    /// Saturating difference; zero if `earlier` is in the future.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// This instant expressed in (floating-point) seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -87,12 +81,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// The duration in floating-point milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
     #[inline]
@@ -195,7 +183,6 @@ mod tests {
         assert_eq!(t, SimTime(10_000_000));
         let t2 = t + SimDuration::from_millis(5);
         assert_eq!(t2.since(t), SimDuration::from_millis(5));
-        assert_eq!(t.saturating_since(t2), SimDuration::ZERO);
     }
 
     #[test]

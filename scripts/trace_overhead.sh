@@ -9,7 +9,9 @@
 #      BENCH_core.json — the disabled observability path must stay
 #      branch-only;
 #   2. reports the trace-ON overhead relative to the same-machine
-#      trace-OFF numbers (informational).
+#      trace-OFF numbers (informational). `2PL-full` runs through
+#      `run_traced`, so its ratio includes growing the event log and
+#      sealing it into the returned `TraceLog`, not only recording.
 #
 # Machine-speed drift between the baseline machine and this one is
 # normalized out with the median trace-off ratio, so the check catches a

@@ -24,10 +24,11 @@
 //! a bounded number of allocations whatever the algorithm, because per-page
 //! CC state grows on first touch instead of being built up front.
 //!
-//! The allocator also tracks live bytes, for two heap pins on contended
-//! runs: each contended 8-way cell's peak stays under a stated bound, and
-//! a long run's peak stays within 10% of a short one's, so no state grows
-//! with the commit count.
+//! The allocator also tracks live bytes, for three heap pins on contended
+//! runs: each contended 8-way cell's peak stays under a stated bound, a
+//! long run's peak stays within 10% of a short one's, so no state grows
+//! with the commit count, and trace knobs that `run_config` does not read
+//! cost no heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -291,4 +292,33 @@ fn contended_peak_does_not_grow_with_commits() {
              than 1.1x the {short} of a 600-commit run"
         );
     }
+}
+
+/// Most bytes a contended cell whose config asks for the event trace and
+/// the witness stream may peak above the same cell with tracing off.
+/// `run_config` returns neither, so it must build neither: a built tracer
+/// reserved a 48 MiB ring, and a built witness log recorded every event.
+const UNREAD_TRACE_SLACK: usize = 64 << 10;
+
+#[test]
+fn unread_trace_knobs_cost_no_heap() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let plain = contended(Algorithm::TwoPhaseLocking, 500);
+    let json = serde_json::to_string(&plain).expect("serializes");
+    let traced = json.replacen(
+        "\"trace\":{",
+        "\"trace\":{\"events\":true,\"witness\":true,",
+        1,
+    );
+    assert_ne!(traced, json, "the trace object is present");
+    let traced: Config = serde_json::from_str(&traced).expect("loads");
+    assert!(traced.trace.witness, "the knobs were read");
+    let off = run_peak(plain);
+    let on = run_peak(traced);
+    assert!(
+        on <= off + UNREAD_TRACE_SLACK,
+        "with unread trace knobs on, a contended 2PL cell peaked at {on} \
+         bytes, more than {UNREAD_TRACE_SLACK} over the {off} of the same \
+         cell with tracing off"
+    );
 }
