@@ -320,7 +320,7 @@ fn whole_sim_traced(c: &mut Criterion) {
 /// The streaming oracle alone: every checker of a `repro verify` cell over
 /// its recorded witness stream, the 1,000-commit 2PL ROWA-3 cell (about
 /// 50k events), where the locking checker, the replica checker and the
-/// conflict checker all run. The simulation that records the stream runs
+/// serialization graph all run. The simulation that records the stream runs
 /// once, outside the timed loop.
 fn oracle(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle");

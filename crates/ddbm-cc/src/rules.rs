@@ -25,9 +25,6 @@ pub struct CcRules {
     /// Commit-time certification can vote no. Only OPT validates at
     /// commit; every other manager certifies unconditionally.
     pub certification_can_fail: bool,
-    /// Strict two-phase discipline: every lock is held until the
-    /// transaction's commit or abort release — no early release.
-    pub strict_two_phase: bool,
 }
 
 /// The rule repertoire for `algorithm`.
@@ -38,43 +35,36 @@ pub fn rules_of(algorithm: Algorithm) -> CcRules {
             algorithm,
             detects_deadlocks: true,
             certification_can_fail: false,
-            strict_two_phase: true,
         },
         TwoPhaseLockingTimeout => CcRules {
             algorithm,
             detects_deadlocks: false,
             certification_can_fail: false,
-            strict_two_phase: true,
         },
         WoundWait => CcRules {
             algorithm,
             detects_deadlocks: false,
             certification_can_fail: false,
-            strict_two_phase: true,
         },
         WaitDie => CcRules {
             algorithm,
             detects_deadlocks: false,
             certification_can_fail: false,
-            strict_two_phase: true,
         },
         BasicTimestampOrdering => CcRules {
             algorithm,
             detects_deadlocks: false,
             certification_can_fail: false,
-            strict_two_phase: false,
         },
         Optimistic => CcRules {
             algorithm,
             detects_deadlocks: false,
             certification_can_fail: true,
-            strict_two_phase: false,
         },
         NoDataContention => CcRules {
             algorithm,
             detects_deadlocks: false,
             certification_can_fail: false,
-            strict_two_phase: false,
         },
     }
 }
@@ -98,18 +88,6 @@ mod tests {
                 rules_of(algo).certification_can_fail,
                 algo == Algorithm::Optimistic
             );
-        }
-    }
-
-    #[test]
-    fn lock_family_is_strictly_two_phase() {
-        for algo in [
-            Algorithm::TwoPhaseLocking,
-            Algorithm::TwoPhaseLockingTimeout,
-            Algorithm::WoundWait,
-            Algorithm::WaitDie,
-        ] {
-            assert!(rules_of(algo).strict_two_phase);
         }
     }
 

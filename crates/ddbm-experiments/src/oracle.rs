@@ -30,8 +30,8 @@ pub const ORACLE_SEEDS: [u64; 4] = [7, 99, 1009, 65_537];
 /// The replica controls the grid covers besides single-copy: three-way
 /// ROWA and a 3-replica majority quorum (r = 2, w = 2). Each control runs
 /// the full algorithm × seed grid and must be one-copy clean: the
-/// per-replica checkers, the write-quorum invariant, and the collapsed
-/// one-copy polygraph.
+/// per-replica checkers, the write-quorum invariant, and the one-copy
+/// serialization graph.
 pub fn grid_replications() -> [(&'static str, ReplicationParams); 3] {
     [
         ("single", ReplicationParams::default()),

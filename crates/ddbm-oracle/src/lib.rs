@@ -24,13 +24,15 @@
 //! * **Timestamp ordering** ([`BtoChecker`]) — an exact differential mirror
 //!   of the BTO manager: every reply, wake-up, and install checked against
 //!   timestamp order with the Thomas write rule.
-//! * **Conflict serializability** ([`ConflictChecker`]) — the committed
-//!   history's conflict graph must be acyclic (strict locking family).
-//! * **View serializability** ([`VsrCollector`]) — a polygraph check over
-//!   the committed history, covering OPT and the Thomas rule, whose
-//!   histories can be view- but not conflict-serializable (informational
-//!   for the NO_DC baseline, which is serializable only without data
-//!   contention).
+//! * **Serializability** ([`VsrCollector`]) — the committed history's
+//!   multiversion serialization graph under the algorithm's version order
+//!   (install order for the locking family, run timestamp for BTO, commit
+//!   timestamp for OPT), with replicated reads collapsed to one copy, must
+//!   be acyclic. For the strict locking family that is conflict
+//!   serializability; for BTO's Thomas write rule and OPT's certification
+//!   it is view serializability under their own version order
+//!   (informational for the NO_DC baseline, which is serializable only
+//!   without data contention).
 //! * **Replication** ([`ReplicaChecker`]) — every committed write reaches
 //!   the replicas the replica control requires.
 //!
@@ -40,7 +42,6 @@
 //! that deterministically replays the violation.
 
 pub mod btocheck;
-pub mod csr;
 mod dense;
 pub mod locking;
 pub mod phase;
@@ -51,7 +52,6 @@ pub mod violation;
 pub mod vsr;
 
 pub use btocheck::BtoChecker;
-pub use csr::ConflictChecker;
 pub use ddbm_core::{WitnessEvent, WitnessReply, WitnessStream};
 pub use locking::{LockChecker, LockVariant};
 pub use phase::PhaseTracker;
@@ -77,7 +77,9 @@ pub struct CheckOptions {
     /// The run injected faults: relaxes checks whose bookkeeping a node
     /// crash legitimately destroys.
     pub faults: bool,
-    /// Acyclicity-check budget for the polygraph search.
+    /// Unused: the serializability check is one graph search, with nothing
+    /// to budget. Kept only because the benchmark harness passes it to
+    /// [`VsrCollector::finalize`].
     pub vsr_budget: u64,
     /// Keep at most this many violations in the report (the total is still
     /// counted).
@@ -124,7 +126,7 @@ pub struct OracleReport {
     pub violations: Vec<Violation>,
     /// Total violations found, including any beyond the cap.
     pub total_violations: usize,
-    /// The view-serializability verdict. Not-serializable counts as a
+    /// The serializability verdict. Not-serializable counts as a
     /// violation for every algorithm except the NO_DC baseline, where it
     /// is expected (and reported here informationally).
     pub vsr: VsrOutcome,
@@ -244,7 +246,6 @@ pub struct Oracle {
     certification_can_fail: bool,
     tracker: PhaseTracker,
     checker: AlgoChecker,
-    csr: Option<ConflictChecker>,
     vsr: VsrCollector,
     replica: Option<ReplicaChecker>,
     violations: Vec<Violation>,
@@ -267,7 +268,6 @@ impl Oracle {
             certification_can_fail: rules.certification_can_fail,
             tracker: PhaseTracker::new(),
             checker,
-            csr: rules.strict_two_phase.then(ConflictChecker::new),
             vsr: VsrCollector::new(VersionOrder::for_algorithm(opts.algorithm)),
             // The write-quorum check only makes sense on fault-free streams:
             // under faults ROWA legitimately writes fewer than `factor`
@@ -313,39 +313,23 @@ impl Oracle {
         if let Some(rc) = &mut self.replica {
             rc.observe(at, ev, violations);
         }
-        if let Some(c) = &mut self.csr {
-            c.observe(ev);
-        }
         self.vsr.observe(ev);
     }
 
-    /// Run the end-of-stream serializability checks and report.
+    /// Run the end-of-stream serializability check and report.
     pub fn finish(self) -> OracleReport {
         let Oracle {
             opts,
-            csr,
             vsr,
             mut violations,
             events,
             ..
         } = self;
-        if let Some(cycle) = csr.and_then(ConflictChecker::finalize) {
-            let ids: Vec<u64> = cycle.iter().map(|t| t.0).collect();
-            violations.push(Violation {
-                kind: ViolationKind::NotConflictSerializable,
-                at: SimTime(0),
-                txn: None,
-                node: None,
-                page: None,
-                detail: format!("the committed history's conflict graph has the cycle {ids:?}"),
-            });
-        }
-
         let vsr_outcome = vsr.finalize(opts.vsr_budget);
         if let VsrOutcome::NotSerializable { detail } = &vsr_outcome {
             if opts.algorithm != Algorithm::NoDataContention {
                 violations.push(Violation {
-                    kind: ViolationKind::NotViewSerializable,
+                    kind: ViolationKind::NotSerializable,
                     at: SimTime(0),
                     txn: None,
                     node: None,
@@ -506,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn lost_update_is_not_conflict_serializable() {
+    fn lost_update_is_not_serializable() {
         // r1(p) r2(p) w1(p) w2(p) under 2PL, both committed.
         let install = |txn: u64| WitnessEvent::Install {
             txn: TxnId(txn),
@@ -536,7 +520,7 @@ mod tests {
         assert!(
             r.violations
                 .iter()
-                .any(|v| v.kind == ViolationKind::NotConflictSerializable),
+                .any(|v| v.kind == ViolationKind::NotSerializable),
             "{}",
             r.render()
         );

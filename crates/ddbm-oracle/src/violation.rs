@@ -48,11 +48,9 @@ pub enum ViolationKind {
     /// A blocked or rejected access under an algorithm that must grant
     /// every request at access time (OPT, NO_DC).
     UnsanctionedContention,
-    /// The committed history is not view-serializable (polygraph check).
-    NotViewSerializable,
-    /// The committed history's conflict graph has a cycle (strict locking
-    /// family only).
-    NotConflictSerializable,
+    /// The committed history's serialization graph, under the algorithm's
+    /// version order, has a cycle.
+    NotSerializable,
     /// Replication: a committed write was installed at fewer replicas than
     /// the replica control requires (ROWA: every replica; quorum: `w`),
     /// leaving a stale copy that later reads may observe.
@@ -74,8 +72,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::UnsanctionedReject => "unsanctioned-reject",
             ViolationKind::TimestampOrder => "timestamp-order",
             ViolationKind::UnsanctionedContention => "unsanctioned-contention",
-            ViolationKind::NotViewSerializable => "not-view-serializable",
-            ViolationKind::NotConflictSerializable => "not-conflict-serializable",
+            ViolationKind::NotSerializable => "not-serializable",
             ViolationKind::UnderReplicatedWrite => "under-replicated-write",
         };
         f.write_str(s)
@@ -89,7 +86,7 @@ pub struct Violation {
     /// What rule was broken.
     pub kind: ViolationKind,
     /// Simulated instant of the offending event (ZERO for end-of-stream
-    /// checks such as view-serializability).
+    /// checks such as serializability).
     pub at: SimTime,
     /// The transaction at fault, when one is identifiable.
     pub txn: Option<TxnId>,

@@ -1,25 +1,48 @@
-//! Polygraph-based view-serializability check over the committed history.
+//! The serialization-graph check over the committed history, for every
+//! algorithm.
 //!
-//! The collector records, from the witness stream alone, which committed
-//! version every granted read observed (reads-from), which versions each
-//! committed run installed, and the commit order. At end of stream it first
-//! tries the algorithm's natural serial order (commit order for locking,
-//! run-timestamp order for BTO, commit-timestamp order for OPT) as a
-//! certificate; if that fails it falls back to the classical polygraph
-//! construction — fixed writes-before-reads edges plus (w′ before w) ∨
-//! (r before w′) choices — and searches for an acyclic extension under a
-//! bounded budget. This covers what the [`crate::csr`] conflict check
-//! cannot: Thomas-rule skips and certification-time validation produce
-//! histories that are view- but not conflict-serializable.
+//! The collector records, from the witness stream alone, which version
+//! every granted read observed (reads-from), which pages each committed run
+//! installed, and the order in which runs decided to commit. At end of
+//! stream it builds the multiversion serialization graph (Bernstein and
+//! Goodman) under the algorithm's version order and looks for a cycle:
+//!
+//! * each logical page's versions are ordered by the algorithm's key: run
+//!   timestamp for BTO (the Thomas write rule keeps the largest), commit
+//!   timestamp for OPT, and the stream position of the version's first
+//!   install for the locking family and NO_DC;
+//! * a version's writer precedes each of its readers (wr), a reader
+//!   precedes the writer of the next version of what it read (rw), and each
+//!   version's writer precedes the next version's (ww);
+//! * under stream order, each page copy's own install order is an edge
+//!   too, so two replicas that install one page's versions in opposite
+//!   orders close a cycle. Only the pairs that run against the version
+//!   order are kept: the others follow from the ww chain.
+//!
+//! A run joins the history once its commit is decided: the coordinator's
+//! move to `Committing`, an `Install` or a `Committed`, whichever the
+//! stream shows first, so runs cut off mid-commit by truncation count.
+//! Reads collapse to one copy: a quorum read observes several replicas and
+//! reads the newest version among them. An acyclic graph under one fixed
+//! version order implies view serializability, and one-copy
+//! serializability under replication; for the strict locking family it is
+//! exactly conflict serializability, so a lock held wrongly for even one
+//! event slot shows up as a cycle.
+//!
+//! When every edge runs forward in the algorithm's serial order (decision
+//! order under stream order, run-timestamp order for BTO, commit-timestamp
+//! order for OPT), that order is the certificate. Otherwise
+//! [`ddbm_cc::find_cycle`] searches the graph.
 //!
 //! # Layout
 //!
 //! Each `(txn, run)` gets a dense `u32` id the first time the stream names
 //! it, and each logical page a dense `u32` too. Per run the collector keeps
-//! one byte (live, committed or aborted); per committed run, its id and
-//! timestamps in commit order. The visible version of each page replica
-//! names its writer by id and keeps the order key and stream position that
-//! the replace and collapse comparisons read.
+//! its fate (live, aborted, or decided with its rank among the decisions);
+//! per decided run, its id and timestamps in decision order. The visible
+//! version of each page replica names its writer by id and keeps the order
+//! key and first-install position that the replace and collapse
+//! comparisons read.
 //!
 //! A run's reads and installs live in two places over its life:
 //! * **while the run is live**, its reads (with the full version read, for
@@ -28,36 +51,34 @@
 //!   `denet::Lists` arenas (the list arena of the CC managers and the other
 //!   checkers);
 //! * **at its `Committed` event** they move into two flat logs, reads as
-//!   `(reader, page, writer)` and installs as `(page, writer)`, 12 and 8
-//!   bytes an entry, and the lists' links go back to the arenas.
+//!   `(reader, page, writer)` and installs as `(page, writer, first
+//!   install)`, 12 and 16 bytes an entry, and the lists' links go back to
+//!   the arenas.
 //!
-//! When the coordinator aborts a run (`Aborting` or `AbortingVote`), its
-//! pending entry is dropped and later reads by it are ignored: an aborted
-//! run never commits, and installs happen only on the commit path, so the
-//! end-of-stream check would discard them anyway. Runs still live at the
-//! end of the stream that installed something were cut off mid-commit by
-//! truncation; `finalize` counts them as committed and flushes their
-//! pending data then.
+//! When the coordinator aborts a live run (`Aborting` or `AbortingVote`),
+//! its pending entry is dropped and later reads by it are ignored. Decided
+//! runs still live at the end of the stream were cut off mid-commit;
+//! `finalize` flushes their pending data then.
 //!
 //! `finalize` works on the logs in place: one dense `Vec` maps run ids to
-//! positions in the candidate order, and sorting the install log by (page,
-//! position) groups each page's writers.
+//! positions in the serial order, and sorting the install log into version
+//! order gives each version's successor.
 
-use crate::dense::{copy_key, copy_page, DensePages, PageIx};
-use ddbm_cc::Ts;
+use crate::dense::{copy_key, DensePages, PageIx};
+use ddbm_cc::{find_cycle, Ts};
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent};
 use denet::{FxHashMap, List, Lists};
 
-/// A dense run id, or a position in the candidate serial order.
+/// A dense run id, or a position in the serial order.
 type RunIx = u32;
 
 /// No run: the initial version of a page, or a run outside the order.
 const NONE: RunIx = RunIx::MAX;
 
-/// Which key decides the currently visible version of a page among
-/// concurrent installs — the algorithm's version order.
+/// Which key orders the versions of a page — the algorithm's version
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VersionOrder {
     /// Install order in the witness stream (locking family, NO_DC: write
@@ -86,22 +107,20 @@ impl VersionOrder {
 pub enum VsrOutcome {
     /// Nothing committed — trivially serializable.
     Trivial,
-    /// A valid serial order exists (`certificate` names how it was found).
+    /// The serialization graph is acyclic (`certificate` names how that
+    /// was shown).
     Serializable {
         /// Committed runs covered.
         txns: usize,
-        /// `"candidate-order"` or `"polygraph-search"`.
+        /// `"candidate-order"` (every edge runs forward in the algorithm's
+        /// serial order) or `"acyclic-graph"` (the cycle search found
+        /// none).
         certificate: &'static str,
     },
-    /// No serial order can explain the committed reads.
+    /// The serialization graph has a cycle.
     NotSerializable {
-        /// Why (which read constraint is unsatisfiable).
+        /// The transactions on the cycle.
         detail: String,
-    },
-    /// The polygraph search exceeded its budget.
-    Inconclusive {
-        /// What ran out.
-        reason: String,
     },
 }
 
@@ -116,17 +135,17 @@ impl VsrOutcome {
 struct Version {
     writer: RunIx,
     key: Ts,
-    /// Stream position of the install, the total-order tiebreak: under
-    /// `StreamOrder` the key is constant, so the newest version of a page
-    /// across replicas is the one with the largest `seq`.
-    seq: u64,
+    /// Stream position of the writer's first install of the page: the
+    /// version order under `StreamOrder`, where the key is constant, and
+    /// the tiebreak otherwise.
+    first: u64,
 }
 
 impl Version {
-    /// `true` when `self` is the newer of two versions of one page under
-    /// the collector's version order (the one-copy collapse rule).
+    /// `true` when `self` is the later of two versions of one page in the
+    /// version order (the one-copy collapse rule).
     fn newer_than(&self, other: &Version) -> bool {
-        (self.key, self.seq) > (other.key, other.seq)
+        (self.key, self.first) > (other.key, other.first)
     }
 }
 
@@ -134,8 +153,9 @@ impl Version {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fate {
     Live,
-    Committed,
     Aborted,
+    /// Decided to commit, with its rank among the decisions.
+    Decided(u32),
 }
 
 /// A live run's read: the page and the version read (`None` = initial).
@@ -151,14 +171,10 @@ struct Pending {
     /// Bit `page % 64` is set for every page in `reads`: a clear bit
     /// proves a page unread without walking the list.
     read_pages: u64,
-    /// Installed pages, deduplicated, in [`VsrCollector::installs`]:
-    /// replicated installs repeat the page once per written replica.
+    /// Installed pages with the stream position of each one's first
+    /// install, deduplicated, in [`VsrCollector::installs`]: replicated
+    /// installs repeat the page once per written replica.
     installs: List,
-    /// Stream position of the first install (`0` = none), and the
-    /// timestamps of the latest: the order of a run truncated mid-commit.
-    first_install: u64,
-    run_ts: Ts,
-    commit_ts: Ts,
 }
 
 /// See module docs.
@@ -170,23 +186,27 @@ pub struct VsrCollector {
     fates: Vec<Fate>,
     /// Dense logical page ids, assigned on first sight.
     pages: DensePages,
-    /// Committed runs in `Committed` event order, with (run_ts, commit_ts).
-    committed: Vec<(RunIx, Ts, Ts)>,
+    /// Decided runs in decision order, with the (run_ts, commit_ts) of
+    /// their latest `Install` or `Committed`.
+    decided: Vec<(RunIx, Ts, Ts)>,
     /// Currently visible version per *replica* of a page, keyed by
     /// [`copy_key`] (absent = initial database state). Single-copy runs have
-    /// exactly one entry per page; replicated runs collapse to one-copy
-    /// semantics at read-record and finalize time.
+    /// exactly one entry per page; replicated reads collapse to one-copy
+    /// semantics at read-record time.
     current: FxHashMap<u64, Version>,
     /// Reads and installs of runs not yet committed.
     live: FxHashMap<RunIx, Pending>,
     /// The live runs' reads.
     reads: Lists<Read>,
-    /// The live runs' installed pages.
-    installs: Lists<PageIx>,
-    /// Reads-from of committed runs: (reader, page, writer or `NONE`).
+    /// The live runs' installed pages and first-install positions.
+    installs: Lists<(PageIx, u64)>,
+    /// Reads-from of decided runs: (reader, page, writer or `NONE`).
     read_log: Vec<(RunIx, PageIx, RunIx)>,
-    /// Pages installed by committed runs: (page, writer).
-    install_log: Vec<(PageIx, RunIx)>,
+    /// Pages installed by decided runs: (page, writer, first install).
+    install_log: Vec<(PageIx, RunIx, u64)>,
+    /// Under stream order, consecutive installs of one copy that run
+    /// against the version order: (earlier writer, later writer).
+    copy_order: Vec<(RunIx, RunIx)>,
     seq: u64,
 }
 
@@ -198,13 +218,14 @@ impl VsrCollector {
             ids: FxHashMap::default(),
             fates: Vec::new(),
             pages: DensePages::default(),
-            committed: Vec::new(),
+            decided: Vec::new(),
             current: FxHashMap::default(),
             live: FxHashMap::default(),
             reads: Lists::default(),
             installs: Lists::default(),
             read_log: Vec::new(),
             install_log: Vec::new(),
+            copy_order: Vec::new(),
             seq: 0,
         }
     }
@@ -222,11 +243,24 @@ impl VsrCollector {
         id
     }
 
-    /// Drop the run's pending entry.
-    fn discard(&mut self, id: RunIx) {
-        if let Some(p) = self.live.remove(&id) {
-            self.recycle(p);
+    /// The dense id of `(txn, run)`, which decides to commit now if it had
+    /// not yet. `stamps` are its (run_ts, commit_ts), when the event names
+    /// them.
+    fn decide(&mut self, txn: TxnId, run: RunId, stamps: Option<(Ts, Ts)>) -> RunIx {
+        let id = self.run_ix(txn, run);
+        let rank = match self.fates[id as usize] {
+            Fate::Decided(rank) => rank as usize,
+            _ => {
+                // At most one decision per run, and run ids fit in a `u32`.
+                self.fates[id as usize] = Fate::Decided(self.decided.len() as u32);
+                self.decided.push((id, Ts::default(), Ts::default()));
+                self.decided.len() - 1
+            }
+        };
+        if let Some((run_ts, commit_ts)) = stamps {
+            self.decided[rank] = (id, run_ts, commit_ts);
         }
+        id
     }
 
     /// Hand a dropped entry's links back to the arenas.
@@ -243,8 +277,11 @@ impl VsrCollector {
                     .iter(p.reads)
                     .map(|(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
             );
-            self.install_log
-                .extend(self.installs.iter(p.installs).map(|page| (page, id)));
+            self.install_log.extend(
+                self.installs
+                    .iter(p.installs)
+                    .map(|(page, first)| (page, id, first)),
+            );
             self.recycle(p);
         }
     }
@@ -318,35 +355,42 @@ impl VsrCollector {
                 commit_ts,
             } => {
                 self.seq += 1;
+                let id = self.decide(txn, run, Some((run_ts, commit_ts)));
+                let page = self.pages.ix(page);
+                let p = self.live.entry(id).or_default();
+                let seen = self.installs.iter(p.installs).find(|&(pg, _)| pg == page);
+                let first = match seen {
+                    Some((_, first)) => first,
+                    None => {
+                        self.installs.push(&mut p.installs, (page, self.seq));
+                        self.seq
+                    }
+                };
                 let key = match self.order {
                     VersionOrder::StreamOrder => Ts::default(),
                     VersionOrder::ByRunTs => run_ts,
                     VersionOrder::ByCommitTs => commit_ts,
                 };
-                let id = self.run_ix(txn, run);
-                let page = self.pages.ix(page);
-                let candidate = Version {
-                    writer: id,
-                    key,
-                    seq: self.seq,
-                };
                 let slot = copy_key(node, page);
-                let replace = match (self.order, self.current.get(&slot)) {
-                    (_, None) | (VersionOrder::StreamOrder, _) => true,
-                    (_, Some(cur)) => key > cur.key,
+                let replace = match self.current.get(&slot) {
+                    None => true,
+                    Some(cur) if self.order == VersionOrder::StreamOrder => {
+                        if cur.writer != id && cur.first > first {
+                            self.copy_order.push((cur.writer, id));
+                        }
+                        true
+                    }
+                    Some(cur) => key > cur.key,
                 };
                 if replace {
-                    self.current.insert(slot, candidate);
-                }
-                let seq = self.seq;
-                let p = self.live.entry(id).or_default();
-                if p.first_install == 0 {
-                    p.first_install = seq;
-                }
-                p.run_ts = run_ts;
-                p.commit_ts = commit_ts;
-                if !self.installs.iter(p.installs).any(|p| p == page) {
-                    self.installs.push(&mut p.installs, page);
+                    self.current.insert(
+                        slot,
+                        Version {
+                            writer: id,
+                            key,
+                            first,
+                        },
+                    );
                 }
             }
             WitnessEvent::Committed {
@@ -355,12 +399,15 @@ impl VsrCollector {
                 run_ts,
                 commit_ts,
             } => {
-                let id = self.run_ix(txn, run);
-                if self.fates[id as usize] != Fate::Committed {
-                    self.fates[id as usize] = Fate::Committed;
-                    self.committed.push((id, run_ts, commit_ts));
-                    self.flush(id);
-                }
+                let id = self.decide(txn, run, Some((run_ts, commit_ts)));
+                self.flush(id);
+            }
+            WitnessEvent::Phase {
+                txn,
+                run,
+                phase: TxnPhase::Committing,
+            } => {
+                self.decide(txn, run, None);
             }
             WitnessEvent::Phase {
                 txn,
@@ -368,292 +415,157 @@ impl VsrCollector {
                 phase: TxnPhase::Aborting | TxnPhase::AbortingVote,
             } => {
                 let id = self.run_ix(txn, run);
-                self.fates[id as usize] = Fate::Aborted;
-                self.discard(id);
+                if self.fates[id as usize] == Fate::Live {
+                    self.fates[id as usize] = Fate::Aborted;
+                    if let Some(p) = self.live.remove(&id) {
+                        self.recycle(p);
+                    }
+                }
             }
             _ => {}
         }
     }
 
-    /// Check the collected history; consumes the collector.
-    pub fn finalize(mut self, budget: u64) -> VsrOutcome {
-        // A run counts as committed if its Committed event was witnessed or
-        // it installed versions before the stream was truncated mid-commit
-        // (installs happen only on the commit path).
-        let mut order = std::mem::take(&mut self.committed);
-        let mut truncated: Vec<(u64, (RunIx, Ts, Ts))> = self
-            .live
-            .iter()
-            .filter(|&(&id, p)| self.fates[id as usize] != Fate::Committed && p.first_install != 0)
-            .map(|(&id, p)| (p.first_install, (id, p.run_ts, p.commit_ts)))
-            .collect();
-        truncated.sort_unstable_by_key(|&(first, _)| first);
-        order.extend(truncated.into_iter().map(|(_, run)| run));
-        if order.is_empty() {
+    /// Check the collected history; consumes the collector. The argument
+    /// is unused: the check is one graph search, with nothing to budget.
+    pub fn finalize(mut self, _budget: u64) -> VsrOutcome {
+        if self.decided.is_empty() {
             return VsrOutcome::Trivial;
         }
-
-        // Order runs by the algorithm's natural serial order.
-        match self.order {
-            VersionOrder::StreamOrder => {}
-            VersionOrder::ByRunTs => order.sort_by_key(|&(_, run_ts, _)| run_ts),
-            VersionOrder::ByCommitTs => order.sort_by_key(|&(_, _, commit_ts)| commit_ts),
-        }
-        let n = order.len();
-        let mut pos = vec![NONE; self.fates.len()];
-        for (i, &(r, _, _)) in order.iter().enumerate() {
-            pos[r as usize] = i as RunIx;
-        }
-        drop(order);
-        // Flush what the ordered runs still hold: truncated runs, and data
-        // a committed run produced after its Committed event (none in a
+        // Flush what decided runs still hold: runs cut off mid-commit, and
+        // data a run produced after its Committed event (none in a
         // well-formed stream). Every other live run never committed.
-        let live: Vec<RunIx> = self.live.keys().copied().collect();
-        for id in live {
-            if pos[id as usize] != NONE {
-                self.flush(id);
-            }
+        let held: Vec<RunIx> = self
+            .live
+            .keys()
+            .copied()
+            .filter(|&id| matches!(self.fates[id as usize], Fate::Decided(_)))
+            .collect();
+        for id in held {
+            self.flush(id);
         }
         let VsrCollector {
-            current,
-            read_log: mut reads,
-            install_log: mut writers,
+            order,
+            ids,
+            fates,
+            mut decided,
+            read_log: reads,
+            install_log: mut versions,
+            copy_order,
             ..
         } = self;
-        let at = |r: RunIx| if r == NONE { NONE } else { pos[r as usize] };
 
-        // From here on every run is named by its position. Every writer
-        // installed, so every writer has one.
-        for e in &mut reads {
-            *e = (at(e.0), e.1, at(e.2));
+        // The algorithm's serial order; ties keep decision order.
+        match order {
+            VersionOrder::StreamOrder => {}
+            VersionOrder::ByRunTs => decided.sort_by_key(|&(_, run_ts, _)| run_ts),
+            VersionOrder::ByCommitTs => decided.sort_by_key(|&(_, _, commit_ts)| commit_ts),
         }
-        // Committed writers per page: runs of one page in the sorted log.
-        for e in &mut writers {
-            e.1 = at(e.1);
+        let mut pos = vec![NONE; fates.len()];
+        for (i, &(r, ..)) in decided.iter().enumerate() {
+            pos[r as usize] = i as RunIx;
         }
-        writers.sort_unstable();
-        writers.dedup();
-        // One-copy collapse of the final state: per logical page, the newest
-        // committed version across every replica.
-        let mut newest: Vec<(PageIx, Version)> = current
-            .into_iter()
-            .map(|(slot, v)| (copy_page(slot), v))
-            .collect();
-        newest
-            .sort_unstable_by(|(p, v), (q, w)| p.cmp(q).then((w.key, w.seq).cmp(&(v.key, v.seq))));
-        newest.dedup_by_key(|&mut (p, _)| p);
-        let finals = newest.into_iter().map(|(p, v)| (p, at(v.writer))).collect();
-        let history = History {
-            reads,
-            writers,
-            finals,
+        let at = |r: RunIx| pos[r as usize];
+
+        // Each page's versions in the version order: a run that installed a
+        // page again after its Committed event keeps its first install. Under
+        // the timestamp orders the serial order sorts by the version key.
+        versions.sort_unstable();
+        versions.dedup_by_key(|&mut (page, writer, _)| (page, writer));
+        match order {
+            VersionOrder::StreamOrder => versions.sort_unstable_by_key(|&(p, _, first)| (p, first)),
+            _ => versions.sort_unstable_by_key(|&(p, writer, _)| (p, at(writer))),
+        }
+        // (page, writer, writer of the next version), with `NONE` for the
+        // initial version, sorted to look up what follows a version.
+        let mut next: Vec<(PageIx, RunIx, RunIx)> = Vec::with_capacity(versions.len());
+        for page in versions.chunk_by(|a, b| a.0 == b.0) {
+            let mut prev = NONE;
+            for &(p, writer, _) in page {
+                next.push((p, prev, writer));
+                prev = writer;
+            }
+        }
+        drop(versions);
+        next.sort_unstable();
+        let after = |page: PageIx, writer: RunIx| {
+            next.binary_search_by_key(&(page, writer), |&(p, w, _)| (p, w))
+                .ok()
+                .map(|i| next[i].2)
+        };
+        let edges = || {
+            let ww = next.iter().filter(|e| e.1 != NONE).map(|&(_, w, n)| (w, n));
+            let wr = reads
+                .iter()
+                .filter(|e| e.2 != NONE)
+                .map(|&(r, _, w)| (w, r));
+            let rw = reads
+                .iter()
+                .filter_map(|&(r, page, w)| Some((r, after(page, w)?)));
+            ww.chain(wr)
+                .chain(rw)
+                .chain(copy_order.iter().copied())
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (at(a), at(b)))
         };
 
-        // Fast path: verify the candidate order directly.
-        if history.order_explains() {
+        let txns = decided.len();
+        if edges().all(|(a, b)| a < b) {
             return VsrOutcome::Serializable {
-                txns: n,
+                txns,
                 certificate: "candidate-order",
             };
         }
-        history.polygraph_search(n, budget)
-    }
-}
-
-/// The committed history with every run named by its position in the
-/// candidate order.
-struct History {
-    /// Reads-from: (reader, page, writer or `NONE` = initial version).
-    reads: Vec<(RunIx, PageIx, RunIx)>,
-    /// (page, writer), sorted and deduplicated.
-    writers: Vec<(PageIx, RunIx)>,
-    /// The writer of each page's final version.
-    finals: Vec<(PageIx, RunIx)>,
-}
-
-impl History {
-    /// The committed writers of `page`.
-    fn writers_of(&self, page: PageIx) -> impl Iterator<Item = RunIx> + '_ {
-        let lo = self.writers.partition_point(|&(p, _)| p < page);
-        let hi = self.writers.partition_point(|&(p, _)| p <= page);
-        self.writers[lo..hi].iter().map(|&(_, w)| w)
-    }
-
-    /// Does the candidate order satisfy every view constraint?
-    fn order_explains(&self) -> bool {
-        for &(r, page, w) in &self.reads {
-            let mut ws = self.writers_of(page);
-            if w == NONE {
-                // Initial version: every writer must come after r.
-                if ws.any(|x| x != r && x < r) {
-                    return false;
-                }
-            } else if w >= r || ws.any(|x| x != w && x != r && x > w && x < r) {
-                return false;
+        // A cycle runs backward in the serial order somewhere, and its
+        // backward edges cover its stretch of the order without a gap, so it
+        // lies inside one merged span of backward edges. Only the edges
+        // within one span go to the search.
+        let mut spans: Vec<(RunIx, RunIx)> = edges()
+            .filter(|(a, b)| a > b)
+            .map(|(a, b)| (b, a))
+            .collect();
+        spans.sort_unstable();
+        spans.dedup_by(|next, span| {
+            let overlaps = next.0 <= span.1;
+            if overlaps {
+                span.1 = span.1.max(next.1);
             }
-        }
-        self.finals
-            .iter()
-            .all(|&(page, wf)| !self.writers_of(page).any(|x| x != wf && x > wf))
-    }
-
-    /// Backtracking search for an acyclic polygraph extension.
-    fn polygraph_search(&self, n: usize, budget: u64) -> VsrOutcome {
-        if n > 2000 {
-            return VsrOutcome::Inconclusive {
-                reason: format!("{n} committed runs exceed the polygraph size bound"),
-            };
-        }
-        let mut fixed: Vec<(RunIx, RunIx)> = Vec::new();
-        for &(r, page, w) in &self.reads {
-            if w == NONE {
-                fixed.extend(self.writers_of(page).filter(|&x| x != r).map(|x| (r, x)));
-            } else {
-                fixed.push((w, r));
-            }
-        }
-        for &(page, wf) in &self.finals {
-            fixed.extend(self.writers_of(page).filter(|&x| x != wf).map(|x| (x, wf)));
-        }
-        fixed.sort_unstable();
-        fixed.dedup();
-
-        let mut kahn = Kahn::default();
-        if !kahn.acyclic(n, &fixed) {
-            return VsrOutcome::NotSerializable {
-                detail: format!(
-                    "fixed reads-from constraints already cyclic \
-                     ({} runs, {} fixed edges)",
-                    n,
-                    fixed.len()
-                ),
-            };
-        }
-        // w' before w, or r before w'; drop choices one branch of which is
-        // already fixed.
-        let mut open: Vec<(RunIx, RunIx, RunIx, RunIx)> = Vec::new();
-        for &(r, page, w) in &self.reads {
-            if w != NONE {
-                open.extend(
-                    self.writers_of(page)
-                        .filter(|&x| x != w && x != r)
-                        .map(|x| (x, w, r, x)),
-                );
-            }
-        }
-        let is_fixed = |e: (RunIx, RunIx)| fixed.binary_search(&e).is_ok();
-        open.retain(|&(a1, b1, a2, b2)| !is_fixed((a1, b1)) && !is_fixed((a2, b2)));
-        open.sort_unstable();
-        open.dedup();
-
-        let base = fixed.len();
-        let mut checks: u64 = 0;
-        let mut edges = fixed;
-        if kahn.search(n, &mut edges, &open, 0, &mut checks, budget) {
-            VsrOutcome::Serializable {
-                txns: n,
-                certificate: "polygraph-search",
-            }
-        } else if checks >= budget {
-            VsrOutcome::Inconclusive {
-                reason: format!("polygraph search budget exhausted ({budget} acyclicity checks)"),
-            }
-        } else {
-            VsrOutcome::NotSerializable {
-                detail: format!(
-                    "no acyclic polygraph extension over {} runs \
-                     ({} fixed edges, {} binary choices)",
-                    n,
-                    base,
-                    open.len()
-                ),
-            }
-        }
-    }
-}
-
-/// Kahn's algorithm over an edge list, with its buffers kept across the
-/// backtracking search's many calls.
-#[derive(Default)]
-struct Kahn {
-    indeg: Vec<u32>,
-    /// First edge out of each node, then the next edge out of the same
-    /// node, per edge (`NONE` ends a list).
-    head: Vec<u32>,
-    next: Vec<u32>,
-    stack: Vec<u32>,
-}
-
-impl Kahn {
-    fn search(
-        &mut self,
-        n: usize,
-        edges: &mut Vec<(RunIx, RunIx)>,
-        open: &[(RunIx, RunIx, RunIx, RunIx)],
-        idx: usize,
-        checks: &mut u64,
-        budget: u64,
-    ) -> bool {
-        if *checks >= budget {
-            return false;
-        }
-        *checks += 1;
-        if !self.acyclic(n, edges) {
-            return false;
-        }
-        let Some(&(a1, b1, a2, b2)) = open.get(idx) else {
-            return true;
+            overlaps
+        });
+        let span_of = |p: RunIx| {
+            let i = spans.partition_point(|s| s.1 < p);
+            spans.get(i).filter(|s| s.0 <= p).map(|_| i)
         };
-        for (a, b) in [(a1, b1), (a2, b2)] {
-            edges.push((a, b));
-            if self.search(n, edges, open, idx + 1, checks, budget) {
-                return true;
-            }
-            edges.pop();
-            if *checks >= budget {
-                return false;
-            }
+        // Name each run by its position, so two runs of one transaction
+        // stay two nodes.
+        let graph: Vec<(TxnId, TxnId)> = edges()
+            .filter(|&(a, b)| span_of(a).is_some() && span_of(a) == span_of(b))
+            .map(|(a, b)| (TxnId(u64::from(a)), TxnId(u64::from(b))))
+            .collect();
+        let Some(cycle) = find_cycle(&graph) else {
+            return VsrOutcome::Serializable {
+                txns,
+                certificate: "acyclic-graph",
+            };
+        };
+        let mut txn_of = vec![TxnId(0); fates.len()];
+        for (&(txn, _), &id) in &ids {
+            txn_of[id as usize] = txn;
         }
-        false
-    }
-
-    fn acyclic(&mut self, n: usize, edges: &[(RunIx, RunIx)]) -> bool {
-        self.indeg.clear();
-        self.indeg.resize(n, 0);
-        self.head.clear();
-        self.head.resize(n, NONE);
-        self.next.clear();
-        for (i, &(a, b)) in edges.iter().enumerate() {
-            if a == b {
-                return false;
-            }
-            self.next.push(self.head[a as usize]);
-            self.head[a as usize] = i as u32;
-            self.indeg[b as usize] += 1;
+        let named: Vec<u64> = cycle
+            .iter()
+            .map(|p| txn_of[decided[p.0 as usize].0 as usize].0)
+            .collect();
+        VsrOutcome::NotSerializable {
+            detail: format!("the committed history's serialization graph has the cycle {named:?}"),
         }
-        self.stack.clear();
-        self.stack
-            .extend((0..n as u32).filter(|&v| self.indeg[v as usize] == 0));
-        let mut seen = 0;
-        while let Some(v) = self.stack.pop() {
-            seen += 1;
-            let mut e = self.head[v as usize];
-            while e != NONE {
-                let w = edges[e as usize].1 as usize;
-                self.indeg[w] -= 1;
-                if self.indeg[w] == 0 {
-                    self.stack.push(w as u32);
-                }
-                e = self.next[e as usize];
-            }
-        }
-        seen == n
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WitnessReply;
     use ddbm_config::FileId;
 
     fn page(n: u64) -> PageId {
@@ -667,140 +579,470 @@ mod tests {
         Ts::new(t, TxnId(id))
     }
 
-    fn read(txn: u64, pg: u64) -> WitnessEvent {
+    /// A granted read by run `run` of `txn` at node 1; timestamps grow
+    /// with the transaction id.
+    fn read(txn: u64, run: RunId, pg: u64) -> WitnessEvent {
         WitnessEvent::Access {
             txn: TxnId(txn),
-            run: 1,
-            node: ddbm_config::NodeId(1),
+            run,
+            node: NodeId(1),
             page: page(pg),
             write: false,
-            reply: crate::WitnessReply::Granted,
+            reply: WitnessReply::Granted,
             initial_ts: ts(txn * 10, txn),
             run_ts: ts(txn * 10, txn),
         }
     }
 
-    fn install(txn: u64, pg: u64) -> WitnessEvent {
+    /// An install by run `run` of `txn` at `node`.
+    fn install_on(txn: u64, run: RunId, node: usize, pg: u64) -> WitnessEvent {
         WitnessEvent::Install {
             txn: TxnId(txn),
-            run: 1,
-            node: ddbm_config::NodeId(1),
+            run,
+            node: NodeId(node),
             page: page(pg),
             run_ts: ts(txn * 10, txn),
             commit_ts: ts(txn * 100, txn),
         }
     }
 
-    fn committed(txn: u64) -> WitnessEvent {
+    fn install(txn: u64, run: RunId, pg: u64) -> WitnessEvent {
+        install_on(txn, run, 1, pg)
+    }
+
+    fn install_at(txn: u64, node: usize, pg: u64) -> WitnessEvent {
+        install_on(txn, 1, node, pg)
+    }
+
+    fn committed(txn: u64, run: RunId) -> WitnessEvent {
         WitnessEvent::Committed {
             txn: TxnId(txn),
-            run: 1,
+            run,
             run_ts: ts(txn * 10, txn),
             commit_ts: ts(txn * 100, txn),
         }
     }
 
+    fn phase(txn: u64, run: RunId, phase: TxnPhase) -> WitnessEvent {
+        WitnessEvent::Phase {
+            txn: TxnId(txn),
+            run,
+            phase,
+        }
+    }
+
+    fn collect(order: VersionOrder, events: &[WitnessEvent]) -> VsrCollector {
+        let mut c = VsrCollector::new(order);
+        for ev in events {
+            c.observe(ev);
+        }
+        c
+    }
+
+    fn check_in(order: VersionOrder, events: &[WitnessEvent]) -> VsrOutcome {
+        collect(order, events).finalize(0)
+    }
+
+    fn check(events: &[WitnessEvent]) -> VsrOutcome {
+        check_in(VersionOrder::StreamOrder, events)
+    }
+
+    /// The transactions on the reported cycle.
+    fn cycle(out: &VsrOutcome) -> Vec<u64> {
+        let VsrOutcome::NotSerializable { detail } = out else {
+            panic!("expected a cycle, got {out:?}");
+        };
+        let list = &detail[detail.find('[').expect("a cycle list") + 1..detail.len() - 1];
+        list.split(", ")
+            .map(|t| t.parse().expect("txn id"))
+            .collect()
+    }
+
+    const CANDIDATE: &str = "candidate-order";
+
     #[test]
     fn serial_history_is_serializable() {
-        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
-        for ev in [
-            read(1, 0),
-            install(1, 1),
-            committed(1),
-            read(2, 1),
-            install(2, 0),
-            committed(2),
-        ] {
-            c.observe(&ev);
-        }
-        let out = c.finalize(10_000);
-        assert!(
-            matches!(out, VsrOutcome::Serializable { txns: 2, .. }),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn write_skew_style_cycle_is_not_serializable() {
-        // T1 reads A (initial) and writes B; T2 reads B (initial) and
-        // writes A. Each must precede the other: not view-serializable.
-        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
-        for ev in [
-            read(1, 0),
-            read(2, 1),
-            install(1, 1),
-            install(2, 0),
-            committed(1),
-            committed(2),
-        ] {
-            c.observe(&ev);
-        }
-        let out = c.finalize(10_000);
-        assert!(matches!(out, VsrOutcome::NotSerializable { .. }), "{out:?}");
-    }
-
-    #[test]
-    fn thomas_skip_history_needs_the_version_order() {
-        // Under BTO the Thomas rule can install versions out of stream
-        // order; the run-ts version order must still explain the reads.
-        let mut c = VsrCollector::new(VersionOrder::ByRunTs);
-        for ev in [
-            install(3, 0),
-            committed(3),
-            // An older write installs later (simulator replays faithfully;
-            // wts stays at 30) and a read at ts 40 sees version 3.
-            install(1, 0),
-            committed(1),
-            read(4, 0),
-            committed(4),
-        ] {
-            c.observe(&ev);
-        }
-        let out = c.finalize(10_000);
-        assert!(matches!(out, VsrOutcome::Serializable { .. }), "{out:?}");
-    }
-
-    #[test]
-    fn aborted_runs_leave_nothing_behind() {
-        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
-        let abort = WitnessEvent::Phase {
-            txn: TxnId(1),
-            run: 1,
-            phase: TxnPhase::Aborting,
-        };
-        for ev in [read(1, 0), read(1, 1), abort, read(1, 2)] {
-            c.observe(&ev);
-        }
-        assert!(c.live.is_empty() && c.read_log.is_empty());
-        assert_eq!(c.finalize(10_000), VsrOutcome::Trivial);
-    }
-
-    #[test]
-    fn runs_cut_off_mid_commit_count_as_committed() {
-        // T2 installed but the stream ended before its Committed event.
-        let mut c = VsrCollector::new(VersionOrder::StreamOrder);
-        for ev in [
-            read(1, 0),
-            install(1, 1),
-            committed(1),
-            read(2, 1),
-            install(2, 0),
-        ] {
-            c.observe(&ev);
-        }
-        assert_eq!(c.read_log.len(), 1);
+        let out = check(&[
+            read(1, 1, 0),
+            install(1, 1, 1),
+            committed(1, 1),
+            read(2, 1, 1),
+            install(2, 1, 0),
+            committed(2, 1),
+        ]);
         assert_eq!(
-            c.finalize(10_000),
+            out,
             VsrOutcome::Serializable {
                 txns: 2,
-                certificate: "candidate-order"
+                certificate: CANDIDATE
             }
         );
     }
 
     #[test]
+    fn lost_update_is_a_cycle() {
+        // r1(p) r2(p) w1(p) w2(p): T2 read the version before T1's, and
+        // T1's precedes T2's.
+        let out = check(&[
+            read(1, 1, 1),
+            read(2, 1, 1),
+            install(1, 1, 1),
+            install(2, 1, 1),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert_eq!(cycle(&out).len(), 2, "{out:?}");
+    }
+
+    #[test]
+    fn cross_page_reads_from_close_a_cycle() {
+        // w1(a) … r2(a) ⇒ T1→T2;  w2(b) … r1(b) ⇒ T2→T1.
+        let out = check(&[
+            install(1, 1, 1),
+            read(2, 1, 1),
+            install(2, 1, 2),
+            read(1, 1, 2),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert!(!out.acceptable(), "{out:?}");
+    }
+
+    #[test]
+    fn queued_read_grants_are_reads() {
+        // The lost update again, with T2's read granted from the lock queue
+        // instead of at access time.
+        let queued = WitnessEvent::Grant {
+            txn: TxnId(2),
+            run: 1,
+            node: NodeId(1),
+            page: page(1),
+            write: false,
+            initial_ts: ts(20, 2),
+            run_ts: ts(20, 2),
+        };
+        let out = check(&[
+            read(1, 1, 1),
+            queued,
+            install(1, 1, 1),
+            install(2, 1, 1),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert!(!out.acceptable(), "{out:?}");
+    }
+
+    #[test]
+    fn blocked_and_rejected_reads_are_not_reads() {
+        let mut blocked = read(2, 1, 1);
+        let mut rejected = read(2, 1, 2);
+        for (ev, reply) in [
+            (&mut blocked, WitnessReply::Blocked),
+            (&mut rejected, WitnessReply::Rejected),
+        ] {
+            if let WitnessEvent::Access { reply: r, .. } = ev {
+                *r = reply;
+            }
+        }
+        // Were they reads, T2 would precede T1 on both pages and follow it
+        // on page 3.
+        let out = check(&[
+            blocked,
+            rejected,
+            install(1, 1, 1),
+            install(1, 1, 2),
+            install(1, 1, 3),
+            read(2, 1, 3),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert!(out.acceptable(), "{out:?}");
+    }
+
+    #[test]
+    fn aborted_runs_leave_nothing_behind() {
+        let abort = phase(1, 1, TxnPhase::Aborting);
+        let c = collect(
+            VersionOrder::StreamOrder,
+            &[read(1, 1, 0), read(1, 1, 1), abort, read(1, 1, 2)],
+        );
+        assert!(c.live.is_empty() && c.read_log.is_empty());
+        assert_eq!(c.finalize(0), VsrOutcome::Trivial);
+    }
+
+    #[test]
+    fn runs_that_never_decide_do_not_pollute_the_history() {
+        // Run 1 of T1 would have formed a cycle; it never decides. Run 2
+        // of T1 happens entirely after T2.
+        let out = check(&[
+            read(1, 1, 1),
+            read(2, 1, 1),
+            install(2, 1, 1),
+            committed(2, 1),
+            read(1, 2, 1),
+            install(1, 2, 1),
+            committed(1, 2),
+        ]);
+        assert!(out.acceptable(), "{out:?}");
+    }
+
+    #[test]
+    fn reads_never_conflict_with_reads() {
+        let mut events: Vec<WitnessEvent> = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
+            .into_iter()
+            .map(|(t, pg)| read(t, 1, pg))
+            .collect();
+        events.extend((1..=3).map(|t| committed(t, 1)));
+        assert!(check(&events).acceptable());
+    }
+
+    #[test]
+    fn same_instant_operations_order_by_stream_position() {
+        // w1 then w2 at one instant: one ww edge, no cycle.
+        let out = check(&[
+            install(1, 1, 1),
+            install(2, 1, 1),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert!(out.acceptable(), "{out:?}");
+        // Every operation in one event slot, r1(a) r2(b) w2(a) w1(b) in
+        // stream order: T1 → T2 on a and T2 → T1 on b.
+        let out = check(&[
+            read(1, 1, 1),
+            read(2, 1, 2),
+            install(2, 1, 1),
+            install(1, 1, 2),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert_eq!(cycle(&out).len(), 2, "{out:?}");
+    }
+
+    #[test]
+    fn three_txn_cycle_detected() {
+        // T1 →(a)→ T2 →(b)→ T3 →(c)→ T1: no pair conflicts both ways, so a
+        // pairwise check would pass; only the graph search finds it.
+        let out = check(&[
+            install(1, 1, 1),
+            read(2, 1, 1),
+            install(2, 1, 2),
+            read(3, 1, 2),
+            install(3, 1, 3),
+            read(1, 1, 3),
+            committed(1, 1),
+            committed(2, 1),
+            committed(3, 1),
+        ]);
+        let mut members = cycle(&out);
+        members.sort_unstable();
+        assert_eq!(members, [1, 2, 3]);
+    }
+
+    #[test]
+    fn abort_discards_only_that_run() {
+        // T1's run 1 reads page 1 before T2 overwrites it; its run 2 reads
+        // page 2 after T2 wrote it. Only run 2 commits, so T2 → T1 alone.
+        let out = check(&[
+            read(1, 1, 1),
+            install(2, 1, 1),
+            install(2, 1, 2),
+            committed(2, 1),
+            read(1, 2, 2),
+            committed(1, 2),
+        ]);
+        assert!(out.acceptable(), "{out:?}");
+        // Run 2's own reads do count: had it also read page 3 before T2
+        // wrote it, T1 → T2 → T1.
+        let out = check(&[
+            read(1, 1, 1),
+            read(1, 2, 3),
+            install(2, 1, 1),
+            install(2, 1, 2),
+            install(2, 1, 3),
+            committed(2, 1),
+            read(1, 2, 2),
+            committed(1, 2),
+        ]);
+        assert!(!out.acceptable(), "{out:?}");
+    }
+
+    #[test]
+    fn runs_cut_off_mid_commit_count_as_committed() {
+        // T2 installed but the stream ended before its Committed event.
+        let c = collect(
+            VersionOrder::StreamOrder,
+            &[
+                read(1, 1, 0),
+                install(1, 1, 1),
+                committed(1, 1),
+                read(2, 1, 1),
+                install(2, 1, 0),
+            ],
+        );
+        assert_eq!(c.read_log.len(), 1);
+        assert_eq!(
+            c.finalize(0),
+            VsrOutcome::Serializable {
+                txns: 2,
+                certificate: CANDIDATE
+            }
+        );
+        // T2 installs between T1 and T3 with no Committed: T1 → T2 → T3
+        // still holds, and T3 → T1 on page 2 closes a cycle through it.
+        let out = check(&[
+            install(1, 1, 1),
+            install(2, 1, 1),
+            read(3, 1, 1),
+            install(3, 1, 2),
+            read(1, 1, 2),
+            committed(1, 1),
+            committed(3, 1),
+        ]);
+        assert_eq!(cycle(&out).len(), 3, "{out:?}");
+        // A decision alone joins the history: T2 read page 1 and decided,
+        // and nothing else of it reached the stream.
+        let out = check(&[
+            read(2, 1, 1),
+            phase(2, 1, TxnPhase::Committing),
+            install(1, 1, 1),
+            read(1, 1, 2),
+            committed(1, 1),
+        ]);
+        assert_eq!(
+            out,
+            VsrOutcome::Serializable {
+                txns: 2,
+                certificate: CANDIDATE
+            }
+        );
+    }
+
+    #[test]
+    fn decision_order_is_only_a_shortcut() {
+        // T2 decides before T1, but T1 read page 1 before T2 installed it:
+        // the edge T1 → T2 runs backward in decision order, yet there is no
+        // cycle.
+        let out = check(&[
+            phase(2, 1, TxnPhase::Committing),
+            read(1, 1, 1),
+            install(2, 1, 1),
+            committed(2, 1),
+            committed(1, 1),
+        ]);
+        assert_eq!(
+            out,
+            VsrOutcome::Serializable {
+                txns: 2,
+                certificate: "acyclic-graph"
+            }
+        );
+    }
+
+    #[test]
+    fn cycle_search_spans_backward_edges_that_share_a_run() {
+        // Decisions order T1, T2, T3; T1 → T3 runs forward, T3 → T2 and
+        // T2 → T1 backward, over stretches of the order that meet at T2.
+        let mut events: Vec<WitnessEvent> =
+            (1..=3).map(|t| phase(t, 1, TxnPhase::Committing)).collect();
+        events.extend([
+            install(1, 1, 1),
+            read(3, 1, 1),
+            install(3, 1, 2),
+            read(2, 1, 2),
+            install(2, 1, 3),
+            read(1, 1, 3),
+        ]);
+        events.extend((1..=3).map(|t| committed(t, 1)));
+        let mut members = cycle(&check(&events));
+        members.sort_unstable();
+        assert_eq!(members, [1, 2, 3]);
+    }
+
+    #[test]
+    fn commit_with_no_operations_is_serializable() {
+        assert!(matches!(
+            check(&[committed(9, 3)]),
+            VsrOutcome::Serializable { txns: 1, .. }
+        ));
+    }
+
+    #[test]
+    fn thomas_skip_is_serializable_only_in_run_ts_order() {
+        // T1 (ts 10) reads page 1 before T3 (ts 30) writes it, then
+        // installs page 0 after T3 did: the Thomas write rule skips the
+        // stale write, so under timestamp order T1's version of page 0
+        // precedes T3's. In stream order it follows T3's, while T1's read
+        // of page 1 precedes T3.
+        let events = [
+            read(1, 1, 1),
+            install(3, 1, 1),
+            install(3, 1, 0),
+            committed(3, 1),
+            install(1, 1, 0),
+            committed(1, 1),
+        ];
+        assert_eq!(
+            check_in(VersionOrder::ByRunTs, &events),
+            VsrOutcome::Serializable {
+                txns: 2,
+                certificate: CANDIDATE
+            }
+        );
+        let mut members = cycle(&check_in(VersionOrder::StreamOrder, &events));
+        members.sort_unstable();
+        assert_eq!(members, [1, 3]);
+        // A later reader sees T3's version under timestamp order.
+        let mut with_reader = events.to_vec();
+        with_reader.extend([read(4, 1, 0), committed(4, 1)]);
+        assert!(check_in(VersionOrder::ByRunTs, &with_reader).acceptable());
+    }
+
+    #[test]
+    fn opt_write_skew_is_a_cycle_in_commit_ts_order() {
+        // T1 reads A and writes B; T2 reads B and writes A, both from the
+        // initial versions: each must precede the other.
+        let out = check_in(
+            VersionOrder::ByCommitTs,
+            &[
+                read(1, 1, 0),
+                read(2, 1, 1),
+                install(1, 1, 1),
+                install(2, 1, 0),
+                committed(1, 1),
+                committed(2, 1),
+            ],
+        );
+        assert_eq!(cycle(&out).len(), 2, "{out:?}");
+    }
+
+    #[test]
+    fn replicas_installing_in_opposite_orders_close_a_cycle() {
+        // Node 1 installs T1's version of page 0 before T2's, node 2 the
+        // other way round: no one-copy order explains both copies.
+        let out = check(&[
+            install_at(1, 1, 0),
+            install_at(2, 2, 0),
+            install_at(2, 1, 0),
+            install_at(1, 2, 0),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert_eq!(cycle(&out).len(), 2, "{out:?}");
+        // In the same order on both, the copies agree.
+        let out = check(&[
+            install_at(1, 1, 0),
+            install_at(1, 2, 0),
+            install_at(2, 2, 0),
+            install_at(2, 1, 0),
+            committed(1, 1),
+            committed(2, 1),
+        ]);
+        assert!(out.acceptable(), "{out:?}");
+    }
+
+    #[test]
     fn empty_history_is_trivial() {
-        let c = VsrCollector::new(VersionOrder::StreamOrder);
-        assert_eq!(c.finalize(1), VsrOutcome::Trivial);
+        assert_eq!(check(&[]), VsrOutcome::Trivial);
     }
 }

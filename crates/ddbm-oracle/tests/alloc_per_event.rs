@@ -17,7 +17,7 @@
 //!   [`ALLOCS_PER_EVENT`] allocation calls per event, and no more per event
 //!   on the longer stream than on the shorter one: the calls left are the
 //!   arenas and tables growing to their peak and the stream-length state
-//!   (the view and conflict checkers' logs) doubling.
+//!   (the serialization-graph checker's logs) doubling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

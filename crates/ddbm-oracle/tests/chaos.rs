@@ -3,9 +3,8 @@
 //! properties that must survive every fault schedule:
 //!
 //! 1. **Correctness** — the witness stream passes the full oracle: every
-//!    protocol invariant checker, conflict serializability for the
-//!    strict-locking family, view serializability for the rest, no matter
-//!    which nodes die when.
+//!    protocol invariant checker and the serialization graph under each
+//!    algorithm's version order, no matter which nodes die when.
 //! 2. **Liveness** — no transaction is stuck forever: with admissions shut
 //!    off after the commit target, the system drains completely.
 //! 3. **Determinism** — a fixed (seed, fault plan) pair reproduces the run

@@ -81,10 +81,7 @@ fn nodc_vsr_verdict_is_informational_only() {
     let report = check_recording(&config, &rec);
     assert!(report.clean(), "{}", report.render());
     assert!(
-        matches!(
-            report.vsr,
-            VsrOutcome::NotSerializable { .. } | VsrOutcome::Inconclusive { .. }
-        ),
+        matches!(report.vsr, VsrOutcome::NotSerializable { .. }),
         "NO_DC under heavy conflict should not look serializable: {:?}",
         report.vsr
     );
@@ -157,8 +154,8 @@ fn replicated(algorithm: Algorithm, seed: u64, quorum: bool) -> Config {
 #[test]
 fn replicated_runs_pass_the_oracle() {
     // One-copy serializability: with reads and writes fanned out over three
-    // replicas, the per-replica CC checkers and the collapsed polygraph
-    // must both stay clean, and every committed write must reach its full
+    // replicas, the per-replica CC checkers and the one-copy serialization
+    // graph must both stay clean, and every committed write must reach its full
     // write set.
     for (algorithm, quorum) in [
         (Algorithm::TwoPhaseLocking, false),

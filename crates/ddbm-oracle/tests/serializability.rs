@@ -1,13 +1,13 @@
 //! End-to-end serializability oracle: run every algorithm under heavy
-//! contention and replay the witness stream through the full oracle —
-//! conflict serializability for the strict-locking family, view
-//! serializability for the rest, plus every protocol invariant checker. A
+//! contention and replay the witness stream through the full oracle — one
+//! serialization graph under each algorithm's version order, plus every
+//! protocol invariant checker. A
 //! single misplaced lock release, lost wakeup, or stale-event bug anywhere
 //! in the simulator shows up here.
 
 use ddbm_config::{Algorithm, Config};
 use ddbm_core::{run_oracle, TestHooks, WitnessEvent, WitnessReply, WitnessStream};
-use ddbm_oracle::{check_recording, ConflictChecker};
+use ddbm_oracle::{check_recording, VersionOrder, VsrCollector};
 
 /// Every algorithm with a correctness guarantee (NO_DC has none).
 const CHECKED: [Algorithm; 6] = [
@@ -31,7 +31,8 @@ fn contended(algorithm: Algorithm) -> Config {
     c
 }
 
-/// Granted reads and installs: the operations the conflict graph orders.
+/// Granted reads and installs: the operations the serialization graph
+/// orders.
 fn operations(stream: &WitnessStream) -> usize {
     stream
         .iter()
@@ -96,8 +97,8 @@ fn sequential_execution_passes_the_oracle() {
 
 #[test]
 fn nodc_baseline_is_knowingly_unserializable_under_conflict() {
-    // Sanity check that the conflict checker has teeth: NO_DC ignores all
-    // conflicts, so a contended run must produce a cycle.
+    // Sanity check that the serialization graph has teeth: NO_DC ignores
+    // all conflicts, so a contended run must produce a cycle.
     let recording = run_oracle(
         contended(Algorithm::NoDataContention),
         None,
@@ -105,12 +106,13 @@ fn nodc_baseline_is_knowingly_unserializable_under_conflict() {
     )
     .expect("valid");
     assert_eq!(recording.report.commits, 400);
-    let mut checker = ConflictChecker::new();
+    let mut checker = VsrCollector::new(VersionOrder::StreamOrder);
     for (_, ev) in &recording.witness {
         checker.observe(ev);
     }
+    let verdict = checker.finalize(0);
     assert!(
-        checker.finalize().is_some(),
-        "NO_DC under heavy conflict should violate conflict serializability"
+        !verdict.acceptable(),
+        "NO_DC under heavy conflict should not be serializable: {verdict:?}"
     );
 }

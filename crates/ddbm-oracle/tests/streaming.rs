@@ -4,7 +4,7 @@
 //! emits it and never stores the stream; `check_recording(run_oracle(..))`
 //! records the stream first and replays it. Both must reach the same
 //! verdict event for event: the same violations (rendered string for
-//! string), the same total, the same view-serializability outcome and the
+//! string), the same total, the same serializability outcome and the
 //! same event count — and the simulation itself must not notice which sink
 //! it feeds.
 //!
@@ -87,7 +87,7 @@ fn assert_agree(config: Config, hooks: TestHooks) -> usize {
         |r: &OracleReport| -> Vec<String> { r.violations.iter().map(|v| v.to_string()).collect() };
     assert_eq!(rendered(&got), rendered(&want), "{label}: violations");
     assert_eq!(got.total_violations, want.total_violations, "{label}");
-    assert_eq!(got.vsr, want.vsr, "{label}: view-serializability verdict");
+    assert_eq!(got.vsr, want.vsr, "{label}: serializability verdict");
     assert_eq!(got.events, want.events, "{label}: events");
     assert_eq!(got.events, recorded.witness.len(), "{label}");
     got.total_violations

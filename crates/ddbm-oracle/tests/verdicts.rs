@@ -6,8 +6,8 @@
 //! the 18 gate cells at seed 7 and 150 commits, plus the two injected
 //! defects (early lock release on 2PL, a skipped replica write on ROWA-3),
 //! the event count, the total violation count, the count of each violation
-//! kind, and the view-serializability outcome's
-//! `Debug` string, detail text included.
+//! kind, and the serializability outcome's `Debug` string, detail text
+//! included.
 //!
 //! The simulator's witness stream is pinned elsewhere (the determinism
 //! goldens); a drift here with those unchanged is a checker change. The
@@ -120,30 +120,30 @@ const VERDICTS: &[VerdictRow] = &[
     row(Ww, Single, "events=5152 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Wd, Single, "events=5401 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Opt, Single, "events=5359 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
-    row(NoDc, Single, "events=4991 total=0 kinds=[] vsr=NotSerializable { detail: \"fixed reads-from constraints already cyclic (151 runs, 457 fixed edges)\" }"),
+    row(NoDc, Single, "events=4991 total=0 kinds=[] vsr=NotSerializable { detail: \"the committed history's serialization graph has the cycle [36, 42]\" }"),
     row(Tpl, Rowa3, "events=7584 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Bto, Rowa3, "events=7491 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Ww, Rowa3, "events=7647 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Wd, Rowa3, "events=7722 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Opt, Rowa3, "events=7861 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
-    row(NoDc, Rowa3, "events=7315 total=0 kinds=[] vsr=NotSerializable { detail: \"fixed reads-from constraints already cyclic (151 runs, 446 fixed edges)\" }"),
+    row(NoDc, Rowa3, "events=7315 total=0 kinds=[] vsr=NotSerializable { detail: \"the committed history's serialization graph has the cycle [17, 4]\" }"),
     row(Tpl, Quorum3, "events=8333 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Bto, Quorum3, "events=8132 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Ww, Quorum3, "events=8664 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Wd, Quorum3, "events=8734 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
     row(Opt, Quorum3, "events=8497 total=0 kinds=[] vsr=Serializable { txns: 151, certificate: \"candidate-order\" }"),
-    row(NoDc, Quorum3, "events=8037 total=0 kinds=[] vsr=NotSerializable { detail: \"fixed reads-from constraints already cyclic (151 runs, 449 fixed edges)\" }"),
+    row(NoDc, Quorum3, "events=8037 total=0 kinds=[] vsr=NotSerializable { detail: \"the committed history's serialization graph has the cycle [114, 93]\" }"),
     VerdictRow {
         algorithm: Tpl,
         copies: Single,
         hook: Hook::EarlyLockRelease,
-        digest: "events=5638 total=632 kinds=[NotConflictSerializable:1 NotViewSerializable:1 ReleaseOutsidePhase:630] vsr=NotSerializable { detail: \"fixed reads-from constraints already cyclic (151 runs, 436 fixed edges)\" }",
+        digest: "events=5638 total=631 kinds=[NotSerializable:1 ReleaseOutsidePhase:630] vsr=NotSerializable { detail: \"the committed history's serialization graph has the cycle [64, 49]\" }",
     },
     VerdictRow {
         algorithm: Tpl,
         copies: Rowa3,
         hook: Hook::SkipReplicaWrite,
-        digest: "events=6199 total=577 kinds=[NotViewSerializable:1 UnderReplicatedWrite:576] vsr=NotSerializable { detail: \"fixed reads-from constraints already cyclic (151 runs, 500 fixed edges)\" }",
+        digest: "events=6199 total=577 kinds=[NotSerializable:1 UnderReplicatedWrite:576] vsr=NotSerializable { detail: \"the committed history's serialization graph has the cycle [31, 5, 17]\" }",
     },
 ];
 

@@ -4,13 +4,19 @@ use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A running tally of scalar observations (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Tally {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally::new()
+    }
 }
 
 impl Tally {
@@ -352,6 +358,14 @@ mod tests {
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
         assert_eq!(t.min(), None);
+    }
+
+    #[test]
+    fn default_tally_is_a_new_one() {
+        let mut t = Tally::default();
+        t.record(5.0);
+        assert_eq!(t.min(), Some(5.0));
+        assert_eq!(t.max(), Some(5.0));
     }
 
     #[test]
