@@ -38,8 +38,38 @@ struct Scratch {
     path: Vec<u32>,
 }
 
+/// Edges whose scratch a thread keeps between calls. Waits-for graphs and
+/// the oracle's serialization-graph spans have a few hundred edges at most
+/// (445 over the benchmark's contended and verify cells); a call with far
+/// more gives its scratch back when it returns, so one large graph does not
+/// pin its buffers for the rest of the thread's life.
+const KEEP_EDGES: usize = 1 << 10;
+
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Shrink every buffer to what a graph of [`KEEP_EDGES`] edges needs.
+    fn give_back(&mut self) {
+        let nodes = 2 * KEEP_EDGES;
+        self.nodes.clear();
+        self.nodes.shrink_to(nodes);
+        self.packed.clear();
+        self.packed.shrink_to(KEEP_EDGES);
+        self.row_start.clear();
+        self.row_start.shrink_to(nodes + 1);
+        self.heads.clear();
+        self.heads.shrink_to(KEEP_EDGES);
+        for v in [&mut self.indegree, &mut self.ready, &mut self.path] {
+            v.clear();
+            v.shrink_to(nodes);
+        }
+        self.color.clear();
+        self.color.shrink_to(nodes);
+        self.stack.clear();
+        self.stack.shrink_to(nodes);
+    }
 }
 
 /// Find one cycle in the directed graph given by `edges`, if any, returning
@@ -59,7 +89,14 @@ pub fn find_cycle(edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>> {
     if edges.is_empty() {
         return None;
     }
-    SCRATCH.with(|cell| find_cycle_in(&mut cell.borrow_mut(), edges))
+    SCRATCH.with(|cell| {
+        let mut s = cell.borrow_mut();
+        let cycle = find_cycle_in(&mut s, edges);
+        if edges.len() > KEEP_EDGES {
+            s.give_back();
+        }
+        cycle
+    })
 }
 
 fn find_cycle_in(s: &mut Scratch, edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>> {
@@ -291,6 +328,40 @@ mod tests {
         assert_eq!(cycle.len(), n as usize);
         let victims = resolve_deadlocks(&edges, |t| ts(t.0));
         assert_eq!(victims, vec![TxnId(n - 1)]);
+    }
+
+    /// Bytes the thread's scratch holds.
+    fn scratch_bytes() -> usize {
+        SCRATCH.with(|cell| {
+            let s = cell.borrow();
+            s.nodes.capacity() * 8
+                + s.packed.capacity() * 8
+                + (s.row_start.capacity() + s.heads.capacity()) * 4
+                + (s.indegree.capacity() + s.ready.capacity() + s.path.capacity()) * 4
+                + s.color.capacity()
+                + s.stack.capacity() * 8
+        })
+    }
+
+    #[test]
+    fn a_large_graph_gives_its_scratch_back() {
+        // A long cycle of 100,000 edges, then a small graph.
+        let n = 100_000u64;
+        let big: Vec<(TxnId, TxnId)> = (0..n).map(|i| (TxnId(i), TxnId((i + 1) % n))).collect();
+        assert_eq!(find_cycle(&big).map(|c| c.len()), Some(n as usize));
+        let small = [(TxnId(1), TxnId(2)), (TxnId(2), TxnId(1))];
+        assert_eq!(find_cycle(&small).map(|c| c.len()), Some(2));
+        // What a graph of `KEEP_EDGES` edges needs, not what the large one did.
+        let kept = scratch_bytes();
+        assert!(kept <= 100 * KEEP_EDGES, "{kept} B kept");
+        // A graph of the usual size keeps its buffers between calls.
+        let usual: Vec<(TxnId, TxnId)> = (0..KEEP_EDGES as u64)
+            .map(|i| (TxnId(i), TxnId(i + 1)))
+            .collect();
+        assert_eq!(find_cycle(&usual), None);
+        let before = scratch_bytes();
+        assert_eq!(find_cycle(&usual), None);
+        assert_eq!(scratch_bytes(), before);
     }
 
     #[test]

@@ -4,28 +4,45 @@
 //! them keep one slot per page they touch. Keeping that slot small — a few
 //! scalars and the heads of its lists, the lists themselves in a shared
 //! `denet::Lists` arena — is what makes their memory follow the pages in
-//! use rather than every page ever touched.
+//! use rather than every page ever touched, and the table around the slots
+//! holds exactly the pages it maps: no spare rows, no spare width.
 
 use crate::ids::{FileId, PageId};
 
 /// No row yet for a file.
 const NO_ROW: u32 = u32::MAX;
 
+/// Widenings to exactly the page touched; later ones at least double the
+/// width (see [`PageTable`]).
+const EXACT_WIDENINGS: u32 = 16;
+
 /// Per-page values in one flat table: a row of `width` slots per file, the
 /// rows in order of their files' first touch, every slot starting as
 /// `T::default()`.
 ///
-/// Every file of a database has the same number of pages, so once the
-/// first rows have seen their highest page, each new file's row fits the
-/// width: a new file costs no allocation of its own, only a share of the
-/// table's growth, which adds four rows or an eighth, whichever is more. A
-/// node's table holds rows only for the files the node serves.
+/// The table holds exactly the slots it maps: one row per touched file,
+/// each as wide as the highest page touched in any file, plus one, so its
+/// capacity is always rows × width. Every file of a database has the same
+/// number of pages, so once the first rows have seen their highest page,
+/// each new file's row fits the width. A new row extends the buffer by one
+/// row; a wider page re-lays the rows inside the buffer, from the last row
+/// back. A node's table holds rows only for the files the node serves.
+///
+/// Pages drawn at random reach a file's highest within a few widenings:
+/// each new highest page widens once, and `n` random draws set about
+/// `ln n` new highs (six for a 300-page file). A run of ever higher pages
+/// would widen at every page, a pass over the table each time, so after
+/// sixteen widenings the table doubles its width at least: such a run then
+/// re-lays a bounded multiple of the table, at the cost of up to twice its
+/// width.
 #[derive(Debug, Clone)]
 pub struct PageTable<T> {
     /// Row of each file, or `NO_ROW`.
     rows: Vec<u32>,
     slots: Vec<T>,
     width: usize,
+    /// Widenings so far.
+    widenings: u32,
 }
 
 impl<T> Default for PageTable<T> {
@@ -34,6 +51,7 @@ impl<T> Default for PageTable<T> {
             rows: Vec::new(),
             slots: Vec::new(),
             width: 0,
+            widenings: 0,
         }
     }
 }
@@ -68,11 +86,8 @@ impl<T: Default + Copy> PageTable<T> {
             self.rows.resize(file + 1, NO_ROW);
         }
         if self.rows[file] == NO_ROW {
-            let rows = self.slots.len() / self.width;
-            self.rows[file] = u32::try_from(rows).expect("fewer than 2^32 files");
-            if self.slots.capacity() - self.slots.len() < self.width {
-                self.slots.reserve_exact((rows / 8).max(4) * self.width);
-            }
+            self.rows[file] = u32::try_from(self.rows()).expect("fewer than 2^32 files");
+            self.slots.reserve_exact(self.width);
             self.slots
                 .resize_with(self.slots.len() + self.width, T::default);
         }
@@ -103,18 +118,43 @@ impl<T: Default + Copy> PageTable<T> {
             })
     }
 
-    /// Re-lay the table with rows of at least `min` slots, and an eighth
-    /// more than before, so a run of ever higher pages regrows it only a
-    /// logarithmic number of times.
+    /// Rows laid out: the files touched.
+    pub fn rows(&self) -> usize {
+        self.slots.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// Slots per row: the highest page touched, plus one (see the type's
+    /// docs for a run of ever higher pages).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Slots the buffer has room for; [`rows`](Self::rows) ×
+    /// [`width`](Self::width).
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// Widen every row to `min` slots, or to twice the width after
+    /// [`EXACT_WIDENINGS`] widenings (see the type's docs), moving the rows
+    /// apart inside the grown buffer.
     fn widen(&mut self, min: usize) {
-        let (old, width) = (self.width, min.max(self.width + self.width / 8));
-        let rows = self.slots.len().checked_div(old).unwrap_or(0);
-        let mut slots = Vec::with_capacity(rows * width);
-        for row in 0..rows {
-            slots.extend_from_slice(&self.slots[row * old..(row + 1) * old]);
-            slots.resize((row + 1) * width, T::default());
+        let (old, rows) = (self.width, self.rows());
+        let width = if self.widenings < EXACT_WIDENINGS {
+            min
+        } else {
+            min.max(2 * old)
+        };
+        self.widenings += 1;
+        self.slots.reserve_exact(rows * width - self.slots.len());
+        self.slots.resize(rows * width, T::default());
+        // From the last row back, each row's new place lies past every
+        // row not yet moved.
+        for row in (1..rows).rev() {
+            self.slots
+                .copy_within(row * old..(row + 1) * old, row * width);
+            self.slots[row * width - (width - old)..row * width].fill(T::default());
         }
-        self.slots = slots;
         self.width = width;
     }
 }
@@ -172,7 +212,29 @@ mod tests {
             }
         }
         assert_eq!(t.width, width);
-        assert_eq!(t.slots.len(), 64 * width);
-        assert!(t.slots.capacity() <= 64 * width + 64 * width / 8);
+        assert_eq!(t.capacity(), 64 * width);
+    }
+
+    #[test]
+    fn random_pages_widen_exactly_an_ascending_run_by_doubling() {
+        // Pages in shuffled order: each new highest page widens to itself.
+        let mut t: PageTable<u32> = PageTable::default();
+        for file in 0..8 {
+            for page in [40, 7, 120, 3, 299, 150, 298] {
+                *t.entry(pid(file, page)) += 1;
+            }
+        }
+        assert_eq!((t.rows(), t.width()), (8, 300));
+        assert_eq!(t.capacity(), 8 * 300);
+        // Ever higher pages: exact at first, then doubling, so the slots
+        // re-laid stay a small multiple of the table.
+        let mut t: PageTable<u32> = PageTable::default();
+        for page in 0..20_000 {
+            *t.entry(pid(page as usize % 8, page)) = 1;
+        }
+        assert_eq!(t.rows(), 8);
+        assert!(t.width() >= 20_000 && t.width() <= 2 * 20_000);
+        assert_eq!(t.capacity(), t.rows() * t.width());
+        assert!((0..20_000).all(|p| t.get(pid(p as usize % 8, p)) == Some(&1)));
     }
 }

@@ -1,10 +1,11 @@
 //! Property test of [`PageTable`] against a `BTreeMap<PageId, u32>` model:
 //! files first touched in any order, and pages past the current row width,
-//! so rows are laid out out of file order and the table is re-laid wider.
+//! so rows are laid out out of file order and the table is widened in
+//! place. After every step the table holds exactly its rows × width.
 
 use ddbm_config::{FileId, PageId, PageTable};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One step: add to a page through `entry` (making room) or through
 /// `get_mut` (only where room exists), or read one page.
@@ -34,16 +35,21 @@ fn page_op_strategy() -> impl Strategy<Value = PageOp> {
 
 proptest! {
     /// Every page reads what the model holds (untouched pages of a touched
-    /// file read the default, others nothing), and iteration yields every
-    /// slot of every touched file in `PageId` order.
+    /// file read the default, others nothing), so every value survives each
+    /// in-place widening; iteration yields every slot of every touched
+    /// file in `PageId` order; and the buffer holds exactly rows × width.
     #[test]
     fn page_table_matches_a_btree_map(ops in prop::collection::vec(page_op_strategy(), 1..150)) {
         let mut table: PageTable<u32> = PageTable::default();
         let mut model: BTreeMap<PageId, u32> = BTreeMap::new();
+        let mut entered = BTreeSet::new();
+        let mut highest = None;
         for op in ops {
             match op {
                 PageOp::Entry(p, x) => {
                     *table.entry(p) += x;
+                    entered.insert(p.file);
+                    highest = highest.max(Some(p.page));
                     *model.entry(p).or_default() += x;
                 }
                 PageOp::GetMut(p, x) => {
@@ -60,6 +66,11 @@ proptest! {
             for (&p, &v) in &model {
                 prop_assert_eq!(table.get(p), Some(&v));
             }
+            // One row per file entered, at least as wide as the highest
+            // page entered, and no slot more than rows × width.
+            prop_assert_eq!(table.rows(), entered.len());
+            prop_assert!(highest.is_none_or(|h| table.width() > h as usize));
+            prop_assert_eq!(table.capacity(), table.rows() * table.width());
             let slots: Vec<(PageId, u32)> = table.iter().map(|(p, &v)| (p, v)).collect();
             prop_assert!(slots.windows(2).all(|w| w[0].0 < w[1].0), "not in PageId order");
             let set: Vec<(PageId, u32)> = slots.into_iter().filter(|&(_, v)| v != 0).collect();

@@ -6,8 +6,10 @@
 //! pair of nodes are delivered in send order, which the commit and abort
 //! protocols rely on.
 
+use crate::workload::TxnTemplate;
 use ddbm_cc::Ts;
 use ddbm_config::{NodeId, PageId, TxnId};
+use std::rc::Rc;
 
 /// Identifies one run (execution attempt) of a transaction; bumped on every
 /// restart so that in-flight events of a dead run can be recognized as stale.
@@ -282,13 +284,18 @@ pub enum CpuJob {
         access: usize,
     },
     /// Initiation of one asynchronous post-commit page write
-    /// (`InstPerUpdate`): `pages[next]` is written and the rest chain behind
-    /// it, one initiation at a time. The cursor (rather than popping the
-    /// front) lets the whole chain reuse one page list without shifting or
-    /// reallocating.
+    /// (`InstPerUpdate`): access `next` of the plan's cohort `cohort`, a
+    /// write, is written and the cohort's later writes chain behind it, one
+    /// initiation at a time. The chain walks the committed plan itself, so
+    /// it copies no page list; it holds the plan until its last initiation.
     UpdateInit {
         txn: TxnId,
-        pages: Vec<PageId>,
+        /// The committed plan (the one its cohorts ran).
+        plan: Rc<TxnTemplate>,
+        /// Whether `plan` is a replica-routed plan (see
+        /// `TxnRuntime::routed`), so the chain's end pools it right.
+        routed: bool,
+        cohort: CohortIdx,
         next: usize,
     },
     /// Protocol processing to send a message; on completion the message is

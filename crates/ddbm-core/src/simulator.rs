@@ -177,12 +177,6 @@ pub struct Simulator {
     routed_pool: Pool<Rc<TxnTemplate>>,
     /// Freelist of per-cohort progress vectors (`TxnRuntime::cohorts`).
     cohort_pool: Pool<Vec<CohortRun>>,
-    /// Freelist of commit write-back page lists (`CpuJob::UpdateInit`),
-    /// recycled when the initiation chain issues its last disk write.
-    page_pool: Pool<Vec<PageId>>,
-    /// The largest of the nodes' `max_accesses`: the capacity of every
-    /// write-back page list.
-    most_accesses: usize,
     /// Freelist of Snoop gather buffers (`MsgKind::SnoopReply` edge lists).
     edge_pool: Pool<Vec<(TxnId, TxnId)>>,
     /// Page-sampling scratch reused across template generations.
@@ -310,13 +304,6 @@ impl Simulator {
             tpl_pool: Pool::default(),
             routed_pool: Pool::default(),
             cohort_pool: Pool::default(),
-            // Stocked up front at full capacity: the pool drains LIFO, so a
-            // rarely-reached depth would otherwise hand out a fresh buffer
-            // (and one allocation) long after warmup. A cohort writes at
-            // most its node's access bound; lists move between nodes, so
-            // each gets the largest.
-            page_pool: Pool::stocked(|| Vec::with_capacity(most_accesses)),
-            most_accesses,
             edge_pool: Pool::default(),
             sample_scratch: Vec::new(),
             route_up: Vec::new(),

@@ -9,6 +9,7 @@ use crate::witness::{WitnessEvent, WitnessReply};
 use ddbm_cc::{rules_of, AccessReply, ReleaseResponse, Ts};
 use ddbm_config::{Algorithm, NodeId, TxnId};
 use denet::SimTime;
+use std::rc::Rc;
 
 impl Simulator {
     /// A `LoadCohort` message reached the cohort's node.
@@ -528,49 +529,40 @@ impl Simulator {
         cohort: CohortIdx,
     ) {
         let txn = self.txns.get(id).expect("decided txn exists");
-        // Only the commit path needs the write set; read-only cohorts and
-        // aborts build nothing. The list comes from the page-list freelist
-        // (recycled when the write-back chain issues its last disk write),
-        // so steady-state commits allocate nothing.
-        let mut pages = self.page_pool.take();
-        // Grow straight to the workload bound: letting each recycled buffer
-        // creep up by amortized doubling would reallocate long after warmup.
-        pages.reserve(self.most_accesses);
-        pages.extend(
-            txn.template.cohorts[cohort]
-                .accesses
-                .iter()
-                .filter(|a| a.write)
-                .map(|a| a.page),
-        );
+        let plan = Rc::clone(&txn.template);
+        let routed = txn.routed();
+        let accesses = &plan.cohorts[cohort].accesses;
         // Witness installs *before* releasing locks: a release can grant a
         // waiter at this same instant, and its read must sequence after
         // these writes.
         if let Some(o) = &mut self.obs {
             let run_ts = txn.meta().run_ts;
             let commit_ts = txn.commit_ts.unwrap_or(Ts::ZERO);
-            for &page in &pages {
+            for a in accesses.iter().filter(|a| a.write) {
                 o.witness(now, || WitnessEvent::Install {
                     txn: id,
                     run,
                     node,
-                    page,
+                    page: a.page,
                     run_ts,
                     commit_ts,
                 });
             }
         }
+        let first = accesses.iter().position(|a| a.write);
         self.release(now, node, id, run, true);
         // Kick off the asynchronous write-back chain for this cohort's
         // updated pages: InstPerUpdate CPU per page, then the disk write.
-        if pages.is_empty() {
-            self.page_pool.put(pages);
-        } else {
+        // The chain walks the plan; the transaction still holds it too, so
+        // a cohort that wrote nothing just drops its handle.
+        if let Some(next) = first {
             let instr = self.config.system.inst_per_update as f64;
             let job = CpuJob::UpdateInit {
                 txn: id,
-                pages,
-                next: 0,
+                plan,
+                routed,
+                cohort,
+                next,
             };
             self.cpu_shared(now, node, job, instr);
         }

@@ -95,15 +95,17 @@ impl Simulator {
     /// Return a finished transaction's heap parts to the freelists. The
     /// logical handle is dropped (or pooled) before the physical one, so a
     /// factor-1 run sharing one plan `Rc` between the two sees the survivor
-    /// become uniquely owned and reusable.
+    /// become uniquely owned and reusable. A committed plan that a
+    /// write-back chain still walks is pooled by the chain's end instead
+    /// (see `CpuJob::UpdateInit`).
     fn recycle_txn(&mut self, txn: TxnRuntime) {
+        let routed = txn.routed();
         let TxnRuntime {
             template,
             logical,
             cohorts,
             ..
         } = txn;
-        let routed = logical.as_ref().is_some_and(|l| !Rc::ptr_eq(l, &template));
         if let Some(l) = logical.filter(|_| routed) {
             self.put_template(l, false);
         }

@@ -1,8 +1,8 @@
-//! Freelists: transaction plans, cohort-progress vectors, write-back page
-//! lists, Snoop edge buffers, message envelopes and resource completion
-//! buffers all cycle through one [`Pool`] type, so the steady-state
-//! transaction lifecycle performs no heap allocation (pinned by
-//! `tests/alloc_steady_state.rs`).
+//! Freelists: transaction plans, cohort-progress vectors, Snoop edge
+//! buffers and message envelopes all cycle through one [`Pool`] type, so
+//! the steady-state transaction lifecycle performs no heap allocation
+//! (pinned by `tests/alloc_steady_state.rs`). A commit's write-back chain
+//! needs no buffer of its own: it walks the committed plan.
 
 use crate::protocol::Message;
 use crate::workload::TxnTemplate;

@@ -253,25 +253,36 @@ impl Simulator {
             CpuJob::PageProcess {
                 txn, run, cohort, ..
             } => self.access_finished(now, txn, run, cohort),
-            CpuJob::UpdateInit { txn, pages, next } => {
+            CpuJob::UpdateInit {
+                txn,
+                plan,
+                routed,
+                cohort,
+                next,
+            } => {
                 // Issue the disk write for the current page, then chain the
-                // next initiation, advancing the cursor through the shared
-                // page list (no front-shifting). The fresh page version is in
-                // memory, so it enters the buffer pool (extension; no-op at
+                // cohort's next write. The fresh page version is in memory,
+                // so it enters the buffer pool (extension; no-op at
                 // capacity 0).
-                self.nodes[node.0].buffer.insert(pages[next]);
+                let accesses = &plan.cohorts[cohort].accesses;
+                self.nodes[node.0].buffer.insert(accesses[next].page);
+                let later = accesses[next + 1..].iter().position(|a| a.write);
                 self.submit_disk(now, node, DiskJob::WriteBack { txn }, true);
-                if next + 1 < pages.len() {
-                    let instr = self.config.system.inst_per_update as f64;
-                    let job = CpuJob::UpdateInit {
-                        txn,
-                        pages,
-                        next: next + 1,
-                    };
-                    self.cpu_shared(now, node, job, instr);
-                } else {
-                    // Last initiation of the chain: recycle the page list.
-                    self.page_pool.put(pages);
+                match later {
+                    Some(skip) => {
+                        let instr = self.config.system.inst_per_update as f64;
+                        let job = CpuJob::UpdateInit {
+                            txn,
+                            plan,
+                            routed,
+                            cohort,
+                            next: next + 1 + skip,
+                        };
+                        self.cpu_shared(now, node, job, instr);
+                    }
+                    // The chain's last initiation: pool the plan if the
+                    // transaction has already finished with it.
+                    None => self.put_template(plan, routed),
                 }
             }
             CpuJob::MsgSend(msg) => self.deliver(now, msg),

@@ -242,6 +242,15 @@ impl TxnRuntime {
         old
     }
 
+    /// True when `template` is a replica-routed plan of `logical` (factor
+    /// above 1) rather than the logical plan itself: the two freelists it
+    /// can return to are kept apart.
+    pub(crate) fn routed(&self) -> bool {
+        self.logical
+            .as_ref()
+            .is_some_and(|l| !Rc::ptr_eq(l, &self.template))
+    }
+
     /// The cohort index running at `node`, if any.
     pub fn cohort_at(&self, node: NodeId) -> Option<usize> {
         self.template.cohorts.iter().position(|c| c.node == node)

@@ -24,18 +24,20 @@
 //! a bounded number of allocations whatever the algorithm, because per-page
 //! CC state grows on first touch instead of being built up front.
 //!
-//! The allocator also tracks live bytes, for three heap pins on contended
-//! runs: each contended 8-way cell's peak stays under a stated bound, a
-//! long run's peak stays within 10% of a short one's, so no state grows
-//! with the commit count, and trace knobs that `run_config` does not read
-//! cost no heap.
+//! The allocator also tracks live bytes, for four heap pins: each
+//! contended cell's peak (8- and 1-way) and the NO_DC 1-node cell's stay
+//! under stated bounds, a long contended run's peak stays within 10% of a
+//! short one's, so no state grows with the commit count, trace knobs that
+//! `run_config` does not read cost no heap, and the BTO and OPT managers
+//! hold one page-table slot per page they have touched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ddbm_config::{Algorithm, Config, ReplicationParams};
+use ddbm_cc::{make_manager, Ts, TxnMeta};
+use ddbm_config::{Algorithm, Config, FileId, PageId, ReplicationParams, TxnId};
 use ddbm_core::{run_config, Simulator};
 use denet::SimDuration;
 
@@ -244,35 +246,59 @@ fn run_peak(config: Config) -> usize {
 /// The benchmark's contended cell: 8 nodes, 8-way declustering, think time
 /// 0, 100 warm-up commits.
 fn contended(algorithm: Algorithm, measure_commits: u64) -> Config {
-    let mut c = Config::partitioning(algorithm, 8, false, 0.0);
+    contended_at(algorithm, 8, measure_commits)
+}
+
+/// The same at declustering `degree`.
+fn contended_at(algorithm: Algorithm, degree: usize, measure_commits: u64) -> Config {
+    let mut c = Config::partitioning(algorithm, degree, false, 0.0);
     c.control.warmup_commits = 100;
     c.control.measure_commits = measure_commits;
     c
 }
 
-/// Most bytes a contended 8-way cell may hold at its peak (600 commits).
-/// With the CC managers' per-transaction lists sized by the per-node bound
-/// (12 accesses) and no buffers on idle pages, these cells peak at 1.8–2.6
-/// MiB; with 96-access lists and buffers on every page ever touched they
-/// peaked at 5.6–10 MiB.
-const CONTENDED_PEAK_MAX: usize = 3 << 20;
+/// Most bytes a contended cell, 8- or 1-way, may hold at its peak (600
+/// commits): the largest, OPT 8-way, peaks at 2.30 MiB, and this is 9%
+/// over it. The 1-way cells peak at 1.33–2.19 MiB. With a copied page
+/// list for every write-back chain (256 stocked at the node's access
+/// bound) and page tables laid out four rows and an eighth of width at a
+/// time, the 8-way cells peaked at 1.67–2.55 MiB and the 1-way ones at
+/// 1.72–2.68 MiB; with 96-access CC lists and buffers on every page ever
+/// touched, at 5.6–10 MiB.
+const CONTENDED_PEAK_MAX: usize = 2_560 << 10;
+
+/// Most bytes the benchmark's NO_DC 1-node cell (think time 0, 1,100
+/// commits) may hold at its peak. It peaks at 524 KiB; with the stocked
+/// write-back page lists, which the 1-node machine sized at 96 accesses,
+/// it peaked at 895 KiB.
+const NODC_ONE_NODE_PEAK_MAX: usize = 580 << 10;
 
 #[test]
 fn contended_cells_peak_under_bound() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for algorithm in [
-        Algorithm::TwoPhaseLocking,
-        Algorithm::WoundWait,
-        Algorithm::BasicTimestampOrdering,
-        Algorithm::Optimistic,
-    ] {
-        let peak = run_peak(contended(algorithm, 500));
-        assert!(
-            peak <= CONTENDED_PEAK_MAX,
-            "{algorithm:?}: contended 8-way cell peaked at {peak} bytes, over \
-             {CONTENDED_PEAK_MAX}"
-        );
+    for degree in [8, 1] {
+        for algorithm in [
+            Algorithm::TwoPhaseLocking,
+            Algorithm::WoundWait,
+            Algorithm::BasicTimestampOrdering,
+            Algorithm::Optimistic,
+        ] {
+            let peak = run_peak(contended_at(algorithm, degree, 500));
+            assert!(
+                peak <= CONTENDED_PEAK_MAX,
+                "{algorithm:?}: contended {degree}-way cell peaked at {peak} \
+                 bytes, over {CONTENDED_PEAK_MAX}"
+            );
+        }
     }
+    let mut nodc = Config::scaling(Algorithm::NoDataContention, 1, 0.0);
+    nodc.control.warmup_commits = 100;
+    nodc.control.measure_commits = 1_000;
+    let peak = run_peak(nodc);
+    assert!(
+        peak <= NODC_ONE_NODE_PEAK_MAX,
+        "NO_DC 1-node cell peaked at {peak} bytes, over {NODC_ONE_NODE_PEAK_MAX}"
+    );
 }
 
 #[test]
@@ -321,4 +347,66 @@ fn unread_trace_knobs_cost_no_heap() {
          bytes, more than {UNREAD_TRACE_SLACK} over the {off} of the same \
          cell with tracing off"
     );
+}
+
+/// Most bytes the BTO and OPT managers may hold per page once finished
+/// transactions have touched every page of a node's eight 300-page files,
+/// in random order. A page's state is two timestamps and two list heads,
+/// 48 B, and the page table holds exactly one slot per page; the lists and
+/// maps of transactions that have finished add under a byte a page (both
+/// hold 48.5 B a page). With rows laid out four at a time and widths grown
+/// by an eighth, BTO held 70 B a page after this stream.
+const CC_BYTES_PER_PAGE: usize = 50;
+
+#[test]
+fn timestamp_managers_hold_one_slot_per_page() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (files, pages_per_file) = (8u64, 300u64);
+    // 3,000 transactions of 12 accesses, a quarter of them writes, drawn
+    // before measuring: 36,000 draws touch every one of the 2,400 pages.
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let accesses: Vec<(PageId, bool)> = (0..3_000 * 12)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = PageId {
+                file: FileId((x % files) as usize),
+                page: (x >> 8) % pages_per_file,
+            };
+            (page, i % 4 == 0)
+        })
+        .collect();
+    let mut touched: Vec<PageId> = accesses.iter().map(|&(p, _)| p).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    assert_eq!(touched.len() as u64, files * pages_per_file);
+    drop(touched);
+    for algorithm in [Algorithm::BasicTimestampOrdering, Algorithm::Optimistic] {
+        let before = LIVE.load(Ordering::Relaxed);
+        let mut cc = make_manager(algorithm);
+        cc.preallocate(0, 12);
+        for (t, txn) in accesses.chunks(12).enumerate() {
+            let ts = Ts::new(t as u64 + 1, TxnId(t as u64 + 1));
+            let meta = TxnMeta {
+                id: TxnId(t as u64 + 1),
+                initial_ts: ts,
+                run_ts: ts,
+            };
+            for &(page, write) in txn {
+                cc.request_access(&meta, page, write);
+            }
+            assert!(cc.certify(&meta, ts), "a lone transaction certifies");
+            assert!(cc.commit(meta.id).is_empty());
+        }
+        let held = LIVE.load(Ordering::Relaxed) - before;
+        drop(cc);
+        let pages = (files * pages_per_file) as usize;
+        eprintln!("{algorithm:?} holds {held} B for {pages} pages");
+        assert!(
+            held <= CC_BYTES_PER_PAGE * pages,
+            "{algorithm:?} holds {held} B for {pages} pages, over \
+             {CC_BYTES_PER_PAGE} B each"
+        );
+    }
 }
