@@ -270,10 +270,11 @@ fn whole_sim(c: &mut Criterion) {
 
 /// Message-path cost end to end: a fully declustered run with zero think
 /// time, so nearly every simulated event is a cross-node message hop.
-/// Fault-free messages are never boxed: each hop rides the CPU message
-/// class and the calendar's same-instant lane, and this bench is the live
-/// number behind that path. (Only dropped, delayed or down-node messages
-/// take a recycled `Event::MsgArrive` envelope.)
+/// Fault-free messages never enter the calendar: each hop rides the CPU
+/// message class, and this bench is the live number behind that path.
+/// (Only dropped, delayed or down-node messages are parked in the
+/// calendar, inline in their `Event::MsgArrive`. The row keeps its old
+/// `envelope_pool` name so it still matches `BENCH_core.json`.)
 fn messages(c: &mut Criterion) {
     let mut group = c.benchmark_group("messages");
     group.sample_size(10);

@@ -20,7 +20,7 @@
 
 use crate::common::{push_item, remove_item, AccessResponse, ReleaseResponse, Ts, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, PageTable, TxnId};
+use ddbm_config::{PageId, PageTable, TxnId};
 use denet::{FxHashMap, List, Lists};
 
 /// A waiting access: its timestamp and transaction.
@@ -185,10 +185,6 @@ impl CcManager for BasicTimestampOrdering {
 
     fn abort(&mut self, txn: TxnId) -> ReleaseResponse {
         self.finish(txn, false)
-    }
-
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::BasicTimestampOrdering
     }
 }
 

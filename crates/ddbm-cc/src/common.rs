@@ -129,13 +129,6 @@ impl ReleaseResponse {
     pub fn is_empty(&self) -> bool {
         self.granted.is_empty() && self.rejected.is_empty() && self.must_abort.is_empty()
     }
-
-    /// `merge`.
-    pub fn merge(&mut self, other: ReleaseResponse) {
-        self.granted.extend(other.granted);
-        self.rejected.extend(other.rejected);
-        self.must_abort.extend(other.must_abort);
-    }
 }
 
 /// A lock mode. Reads share; writes exclude.
@@ -206,23 +199,5 @@ mod tests {
         assert!(!Read.compatible(Write));
         assert!(!Write.compatible(Read));
         assert!(!Write.compatible(Write));
-    }
-
-    #[test]
-    fn release_response_merge() {
-        let mut a = ReleaseResponse::default();
-        assert!(a.is_empty());
-        let p = PageId {
-            file: ddbm_config::FileId(0),
-            page: 1,
-        };
-        a.merge(ReleaseResponse {
-            granted: vec![(TxnId(1), p)],
-            rejected: vec![],
-            must_abort: vec![TxnId(2)],
-        });
-        assert_eq!(a.granted.len(), 1);
-        assert_eq!(a.must_abort, vec![TxnId(2)]);
-        assert!(!a.is_empty());
     }
 }

@@ -22,11 +22,9 @@ pub mod locktable;
 pub mod manager;
 pub mod nodc;
 pub mod opt;
-pub mod rules;
 pub mod waitsfor;
 
 pub use common::{AccessReply, AccessResponse, LockMode, ReleaseResponse, Ts, TxnMeta};
 pub use locktable::{LockOutcome, LockTable};
 pub use manager::{make_manager, make_manager_with, CcManager, LockStats};
-pub use rules::{rules_of, CcRules};
 pub use waitsfor::{find_cycle, resolve_deadlocks};

@@ -244,15 +244,6 @@ impl CcManager for Locking {
             waiting: self.table.waiting_txns(),
         })
     }
-
-    fn algorithm(&self) -> Algorithm {
-        match self.rule {
-            Rule::Detect => Algorithm::TwoPhaseLocking,
-            Rule::Timeout => Algorithm::TwoPhaseLockingTimeout,
-            Rule::Wound => Algorithm::WoundWait,
-            Rule::Die => Algorithm::WaitDie,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +296,6 @@ mod tests {
         ] {
             for barging in [false, true] {
                 let mut m = Locking::new(algo, barging);
-                assert_eq!(m.algorithm(), algo);
                 // A reader behind a queued writer barges only under 2PL/2PL-T.
                 m.request_access(&meta(5), page(1), false);
                 m.request_access(&meta(3), page(1), true);

@@ -73,9 +73,6 @@ pub trait CcManager: Send {
     fn lock_stats(&self) -> Option<LockStats> {
         None
     }
-
-    /// The algorithm this manager implements.
-    fn algorithm(&self) -> Algorithm;
 }
 
 /// Construct the CC manager for `algorithm` (strict-FIFO lock grants).
@@ -101,12 +98,91 @@ pub fn make_manager_with(algorithm: Algorithm, lock_barging: bool) -> Box<dyn Cc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::AccessReply::{self, Blocked, Granted, Rejected};
+    use ddbm_config::FileId;
+
+    fn page(n: u64) -> PageId {
+        PageId {
+            file: FileId(0),
+            page: n,
+        }
+    }
+
+    /// Transaction `id`, started at instant `id` (smaller = older).
+    fn meta(id: u64) -> TxnMeta {
+        let ts = Ts::new(id, TxnId(id));
+        TxnMeta {
+            id: TxnId(id),
+            initial_ts: ts,
+            run_ts: ts,
+        }
+    }
+
+    /// The replies of four request sequences, each on a fresh manager:
+    /// 1. a young reader holds a page an old writer then asks for (the
+    ///    writer's reply, and whether it wounds anyone);
+    /// 2. an old writer holds a page a young writer then asks for;
+    /// 3. two writers close a deadlock (the second request's reply);
+    /// 4. a reader commits at a later timestamp than a writer of the same
+    ///    page then certifies at (the writer's certification).
+    fn replies(algo: Algorithm) -> (AccessReply, bool, AccessReply, AccessReply, bool) {
+        let (old, young) = (meta(3), meta(5));
+        let mut m = make_manager(algo);
+        m.request_access(&young, page(1), false);
+        let wounding = m.request_access(&old, page(1), true);
+
+        let mut m = make_manager(algo);
+        m.request_access(&old, page(1), true);
+        let dying = m.request_access(&young, page(1), true).reply;
+
+        let mut m = make_manager(algo);
+        m.request_access(&old, page(1), true);
+        m.request_access(&young, page(2), true);
+        m.request_access(&old, page(2), true);
+        let closing = m.request_access(&young, page(1), true).reply;
+
+        let mut m = make_manager(algo);
+        m.request_access(&old, page(1), false);
+        assert!(m.certify(&old, Ts::new(10, TxnId(0))));
+        m.commit(old.id);
+        m.request_access(&young, page(1), true);
+        let certified = m.certify(&young, Ts::new(7, TxnId(0)));
+
+        (
+            wounding.reply,
+            !wounding.must_abort().is_empty(),
+            dying,
+            closing,
+            certified,
+        )
+    }
 
     #[test]
     fn factory_builds_matching_manager() {
-        for algo in Algorithm::EXTENDED {
-            let m = make_manager(algo);
-            assert_eq!(m.algorithm(), algo);
+        use Algorithm::*;
+        let expected = [
+            (TwoPhaseLocking, (Blocked, false, Blocked, Rejected, true)),
+            (
+                TwoPhaseLockingTimeout,
+                (Blocked, false, Blocked, Blocked, true),
+            ),
+            (WoundWait, (Blocked, true, Blocked, Blocked, true)),
+            (WaitDie, (Blocked, false, Rejected, Rejected, true)),
+            (
+                BasicTimestampOrdering,
+                (Rejected, false, Granted, Granted, true),
+            ),
+            (Optimistic, (Granted, false, Granted, Granted, false)),
+            (NoDataContention, (Granted, false, Granted, Granted, true)),
+        ];
+        assert_eq!(expected.len(), Algorithm::EXTENDED.len());
+        for (algo, want) in expected {
+            assert_eq!(replies(algo), want, "{algo}");
+        }
+        // The seven reply patterns differ, so no two algorithms can share
+        // a manager.
+        for (i, (_, a)) in expected.iter().enumerate() {
+            assert!(expected[i + 1..].iter().all(|(_, b)| a != b));
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::common::{AccessResponse, ReleaseResponse, Ts, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, TxnId};
+use ddbm_config::{PageId, TxnId};
 
 /// See module docs.
 #[derive(Debug, Default)]
@@ -34,10 +34,6 @@ impl CcManager for NoDataContention {
 
     fn abort(&mut self, _txn: TxnId) -> ReleaseResponse {
         ReleaseResponse::default()
-    }
-
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::NoDataContention
     }
 }
 

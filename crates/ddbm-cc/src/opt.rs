@@ -22,7 +22,7 @@
 
 use crate::common::{push_item, AccessResponse, ReleaseResponse, Ts, TxnMeta};
 use crate::manager::CcManager;
-use ddbm_config::{Algorithm, PageId, PageTable, TxnId};
+use ddbm_config::{PageId, PageTable, TxnId};
 use denet::{FxHashMap, List, Lists};
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -168,10 +168,6 @@ impl CcManager for OptimisticCertification {
         self.certified.remove(&txn);
         self.finish(txn, None);
         ReleaseResponse::default()
-    }
-
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Optimistic
     }
 }
 

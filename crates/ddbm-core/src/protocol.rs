@@ -99,17 +99,6 @@ pub struct Message {
     pub kind: MsgKind,
 }
 
-/// An empty envelope: host to host, carrying a `SnoopPass`.
-impl Default for Message {
-    fn default() -> Message {
-        Message {
-            from: NodeId::HOST,
-            to: NodeId::HOST,
-            kind: MsgKind::SnoopPass,
-        }
-    }
-}
-
 /// The protocol messages of the model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 // Field names in this protocol are uniform (`txn`, `run`, `cohort`, …)
@@ -369,8 +358,7 @@ pub enum Event {
     CohortTimeout { txn: TxnId, run: RunId },
     /// Fault injection: a delayed, dropped-and-retransmitted, or
     /// addressed-to-a-down-node message (re)arrives at the network layer.
-    /// Boxed to keep the common event variants small.
-    MsgArrive { msg: Box<Message> },
+    MsgArrive { msg: Message },
 }
 
 #[cfg(test)]
@@ -378,14 +366,18 @@ mod tests {
     use super::*;
 
     /// The calendar's heap stores events inline and moves them on every
-    /// sift, so every extra word here is copied on each push and pop.
-    /// (Resource completions carry no event at all: they fire as bare
-    /// prediction slots.) `MsgArrive` boxes its payload for exactly this
-    /// reason. If this assertion fires, either shrink the new variant (box
-    /// large fields) or consciously accept the cost and update the expected
-    /// size.
+    /// sift, so every word here is copied on each push and pop. A parked
+    /// message rides `MsgArrive` by value, which sets the size: the variant
+    /// is a `Message`, and `Event`'s tag fits in bit patterns a `Message`
+    /// never takes. The size costs little because the heap carries little:
+    /// a commit takes 1.09 to 2.03 heap pops against 108 to 298 resource
+    /// slot pops in the perfbench workloads (see `denet::calendar`), and
+    /// resource completions carry no event at all. If this assertion
+    /// fires, a variant grew past a `Message`: shrink it, or accept the
+    /// cost and update the expected size.
     #[test]
-    fn event_stays_32_bytes() {
-        assert_eq!(std::mem::size_of::<Event>(), 32);
+    fn event_is_one_message_wide() {
+        assert_eq!(std::mem::size_of::<Message>(), 56);
+        assert_eq!(std::mem::size_of::<Event>(), 56);
     }
 }

@@ -35,7 +35,7 @@ mod snoop;
 
 use crate::metrics::{MetricsCollector, PhaseCollector, RunReport};
 use crate::observe::{Observer, Recorders};
-use crate::protocol::{CpuJob, DiskJob, Event, Message};
+use crate::protocol::{CpuJob, DiskJob, Event};
 use crate::store::TxnStore;
 use crate::trace::{TraceLog, Tracer};
 use crate::txn::CohortRun;
@@ -155,14 +155,6 @@ pub struct Simulator {
     dirty_cpu: Vec<NodeId>,
     /// Same deferral list for disk predictions.
     dirty_disk: Vec<NodeId>,
-    /// Recycled `Event::MsgArrive` envelopes. Only fault paths (drops,
-    /// delays, down receivers) box a message; fault-free traffic rides the
-    /// CPU message class unboxed. With the pool, even faulty steady-state
-    /// message traffic allocates nothing. The pool stores the `Box` itself
-    /// (not the `Message`): the recycled heap cell is the point, since
-    /// `Event::MsgArrive` needs a `Box<Message>` and re-boxing would
-    /// allocate.
-    msg_pool: Pool<Box<Message>>,
     /// Per-relation cohort groups, precomputed at construction:
     /// `Placement::cohort_groups` is placement-static but allocates per
     /// call, and template generation needs it once per transaction.
@@ -239,11 +231,11 @@ impl Simulator {
         let placement = config.placement().map_err(|e| ConfigError(e.to_string()))?;
         let seed = config.control.seed;
         let mut calendar = EventCalendar::new();
-        let msg_faults = config.faults.msg_drop_prob > 0.0 || config.faults.msg_delay_prob > 0.0;
-        if msg_faults {
-            // Dropped and delayed messages wait in the calendar: room for
-            // one to or from each cohort of every terminal's transaction,
-            // plus the transaction's own pending event.
+        if config.faults.msg_drop_prob > 0.0 || config.faults.msg_delay_prob > 0.0 {
+            // Dropped and delayed messages wait in the calendar, inline in
+            // their `Event::MsgArrive`: room for one to or from each cohort
+            // of every terminal's transaction, plus the transaction's own
+            // pending event.
             calendar.reserve(config.workload.num_terminals * (config.system.num_proc_nodes + 1));
         }
         let max_accesses = max_accesses_per_node(&config, &placement);
@@ -293,13 +285,6 @@ impl Simulator {
             next_txn: 1,
             dirty_cpu: Vec::new(),
             dirty_disk: Vec::new(),
-            // Only message faults box messages; stocked then, so a new
-            // high-water of messages in flight takes no allocation.
-            msg_pool: if msg_faults {
-                Pool::stocked(Box::default)
-            } else {
-                Pool::default()
-            },
             cohort_groups,
             tpl_pool: Pool::default(),
             routed_pool: Pool::default(),
@@ -510,12 +495,7 @@ impl Simulator {
             Event::NodeUp { node } => self.on_node_up(node),
             Event::DiskStall { node, until } => self.on_disk_stall(node, until),
             Event::CohortTimeout { txn, run } => self.on_cohort_timeout(now, txn, run),
-            Event::MsgArrive { mut msg } => {
-                // Take the contents and recycle the envelope.
-                let m = std::mem::take(&mut *msg);
-                self.msg_pool.put(msg);
-                self.deliver_now(now, m);
-            }
+            Event::MsgArrive { msg } => self.deliver_now(now, msg),
         }
     }
 

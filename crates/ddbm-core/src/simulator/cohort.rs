@@ -6,7 +6,7 @@ use super::Simulator;
 use crate::protocol::{AbortCause, CohortIdx, CpuJob, DiskJob, Event, MsgKind, RunId};
 use crate::txn::TxnPhase;
 use crate::witness::{WitnessEvent, WitnessReply};
-use ddbm_cc::{rules_of, AccessReply, ReleaseResponse, Ts};
+use ddbm_cc::{AccessReply, ReleaseResponse, Ts};
 use ddbm_config::{Algorithm, NodeId, TxnId};
 use denet::SimTime;
 use std::rc::Rc;
@@ -210,12 +210,12 @@ impl Simulator {
     }
 
     /// The cause of an abort the CC manager demanded: of a rejected
-    /// transaction, or (`victim`) of another one. Read from the algorithm's
-    /// rules: 2PL's are deadlock victims either way; otherwise a victim is
-    /// wounded, and a rejection keeps timestamp order (wait-die deaths, BTO
-    /// too-late accesses).
+    /// transaction, or (`victim`) of another one. 2PL's, found by waits-for
+    /// cycle detection, are deadlock victims either way; otherwise a victim
+    /// is wounded, and a rejection keeps timestamp order (wait-die deaths,
+    /// BTO too-late accesses).
     fn cc_abort_cause(&self, victim: bool) -> AbortCause {
-        if rules_of(self.config.algorithm).detects_deadlocks {
+        if self.config.algorithm == Algorithm::TwoPhaseLocking {
             AbortCause::Deadlock
         } else if victim {
             AbortCause::Wound

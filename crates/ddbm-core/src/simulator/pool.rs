@@ -1,10 +1,12 @@
-//! Freelists: transaction plans, cohort-progress vectors, Snoop edge
-//! buffers and message envelopes all cycle through one [`Pool`] type, so
-//! the steady-state transaction lifecycle performs no heap allocation
-//! (pinned by `tests/alloc_steady_state.rs`). A commit's write-back chain
-//! needs no buffer of its own: it walks the committed plan.
+//! Freelists: transaction plans, cohort-progress vectors and Snoop edge
+//! buffers all cycle through one [`Pool`] type, so the steady-state
+//! transaction lifecycle performs no heap allocation (pinned by
+//! `tests/alloc_steady_state.rs`). A commit's write-back chain needs no
+//! buffer of its own: it walks the committed plan. Nor does a message that
+//! a fault parks: it waits in the calendar, inline in its
+//! `Event::MsgArrive`, in room `Simulator::new` reserves (the message-fault
+//! pass of `tests/alloc_steady_state.rs` exercises it).
 
-use crate::protocol::Message;
 use crate::workload::TxnTemplate;
 use std::rc::Rc;
 
@@ -20,13 +22,6 @@ pub(super) struct Pool<T> {
 }
 
 impl<T: Recycle + Default> Pool<T> {
-    /// A pool stocked to capacity up front.
-    pub(super) fn stocked(make: impl FnMut() -> T) -> Self {
-        Pool {
-            free: std::iter::repeat_with(make).take(CAP).collect(),
-        }
-    }
-
     /// A recycled value, or a fresh default one when the pool is empty.
     #[inline]
     pub(super) fn take(&mut self) -> T {
@@ -45,8 +40,8 @@ impl<T: Recycle + Default> Pool<T> {
 
 /// What a value sheds when it returns to a [`Pool`].
 pub(super) trait Recycle {
-    /// Drop contents, keep capacity. Plans and envelopes are overwritten
-    /// whole by their next user, so by default nothing is shed.
+    /// Drop contents, keep capacity. Plans are overwritten whole by their
+    /// next user, so by default nothing is shed.
     fn recycle(&mut self) {}
 }
 
@@ -58,5 +53,3 @@ impl<T> Recycle for Vec<T> {
 }
 
 impl Recycle for Rc<TxnTemplate> {}
-
-impl Recycle for Box<Message> {}

@@ -173,13 +173,10 @@ impl Simulator {
         self.deliver_now(now, msg);
     }
 
-    /// Post `msg` back to the calendar in a recycled `Event::MsgArrive`
-    /// envelope, to arrive after `delay`.
+    /// Post `msg` back to the calendar, to arrive after `delay`.
     fn redeliver_after(&mut self, delay: SimDuration, msg: Message) {
-        let mut envelope = self.msg_pool.take();
-        *envelope = msg;
         self.calendar
-            .schedule_after(delay, Event::MsgArrive { msg: envelope });
+            .schedule_after(delay, Event::MsgArrive { msg });
     }
 
     /// Deliver unconditionally — unless the receiver is crashed, in which

@@ -104,11 +104,6 @@ impl TxnStore {
         self.live == 0
     }
 
-    /// Iterate over the live transactions (slab order, not id order).
-    pub fn values(&self) -> impl Iterator<Item = &TxnRuntime> {
-        self.slots.iter().filter_map(|s| s.as_ref())
-    }
-
     /// Mutable iteration over the live transactions (slab order). Slab
     /// order depends on slot reuse, which is itself deterministic, so
     /// sweeps over this iterator stay reproducible.
@@ -185,14 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn values_yields_exactly_the_live_set() {
+    fn values_mut_yields_exactly_the_live_set() {
         let mut s = TxnStore::new();
         for id in 1..=6u64 {
             s.insert(txn(id));
         }
         s.remove(TxnId(2)).unwrap();
         s.remove(TxnId(5)).unwrap();
-        let mut ids: Vec<u64> = s.values().map(|t| t.id.0).collect();
+        let mut ids: Vec<u64> = s.values_mut().map(|t| t.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3, 4, 6]);
     }

@@ -261,11 +261,6 @@ impl TxnRuntime {
         self.cohorts.iter().all(|c| c.done)
     }
 
-    /// Number of cohorts loaded in this run (the abort protocol's fan-out).
-    pub fn loaded_count(&self) -> usize {
-        self.cohorts.iter().filter(|c| c.loaded).count()
-    }
-
     /// True when a wound must be ignored (paper §2.3: the transaction is in
     /// the second phase of its commit protocol).
     pub fn wound_immune(&self) -> bool {
@@ -322,7 +317,6 @@ mod tests {
         assert_eq!(t.run, 1);
         assert_eq!(t.cohorts.len(), 2);
         assert!(!t.all_done());
-        assert_eq!(t.loaded_count(), 0);
     }
 
     #[test]

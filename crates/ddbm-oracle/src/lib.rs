@@ -61,7 +61,6 @@ pub use shrink::{shrink_workload, ShrinkOutcome};
 pub use violation::{Violation, ViolationKind};
 pub use vsr::{VersionOrder, VsrCollector, VsrOutcome};
 
-use ddbm_cc::rules_of;
 use ddbm_config::{Algorithm, Config, ConfigError, ReplicationParams};
 use ddbm_core::{run_witnessed, OracleRecording, TestHooks, TxnTemplate, WitnessSink};
 use denet::SimTime;
@@ -243,7 +242,6 @@ fn structural_observe(at: SimTime, ev: &WitnessEvent, out: &mut Vec<Violation>) 
 /// witness log's cap). [`check_stream`] feeds it a recorded stream instead.
 pub struct Oracle {
     opts: CheckOptions,
-    certification_can_fail: bool,
     tracker: PhaseTracker,
     checker: AlgoChecker,
     vsr: VsrCollector,
@@ -255,7 +253,6 @@ pub struct Oracle {
 impl Oracle {
     /// An oracle enforcing the rules of `opts.algorithm`, before any event.
     pub fn new(opts: &CheckOptions) -> Oracle {
-        let rules = rules_of(opts.algorithm);
         let checker = match LockVariant::of(opts.algorithm) {
             Some(variant) => AlgoChecker::Lock(LockChecker::new(variant, opts.lock_barging)),
             None if opts.algorithm == Algorithm::BasicTimestampOrdering => {
@@ -265,7 +262,6 @@ impl Oracle {
         };
         Oracle {
             opts: *opts,
-            certification_can_fail: rules.certification_can_fail,
             tracker: PhaseTracker::new(),
             checker,
             vsr: VsrCollector::new(VersionOrder::for_algorithm(opts.algorithm)),
@@ -291,7 +287,9 @@ impl Oracle {
             ..
         } = *ev
         {
-            if !self.certification_can_fail {
+            // Only OPT validates at commit; every other manager certifies
+            // unconditionally.
+            if self.opts.algorithm != Algorithm::Optimistic {
                 violations.push(Violation {
                     kind: ViolationKind::UnsanctionedReject,
                     at,

@@ -11,9 +11,13 @@
 //!
 //! # State
 //!
-//! One record per live run holds its phase, the nodes that released it and
-//! its failed certifications; the only other state is a crash count per
-//! node. A record is dropped as soon as no later event can read it:
+//! One record per live run holds its phase, the nodes that released it,
+//! its failed certifications and the page copies it read and installed;
+//! the only other state is a crash count per node. A run reads and
+//! installs each page copy at most once. The serialization graph relies on
+//! that: it keeps one read and one install per run and page (a quorum
+//! read's copies collapse to one), so a repeat is reported here instead. A
+//! record is dropped as soon as no later event can read it:
 //! * a committed run's at its `Committed` event, which the coordinator
 //!   emits after the last cohort ack, once the transaction has left the
 //!   simulator, so no later witness event names the run;
@@ -24,10 +28,11 @@
 //! follows the number of runs in flight, not the length of the stream.
 
 use crate::violation::{Violation, ViolationKind};
-use ddbm_config::{NodeId, TxnId};
+use ddbm_config::{NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
-use ddbm_core::{TxnPhase, WitnessEvent};
-use denet::{FxHashMap, SimTime};
+use ddbm_core::{TxnPhase, WitnessEvent, WitnessReply};
+use denet::{FxHashMap, FxHasher, List, Lists, SimTime};
+use std::hash::Hasher;
 
 /// What the tracker knows about one live run.
 #[derive(Debug, Default)]
@@ -39,6 +44,65 @@ struct RunState {
     /// Failed certifications still awaiting the commit check:
     /// `(node, node crash count at certify time)`.
     failed_certify: Vec<(NodeId, u64)>,
+    /// The page copies the run read (granted reads), by [`copy_key`], in
+    /// [`PhaseTracker::copies`].
+    read: List,
+    /// The page copies the run installed, likewise.
+    installed: List,
+    /// A 256-bit filter: for every copy in `read` and `installed`, the bit
+    /// [`filter_slot`] picks is set, so a clear bit proves a copy unused
+    /// without a walk.
+    filter: [u64; 4],
+}
+
+/// Note that the run `txn` of `state` read, or with `installed` installed,
+/// the copy of `page` at `node`; a second use of one copy is a
+/// [`ViolationKind::RepeatedCopyAccess`].
+fn use_copy(
+    copies: &mut Lists<u128>,
+    state: &mut RunState,
+    (at, txn): (SimTime, TxnId),
+    (node, page): (NodeId, PageId),
+    installed: bool,
+    out: &mut Vec<Violation>,
+) {
+    let key = copy_key(node, page);
+    let slot = filter_slot(key);
+    let (word, bit) = (slot / 64, 1 << (slot % 64));
+    let (list, what) = if installed {
+        (&mut state.installed, "installed")
+    } else {
+        (&mut state.read, "read")
+    };
+    if state.filter[word] & bit != 0 && copies.iter(*list).any(|k| k == key) {
+        out.push(Violation {
+            kind: ViolationKind::RepeatedCopyAccess,
+            at,
+            txn: Some(txn),
+            node: Some(node),
+            page: Some(page),
+            detail: format!("the run {what} this copy of the page twice"),
+        });
+    } else {
+        state.filter[word] |= bit;
+        copies.push(list, key);
+    }
+}
+
+/// One copy of a page as one integer: the node, the file and the page
+/// number side by side, so one compare tells two copies apart.
+fn copy_key(node: NodeId, page: PageId) -> u128 {
+    let node = u32::try_from(node.0).expect("node ids fit in 32 bits");
+    let file = u32::try_from(page.file.0).expect("file ids fit in 32 bits");
+    (u128::from(node) << 96) | (u128::from(file) << 64) | u128::from(page.page)
+}
+
+/// One of 256 filter bits, picked by hashing `key`.
+fn filter_slot(key: u128) -> usize {
+    let mut h = FxHasher::default();
+    h.write_u128(key);
+    // The hash ends in a multiply, whose top bits mix every input bit.
+    (h.finish() >> 56) as usize
 }
 
 /// See module docs.
@@ -47,6 +111,8 @@ pub struct PhaseTracker {
     runs: FxHashMap<(TxnId, RunId), RunState>,
     /// Dropped records, kept for their buffers.
     spare: Vec<RunState>,
+    /// The page copies of every live run.
+    copies: Lists<u128>,
     /// Crashes seen per node, to excuse certify state lost in a rebuild.
     crash_counts: FxHashMap<NodeId, u64>,
 }
@@ -83,6 +149,9 @@ impl PhaseTracker {
         s.phase = None;
         s.released.clear();
         s.failed_certify.clear();
+        self.copies.clear(&mut s.read);
+        self.copies.clear(&mut s.installed);
+        s.filter = [0; 4];
         self.spare.push(s);
     }
 
@@ -156,14 +225,15 @@ impl PhaseTracker {
                 run,
                 node,
                 page,
+                write,
                 reply,
                 ..
             } => {
                 // Cohorts issue requests only while executing; an abort
                 // decided at the coordinator may still be in flight toward
                 // the node, so Aborting is legitimate too.
-                let state = self.runs.get(&(txn, run));
-                let phase = state.and_then(|s| s.phase);
+                let state = self.runs.get_mut(&(txn, run));
+                let phase = state.as_ref().and_then(|s| s.phase);
                 if !matches!(phase, Some(TxnPhase::Executing) | Some(TxnPhase::Aborting)) {
                     out.push(Violation {
                         kind: ViolationKind::GrantOutsidePhase,
@@ -174,7 +244,8 @@ impl PhaseTracker {
                         detail: format!("access request ({reply:?}) while in {phase:?}"),
                     });
                 }
-                if state.is_some_and(|s| s.released.contains(&node)) {
+                let Some(state) = state else { return };
+                if state.released.contains(&node) {
                     out.push(Violation {
                         kind: ViolationKind::GrantAfterRelease,
                         at,
@@ -184,20 +255,24 @@ impl PhaseTracker {
                         detail: "access request after this node released the run".into(),
                     });
                 }
+                if !write && reply == WitnessReply::Granted {
+                    use_copy(&mut self.copies, state, (at, txn), (node, page), false, out);
+                }
             }
             WitnessEvent::Grant {
                 txn,
                 run,
                 node,
                 page,
+                write,
                 ..
             } => {
                 // A release can wake a waiter whose coordinator has already
                 // decided to abort it (the wake is dropped downstream), so
                 // Aborting grants are benign; anything at or past the
                 // commit point is not.
-                let state = self.runs.get(&(txn, run));
-                let phase = state.and_then(|s| s.phase);
+                let state = self.runs.get_mut(&(txn, run));
+                let phase = state.as_ref().and_then(|s| s.phase);
                 if !matches!(phase, Some(TxnPhase::Executing) | Some(TxnPhase::Aborting)) {
                     out.push(Violation {
                         kind: ViolationKind::GrantOutsidePhase,
@@ -208,7 +283,8 @@ impl PhaseTracker {
                         detail: format!("lock granted while in {phase:?}"),
                     });
                 }
-                if state.is_some_and(|s| s.released.contains(&node)) {
+                let Some(state) = state else { return };
+                if state.released.contains(&node) {
                     out.push(Violation {
                         kind: ViolationKind::GrantAfterRelease,
                         at,
@@ -217,6 +293,9 @@ impl PhaseTracker {
                         page: Some(page),
                         detail: "lock granted after this node released the run".into(),
                     });
+                }
+                if !write {
+                    use_copy(&mut self.copies, state, (at, txn), (node, page), false, out);
                 }
             }
             WitnessEvent::Certify {
@@ -299,9 +378,18 @@ impl PhaseTracker {
             WitnessEvent::NodeCrash { node } => {
                 *self.crash_counts.entry(node).or_insert(0) += 1;
             }
-            WitnessEvent::Reject { .. }
-            | WitnessEvent::Wound { .. }
-            | WitnessEvent::Install { .. } => {}
+            WitnessEvent::Install {
+                txn,
+                run,
+                node,
+                page,
+                ..
+            } => {
+                if let Some(state) = self.runs.get_mut(&(txn, run)) {
+                    use_copy(&mut self.copies, state, (at, txn), (node, page), true, out);
+                }
+            }
+            WitnessEvent::Reject { .. } | WitnessEvent::Wound { .. } => {}
         }
     }
 }
@@ -358,5 +446,88 @@ mod tests {
         assert!(!t.is_released(txn, 2, node));
         assert!(t.runs.is_empty());
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    const PAGE: PageId = PageId {
+        file: ddbm_config::FileId(0),
+        page: 7,
+    };
+
+    fn read(node: usize) -> WitnessEvent {
+        WitnessEvent::Access {
+            txn: TxnId(1),
+            run: 1,
+            node: NodeId(node),
+            page: PAGE,
+            write: false,
+            reply: WitnessReply::Granted,
+            initial_ts: Default::default(),
+            run_ts: Default::default(),
+        }
+    }
+
+    fn install(node: usize) -> WitnessEvent {
+        WitnessEvent::Install {
+            txn: TxnId(1),
+            run: 1,
+            node: NodeId(node),
+            page: PAGE,
+            run_ts: Default::default(),
+            commit_ts: Default::default(),
+        }
+    }
+
+    /// Run 1 of T1 executes, feeds `reads`, commits and feeds `installs`;
+    /// the kinds of the violations reported.
+    fn check(reads: &[WitnessEvent], installs: &[WitnessEvent]) -> Vec<ViolationKind> {
+        let txn = TxnId(1);
+        let mut t = PhaseTracker::new();
+        let mut out = Vec::new();
+        let phases = |phases: &[TxnPhase]| {
+            phases
+                .iter()
+                .map(|&phase| WitnessEvent::Phase { txn, run: 1, phase })
+                .collect::<Vec<_>>()
+        };
+        let stream = [
+            phases(&[Executing]),
+            reads.to_vec(),
+            phases(&[Preparing, Committing]),
+            installs.to_vec(),
+        ];
+        for ev in stream.iter().flatten() {
+            t.observe(SimTime(0), ev, false, &mut out);
+        }
+        out.iter().map(|v| v.kind).collect()
+    }
+
+    #[test]
+    fn a_quorum_reads_each_copy_once() {
+        assert_eq!(check(&[read(1), read(2), read(3)], &[install(1)]), []);
+    }
+
+    #[test]
+    fn a_repeated_read_of_one_copy_is_reported() {
+        let grant = WitnessEvent::Grant {
+            txn: TxnId(1),
+            run: 1,
+            node: NodeId(2),
+            page: PAGE,
+            write: false,
+            initial_ts: Default::default(),
+            run_ts: Default::default(),
+        };
+        assert_eq!(
+            check(&[read(1), read(2), grant], &[]),
+            [ViolationKind::RepeatedCopyAccess]
+        );
+    }
+
+    #[test]
+    fn a_repeated_install_of_one_copy_is_reported() {
+        assert_eq!(
+            check(&[read(1)], &[install(1), install(2), install(1)]),
+            [ViolationKind::RepeatedCopyAccess]
+        );
     }
 }

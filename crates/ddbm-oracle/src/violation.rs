@@ -55,6 +55,11 @@ pub enum ViolationKind {
     /// the replica control requires (ROWA: every replica; quorum: `w`),
     /// leaving a stale copy that later reads may observe.
     UnderReplicatedWrite,
+    /// A run read one copy of a page twice, or installed one copy twice.
+    /// The serialization graph sees one read and one install per run and
+    /// page, so it cannot check a repeat; a quorum read's fan-out touches
+    /// distinct copies and is not one.
+    RepeatedCopyAccess,
 }
 
 impl fmt::Display for ViolationKind {
@@ -74,6 +79,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::UnsanctionedContention => "unsanctioned-contention",
             ViolationKind::NotSerializable => "not-serializable",
             ViolationKind::UnderReplicatedWrite => "under-replicated-write",
+            ViolationKind::RepeatedCopyAccess => "repeated-copy-access",
         };
         f.write_str(s)
     }

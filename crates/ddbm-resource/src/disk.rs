@@ -148,27 +148,18 @@ impl<T> Disk<T> {
     }
 
     /// Queued requests (not counting the one in service).
-    pub fn queue_len(&self) -> usize {
+    fn queue_len(&self) -> usize {
         self.reads.len() + self.writes.len()
     }
 
-    /// Remove queued (not yet started) requests matching `pred`; the
-    /// in-service request always completes. Returns removed tags, reads
-    /// before writes, each in queue order. Filters in place: each queue
-    /// rotates once through its own buffer.
-    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut removed = Vec::new();
-        for q in [&mut self.reads, &mut self.writes] {
-            for _ in 0..q.len() {
-                let p = q.pop_front().expect("counted");
-                if pred(&p.tag) {
-                    removed.push(p.tag);
-                } else {
-                    q.push_back(p);
-                }
-            }
-        }
-        removed
+    /// Remove queued (not yet started) requests matching `pred` and return
+    /// how many were removed; the in-service request always completes.
+    /// Filters each queue in place, so the survivors keep their order.
+    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        let before = self.queue_len();
+        self.reads.retain(|p| !pred(&p.tag));
+        self.writes.retain(|p| !pred(&p.tag));
+        before - self.queue_len()
     }
 
     /// `utilization`.
@@ -280,13 +271,13 @@ impl<T> DiskArray<T> {
         self.disks.iter().any(Disk::is_busy)
     }
 
-    /// `cancel_queued_where`.
-    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut removed = Vec::new();
-        for d in &mut self.disks {
-            removed.extend(d.cancel_queued_where(&pred));
-        }
-        removed
+    /// Remove queued requests matching `pred` from every disk (see
+    /// [`Disk::cancel_queued_where`]) and return how many were removed.
+    pub fn cancel_queued_where(&mut self, pred: impl Fn(&T) -> bool) -> usize {
+        self.disks
+            .iter_mut()
+            .map(|d| d.cancel_queued_where(&pred))
+            .sum()
     }
 
     /// Fault injection: stall every disk until `until`.
@@ -313,11 +304,6 @@ impl<T> DiskArray<T> {
         for d in &mut self.disks {
             d.reset_utilization(now);
         }
-    }
-
-    /// `total_queue_len`.
-    pub fn total_queue_len(&self) -> usize {
-        self.disks.iter().map(Disk::queue_len).sum()
     }
 }
 
@@ -388,8 +374,7 @@ mod tests {
         d.submit(SimTime::ZERO, 1, false, SimDuration::from_millis(10));
         d.submit(SimTime::ZERO, 2, false, SimDuration::from_millis(10));
         d.submit(SimTime::ZERO, 3, true, SimDuration::from_millis(10));
-        let removed = d.cancel_queued_where(|t| *t != 1);
-        assert_eq!(removed, vec![2, 3]);
+        assert_eq!(d.cancel_queued_where(|t| *t != 1), 2);
         assert_eq!(step(&mut d, SimTime(10 * MS)), vec![1]);
         assert_eq!(d.next_completion(), None);
     }
@@ -398,20 +383,20 @@ mod tests {
     fn cancel_keeps_queue_order() {
         let mut d: Disk<u32> = Disk::new();
         d.submit(SimTime::ZERO, 0, false, SimDuration::from_millis(10));
-        for (tag, write) in [
-            (1, false),
-            (2, true),
-            (3, false),
-            (4, true),
-            (5, false),
-            (6, true),
-        ] {
-            d.submit(SimTime::ZERO, tag, write, SimDuration::from_millis(10));
+        // Odd tags read, even tags write.
+        for tag in 1..=8 {
+            d.submit(
+                SimTime::ZERO,
+                tag,
+                tag % 2 == 0,
+                SimDuration::from_millis(10),
+            );
         }
-        assert_eq!(d.cancel_queued_where(|t| *t % 3 != 0), vec![1, 5, 2, 4]);
-        assert_eq!(d.queue_len(), 2);
-        // Writes first, then reads: the survivors keep their places.
-        assert_eq!(step(&mut d, SimTime(30 * MS)), vec![0, 6, 3]);
+        // Removes 3 and 6; reads 1, 5, 7 and writes 2, 4, 8 stay queued.
+        assert_eq!(d.cancel_queued_where(|t| *t % 3 == 0), 2);
+        assert_eq!(d.queue_len(), 6);
+        // Writes first, then reads: the survivors keep their FIFO places.
+        assert_eq!(step(&mut d, SimTime(70 * MS)), vec![0, 2, 4, 8, 1, 5, 7]);
     }
 
     #[test]
@@ -475,22 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_lengths() {
-        let mut a: DiskArray<u32> = DiskArray::new(2);
-        for i in 0..6 {
-            a.submit(
-                SimTime::ZERO,
-                0,
-                i,
-                i % 2 == 0,
-                SimDuration::from_millis(10),
-            );
-        }
-        // One in service, five queued on disk 0.
-        assert_eq!(a.total_queue_len(), 5);
-    }
-
-    #[test]
     fn write_queue_first_grows_to_the_burst() {
         let mut a: DiskArray<u32> = DiskArray::new(1);
         a.set_write_burst(10);
@@ -498,7 +467,7 @@ mod tests {
         for i in 0..10 {
             a.submit(SimTime::ZERO, 0, i, true, SimDuration::from_millis(10));
         }
-        assert_eq!(a.total_queue_len(), 9);
+        assert_eq!(a.disks[0].queue_len(), 9);
         assert!(a.disks[0].writes.capacity() >= 10);
         assert_eq!(a.disks[0].reads.capacity(), 0, "reads grow on their own");
     }

@@ -1,9 +1,9 @@
 //! Steady-state allocation pinning.
 //!
 //! The per-transaction hot path — template generation, replica routing,
-//! message envelopes, lock/timestamp bookkeeping, commit processing — is
-//! supposed to run entirely out of recycled pools once the simulator has
-//! warmed up. This test pins that property with a counting global allocator:
+//! messages parked by faults, lock/timestamp bookkeeping, commit
+//! processing — is supposed to run entirely out of recycled pools and
+//! reserved room once the simulator has warmed up. This test pins that property with a counting global allocator:
 //! two otherwise-identical deterministic runs that differ only in
 //! `measure_commits` must perform exactly the same number of heap
 //! allocations, i.e. the extra measured commits allocate nothing.
@@ -109,10 +109,12 @@ const LONG_EXTRA_COMMITS: u64 = 1_000;
 
 /// A deterministic, contention-free configuration whose per-page state
 /// saturates during warmup. With `msg_faults`, 5% of messages are dropped
-/// and 5% delayed: only those box their message, so this is the input that
-/// exercises the recycled `Event::MsgArrive` envelopes. With `rowa3`, every
-/// file has three copies (read-one/write-all): plans are replica-routed and
-/// a node's per-transaction bound covers three files of one relation.
+/// and 5% delayed: only those park in the calendar, inline in their
+/// `Event::MsgArrive`, so this is the input that exercises parked messages
+/// in the calendar and the room `Simulator::new` reserves for them. With
+/// `rowa3`, every file has three copies (read-one/write-all): plans are
+/// replica-routed and a node's per-transaction bound covers three files of
+/// one relation.
 fn config(algorithm: Algorithm, msg_faults: bool, rowa3: bool, measure_commits: u64) -> Config {
     let mut c = Config::paper(algorithm, 8, 8, 0.0);
     // One terminal per relation: a terminal has one outstanding transaction
