@@ -3,9 +3,11 @@
 //!
 //! The collector records, from the witness stream alone, which version
 //! every granted read observed (reads-from), which pages each committed run
-//! installed, and the order in which runs decided to commit. At end of
-//! stream it builds the multiversion serialization graph (Bernstein and
-//! Goodman) under the algorithm's version order and looks for a cycle:
+//! installed, and the order in which runs decided to commit. It builds the
+//! multiversion serialization graph (Bernstein and Goodman) under the
+//! algorithm's version order and looks for a cycle, settling the part of
+//! the graph no later event can change as the stream goes (see
+//! Retirement):
 //!
 //! * each logical page's versions are ordered by the algorithm's key: run
 //!   timestamp for BTO (the Thomas write rule keeps the largest), commit
@@ -36,33 +38,65 @@
 //!
 //! # Layout
 //!
-//! Each `(txn, run)` gets a dense `u32` id the first time the stream names
-//! it, and each logical page a dense `u32` too. Per run the collector keeps
-//! its fate (live, aborted, or decided with its rank among the decisions);
-//! per decided run, its id and timestamps in decision order. The visible
-//! version of each page replica names its writer by id and keeps the order
-//! key and first-install position that the replace and collapse
-//! comparisons read.
+//! Each `(txn, run)` gets a `u32` id the first time the stream names it
+//! (ids are handed out in order and never reused), and each logical page a
+//! dense `u32`. The held runs sit in a window indexed by id; per run the
+//! collector keeps its fate (live, aborted, or decided with its rank among
+//! the decisions), its stamps and its floor (below). The visible version of
+//! each page replica names its writer by id and keeps the order key and
+//! first-install position that the replace and collapse comparisons read.
 //!
-//! A run's reads and installs live in two places over its life:
-//! * **while the run is live**, its reads (with the full version read, for
-//!   the quorum-read collapse) and its deduplicated installed pages sit in
-//!   two lists of a pending entry, whose links every live run shares in two
-//!   `denet::Lists` arenas (the list arena of the CC managers and the other
-//!   checkers);
-//! * **at its `Committed` event** they move into two flat logs, reads as
-//!   `(reader, page, writer)` and installs as `(page, writer, first
-//!   install)`, 12 and 16 bytes an entry, and the lists' links go back to
-//!   the arenas.
+//! A run's reads (with the full version read, for the quorum-read collapse)
+//! and its deduplicated installed pages sit in two lists of its pending
+//! entry, whose links every held run shares in two `denet::Lists` arenas,
+//! until its `Committed` event moves them into two flat logs: reads as
+//! `(reader, page, writer)` and installs as `(page, writer, first
+//! install)`, 12 and 16 bytes an entry. When the coordinator aborts a live
+//! run its pending entry is dropped, and later reads by it are ignored; the
+//! run is forgotten when its transaction's next run starts.
 //!
-//! When the coordinator aborts a live run (`Aborting` or `AbortingVote`),
-//! its pending entry is dropped and later reads by it are ignored. Decided
-//! runs still live at the end of the stream were cut off mid-commit;
-//! `finalize` flushes their pending data then.
+//! # Retirement
 //!
-//! `finalize` works on the logs in place: one dense `Vec` maps run ids to
-//! positions in the serial order, and sorting the install log into version
-//! order gives each version's successor.
+//! A committed run leaves the collector, with its log entries and its id,
+//! once no later event can add an edge that touches it. The rule is a
+//! low-water mark over the serial position: decision rank under stream
+//! order, `(run_ts, rank)` for BTO, `(commit_ts, rank)` for OPT.
+//!
+//! * When a run is first seen, its *floor* is the least position any run
+//!   not yet finished then can still take: a decided run's own position, or
+//!   the next rank (stream order) or the largest timestamp time seen so far
+//!   (timestamp orders) for one not yet decided. A run first seen later
+//!   takes a position at or above every floor recorded before it.
+//! * The low-water mark is the least floor among the runs not yet finished
+//!   (not committed, or aborted and not yet restarted).
+//! * Every edge the protocol can create points at or above its source's
+//!   floor: the later writer of a version a run read, or the next writer
+//!   after a run's own version, was itself unfinished when the run read or
+//!   installed. So no edge the rest of the stream adds points at a
+//!   committed run below the mark, and positions below it are final.
+//!
+//! Every time the held decided runs double (at least 64 more), a *settle*
+//! builds the graph of the held runs exactly as one search over the whole
+//! history would: same version chains, same edges, same merged spans of
+//! backward edges. A span wholly below the mark can no longer grow, so it
+//! is searched with [`ddbm_cc::find_cycle`] at once; spans close in
+//! ascending order and `find_cycle` starts its depth-first search from the
+//! lowest node, so the first cycle found is the one a single search over
+//! the whole history reports, and once it is found the collector keeps
+//! nothing more. Then every committed run below the mark that no open span
+//! covers retires. A page's retired versions precede its held ones, so a
+//! page keeps only its last retired writer, for a later read of that
+//! version. `finalize` is the last settle, with every run counted as
+//! finished.
+//!
+//! A settle first checks that each held edge points at or above its
+//! source's floor. If one does not (a stale replica read, say, under an
+//! injected defect), retirement stops for the rest of the stream and the
+//! collector keeps everything, as before retirement. The one verdict this
+//! cannot recover is a run the stream cuts off after its `Committing` but
+//! before its first `Install`: it never named its stamps, so under a
+//! timestamp order it sorts first, and the versions it read span the whole
+//! history back to runs already retired.
 
 use crate::dense::{copy_key, DensePages, PageIx};
 use ddbm_cc::{find_cycle, Ts};
@@ -70,12 +104,21 @@ use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
 use ddbm_core::{TxnPhase, WitnessEvent};
 use denet::{FxHashMap, List, Lists};
+use std::collections::VecDeque;
 
 /// A dense run id, or a position in the serial order.
 type RunIx = u32;
 
 /// No run: the initial version of a page, or a run outside the order.
 const NONE: RunIx = RunIx::MAX;
+
+/// A place in the serial order: the algorithm's key, then the decision
+/// rank.
+type Pos = (Ts, u32);
+
+/// Retained decided runs that start the first settle, and the least
+/// growth that starts each later one.
+const SETTLE_AFTER: usize = 64;
 
 /// Which key orders the versions of a page — the algorithm's version
 /// order.
@@ -161,7 +204,7 @@ enum Fate {
 /// A live run's read: the page and the version read (`None` = initial).
 type Read = (PageIx, Option<Version>);
 
-/// What a live run has done so far.
+/// What a run has done and not yet moved to the logs.
 #[derive(Debug, Default, Clone, Copy)]
 struct Pending {
     /// Its reads, in [`VsrCollector::reads`]. A replicated (quorum) read
@@ -177,37 +220,93 @@ struct Pending {
     installs: List,
 }
 
+/// One run the collector still holds.
+#[derive(Debug)]
+struct Run {
+    txn: TxnId,
+    run: RunId,
+    fate: Fate,
+    /// Its `Committed` event was seen: no later event names the run.
+    committed: bool,
+    /// (run_ts, commit_ts) of its latest `Install` or `Committed`.
+    stamps: Option<(Ts, Ts)>,
+    /// The least serial position any run unfinished at this run's first
+    /// sight can take (see module docs).
+    floor: Pos,
+    /// The least key this run can take under a timestamp order: the
+    /// largest timestamp time seen before it.
+    seen: Ts,
+    pending: Pending,
+}
+
+/// Scratch reused by every settle.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Decided runs by serial position: (position, slot).
+    order: Vec<(Pos, u32)>,
+    /// Dense serial index per slot; `NONE` for undecided runs.
+    ix: Vec<RunIx>,
+    /// (page, writer, first install), in version order per page.
+    versions: Vec<(PageIx, RunIx, u64)>,
+    /// (page, writer, writer of the next version), sorted.
+    next: Vec<(PageIx, RunIx, RunIx)>,
+    /// (reader, page, writer or `NONE`).
+    reads: Vec<(RunIx, PageIx, RunIx)>,
+    /// Edges between run ids.
+    edges: Vec<(RunIx, RunIx)>,
+    /// Merged spans of backward edges, in serial indices.
+    spans: Vec<(RunIx, RunIx)>,
+    graph: Vec<(TxnId, TxnId)>,
+}
+
 /// See module docs.
 #[derive(Debug)]
 pub struct VsrCollector {
     order: VersionOrder,
     ids: FxHashMap<(TxnId, RunId), RunIx>,
-    /// Indexed by run id.
-    fates: Vec<Fate>,
+    /// Held runs by id: `slots[i]` is run `base + i`; `None` once retired
+    /// or dropped.
+    slots: VecDeque<Option<Run>>,
+    base: RunIx,
+    /// Ids of the held runs that are not finished.
+    unfinished: Vec<RunIx>,
+    /// Decisions so far: the next rank.
+    ranks: u32,
+    /// Held decided runs.
+    held: usize,
+    /// Settle again once `held` reaches this.
+    settle_at: usize,
+    /// Largest timestamp time seen, as a key.
+    clock: Ts,
     /// Dense logical page ids, assigned on first sight.
     pages: DensePages,
-    /// Decided runs in decision order, with the (run_ts, commit_ts) of
-    /// their latest `Install` or `Committed`.
-    decided: Vec<(RunIx, Ts, Ts)>,
+    /// Per page, the last retired version's writer (`NONE`: none retired).
+    frontier: Vec<RunIx>,
     /// Currently visible version per *replica* of a page, keyed by
     /// [`copy_key`] (absent = initial database state). Single-copy runs have
     /// exactly one entry per page; replicated reads collapse to one-copy
     /// semantics at read-record time.
     current: FxHashMap<u64, Version>,
-    /// Reads and installs of runs not yet committed.
-    live: FxHashMap<RunIx, Pending>,
-    /// The live runs' reads.
+    /// The held runs' pending reads.
     reads: Lists<Read>,
-    /// The live runs' installed pages and first-install positions.
+    /// The held runs' pending installed pages and first-install positions.
     installs: Lists<(PageIx, u64)>,
-    /// Reads-from of decided runs: (reader, page, writer or `NONE`).
+    /// Reads-from of committed runs: (reader, page, writer or `NONE`).
     read_log: Vec<(RunIx, PageIx, RunIx)>,
-    /// Pages installed by decided runs: (page, writer, first install).
+    /// Pages installed by committed runs: (page, writer, first install).
     install_log: Vec<(PageIx, RunIx, u64)>,
     /// Under stream order, consecutive installs of one copy that run
     /// against the version order: (earlier writer, later writer).
     copy_order: Vec<(RunIx, RunIx)>,
     seq: u64,
+    /// Retirement stays on while every edge seen so far points at or above
+    /// its source's floor.
+    retiring: bool,
+    /// Some backward edge was seen.
+    backward: bool,
+    /// The first cycle found; nothing more is collected once it is.
+    cycle: Option<String>,
+    scratch: Scratch,
 }
 
 impl VsrCollector {
@@ -216,31 +315,121 @@ impl VsrCollector {
         VsrCollector {
             order,
             ids: FxHashMap::default(),
-            fates: Vec::new(),
+            slots: VecDeque::new(),
+            base: 0,
+            unfinished: Vec::new(),
+            ranks: 0,
+            held: 0,
+            settle_at: SETTLE_AFTER,
+            clock: Ts::default(),
             pages: DensePages::default(),
-            decided: Vec::new(),
+            frontier: Vec::new(),
             current: FxHashMap::default(),
-            live: FxHashMap::default(),
             reads: Lists::default(),
             installs: Lists::default(),
             read_log: Vec::new(),
             install_log: Vec::new(),
             copy_order: Vec::new(),
             seq: 0,
+            retiring: true,
+            backward: false,
+            cycle: None,
+            scratch: Scratch::default(),
         }
     }
 
-    /// The dense id of `(txn, run)`, assigned on first sight.
-    fn run_ix(&mut self, txn: TxnId, run: RunId) -> RunIx {
-        let next = RunIx::try_from(self.fates.len())
-            .ok()
-            .filter(|&ix| ix != NONE)
-            .expect("fewer than 2^32 - 1 runs");
-        let id = *self.ids.entry((txn, run)).or_insert(next);
-        if id == next {
-            self.fates.push(Fate::Live);
+    fn slot(&self, id: RunIx) -> Option<&Run> {
+        let i = id.checked_sub(self.base)?;
+        self.slots.get(i as usize)?.as_ref()
+    }
+
+    fn run_mut(&mut self, id: RunIx) -> &mut Run {
+        self.slots[(id - self.base) as usize]
+            .as_mut()
+            .expect("a held run")
+    }
+
+    /// True when `id` names a run that has left the collector.
+    fn gone(&self, id: RunIx) -> bool {
+        id != NONE && self.slot(id).is_none()
+    }
+
+    /// The key a run with `stamps` takes in the serial order.
+    fn key(&self, stamps: (Ts, Ts)) -> Ts {
+        match self.order {
+            VersionOrder::StreamOrder => Ts::default(),
+            VersionOrder::ByRunTs => stamps.0,
+            VersionOrder::ByCommitTs => stamps.1,
         }
+    }
+
+    /// The least serial position a run first seen now can take.
+    fn fresh_bound(&self) -> Pos {
+        match self.order {
+            VersionOrder::StreamOrder => (Ts::default(), self.ranks),
+            _ => (self.clock, 0),
+        }
+    }
+
+    /// The least serial position the unfinished run `r` can end at.
+    fn bound(&self, r: &Run) -> Pos {
+        match (r.fate, self.order) {
+            (Fate::Decided(rank), VersionOrder::StreamOrder) => (Ts::default(), rank),
+            (_, VersionOrder::StreamOrder) => (Ts::default(), self.ranks),
+            (Fate::Decided(rank), _) => (r.stamps.map_or(r.seen, |s| self.key(s)), rank),
+            _ => (r.seen, 0),
+        }
+    }
+
+    /// The dense id of `(txn, run)`, assigned on first sight. A run first
+    /// seen ends the transaction's previous run unless that one decided.
+    fn run_ix(&mut self, txn: TxnId, run: RunId) -> RunIx {
+        if let Some(&id) = self.ids.get(&(txn, run)) {
+            return id;
+        }
+        if let Some(&prev) = run.checked_sub(1).and_then(|r| self.ids.get(&(txn, r))) {
+            if !matches!(self.run_mut(prev).fate, Fate::Decided(_)) {
+                self.drop_run(prev);
+            }
+        }
+        let id = self.base + self.slots.len() as RunIx;
+        assert!(id != NONE, "fewer than 2^32 - 1 runs");
+        let fresh = self.fresh_bound();
+        let floor = self
+            .unfinished
+            .iter()
+            .filter_map(|&u| self.slot(u))
+            .map(|r| self.bound(r))
+            .fold(fresh, Pos::min);
+        self.ids.insert((txn, run), id);
+        self.unfinished.push(id);
+        self.slots.push_back(Some(Run {
+            txn,
+            run,
+            fate: Fate::Live,
+            committed: false,
+            stamps: None,
+            floor,
+            seen: self.clock,
+            pending: Pending::default(),
+        }));
         id
+    }
+
+    /// Forget a run that never decided.
+    fn drop_run(&mut self, id: RunIx) {
+        let i = (id - self.base) as usize;
+        let r = self.slots[i].take().expect("a held run");
+        self.ids.remove(&(r.txn, r.run));
+        self.finish(id);
+        self.recycle(r.pending);
+    }
+
+    /// `id` can no longer hold the low-water mark down.
+    fn finish(&mut self, id: RunIx) {
+        if let Some(k) = self.unfinished.iter().position(|&u| u == id) {
+            self.unfinished.swap_remove(k);
+        }
     }
 
     /// The dense id of `(txn, run)`, which decides to commit now if it had
@@ -248,17 +437,19 @@ impl VsrCollector {
     /// them.
     fn decide(&mut self, txn: TxnId, run: RunId, stamps: Option<(Ts, Ts)>) -> RunIx {
         let id = self.run_ix(txn, run);
-        let rank = match self.fates[id as usize] {
-            Fate::Decided(rank) => rank as usize,
-            _ => {
-                // At most one decision per run, and run ids fit in a `u32`.
-                self.fates[id as usize] = Fate::Decided(self.decided.len() as u32);
-                self.decided.push((id, Ts::default(), Ts::default()));
-                self.decided.len() - 1
-            }
-        };
-        if let Some((run_ts, commit_ts)) = stamps {
-            self.decided[rank] = (id, run_ts, commit_ts);
+        let rank = self.ranks;
+        let r = self.run_mut(id);
+        let decided = !matches!(r.fate, Fate::Decided(_));
+        if decided {
+            r.fate = Fate::Decided(rank);
+        }
+        if stamps.is_some() {
+            r.stamps = stamps;
+        }
+        if decided {
+            // At most one decision per run, and run ids fit in a `u32`.
+            self.ranks += 1;
+            self.held += 1;
         }
         id
     }
@@ -271,29 +462,38 @@ impl VsrCollector {
 
     /// Move the run's pending reads and installs into the flat logs.
     fn flush(&mut self, id: RunIx) {
-        if let Some(p) = self.live.remove(&id) {
-            self.read_log.extend(
-                self.reads
-                    .iter(p.reads)
-                    .map(|(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
-            );
-            self.install_log.extend(
-                self.installs
-                    .iter(p.installs)
-                    .map(|(page, first)| (page, id, first)),
-            );
-            self.recycle(p);
+        let p = std::mem::take(&mut self.run_mut(id).pending);
+        self.read_log.extend(
+            self.reads
+                .iter(p.reads)
+                .map(|(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
+        );
+        self.install_log.extend(
+            self.installs
+                .iter(p.installs)
+                .map(|(page, first)| (page, id, first)),
+        );
+        self.recycle(p);
+    }
+
+    fn tick(&mut self, ts: Ts) {
+        if ts.time > self.clock.time {
+            self.clock = Ts {
+                time: ts.time,
+                txn: 0,
+            };
         }
     }
 
     fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId) {
         let id = self.run_ix(txn, run);
-        if self.fates[id as usize] == Fate::Aborted {
+        if self.run_mut(id).fate == Fate::Aborted {
             return;
         }
         let page = self.pages.ix(page);
         let obs = self.current.get(&copy_key(node, page)).copied();
-        let pending = self.live.entry(id).or_default();
+        let i = (id - self.base) as usize;
+        let pending = &mut self.slots[i].as_mut().expect("a held run").pending;
         let bit = 1u64 << (page % 64);
         let seen = pending.read_pages & bit != 0;
         pending.read_pages |= bit;
@@ -324,6 +524,9 @@ impl VsrCollector {
 
     /// Feed one witnessed event.
     pub fn observe(&mut self, ev: &WitnessEvent) {
+        if self.cycle.is_some() {
+            return;
+        }
         match *ev {
             WitnessEvent::Access {
                 txn,
@@ -332,9 +535,13 @@ impl VsrCollector {
                 page,
                 write,
                 reply,
+                run_ts,
                 ..
-            } if !write && reply == crate::WitnessReply::Granted => {
-                self.record_read(txn, run, node, page);
+            } => {
+                self.tick(run_ts);
+                if !write && reply == crate::WitnessReply::Granted {
+                    self.record_read(txn, run, node, page);
+                }
             }
             WitnessEvent::Grant {
                 txn,
@@ -342,9 +549,13 @@ impl VsrCollector {
                 node,
                 page,
                 write,
+                run_ts,
                 ..
-            } if !write => {
-                self.record_read(txn, run, node, page);
+            } => {
+                self.tick(run_ts);
+                if !write {
+                    self.record_read(txn, run, node, page);
+                }
             }
             WitnessEvent::Install {
                 txn,
@@ -354,23 +565,23 @@ impl VsrCollector {
                 run_ts,
                 commit_ts,
             } => {
+                self.tick(run_ts);
+                self.tick(commit_ts);
                 self.seq += 1;
                 let id = self.decide(txn, run, Some((run_ts, commit_ts)));
                 let page = self.pages.ix(page);
-                let p = self.live.entry(id).or_default();
+                let seq = self.seq;
+                let i = (id - self.base) as usize;
+                let p = &mut self.slots[i].as_mut().expect("a held run").pending;
                 let seen = self.installs.iter(p.installs).find(|&(pg, _)| pg == page);
                 let first = match seen {
                     Some((_, first)) => first,
                     None => {
-                        self.installs.push(&mut p.installs, (page, self.seq));
-                        self.seq
+                        self.installs.push(&mut p.installs, (page, seq));
+                        seq
                     }
                 };
-                let key = match self.order {
-                    VersionOrder::StreamOrder => Ts::default(),
-                    VersionOrder::ByRunTs => run_ts,
-                    VersionOrder::ByCommitTs => commit_ts,
-                };
+                let key = self.key((run_ts, commit_ts));
                 let slot = copy_key(node, page);
                 let replace = match self.current.get(&slot) {
                     None => true,
@@ -399,8 +610,15 @@ impl VsrCollector {
                 run_ts,
                 commit_ts,
             } => {
+                self.tick(run_ts);
+                self.tick(commit_ts);
                 let id = self.decide(txn, run, Some((run_ts, commit_ts)));
                 self.flush(id);
+                self.run_mut(id).committed = true;
+                self.finish(id);
+                if self.retiring && self.held >= self.settle_at {
+                    self.settle(false);
+                }
             }
             WitnessEvent::Phase {
                 txn,
@@ -415,149 +633,316 @@ impl VsrCollector {
                 phase: TxnPhase::Aborting | TxnPhase::AbortingVote,
             } => {
                 let id = self.run_ix(txn, run);
-                if self.fates[id as usize] == Fate::Live {
-                    self.fates[id as usize] = Fate::Aborted;
-                    if let Some(p) = self.live.remove(&id) {
-                        self.recycle(p);
-                    }
+                let r = self.run_mut(id);
+                if r.fate == Fate::Live {
+                    r.fate = Fate::Aborted;
+                    let p = std::mem::take(&mut r.pending);
+                    self.recycle(p);
                 }
+            }
+            WitnessEvent::Phase { txn, run, .. } => {
+                self.run_ix(txn, run);
             }
             _ => {}
         }
     }
 
-    /// Check the collected history; consumes the collector. The argument
-    /// is unused: the check is one graph search, with nothing to budget.
-    pub fn finalize(mut self, _budget: u64) -> VsrOutcome {
-        if self.decided.is_empty() {
-            return VsrOutcome::Trivial;
-        }
-        // Flush what decided runs still hold: runs cut off mid-commit, and
-        // data a run produced after its Committed event (none in a
-        // well-formed stream). Every other live run never committed.
-        let held: Vec<RunIx> = self
-            .live
-            .keys()
-            .copied()
-            .filter(|&id| matches!(self.fates[id as usize], Fate::Decided(_)))
-            .collect();
-        for id in held {
-            self.flush(id);
-        }
-        let VsrCollector {
-            order,
-            ids,
-            fates,
-            mut decided,
-            read_log: reads,
-            install_log: mut versions,
-            copy_order,
-            ..
-        } = self;
+    /// Build the graph of the held runs, search the spans of backward edges
+    /// that lie wholly below the low-water mark, and (unless `end`) retire
+    /// the finished runs below it that no other span covers. At `end` every
+    /// run counts as finished, so every span is searched.
+    fn settle(&mut self, end: bool) {
+        let mut s = std::mem::take(&mut self.scratch);
+        let rank_of = |r: &Run| match r.fate {
+            Fate::Decided(rank) => Some(rank),
+            _ => None,
+        };
 
-        // The algorithm's serial order; ties keep decision order.
-        match order {
-            VersionOrder::StreamOrder => {}
-            VersionOrder::ByRunTs => decided.sort_by_key(|&(_, run_ts, _)| run_ts),
-            VersionOrder::ByCommitTs => decided.sort_by_key(|&(_, _, commit_ts)| commit_ts),
+        // The serial order of the held decided runs; ties keep decision
+        // order. At the end a run that never named its stamps takes the
+        // zero key; before it, its least possible key.
+        s.order.clear();
+        s.order.reserve(self.held);
+        for (slot, r) in self.slots.iter().enumerate() {
+            let Some(r) = r else { continue };
+            let Some(rank) = rank_of(r) else { continue };
+            let key = match r.stamps {
+                Some(stamps) => self.key(stamps),
+                None if end => Ts::default(),
+                None => self.bound(r).0,
+            };
+            s.order.push(((key, rank), slot as u32));
         }
-        let mut pos = vec![NONE; fates.len()];
-        for (i, &(r, ..)) in decided.iter().enumerate() {
-            pos[r as usize] = i as RunIx;
+        s.order.sort_unstable();
+        s.ix.clear();
+        s.ix.resize(self.slots.len(), NONE);
+        for (i, &(_, slot)) in s.order.iter().enumerate() {
+            s.ix[slot as usize] = i as RunIx;
         }
-        let at = |r: RunIx| pos[r as usize];
+        // Runs at serial indices below `lwm` lie below the low-water mark:
+        // the floor of the oldest unfinished run.
+        let mut lwm = s.order.len();
+        if !end {
+            for r in self.unfinished.iter().filter_map(|&u| self.slot(u)) {
+                let below = s.order.partition_point(|&(pos, _)| pos < r.floor);
+                lwm = lwm.min(below);
+            }
+            // Only committed runs lie below it, whatever the stamps say.
+            for (slot, r) in self.slots.iter().enumerate() {
+                if r.as_ref()
+                    .is_some_and(|r| !r.committed && rank_of(r).is_some())
+                {
+                    lwm = lwm.min(s.ix[slot] as usize);
+                }
+            }
+        }
+        let base = self.base;
+        let at = |ix: &[RunIx], id: RunIx| -> RunIx {
+            if id == NONE || id < base {
+                return NONE;
+            }
+            ix.get((id - base) as usize).copied().unwrap_or(NONE)
+        };
 
-        // Each page's versions in the version order: a run that installed a
-        // page again after its Committed event keeps its first install. Under
-        // the timestamp orders the serial order sorts by the version key.
-        versions.sort_unstable();
-        versions.dedup_by_key(|&mut (page, writer, _)| (page, writer));
-        match order {
-            VersionOrder::StreamOrder => versions.sort_unstable_by_key(|&(p, _, first)| (p, first)),
-            _ => versions.sort_unstable_by_key(|&(p, writer, _)| (p, at(writer))),
+        // Each page's held versions in the version order, after the page's
+        // retired ones.
+        // Each buffer is sized once per settle, so a settle allocates only
+        // when the held history outgrew every earlier one.
+        let (mut installs, mut reads) = (self.install_log.len(), self.read_log.len());
+        for r in self.slots.iter().flatten() {
+            installs += self.installs.iter(r.pending.installs).count();
+            reads += self.reads.iter(r.pending.reads).count();
         }
-        // (page, writer, writer of the next version), with `NONE` for the
-        // initial version, sorted to look up what follows a version.
-        let mut next: Vec<(PageIx, RunIx, RunIx)> = Vec::with_capacity(versions.len());
-        for page in versions.chunk_by(|a, b| a.0 == b.0) {
-            let mut prev = NONE;
+        s.versions.clear();
+        s.versions.reserve(installs);
+        s.versions.extend_from_slice(&self.install_log);
+        s.reads.clear();
+        s.reads.reserve(reads);
+        s.reads.extend_from_slice(&self.read_log);
+        for (slot, r) in self.slots.iter().enumerate() {
+            let Some(r) = r.as_ref().filter(|r| rank_of(r).is_some()) else {
+                continue;
+            };
+            let id = base + slot as RunIx;
+            s.versions.extend(
+                self.installs
+                    .iter(r.pending.installs)
+                    .map(|(page, first)| (page, id, first)),
+            );
+            s.reads.extend(
+                self.reads
+                    .iter(r.pending.reads)
+                    .map(|(page, obs)| (id, page, obs.map_or(NONE, |v| v.writer))),
+            );
+        }
+        s.versions.sort_unstable();
+        s.versions
+            .dedup_by_key(|&mut (page, writer, _)| (page, writer));
+        match self.order {
+            VersionOrder::StreamOrder => {
+                s.versions.sort_unstable_by_key(|&(p, _, first)| (p, first))
+            }
+            _ => {
+                let ix = &s.ix;
+                s.versions
+                    .sort_unstable_by_key(|&(p, writer, _)| (p, at(ix, writer)))
+            }
+        }
+        s.next.clear();
+        s.next.reserve(s.versions.len());
+        for page in s.versions.chunk_by(|a, b| a.0 == b.0) {
+            let mut prev = self
+                .frontier
+                .get(page[0].0 as usize)
+                .copied()
+                .unwrap_or(NONE);
             for &(p, writer, _) in page {
-                next.push((p, prev, writer));
+                s.next.push((p, prev, writer));
                 prev = writer;
             }
         }
-        drop(versions);
-        next.sort_unstable();
+        s.next.sort_unstable();
+
+        // The edges between held runs, as in one search over the whole
+        // history: ww, wr, rw and the copies' install orders.
+        s.edges.clear();
+        s.edges
+            .reserve(s.next.len() + 2 * s.reads.len() + self.copy_order.len());
+        let next = &s.next;
         let after = |page: PageIx, writer: RunIx| {
             next.binary_search_by_key(&(page, writer), |&(p, w, _)| (p, w))
                 .ok()
                 .map(|i| next[i].2)
         };
-        let edges = || {
-            let ww = next.iter().filter(|e| e.1 != NONE).map(|&(_, w, n)| (w, n));
-            let wr = reads
-                .iter()
-                .filter(|e| e.2 != NONE)
-                .map(|&(r, _, w)| (w, r));
-            let rw = reads
-                .iter()
-                .filter_map(|&(r, page, w)| Some((r, after(page, w)?)));
-            ww.chain(wr)
-                .chain(rw)
-                .chain(copy_order.iter().copied())
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| (at(a), at(b)))
-        };
-
-        let txns = decided.len();
-        if edges().all(|(a, b)| a < b) {
-            return VsrOutcome::Serializable {
-                txns,
-                certificate: "candidate-order",
-            };
+        s.edges.extend(
+            next.iter()
+                .filter(|e| !self.gone(e.1) && e.1 != NONE)
+                .map(|&(_, w, n)| (w, n)),
+        );
+        for &(r, page, w) in &s.reads {
+            if w != NONE && !self.gone(w) {
+                s.edges.push((w, r));
+            }
+            if let Some(n) = after(page, w) {
+                s.edges.push((r, n));
+            }
         }
+        s.edges.extend(
+            self.copy_order
+                .iter()
+                .copied()
+                .filter(|&(a, b)| !self.gone(a) && !self.gone(b)),
+        );
+        s.edges.retain(|(a, b)| a != b);
+
+        // Retirement is sound while every edge points at or above its
+        // source's floor; once one does not, keep everything.
+        if !end && self.retiring {
+            let ok = s.edges.iter().all(|&(a, b)| {
+                let (Some(src), Some(_)) =
+                    (self.slot(a).filter(|r| rank_of(r).is_some()), self.slot(b))
+                else {
+                    return true;
+                };
+                match at(&s.ix, b) {
+                    NONE => true,
+                    i => s.order[i as usize].0 >= src.floor,
+                }
+            });
+            self.retiring = ok;
+        }
+        if !end && !self.retiring {
+            self.scratch = s;
+            return;
+        }
+
         // A cycle runs backward in the serial order somewhere, and its
         // backward edges cover its stretch of the order without a gap, so it
-        // lies inside one merged span of backward edges. Only the edges
-        // within one span go to the search.
-        let mut spans: Vec<(RunIx, RunIx)> = edges()
-            .filter(|(a, b)| a > b)
-            .map(|(a, b)| (b, a))
-            .collect();
-        spans.sort_unstable();
-        spans.dedup_by(|next, span| {
+        // lies inside one merged span of backward edges. A run not yet
+        // decided sorts after every decided one.
+        s.spans.clear();
+        let ix = &s.ix;
+        s.spans.extend(
+            s.edges
+                .iter()
+                .map(|&(a, b)| (at(ix, a), at(ix, b)))
+                .filter(|(a, b)| a > b)
+                .map(|(a, b)| (b, a)),
+        );
+        s.spans.sort_unstable();
+        s.spans.dedup_by(|next, span| {
             let overlaps = next.0 <= span.1;
             if overlaps {
                 span.1 = span.1.max(next.1);
             }
             overlaps
         });
+        // Spans wholly below the mark are final: no later edge reaches them.
+        let closed = s.spans.partition_point(|sp| (sp.1 as usize) < lwm);
+        self.backward |= closed > 0;
+        let spans = &s.spans[..closed];
         let span_of = |p: RunIx| {
-            let i = spans.partition_point(|s| s.1 < p);
-            spans.get(i).filter(|s| s.0 <= p).map(|_| i)
+            let i = spans.partition_point(|sp| sp.1 < p);
+            spans.get(i).filter(|sp| sp.0 <= p).map(|_| i)
         };
         // Name each run by its position, so two runs of one transaction
         // stay two nodes.
-        let graph: Vec<(TxnId, TxnId)> = edges()
-            .filter(|&(a, b)| span_of(a).is_some() && span_of(a) == span_of(b))
-            .map(|(a, b)| (TxnId(u64::from(a)), TxnId(u64::from(b))))
-            .collect();
-        let Some(cycle) = find_cycle(&graph) else {
-            return VsrOutcome::Serializable {
-                txns,
-                certificate: "acyclic-graph",
-            };
-        };
-        let mut txn_of = vec![TxnId(0); fates.len()];
-        for (&(txn, _), &id) in &ids {
-            txn_of[id as usize] = txn;
+        s.graph.clear();
+        s.graph.extend(
+            s.edges
+                .iter()
+                .map(|&(a, b)| (at(ix, a), at(ix, b)))
+                .filter(|&(a, b)| span_of(a).is_some() && span_of(a) == span_of(b))
+                .map(|(a, b)| (TxnId(u64::from(a)), TxnId(u64::from(b)))),
+        );
+        if let Some(cycle) = find_cycle(&s.graph) {
+            let named: Vec<u64> = cycle
+                .iter()
+                .map(|p| {
+                    let slot = s.order[p.0 as usize].1 as usize;
+                    self.slots[slot].as_ref().expect("a held run").txn.0
+                })
+                .collect();
+            self.cycle = Some(format!(
+                "the committed history's serialization graph has the cycle {named:?}"
+            ));
         }
-        let named: Vec<u64> = cycle
-            .iter()
-            .map(|p| txn_of[decided[p.0 as usize].0 as usize].0)
-            .collect();
-        VsrOutcome::NotSerializable {
-            detail: format!("the committed history's serialization graph has the cycle {named:?}"),
+        if let Some(cycle) = self.cycle.take() {
+            // Nothing later changes the verdict: keep only what it reads.
+            *self = VsrCollector {
+                ranks: self.ranks,
+                cycle: Some(cycle),
+                ..VsrCollector::new(self.order)
+            };
+            return;
+        }
+        if end {
+            self.scratch = s;
+            return;
+        }
+
+        // Retire the finished runs below the mark that no open span covers.
+        let open = &s.spans[closed..];
+        let covered = |p: RunIx| {
+            let i = open.partition_point(|sp| sp.1 < p);
+            open.get(i).is_some_and(|sp| sp.0 <= p)
+        };
+        for &(_, slot) in &s.order[..lwm] {
+            let slot = slot as usize;
+            let p = s.ix[slot];
+            if covered(p) || !self.slots[slot].as_ref().is_some_and(|r| r.committed) {
+                continue;
+            }
+            let r = self.slots[slot].take().expect("a held run");
+            self.ids.remove(&(r.txn, r.run));
+            self.held -= 1;
+            let mut pending = r.pending;
+            self.reads.clear(&mut pending.reads);
+            self.installs.clear(&mut pending.installs);
+        }
+        // Each page's retired versions precede its held ones, so the last
+        // retired one is all a later read of an old version needs.
+        for page in s.versions.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(&(p, w, _)) = page.iter().rev().find(|v| self.gone(v.1)) {
+                let p = p as usize;
+                if self.frontier.len() <= p {
+                    self.frontier.resize(p + 1, NONE);
+                }
+                self.frontier[p] = w;
+            }
+        }
+        let gone =
+            |id: RunIx| id != NONE && (id < base || self.slots[(id - base) as usize].is_none());
+        self.read_log.retain(|&(r, ..)| !gone(r));
+        self.install_log.retain(|&(_, w, _)| !gone(w));
+        self.copy_order.retain(|&(a, b)| !gone(a) && !gone(b));
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        self.settle_at = (2 * self.held).max(self.held + SETTLE_AFTER);
+        self.scratch = s;
+    }
+
+    /// Check the collected history; consumes the collector. The argument
+    /// is unused: the check is one graph search, with nothing to budget.
+    pub fn finalize(mut self, _budget: u64) -> VsrOutcome {
+        if self.cycle.is_none() && self.ranks > 0 {
+            self.settle(true);
+        }
+        if let Some(detail) = self.cycle {
+            return VsrOutcome::NotSerializable { detail };
+        }
+        if self.ranks == 0 {
+            return VsrOutcome::Trivial;
+        }
+        VsrOutcome::Serializable {
+            txns: self.ranks as usize,
+            certificate: if self.backward {
+                "acyclic-graph"
+            } else {
+                "candidate-order"
+            },
         }
     }
 }
@@ -766,7 +1151,7 @@ mod tests {
             VersionOrder::StreamOrder,
             &[read(1, 1, 0), read(1, 1, 1), abort, read(1, 1, 2)],
         );
-        assert!(c.live.is_empty() && c.read_log.is_empty());
+        assert!(c.reads.listed() == 0 && c.read_log.is_empty());
         assert_eq!(c.finalize(0), VsrOutcome::Trivial);
     }
 

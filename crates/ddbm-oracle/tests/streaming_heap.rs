@@ -18,6 +18,12 @@
 //! The BTO checker, fed the 1000-commit BTO ROWA-3 stream, stays under a
 //! stated number of bytes per page copy.
 //!
+//! The serializability checker retires committed runs below its low-water
+//! mark, so what it holds follows the runs in flight and the database, not
+//! the stream: fed a 16,000-commit ROWA-3 gate stream (2PL, and BTO for a
+//! timestamp order) it holds at most a stated multiple of what it holds
+//! after 1,000 commits.
+//!
 //! Last, `run_and_check` stores nothing per commit beyond what its checkers
 //! keep: on the 2PL ROWA-3 gate cell its peak grows by at most a stated
 //! number of bytes per commit from 1,000 to 4,000 commits, and its
@@ -246,6 +252,46 @@ fn checker_state_stays_compact() {
     );
 }
 
+/// Most the serializability checker may hold after a 16,000-commit ROWA-3
+/// gate stream, as a multiple of what it holds after 1,000 commits. Its
+/// state is the runs in flight, the spans of backward edges that reach
+/// them, and the visible version of each page copy; a checker that keeps
+/// every committed run to the end holds about 11 times as much.
+const VSR_LONG_GROWTH: f64 = 1.5;
+
+#[test]
+fn serializability_checker_does_not_grow_with_the_stream() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for algorithm in [
+        Algorithm::TwoPhaseLocking,
+        Algorithm::BasicTimestampOrdering,
+    ] {
+        let held = |commits| {
+            let stream = algorithm_rowa3_stream(algorithm, commits);
+            let (collector, bytes) = live_bytes(|| {
+                let mut c = VsrCollector::new(VersionOrder::for_algorithm(algorithm));
+                for (_, ev) in &stream {
+                    c.observe(ev);
+                }
+                c
+            });
+            assert!(collector.finalize(0).acceptable(), "{algorithm}");
+            bytes
+        };
+        let short = held(1_000);
+        let long = held(16_000);
+        eprintln!(
+            "{algorithm} ROWA-3: serializability checker holds {short} B after 1000 commits, \
+             {long} B after 16000"
+        );
+        assert!(
+            long as f64 <= VSR_LONG_GROWTH * short as f64,
+            "{algorithm}: the serializability checker grew from {short} B at 1000 commits \
+             to {long} B at 16000, over {VSR_LONG_GROWTH}x"
+        );
+    }
+}
+
 /// Distinct `(node, page)` copies a stream reads, writes or installs.
 fn page_copies(stream: &WitnessStream) -> usize {
     let mut copies: Vec<_> = stream
@@ -296,10 +342,13 @@ fn per_page_checkers_stay_compact() {
 }
 
 /// Most `run_and_check`'s peak may grow per commit from 1,000 to 4,000
-/// commits on the 2PL ROWA-3 cell. It grows about 0.7 KB per commit, the
-/// checkers' stream-length state; recording every submitted template as
-/// well, and the parent's per-page checker layouts, made it 1.45 KB.
-const RUN_AND_CHECK_BYTES_PER_COMMIT: usize = 1_024;
+/// commits on the 2PL ROWA-3 cell. With the serializability checker
+/// retiring committed runs it does not grow (the 4,000-commit peak read
+/// about 1 KB below the 1,000-commit one); 64 B leaves room for where the
+/// checker's settles fall against the peak. Keeping every committed run to
+/// the end grew it 436 B per commit; recording every submitted template as
+/// well, and earlier per-page checker layouts, made it 1.45 KB.
+const RUN_AND_CHECK_BYTES_PER_COMMIT: usize = 64;
 
 #[test]
 fn run_and_check_keeps_no_workload() {
