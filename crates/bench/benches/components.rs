@@ -319,27 +319,34 @@ fn whole_sim_traced(c: &mut Criterion) {
 }
 
 /// The streaming oracle alone: every checker of a `repro verify` cell over
-/// its recorded witness stream, the 1,000-commit 2PL ROWA-3 cell (about
-/// 50k events), where the locking checker, the replica checker and the
-/// serialization graph all run. The simulation that records the stream runs
-/// once, outside the timed loop.
+/// its recorded witness stream, on two 1,000-commit ROWA-3 cells (about 50k
+/// events each). Under 2PL (`check_stream`) the locking checker, the
+/// replica checker and the serialization graph in stream order run; under
+/// BTO (`check_stream_bto`) the timestamp checker and the serialization
+/// graph in run-timestamp order. The simulations that record the streams
+/// run once, outside the timed loop.
 fn oracle(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle");
     group.sample_size(10);
-    group.bench_function("check_stream", |b| {
-        let mut config = oracle_config(Algorithm::TwoPhaseLocking, 7);
-        config.replication = ReplicationParams::rowa(3);
-        config.control.measure_commits = 1_000;
-        let opts = check_options_for(&config);
-        let stream = run_oracle(config, None, TestHooks::default())
-            .expect("valid")
-            .witness;
-        b.iter(|| {
-            let report = check_stream(&opts, black_box(&stream));
-            assert!(report.clean(), "{}", report.render());
-            black_box(report.events)
-        })
-    });
+    for (name, algorithm) in [
+        ("check_stream", Algorithm::TwoPhaseLocking),
+        ("check_stream_bto", Algorithm::BasicTimestampOrdering),
+    ] {
+        group.bench_function(name, |b| {
+            let mut config = oracle_config(algorithm, 7);
+            config.replication = ReplicationParams::rowa(3);
+            config.control.measure_commits = 1_000;
+            let opts = check_options_for(&config);
+            let stream = run_oracle(config, None, TestHooks::default())
+                .expect("valid")
+                .witness;
+            b.iter(|| {
+                let report = check_stream(&opts, black_box(&stream));
+                assert!(report.clean(), "{}", report.render());
+                black_box(report.events)
+            })
+        });
+    }
     group.finish();
 }
 

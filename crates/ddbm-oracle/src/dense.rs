@@ -1,6 +1,6 @@
-//! Dense ids for the pages, and the copies of pages, that a checker sees.
+//! Dense ids for the pages that a checker sees.
 
-use ddbm_config::{NodeId, PageId, PageTable};
+use ddbm_config::{PageId, PageTable};
 
 /// A dense logical page id.
 pub(crate) type PageIx = u32;
@@ -35,15 +35,6 @@ impl DensePages {
         }
         id.0
     }
-}
-
-/// The hash key of one copy (replica) of a page: the node in the high half,
-/// the page in the low half. The page goes low because the Fx hash of a
-/// word is one multiply, whose low bits (the bucket index) depend only on
-/// the key's low bits, and pages are what vary.
-pub(crate) fn copy_key(node: NodeId, page: PageIx) -> u64 {
-    let node = u32::try_from(node.0).expect("node ids fit in 32 bits");
-    (u64::from(node) << 32) | u64::from(page)
 }
 
 #[cfg(test)]

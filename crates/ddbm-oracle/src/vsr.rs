@@ -42,9 +42,18 @@
 //! (ids are handed out in order and never reused), and each logical page a
 //! dense `u32`. The held runs sit in a window indexed by id; per run the
 //! collector keeps its fate (live, aborted, or decided with its rank among
-//! the decisions), its stamps and its floor (below). The visible version of
-//! each page replica names its writer by id and keeps the order key and
-//! first-install position that the replace and collapse comparisons read.
+//! the decisions), its stamps and its floor (below).
+//!
+//! The visible version of each page replica is one entry of a flat copy
+//! table, a single `Vec` that grows by doubling: the writer's id, the
+//! `u32` stream position of its first install of the page, the node, and
+//! the link to the page's next copy, 16 bytes; under a timestamp order the
+//! entry also keeps the order key, 32 bytes. Under stream order the key is
+//! constant, so it is not stored. The head of each page's chain sits in the
+//! per-page vector the collector keeps anyway (beside the page's last
+//! retired writer), so a lookup walks at most one entry per replica and the
+//! table adds no allocation beyond its own doublings: no hash buckets, no
+//! per-node index.
 //!
 //! A run's reads (with the full version read, for the quorum-read collapse)
 //! and its deduplicated installed pages sit in two lists of its pending
@@ -92,13 +101,13 @@
 //! A settle first checks that each held edge points at or above its
 //! source's floor. If one does not (a stale replica read, say, under an
 //! injected defect), retirement stops for the rest of the stream and the
-//! collector keeps everything, as before retirement. The one verdict this
-//! cannot recover is a run the stream cuts off after its `Committing` but
-//! before its first `Install`: it never named its stamps, so under a
-//! timestamp order it sorts first, and the versions it read span the whole
-//! history back to runs already retired.
+//! collector keeps everything, as before retirement. A run the stream cuts
+//! off after its `Committing` but before its first `Install` never named
+//! its stamps; at the end it takes the run timestamp its reads carried and
+//! the commit timestamp its `Certify` carried, so it sorts where its
+//! installs would have put it, above every retired run.
 
-use crate::dense::{copy_key, DensePages, PageIx};
+use crate::dense::{DensePages, PageIx};
 use ddbm_cc::{find_cycle, Ts};
 use ddbm_config::{Algorithm, NodeId, PageId, TxnId};
 use ddbm_core::protocol::RunId;
@@ -115,6 +124,9 @@ const NONE: RunIx = RunIx::MAX;
 /// A place in the serial order: the algorithm's key, then the decision
 /// rank.
 type Pos = (Ts, u32);
+
+/// No copy: the end of a page's chain in the copy table.
+const END: u32 = u32::MAX;
 
 /// Retained decided runs that start the first settle, and the least
 /// growth that starts each later one.
@@ -177,11 +189,11 @@ impl VsrOutcome {
 #[derive(Debug, Clone, Copy)]
 struct Version {
     writer: RunIx,
-    key: Ts,
     /// Stream position of the writer's first install of the page: the
     /// version order under `StreamOrder`, where the key is constant, and
     /// the tiebreak otherwise.
-    first: u64,
+    first: u32,
+    key: Ts,
 }
 
 impl Version {
@@ -190,6 +202,134 @@ impl Version {
     fn newer_than(&self, other: &Version) -> bool {
         (self.key, self.first) > (other.key, other.first)
     }
+}
+
+/// What a copy entry keeps of its version's key: nothing under stream
+/// order, where the key is constant, or the key itself.
+trait Key: Copy {
+    fn of(key: Ts) -> Self;
+    fn ts(self) -> Ts;
+}
+
+impl Key for () {
+    fn of(_: Ts) {}
+
+    fn ts(self) -> Ts {
+        Ts::default()
+    }
+}
+
+impl Key for Ts {
+    fn of(key: Ts) -> Ts {
+        key
+    }
+
+    fn ts(self) -> Ts {
+        self
+    }
+}
+
+/// The visible version of one page copy, linked to its page's next copy.
+#[derive(Debug, Clone, Copy)]
+struct Entry<K> {
+    node: u32,
+    /// The page's next copy, or `END`.
+    next: u32,
+    writer: RunIx,
+    first: u32,
+    key: K,
+}
+
+// The sizes the module docs state.
+const _: () = assert!(
+    std::mem::size_of::<Version>() == 24
+        && std::mem::size_of::<Entry<()>>() == 16
+        && std::mem::size_of::<Entry<Ts>>() == 32
+);
+
+/// The entry of `node`'s copy on the chain from `at`, and its version.
+fn lookup<K: Key>(table: &[Entry<K>], mut at: u32, node: u32) -> Option<(u32, Version)> {
+    while at != END {
+        let e = &table[at as usize];
+        if e.node == node {
+            let (writer, first, key) = (e.writer, e.first, e.key.ts());
+            return Some((at, Version { writer, first, key }));
+        }
+        at = e.next;
+    }
+    None
+}
+
+/// Make `v` the visible version of entry `at`, or of a new entry for
+/// `node` that becomes the head of its page's chain.
+fn store<K: Key>(
+    table: &mut Vec<Entry<K>>,
+    head: &mut u32,
+    at: Option<u32>,
+    node: u32,
+    v: Version,
+) {
+    let entry = |next| Entry {
+        node,
+        next,
+        writer: v.writer,
+        first: v.first,
+        key: K::of(v.key),
+    };
+    match at {
+        Some(at) => {
+            let e = &mut table[at as usize];
+            *e = entry(e.next);
+        }
+        None => {
+            let at = u32::try_from(table.len())
+                .ok()
+                .filter(|&at| at != END)
+                .expect("fewer than 2^32 - 1 page copies");
+            table.push(entry(*head));
+            *head = at;
+        }
+    }
+}
+
+/// The visible version of every page copy an install reached (absent: the
+/// initial database state), one flat table for all pages.
+#[derive(Debug)]
+enum Copies {
+    /// Under stream order: 16-byte entries.
+    Stream(Vec<Entry<()>>),
+    /// Under a timestamp order: 32-byte entries.
+    Stamped(Vec<Entry<Ts>>),
+}
+
+impl Copies {
+    fn new(order: VersionOrder) -> Copies {
+        match order {
+            VersionOrder::StreamOrder => Copies::Stream(Vec::new()),
+            _ => Copies::Stamped(Vec::new()),
+        }
+    }
+
+    /// See [`lookup`].
+    fn lookup(&self, head: u32, node: u32) -> Option<(u32, Version)> {
+        match self {
+            Copies::Stream(t) => lookup(t, head, node),
+            Copies::Stamped(t) => lookup(t, head, node),
+        }
+    }
+
+    /// See [`store`].
+    fn store(&mut self, head: &mut u32, at: Option<u32>, node: u32, v: Version) {
+        match self {
+            Copies::Stream(t) => store(t, head, at, node, v),
+            Copies::Stamped(t) => store(t, head, at, node, v),
+        }
+    }
+}
+
+/// A node id as a copy entry holds it.
+fn node_ix(node: NodeId) -> u32 {
+    u32::try_from(node.0).expect("node ids fit in 32 bits")
 }
 
 /// How a run has ended so far.
@@ -228,8 +368,12 @@ struct Run {
     fate: Fate,
     /// Its `Committed` event was seen: no later event names the run.
     committed: bool,
-    /// (run_ts, commit_ts) of its latest `Install` or `Committed`.
-    stamps: Option<(Ts, Ts)>,
+    /// An `Install` or `Committed` named its stamps.
+    stamped: bool,
+    /// (run_ts, commit_ts) of its latest `Install` or `Committed`; until
+    /// one names them, what its reads (run_ts) and its `Certify` (both)
+    /// carried.
+    stamps: (Ts, Ts),
     /// The least serial position any run unfinished at this run's first
     /// sight can take (see module docs).
     floor: Pos,
@@ -247,7 +391,7 @@ struct Scratch {
     /// Dense serial index per slot; `NONE` for undecided runs.
     ix: Vec<RunIx>,
     /// (page, writer, first install), in version order per page.
-    versions: Vec<(PageIx, RunIx, u64)>,
+    versions: Vec<(PageIx, RunIx, u32)>,
     /// (page, writer, writer of the next version), sorted.
     next: Vec<(PageIx, RunIx, RunIx)>,
     /// (reader, page, writer or `NONE`).
@@ -280,25 +424,25 @@ pub struct VsrCollector {
     clock: Ts,
     /// Dense logical page ids, assigned on first sight.
     pages: DensePages,
-    /// Per page, the last retired version's writer (`NONE`: none retired).
-    frontier: Vec<RunIx>,
-    /// Currently visible version per *replica* of a page, keyed by
-    /// [`copy_key`] (absent = initial database state). Single-copy runs have
-    /// exactly one entry per page; replicated reads collapse to one-copy
-    /// semantics at read-record time.
-    current: FxHashMap<u64, Version>,
+    /// Per page: the last retired version's writer (`NONE`: none retired),
+    /// and the head of its chain in `copies` (`END`: no copy installed).
+    frontier: Vec<(RunIx, u32)>,
+    /// Currently visible version per *replica* of a page. Replicated reads
+    /// collapse to one-copy semantics at read-record time.
+    copies: Copies,
     /// The held runs' pending reads.
     reads: Lists<Read>,
     /// The held runs' pending installed pages and first-install positions.
-    installs: Lists<(PageIx, u64)>,
+    installs: Lists<(PageIx, u32)>,
     /// Reads-from of committed runs: (reader, page, writer or `NONE`).
     read_log: Vec<(RunIx, PageIx, RunIx)>,
     /// Pages installed by committed runs: (page, writer, first install).
-    install_log: Vec<(PageIx, RunIx, u64)>,
+    install_log: Vec<(PageIx, RunIx, u32)>,
     /// Under stream order, consecutive installs of one copy that run
     /// against the version order: (earlier writer, later writer).
     copy_order: Vec<(RunIx, RunIx)>,
-    seq: u64,
+    /// `Install` events so far: the stream position of the latest.
+    seq: u32,
     /// Retirement stays on while every edge seen so far points at or above
     /// its source's floor.
     retiring: bool,
@@ -324,7 +468,7 @@ impl VsrCollector {
             clock: Ts::default(),
             pages: DensePages::default(),
             frontier: Vec::new(),
-            current: FxHashMap::default(),
+            copies: Copies::new(order),
             reads: Lists::default(),
             installs: Lists::default(),
             read_log: Vec::new(),
@@ -376,7 +520,8 @@ impl VsrCollector {
         match (r.fate, self.order) {
             (Fate::Decided(rank), VersionOrder::StreamOrder) => (Ts::default(), rank),
             (_, VersionOrder::StreamOrder) => (Ts::default(), self.ranks),
-            (Fate::Decided(rank), _) => (r.stamps.map_or(r.seen, |s| self.key(s)), rank),
+            (Fate::Decided(rank), _) if r.stamped => (self.key(r.stamps), rank),
+            (Fate::Decided(rank), _) => (r.seen, rank),
             _ => (r.seen, 0),
         }
     }
@@ -408,7 +553,8 @@ impl VsrCollector {
             run,
             fate: Fate::Live,
             committed: false,
-            stamps: None,
+            stamped: false,
+            stamps: (Ts::default(), Ts::default()),
             floor,
             seen: self.clock,
             pending: Pending::default(),
@@ -443,8 +589,9 @@ impl VsrCollector {
         if decided {
             r.fate = Fate::Decided(rank);
         }
-        if stamps.is_some() {
+        if let Some(stamps) = stamps {
             r.stamps = stamps;
+            r.stamped = true;
         }
         if decided {
             // At most one decision per run, and run ids fit in a `u32`.
@@ -485,13 +632,28 @@ impl VsrCollector {
         }
     }
 
-    fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId) {
+    /// The dense id of `page`, assigned on first sight with its `frontier`
+    /// entry.
+    fn page_ix(&mut self, page: PageId) -> PageIx {
+        let ix = self.pages.ix(page);
+        if ix as usize == self.frontier.len() {
+            self.frontier.push((NONE, END));
+        }
+        ix
+    }
+
+    fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId, run_ts: Ts) {
         let id = self.run_ix(txn, run);
-        if self.run_mut(id).fate == Fate::Aborted {
+        let r = self.run_mut(id);
+        if r.fate == Fate::Aborted {
             return;
         }
-        let page = self.pages.ix(page);
-        let obs = self.current.get(&copy_key(node, page)).copied();
+        if !r.stamped {
+            r.stamps.0 = run_ts;
+        }
+        let page = self.page_ix(page);
+        let head = self.frontier[page as usize].1;
+        let obs = self.copies.lookup(head, node_ix(node)).map(|(_, v)| v);
         let i = (id - self.base) as usize;
         let pending = &mut self.slots[i].as_mut().expect("a held run").pending;
         let bit = 1u64 << (page % 64);
@@ -540,7 +702,7 @@ impl VsrCollector {
             } => {
                 self.tick(run_ts);
                 if !write && reply == crate::WitnessReply::Granted {
-                    self.record_read(txn, run, node, page);
+                    self.record_read(txn, run, node, page, run_ts);
                 }
             }
             WitnessEvent::Grant {
@@ -554,7 +716,7 @@ impl VsrCollector {
             } => {
                 self.tick(run_ts);
                 if !write {
-                    self.record_read(txn, run, node, page);
+                    self.record_read(txn, run, node, page, run_ts);
                 }
             }
             WitnessEvent::Install {
@@ -567,9 +729,9 @@ impl VsrCollector {
             } => {
                 self.tick(run_ts);
                 self.tick(commit_ts);
-                self.seq += 1;
+                self.seq = self.seq.checked_add(1).expect("fewer than 2^32 installs");
                 let id = self.decide(txn, run, Some((run_ts, commit_ts)));
-                let page = self.pages.ix(page);
+                let page = self.page_ix(page);
                 let seq = self.seq;
                 let i = (id - self.base) as usize;
                 let p = &mut self.slots[i].as_mut().expect("a held run").pending;
@@ -582,26 +744,27 @@ impl VsrCollector {
                     }
                 };
                 let key = self.key((run_ts, commit_ts));
-                let slot = copy_key(node, page);
-                let replace = match self.current.get(&slot) {
+                let node = node_ix(node);
+                let cur = self.copies.lookup(self.frontier[page as usize].1, node);
+                let replace = match cur {
                     None => true,
-                    Some(cur) if self.order == VersionOrder::StreamOrder => {
+                    Some((_, cur)) if self.order == VersionOrder::StreamOrder => {
                         if cur.writer != id && cur.first > first {
                             self.copy_order.push((cur.writer, id));
                         }
                         true
                     }
-                    Some(cur) => key > cur.key,
+                    Some((_, cur)) => key > cur.key,
                 };
                 if replace {
-                    self.current.insert(
-                        slot,
-                        Version {
-                            writer: id,
-                            key,
-                            first,
-                        },
-                    );
+                    let head = &mut self.frontier[page as usize].1;
+                    let version = Version {
+                        writer: id,
+                        first,
+                        key,
+                    };
+                    self.copies
+                        .store(head, cur.map(|(at, _)| at), node, version);
                 }
             }
             WitnessEvent::Committed {
@@ -618,6 +781,19 @@ impl VsrCollector {
                 self.finish(id);
                 if self.retiring && self.held >= self.settle_at {
                     self.settle(false);
+                }
+            }
+            WitnessEvent::Certify {
+                txn,
+                run,
+                run_ts,
+                commit_ts,
+                ..
+            } => {
+                let id = self.run_ix(txn, run);
+                let r = self.run_mut(id);
+                if !r.stamped {
+                    r.stamps = (run_ts, commit_ts);
                 }
             }
             WitnessEvent::Phase {
@@ -659,17 +835,18 @@ impl VsrCollector {
         };
 
         // The serial order of the held decided runs; ties keep decision
-        // order. At the end a run that never named its stamps takes the
-        // zero key; before it, its least possible key.
+        // order. At the end a run that never named its stamps takes what its
+        // reads and certification carried; before it, its least possible
+        // key.
         s.order.clear();
         s.order.reserve(self.held);
         for (slot, r) in self.slots.iter().enumerate() {
             let Some(r) = r else { continue };
             let Some(rank) = rank_of(r) else { continue };
-            let key = match r.stamps {
-                Some(stamps) => self.key(stamps),
-                None if end => Ts::default(),
-                None => self.bound(r).0,
+            let key = if r.stamped || end {
+                self.key(r.stamps)
+            } else {
+                self.bound(r).0
             };
             s.order.push(((key, rank), slot as u32));
         }
@@ -751,11 +928,7 @@ impl VsrCollector {
         s.next.clear();
         s.next.reserve(s.versions.len());
         for page in s.versions.chunk_by(|a, b| a.0 == b.0) {
-            let mut prev = self
-                .frontier
-                .get(page[0].0 as usize)
-                .copied()
-                .unwrap_or(NONE);
+            let mut prev = self.frontier[page[0].0 as usize].0;
             for &(p, writer, _) in page {
                 s.next.push((p, prev, writer));
                 prev = writer;
@@ -904,11 +1077,7 @@ impl VsrCollector {
         // retired one is all a later read of an old version needs.
         for page in s.versions.chunk_by(|a, b| a.0 == b.0) {
             if let Some(&(p, w, _)) = page.iter().rev().find(|v| self.gone(v.1)) {
-                let p = p as usize;
-                if self.frontier.len() <= p {
-                    self.frontier.resize(p + 1, NONE);
-                }
-                self.frontier[p] = w;
+                self.frontier[p as usize].0 = w;
             }
         }
         let gone =

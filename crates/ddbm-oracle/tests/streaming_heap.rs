@@ -27,7 +27,9 @@
 //! Last, `run_and_check` stores nothing per commit beyond what its checkers
 //! keep: on the 2PL ROWA-3 gate cell its peak grows by at most a stated
 //! number of bytes per commit from 1,000 to 4,000 commits, and its
-//! recording carries no templates.
+//! recording carries no templates. On the 1,000-commit BTO ROWA-3 cell,
+//! the one that sets the verify benchmark's peak, it peaks under a stated
+//! number of bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -183,12 +185,13 @@ fn live_bytes<T>(make: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Most bytes the serializability checker may hold per committed run
-/// after the 1000-commit ROWA-3 stream. It holds about 680 B, half of it
-/// the visible version of each page replica, which the database size
-/// bounds; a collector that keeps every run's reads in per-run hash
-/// entries holds about 2.1 KB. Its `finalize` may peak at no more than it
-/// holds.
-const VSR_BYTES_PER_COMMIT: usize = 850;
+/// after the 1000-commit ROWA-3 stream: the measured 288 B plus about 10%.
+/// Half of it is the visible version of each page replica, 16 bytes a
+/// copy in a flat table, which the database size bounds; with those
+/// versions in a hash map keyed by copy it held 498 B, and keeping every
+/// run's reads in per-run hash entries about 2.1 KB. Its `finalize` may
+/// peak at no more than it holds.
+const VSR_BYTES_PER_COMMIT: usize = 320;
 
 /// Most the phase tracker may grow from 1000 to 4000 commits (it does not
 /// grow at all: its records are the runs in flight).
@@ -338,6 +341,32 @@ fn per_page_checkers_stay_compact() {
         bto_bytes <= BTO_BYTES_PER_COPY * bto_copies,
         "BtoChecker holds {bto_bytes} B for {bto_copies} page copies, over \
          {BTO_BYTES_PER_COPY} B each"
+    );
+}
+
+/// Most `run_and_check` may peak at on the 1,000-commit BTO ROWA-3 cell,
+/// the heaviest cell of the verify benchmark: the measured 1,391,692 B plus
+/// 10%. With the visible version of each page copy in a hash map of
+/// 32-byte versions it peaked at 1,504,655 B.
+const BTO_ROWA3_RUN_AND_CHECK_PEAK: usize = 1_391_692 * 11 / 10;
+
+#[test]
+fn run_and_check_peak_on_the_heaviest_cell() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ((_, report), peak) = peak_bytes(|| {
+        run_and_check(
+            rowa3_cell(Algorithm::BasicTimestampOrdering, 1_000),
+            None,
+            TestHooks::default(),
+        )
+        .expect("valid config")
+    });
+    assert!(report.clean(), "{}", report.render());
+    eprintln!("run_and_check peaks at {peak} B on the 1000-commit BTO ROWA-3 cell");
+    assert!(
+        peak <= BTO_ROWA3_RUN_AND_CHECK_PEAK,
+        "run_and_check peaked at {peak} B on the 1000-commit BTO ROWA-3 cell, over \
+         {BTO_ROWA3_RUN_AND_CHECK_PEAK} B"
     );
 }
 

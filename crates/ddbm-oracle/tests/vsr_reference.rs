@@ -20,16 +20,10 @@
 //! older run timestamp can install after a newer one (the Thomas write
 //! rule's skipped writes), runs abort and restart, an aborted run sometimes
 //! installs before its transaction restarts, and the history is cut off at
-//! a random point, leaving runs mid-commit.
-//!
-//! One cut is left out: between a run's `Committing` and its first
-//! `Install` (or its `Committed`, if it writes nothing). A run cut off there
-//! named no stamps, so under a timestamp order both collectors place it
-//! first in the serial order, and every version it read then closes a
-//! backward edge down to the start of the history; the reference searches
-//! that whole stretch, while the retiring collector has let go of the runs
-//! in it, and the two can name different cycles. None of the 426 recorded
-//! gate, defect, fault and verify streams ends at such a point.
+//! a random point, leaving runs mid-commit: between a run's `Committing` and
+//! its first `Install` too, where no event has named the run's stamps and
+//! both collectors place it by the run timestamp its reads carried and the
+//! commit timestamp its `Certify` carried.
 
 /// The serialization-graph check as it was before retirement: every
 /// committed run's reads and installs are kept to the end, and one search
@@ -121,11 +115,14 @@ mod reference {
         ids: FxHashMap<(TxnId, RunId), RunIx>,
         /// Indexed by run id.
         fates: Vec<Fate>,
+        /// Indexed by run id: the (run_ts, commit_ts) its reads (run_ts)
+        /// and its `Certify` (both) carried.
+        carried: Vec<(Ts, Ts)>,
         /// Dense logical page ids, assigned on first sight.
         pages: DensePages,
         /// Decided runs in decision order, with the (run_ts, commit_ts) of
-        /// their latest `Install` or `Committed`.
-        decided: Vec<(RunIx, Ts, Ts)>,
+        /// their latest `Install` or `Committed`, if any named them.
+        decided: Vec<(RunIx, Option<(Ts, Ts)>)>,
         /// Currently visible version per *replica* of a page, keyed by
         /// [`copy_key`] (absent = initial database state). Single-copy runs have
         /// exactly one entry per page; replicated reads collapse to one-copy
@@ -154,6 +151,7 @@ mod reference {
                 order,
                 ids: FxHashMap::default(),
                 fates: Vec::new(),
+                carried: Vec::new(),
                 pages: DensePages::default(),
                 decided: Vec::new(),
                 current: FxHashMap::default(),
@@ -176,6 +174,7 @@ mod reference {
             let id = *self.ids.entry((txn, run)).or_insert(next);
             if id == next {
                 self.fates.push(Fate::Live);
+                self.carried.push((Ts::default(), Ts::default()));
             }
             id
         }
@@ -190,12 +189,12 @@ mod reference {
                 _ => {
                     // At most one decision per run, and run ids fit in a `u32`.
                     self.fates[id as usize] = Fate::Decided(self.decided.len() as u32);
-                    self.decided.push((id, Ts::default(), Ts::default()));
+                    self.decided.push((id, None));
                     self.decided.len() - 1
                 }
             };
-            if let Some((run_ts, commit_ts)) = stamps {
-                self.decided[rank] = (id, run_ts, commit_ts);
+            if stamps.is_some() {
+                self.decided[rank].1 = stamps;
             }
             id
         }
@@ -223,11 +222,12 @@ mod reference {
             }
         }
 
-        fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId) {
+        fn record_read(&mut self, txn: TxnId, run: RunId, node: NodeId, page: PageId, run_ts: Ts) {
             let id = self.run_ix(txn, run);
             if self.fates[id as usize] == Fate::Aborted {
                 return;
             }
+            self.carried[id as usize].0 = run_ts;
             let page = self.pages.ix(page);
             let obs = self.current.get(&copy_key(node, page)).copied();
             let pending = self.live.entry(id).or_default();
@@ -269,9 +269,10 @@ mod reference {
                     page,
                     write,
                     reply,
+                    run_ts,
                     ..
                 } if !write && reply == ddbm_core::WitnessReply::Granted => {
-                    self.record_read(txn, run, node, page);
+                    self.record_read(txn, run, node, page, run_ts);
                 }
                 WitnessEvent::Grant {
                     txn,
@@ -279,9 +280,10 @@ mod reference {
                     node,
                     page,
                     write,
+                    run_ts,
                     ..
                 } if !write => {
-                    self.record_read(txn, run, node, page);
+                    self.record_read(txn, run, node, page, run_ts);
                 }
                 WitnessEvent::Install {
                     txn,
@@ -339,6 +341,16 @@ mod reference {
                     let id = self.decide(txn, run, Some((run_ts, commit_ts)));
                     self.flush(id);
                 }
+                WitnessEvent::Certify {
+                    txn,
+                    run,
+                    run_ts,
+                    commit_ts,
+                    ..
+                } => {
+                    let id = self.run_ix(txn, run);
+                    self.carried[id as usize] = (run_ts, commit_ts);
+                }
                 WitnessEvent::Phase {
                     txn,
                     run,
@@ -385,14 +397,24 @@ mod reference {
                 order,
                 ids,
                 fates,
-                mut decided,
+                carried,
+                decided,
                 read_log: reads,
                 install_log: mut versions,
                 copy_order,
                 ..
             } = self;
 
-            // The algorithm's serial order; ties keep decision order.
+            // The algorithm's serial order; ties keep decision order. A run
+            // cut off before any event named its stamps takes what its reads
+            // and certification carried.
+            let mut decided: Vec<(RunIx, Ts, Ts)> = decided
+                .into_iter()
+                .map(|(id, stamps)| {
+                    let (run_ts, commit_ts) = stamps.unwrap_or(carried[id as usize]);
+                    (id, run_ts, commit_ts)
+                })
+                .collect();
             match order {
                 VersionOrder::StreamOrder => {}
                 VersionOrder::ByRunTs => decided.sort_by_key(|&(_, run_ts, _)| run_ts),
@@ -548,8 +570,6 @@ struct Flight {
     writes: Vec<u64>,
     /// Installs still to emit once the run commits: (node, page).
     installs: Vec<(usize, u64)>,
-    /// The run's `Install` or `Committed` events named its stamps.
-    stamped: bool,
     stage: Stage,
 }
 
@@ -615,7 +635,6 @@ fn history(seed: u64, copies: Copies, steps: usize) -> Vec<WitnessEvent> {
                 reads,
                 writes,
                 installs: Vec::new(),
-                stamped: false,
                 stage: Stage::Reading,
             });
             continue;
@@ -695,9 +714,24 @@ fn history(seed: u64, copies: Copies, steps: usize) -> Vec<WitnessEvent> {
                 }
                 None => {
                     f.commit_ts = Ts::new(now, txn);
-                    for phase in [TxnPhase::Preparing, TxnPhase::Committing] {
-                        out.push(WitnessEvent::Phase { txn, run, phase });
-                    }
+                    out.push(WitnessEvent::Phase {
+                        txn,
+                        run,
+                        phase: TxnPhase::Preparing,
+                    });
+                    out.push(WitnessEvent::Certify {
+                        txn,
+                        run,
+                        node: NodeId(1),
+                        commit_ts: f.commit_ts,
+                        run_ts: f.run_ts,
+                        ok: true,
+                    });
+                    out.push(WitnessEvent::Phase {
+                        txn,
+                        run,
+                        phase: TxnPhase::Committing,
+                    });
                     let k = if matches!(copies, Copies::Quorum) {
                         2
                     } else {
@@ -719,13 +753,6 @@ fn history(seed: u64, copies: Copies, steps: usize) -> Vec<WitnessEvent> {
             }
         }
     }
-    // The cut never falls between a run's decision and its first stamped
-    // event (see the module docs).
-    for f in &mut flights {
-        if f.stage == Stage::Committing && !f.stamped {
-            step_commit(f, &mut out);
-        }
-    }
     out
 }
 
@@ -733,7 +760,6 @@ fn history(seed: u64, copies: Copies, steps: usize) -> Vec<WitnessEvent> {
 /// left; `false` when the run is done.
 fn step_commit(f: &mut Flight, out: &mut Vec<WitnessEvent>) -> bool {
     let (txn, run) = (TxnId(f.txn), f.run);
-    f.stamped = true;
     match f.installs.pop() {
         Some((node, p)) => {
             out.push(WitnessEvent::Install {
@@ -775,6 +801,19 @@ fn verdicts(order: VersionOrder, events: &[WitnessEvent]) -> (VsrOutcome, VsrOut
         want.observe(ev);
     }
     (got.finalize(0), want.finalize(0))
+}
+
+/// A quorum history whose cut falls between a run's `Committing` and its
+/// first `Install`: the run once took the zero key under `ByRunTs`, closing
+/// backward edges to runs the retiring collector had let go of, and the
+/// two named different cycles.
+#[test]
+fn run_cut_off_before_its_first_install_keeps_its_place() {
+    let events = history(12_575_868_791_248_204_587, Copies::Quorum, 1_967);
+    for order in ORDERS {
+        let (got, want) = verdicts(order, &events);
+        assert_eq!(got, want, "{order:?}");
+    }
 }
 
 proptest! {
